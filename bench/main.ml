@@ -214,19 +214,14 @@ let micro_tests ctx =
   let kernel = Array.init 2049 (fun i -> float_of_int (i mod 7)) in
   let signal = Array.init 1025 (fun i -> float_of_int (i mod 5)) in
   let plan =
-    Lrd_numerics.Convolution.make_plan ~kernel ~max_signal:1025
+    Lrd_numerics.Convolution.make_real_plan ~kernel ~max_signal:1025 ()
   in
   let exp_model =
     Lrd_core.Model.create
       ~marginal:(Lrd_dist.Marginal.of_points [ (0.0, 0.5); (2.0, 0.5) ])
       ~interarrival:(Lrd_dist.Interarrival.exponential ~mean:1.0)
   in
-  let dual_plan =
-    Lrd_numerics.Convolution.make_dual_plan ~kernel_a:kernel ~kernel_b:kernel
-      ~max_signal:1025
-  in
   let conv_dst = Array.make (1025 + 2049 - 1) 0.0 in
-  let conv_dst2 = Array.make (1025 + 2049 - 1) 0.0 in
   (* Real-engine counterparts: the half-spectrum transform alone, the
      solver-shaped circular execute over Bigarray state, and a
      non-power-of-two size that a radix-3 grid serves without padding
@@ -248,21 +243,16 @@ let micro_tests ctx =
   let kernel1500 = Array.init 1500 (fun i -> float_of_int (i mod 7)) in
   let signal1500 = Array.init 1500 (fun i -> float_of_int (i mod 5)) in
   let plan1500 =
-    Lrd_numerics.Convolution.make_plan ~kernel:kernel1500 ~max_signal:1500
+    Lrd_numerics.Convolution.make_real_plan ~kernel:kernel1500
+      ~max_signal:1500 ()
   in
   let conv_dst1500 = Array.make (1500 + 1500 - 1) 0.0 in
   let kernel_tests =
     [
-      mk "kernel/fft-4096" (fun () ->
-          let r = Array.copy re and im = Array.make 4096 0.0 in
-          Lrd_numerics.Fft.forward ~re:r ~im);
       mk "kernel/conv-direct-1k" (fun () ->
           ignore (Lrd_numerics.Convolution.direct signal kernel));
       mk "kernel/conv-fft-plan-1k" (fun () ->
           Lrd_numerics.Convolution.execute plan signal ~dst:conv_dst);
-      mk "kernel/conv-dual-1k" (fun () ->
-          Lrd_numerics.Convolution.execute_dual dual_plan ~a:signal ~b:signal
-            ~dst_a:conv_dst ~dst_b:conv_dst2);
       mk "kernel/rfft-4096" (fun () ->
           Lrd_numerics.Fft.Real.forward_ip rfft_plan ~signal:re ~len:4096
             ~spec_re:rfft_spec_re ~spec_im:rfft_spec_im);
@@ -297,20 +287,14 @@ let micro_tests ctx =
       mk "kernel/whittle-16k"
         (let data = Lrd_trace.Fgn.davies_harte (rng ()) ~hurst:0.8 ~n:16_384 in
          fun () -> ignore (Lrd_stats.Whittle.local_whittle data));
-      mk "kernel/whittle-plan-16k"
+      mk "kernel/gph-16k"
         (let data = Lrd_trace.Fgn.davies_harte (rng ()) ~hurst:0.8 ~n:16_384 in
-         let ws = Lrd_stats.Whittle.Workspace.make ~n:16_384 in
-         fun () -> ignore (Lrd_stats.Whittle.Workspace.local_whittle ws data));
-      mk "kernel/acf-plan-512"
-        (* Counterpart of fig6/acf-512 through the planned workspace. *)
-        (let rates = mtv_trace.Lrd_trace.Trace.rates in
-         let ws =
-           Lrd_stats.Autocorr.Workspace.make ~n:(Array.length rates)
-         in
+         fun () -> ignore (Lrd_stats.Hurst.gph data));
+      mk "kernel/surrogate-16k"
+        (let data = Lrd_trace.Fgn.davies_harte (rng ()) ~hurst:0.8 ~n:16_384 in
+         let r = rng () in
          fun () ->
-           ignore
-             (Lrd_stats.Autocorr.Workspace.autocorrelation ws rates
-                ~max_lag:512));
+           ignore (Lrd_stats.Stationarity.phase_randomized_surrogate r data));
       mk "kernel/mginf-trace-16k" (fun () ->
           ignore (Lrd_trace.Mginf.generate (rng ()) ~slots:16_384 ~slot:0.02));
       mk "kernel/solve-detailed-occupancy" (fun () ->
@@ -512,9 +496,8 @@ let check_against_baseline ~file rows =
   !regressions
 
 (* --only filters the micro suite and the scaling figure list
-   (substring match, so "--only kernel/whittle" selects the
-   planned/one-shot pair and "--only fig13" picks the Bellcore
-   surface). *)
+   (substring match, so "--only kernel/conv" selects the convolution
+   kernels and "--only fig13" picks the Bellcore surface). *)
 let matches_token name id =
   let idl = String.length id and nl = String.length name in
   let rec at i = i + idl <= nl && (String.sub name i idl = id || at (i + 1)) in

@@ -67,6 +67,19 @@ let buffer_arg =
 let cutoff_conv =
   checked_float ~expected:"a positive cutoff lag" (fun tc -> tc > 0.0)
 
+let hurst_conv =
+  checked_float ~expected:"a Hurst parameter in (0.5, 1)" (fun h ->
+      h > 0.5 && h < 1.0)
+
+let epoch_conv =
+  checked_float ~expected:"a positive epoch duration" (fun e -> e > 0.0)
+
+(* An estimator refusing a loaded trace (too short, constant) is bad
+   input: report it and exit 2, as [lrd metrics diff] does. *)
+let reject_trace ~cmd ~path msg =
+  Format.eprintf "lrd %s: %s (%s)@." cmd msg path;
+  exit 2
+
 let trace_file_arg =
   let doc = "Input trace file (as written by $(b,lrd trace)); its 50-bin \
              histogram becomes the marginal and its mean rate-residence \
@@ -194,7 +207,7 @@ let with_telemetry ?metrics_interval ?trace_out format out f =
 let solve_cmd =
   let hurst_arg =
     let doc = "Hurst parameter in (0.5, 1); alpha = 3 - 2H." in
-    Arg.(value & opt float 0.83 & info [ "H"; "hurst" ] ~docv:"H" ~doc)
+    Arg.(value & opt hurst_conv 0.83 & info [ "H"; "hurst" ] ~docv:"H" ~doc)
   in
   let cutoff_arg =
     let doc = "Cutoff lag T_c in seconds (correlation is zero beyond); \
@@ -211,7 +224,10 @@ let solve_cmd =
     let doc = "Mean epoch duration in seconds used to match theta (eq. 25) \
                when no trace is given; defaults to the built-in trace's \
                measured value." in
-    Arg.(value & opt (some float) None & info [ "epoch" ] ~docv:"SECONDS" ~doc)
+    Arg.(
+      value
+      & opt (some epoch_conv) None
+      & info [ "epoch" ] ~docv:"SECONDS" ~doc)
   in
   let run quick seed utilization buffer hurst cutoff marginal_name trace epoch
       metrics metrics_out trace_out =
@@ -437,16 +453,25 @@ let hurst_cmd =
     | Error msg -> `Error (false, msg)
     | Ok trace ->
         let rates = trace.Lrd_trace.Trace.rates in
-        let report name (fit : Lrd_stats.Hurst.fit) =
-          Format.printf "%-24s H = %.3f (slope %.3f over %d points)@." name
-            fit.Lrd_stats.Hurst.hurst fit.Lrd_stats.Hurst.slope
-            (Array.length fit.Lrd_stats.Hurst.xs)
+        let fits, whittle, diagram =
+          try
+            ( [
+                ( "aggregated variance",
+                  Lrd_stats.Hurst.aggregated_variance rates );
+                ("rescaled range (R/S)", Lrd_stats.Hurst.rescaled_range rates);
+                ("GPH log-periodogram", Lrd_stats.Hurst.gph rates);
+                ("Abry-Veitch wavelet", Lrd_stats.Hurst.abry_veitch rates);
+              ],
+              Lrd_stats.Whittle.local_whittle rates,
+              Lrd_stats.Hurst.logscale_diagram rates )
+          with Invalid_argument msg -> reject_trace ~cmd:"hurst" ~path msg
         in
-        report "aggregated variance" (Lrd_stats.Hurst.aggregated_variance rates);
-        report "rescaled range (R/S)" (Lrd_stats.Hurst.rescaled_range rates);
-        report "GPH log-periodogram" (Lrd_stats.Hurst.gph rates);
-        report "Abry-Veitch wavelet" (Lrd_stats.Hurst.abry_veitch rates);
-        let whittle = Lrd_stats.Whittle.local_whittle rates in
+        List.iter
+          (fun (name, (fit : Lrd_stats.Hurst.fit)) ->
+            Format.printf "%-24s H = %.3f (slope %.3f over %d points)@." name
+              fit.Lrd_stats.Hurst.hurst fit.Lrd_stats.Hurst.slope
+              (Array.length fit.Lrd_stats.Hurst.xs))
+          fits;
         Format.printf "%-24s H = %.3f (d = %.3f over %d frequencies)@."
           "local Whittle" whittle.Lrd_stats.Whittle.hurst
           whittle.Lrd_stats.Whittle.memory
@@ -461,7 +486,7 @@ let hurst_cmd =
               p.Lrd_stats.Hurst.octave p.Lrd_stats.Hurst.log2_energy
               p.Lrd_stats.Hurst.ci_low p.Lrd_stats.Hurst.ci_high
               p.Lrd_stats.Hurst.coefficients)
-          (Lrd_stats.Hurst.logscale_diagram rates);
+          diagram;
         `Ok ()
   in
   let doc = "estimate the Hurst parameter of a trace, four ways" in
@@ -524,8 +549,12 @@ let fit_cmd =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE" ~doc)
   in
   let hurst_arg =
-    let doc = "Hurst parameter (default: wavelet estimate from the trace)." in
-    Arg.(value & opt (some float) None & info [ "H"; "hurst" ] ~docv:"H" ~doc)
+    let doc =
+      "Hurst parameter in (0.5, 1) (default: wavelet estimate from the \
+       trace)."
+    in
+    Arg.(
+      value & opt (some hurst_conv) None & info [ "H"; "hurst" ] ~docv:"H" ~doc)
   in
   let run utilization buffer hurst path metrics metrics_out trace_out =
     with_telemetry ?trace_out metrics metrics_out @@ fun () ->
@@ -533,8 +562,10 @@ let fit_cmd =
     | Error msg -> `Error (false, msg)
     | Ok trace ->
         let model, cutoff =
-          Lrd_core.Fitting.for_buffer ?hurst trace ~utilization
-            ~buffer_seconds:buffer
+          try
+            Lrd_core.Fitting.for_buffer ?hurst trace ~utilization
+              ~buffer_seconds:buffer
+          with Invalid_argument msg -> reject_trace ~cmd:"fit" ~path msg
         in
         Format.printf
           "horizon-fitted model for B = %g s at utilization %g:@." buffer
@@ -648,22 +679,24 @@ let stationarity_cmd =
     | Ok trace ->
         let data = trace.Lrd_trace.Trace.rates in
         let rng = Lrd_rng.Rng.create ~seed in
-        let cusum = Lrd_stats.Stationarity.cusum data in
+        let cusum, shift, wavelet, surrogate_h =
+          try
+            ( Lrd_stats.Stationarity.cusum data,
+              Lrd_stats.Stationarity.split_half_mean_shift data,
+              (Lrd_stats.Hurst.abry_veitch data).Lrd_stats.Hurst.hurst,
+              (Lrd_stats.Hurst.abry_veitch
+                 (Lrd_stats.Stationarity.phase_randomized_surrogate rng data))
+                .Lrd_stats.Hurst.hurst )
+          with Invalid_argument msg ->
+            reject_trace ~cmd:"stationarity" ~path msg
+        in
         Format.printf
           "CUSUM statistic %.3f (short-memory 5%% critical value %.3f), \
            change point at sample %d@."
           cusum.Lrd_stats.Stationarity.statistic
           cusum.Lrd_stats.Stationarity.critical_5pct
           cusum.Lrd_stats.Stationarity.change_point;
-        Format.printf "split-half mean shift: %.2f standard errors@."
-          (Lrd_stats.Stationarity.split_half_mean_shift data);
-        let wavelet = (Lrd_stats.Hurst.abry_veitch data).Lrd_stats.Hurst.hurst in
-        let surrogate =
-          Lrd_stats.Stationarity.phase_randomized_surrogate rng data
-        in
-        let surrogate_h =
-          (Lrd_stats.Hurst.abry_veitch surrogate).Lrd_stats.Hurst.hurst
-        in
+        Format.printf "split-half mean shift: %.2f standard errors@." shift;
         Format.printf
           "wavelet H: %.3f (trace) vs %.3f (phase-randomized surrogate)@."
           wavelet surrogate_h;
@@ -696,8 +729,8 @@ let provision_cmd =
     Arg.(value & opt string "mtv" & info [ "marginal" ] ~docv:"NAME" ~doc)
   in
   let hurst_arg =
-    let doc = "Hurst parameter." in
-    Arg.(value & opt float 0.83 & info [ "H"; "hurst" ] ~docv:"H" ~doc)
+    let doc = "Hurst parameter in (0.5, 1)." in
+    Arg.(value & opt hurst_conv 0.83 & info [ "H"; "hurst" ] ~docv:"H" ~doc)
   in
   let cutoff_arg =
     let doc = "Cutoff lag in seconds (inf for self-similar)." in

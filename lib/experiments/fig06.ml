@@ -12,13 +12,7 @@ let run ctx fmt =
   let rng = Lrd_rng.Rng.create ~seed:(Int64.add (Data.seed ctx) 6L) in
   let shuffled = Lrd_trace.Shuffle.external_shuffle rng trace ~block in
   let max_lag = min (4 * block) (Lrd_trace.Trace.length trace / 4) in
-  (* Both series go through the domain's planned ACF workspace (the
-     shuffled trace may be a few slots shorter, but rounds to the same
-     transform size); results are bit-identical to the one-shot path. *)
-  let acf rates =
-    let ws = Lrd_stats.Autocorr.domain_workspace ~n:(Array.length rates) in
-    Lrd_stats.Autocorr.Workspace.autocorrelation ws rates ~max_lag
-  in
+  let acf rates = Lrd_stats.Autocorr.autocorrelation rates ~max_lag in
   let acf_orig = acf trace.Lrd_trace.Trace.rates in
   let acf_shuf = acf shuffled.Lrd_trace.Trace.rates in
   let lags =

@@ -6,9 +6,13 @@
     queue-occupancy recursion (eq. 19): each solver iteration convolves the
     occupancy vector with the discretized increment distribution.
 
-    The planned APIs ({!execute}, {!execute_dual}) write into
-    caller-owned buffers and reuse plan-owned scratch, so the steady
-    state of an iterated solve performs zero heap allocation. *)
+    Every FFT path runs on the real-input engine {!Fft.Real}: {!fft}
+    for one-shot products, and a {!real_plan} — the kernel's
+    half-spectrum cached once — for the solver's repeated convolutions
+    against a fixed kernel.  The planned entry points ({!execute},
+    {!execute_real_circular}) write into caller-owned buffers and reuse
+    plan-owned scratch, so the steady state of an iterated solve
+    performs zero heap allocation.  {!direct} is the exact oracle. *)
 
 val direct : float array -> float array -> float array
 (** O(na * nb) schoolbook convolution.  Exact up to rounding; used as the
@@ -57,10 +61,6 @@ type real_plan
     bins, and one real inverse.  The plan owns its scratch buffers; a
     single plan must not be used concurrently. *)
 
-type plan = real_plan
-(** Historical alias: the complex planned path was replaced by the
-    real-input engine ({!make_dual_plan} keeps a complex reference). *)
-
 val make_real_plan :
   ?size:int -> kernel:float array -> max_signal:int -> unit -> real_plan
 (** [make_real_plan ~kernel ~max_signal ()] precomputes the kernel
@@ -73,21 +73,15 @@ val make_real_plan :
     Lindley step.  @raise Invalid_argument on an empty kernel, a
     nonpositive [max_signal], or an unsupported/too-small [size]. *)
 
-val make_plan : kernel:float array -> max_signal:int -> plan
-(** [make_real_plan] with the default (linear) transform size. *)
-
 val real_transform_size : real_plan -> int
 (** The transform grid the plan runs on. *)
 
-val execute : plan -> float array -> dst:float array -> unit
+val execute : real_plan -> float array -> dst:float array -> unit
 (** [execute plan a ~dst] writes [a * kernel] (length
     [na + kernel_len - 1]) into the prefix of [dst].  Performs zero heap
     allocation.  @raise Invalid_argument if [a] is empty or longer than
     the plan's [max_signal], [dst] is too short, or the plan is
     circular. *)
-
-val execute_real : real_plan -> float array -> dst:float array -> unit
-(** Alias of {!execute}, named for the engine it runs on. *)
 
 val execute_real_circular :
   real_plan -> signal:Fft.vec -> len:int -> dst:Fft.vec -> unit
@@ -99,45 +93,9 @@ val execute_real_circular :
     the full linear length this is the linear convolution followed by
     the (numerically zero) padding tail. *)
 
-val convolve_plan : plan -> float array -> float array
-(** [convolve_plan plan a] is {!execute} into a fresh result array. *)
-
-val convolve_real : real_plan -> float array -> float array
-(** Alias of {!convolve_plan}. *)
-
 val direct_into_big :
   Fft.vec -> len:int -> kernel:float array -> dst:Fft.vec -> unit
 (** {!direct_into} over Bigarray vectors: schoolbook-convolves the
     first [len] entries of the signal with [kernel] into the prefix of
     [dst], allocation-free.  @raise Invalid_argument on empty inputs or
     a too-short [dst]. *)
-
-type dual_plan
-(** Plans TWO fixed kernels sharing one transform: the first signal is
-    packed into the real part and the second into the imaginary part of
-    a single complex FFT, the two spectra are separated by Hermitian
-    symmetry, multiplied by their respective kernel spectra, and both
-    products recovered from one inverse transform — two transforms per
-    call where independent plans would spend four.  This is the engine
-    under the solver's floor/ceiling Lindley step. *)
-
-val make_dual_plan :
-  kernel_a:float array ->
-  kernel_b:float array ->
-  max_signal:int ->
-  dual_plan
-(** Precomputes both kernel spectra on a shared grid sized for signals
-    of length [<= max_signal].
-    @raise Invalid_argument on an empty kernel or nonpositive size. *)
-
-val execute_dual :
-  dual_plan ->
-  a:float array ->
-  b:float array ->
-  dst_a:float array ->
-  dst_b:float array ->
-  unit
-(** [execute_dual plan ~a ~b ~dst_a ~dst_b] writes [a * kernel_a] into
-    [dst_a] and [b * kernel_b] into [dst_b] using two transforms total
-    and zero heap allocation.  @raise Invalid_argument on empty or
-    over-long signals or too-short destinations. *)

@@ -8,15 +8,15 @@ type vec =
   (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* ------------------------------------------------------------------ *)
-(* Planned power-of-two transforms.
+(* Complex transforms at fast sizes — the private core of {!Real}.
 
-   A plan for size [n] precomputes the bit-reversal permutation and one
-   flat twiddle-factor table shared by every butterfly stage: stage
-   [len = 2^s] reads its [half = len/2] factors at offset [half - 1]
-   (the halves of the earlier stages sum to exactly that), so the table
-   holds [n - 1] factors total.  Each factor is computed by a direct
-   cos/sin call rather than the repeated-multiplication recurrence of
-   the unplanned code path, which both removes the O(len) error
+   A power-of-two plan for size [n] precomputes the bit-reversal
+   permutation and one flat twiddle-factor table shared by every
+   butterfly stage: stage [len = 2^s] reads its [half = len/2] factors
+   at offset [half - 1] (the halves of the earlier stages sum to
+   exactly that), so the table holds [n - 1] factors total.  Each factor
+   is computed by a direct cos/sin call rather than a repeated-
+   multiplication recurrence, which both removes the O(len) error
    accumulation within a stage and moves all trigonometry out of the
    transform itself. *)
 
@@ -27,44 +27,23 @@ type pow2_plan = {
   wim : float array;  (* sin of the forward angle (<= 0 half-plane). *)
 }
 
-(* Sizes beyond powers of two.  [Split] peels one odd radix r in {3, 5}
+(* Sizes beyond powers of two: [Split] peels one odd radix r in {3, 5}
    off the top with a decimation-in-time step over r interleaved
-   sub-transforms; nesting two Splits reaches 15 * 2^k.  [Bluestein]
-   re-expresses an arbitrary-size DFT as a chirp-modulated circular
-   convolution at a power-of-two size >= 2n - 1 — never faster than
-   padding, but exact for any length, so it completes the API.  Both
-   own scratch, so unlike the power-of-two plans they must not be used
-   concurrently. *)
+   sub-transforms; nesting two Splits reaches 15 * 2^k.  Splits own
+   scratch, as does the {!Real} plan holding them. *)
 type plan =
   | Pow2 of pow2_plan
   | Split of {
       s_size : int;
-      radix : int;
+      radix : int;  (* 3 or 5 *)
       sub : plan;  (* size s_size / radix *)
       twre : float array;  (* cos (-2 pi j / n), j = 0 .. n - 1 *)
       twim : float array;
       sre : float array array;  (* radix scratch rows of length n/radix *)
       sim : float array array;
     }
-  | Bluestein of {
-      b_size : int;
-      np : pow2_plan;  (* power-of-two plan at np_size >= 2 n - 1 *)
-      cre : float array;  (* chirp c_j = exp (-i pi j^2 / n), j < n *)
-      cim : float array;
-      bre : float array;  (* spectrum of the wrapped conjugate chirp *)
-      bim : float array;
-      sre : float array;  (* scratch, length np size *)
-      sim : float array;
-    }
-
-let m_plans_built = Lrd_obs.Obs.Counter.make "fft/plans_built"
 
 let make_pow2_plan n =
-  if not (is_power_of_two n) then
-    invalid_arg "Fft.make_plan: size must be a power of two";
-  Lrd_obs.Obs.Counter.incr m_plans_built;
-  if Lrd_obs.Obs.Trace.enabled () then
-    Lrd_obs.Obs.Trace.instant ~arg:n "fft/plan_build";
   let bitrev = Array.make n 0 in
   for i = 1 to n - 1 do
     (* Shift the previous reversal right and bring in the new low bit. *)
@@ -84,8 +63,6 @@ let make_pow2_plan n =
     len := !len * 2
   done;
   { p2_size = n; bitrev; wre; wim }
-
-let make_plan n = Pow2 (make_pow2_plan n)
 
 (* Supported fast sizes are 2^a * f with f in {1, 3, 5, 15}: one Split
    per odd radix on top of a power-of-two core. *)
@@ -170,37 +147,6 @@ let transform_pow2 plan ~conjugate re im =
     len := !len * 2
   done
 
-(* Bluestein's identity: jk = (j^2 + k^2 - (k - j)^2) / 2, so
-   X_k = c_k * sum_j (x_j c_j) conj c_{k-j} with c_j = exp(-i pi j^2/n)
-   — a circular convolution of the chirped signal against the conjugate
-   chirp, evaluated at any power-of-two size >= 2n - 1. *)
-let bluestein_forward ~n ~np ~cre ~cim ~bre ~bim ~sre ~sim re im =
-  let ns = np.p2_size in
-  Array.fill sre 0 ns 0.0;
-  Array.fill sim 0 ns 0.0;
-  for j = 0 to n - 1 do
-    let xr = Array.unsafe_get re j and xi = Array.unsafe_get im j in
-    let cr = Array.unsafe_get cre j and ci = Array.unsafe_get cim j in
-    Array.unsafe_set sre j ((xr *. cr) -. (xi *. ci));
-    Array.unsafe_set sim j ((xr *. ci) +. (xi *. cr))
-  done;
-  transform_pow2 np ~conjugate:false sre sim;
-  for k = 0 to ns - 1 do
-    let ar = Array.unsafe_get sre k and ai = Array.unsafe_get sim k in
-    let br = Array.unsafe_get bre k and bi = Array.unsafe_get bim k in
-    Array.unsafe_set sre k ((ar *. br) -. (ai *. bi));
-    Array.unsafe_set sim k ((ar *. bi) +. (ai *. br))
-  done;
-  transform_pow2 np ~conjugate:true sre sim;
-  let inv = 1.0 /. float_of_int ns in
-  for k = 0 to n - 1 do
-    let ar = inv *. Array.unsafe_get sre k
-    and ai = inv *. Array.unsafe_get sim k in
-    let cr = Array.unsafe_get cre k and ci = Array.unsafe_get cim k in
-    Array.unsafe_set re k ((ar *. cr) -. (ai *. ci));
-    Array.unsafe_set im k ((ar *. ci) +. (ai *. cr))
-  done
-
 let rec transform_any plan ~conjugate re im =
   match plan with
   | Pow2 p -> transform_pow2 p ~conjugate re im
@@ -223,246 +169,118 @@ let rec transform_any plan ~conjugate re im =
          of r more table multiplies per output — this is what makes the
          mixed-radix grids competitive with power-of-two padding. *)
       let sign = if conjugate then -1.0 else 1.0 in
-      (match r with
-      | 3 ->
-          let z0r = Array.unsafe_get sre 0 and z0i = Array.unsafe_get sim 0 in
-          let z1r = Array.unsafe_get sre 1 and z1i = Array.unsafe_get sim 1 in
-          let z2r = Array.unsafe_get sre 2 and z2i = Array.unsafe_get sim 2 in
-          (* omega_3 = -1/2 - i sign sqrt(3)/2. *)
-          let s3 = sign *. 0.8660254037844386 in
-          for k = 0 to m - 1 do
-            let w1r = Array.unsafe_get twre k
-            and w1i = sign *. Array.unsafe_get twim k in
-            let w2r = Array.unsafe_get twre (2 * k)
-            and w2i = sign *. Array.unsafe_get twim (2 * k) in
-            let a1r = Array.unsafe_get z1r k
-            and a1i = Array.unsafe_get z1i k in
-            let a2r = Array.unsafe_get z2r k
-            and a2i = Array.unsafe_get z2i k in
-            let t1r = (a1r *. w1r) -. (a1i *. w1i)
-            and t1i = (a1r *. w1i) +. (a1i *. w1r) in
-            let t2r = (a2r *. w2r) -. (a2i *. w2i)
-            and t2i = (a2r *. w2i) +. (a2i *. w2r) in
-            let ur = t1r +. t2r and ui = t1i +. t2i in
-            let vr = t1r -. t2r and vi = t1i -. t2i in
-            let br = Array.unsafe_get z0r k and bi = Array.unsafe_get z0i k in
-            Array.unsafe_set re k (br +. ur);
-            Array.unsafe_set im k (bi +. ui);
-            let wr = br -. (0.5 *. ur) and wi = bi -. (0.5 *. ui) in
-            Array.unsafe_set re (k + m) (wr +. (s3 *. vi));
-            Array.unsafe_set im (k + m) (wi -. (s3 *. vr));
-            Array.unsafe_set re (k + (2 * m)) (wr -. (s3 *. vi));
-            Array.unsafe_set im (k + (2 * m)) (wi +. (s3 *. vr))
-          done
-      | 5 ->
-          let z0r = Array.unsafe_get sre 0 and z0i = Array.unsafe_get sim 0 in
-          let z1r = Array.unsafe_get sre 1 and z1i = Array.unsafe_get sim 1 in
-          let z2r = Array.unsafe_get sre 2 and z2i = Array.unsafe_get sim 2 in
-          let z3r = Array.unsafe_get sre 3 and z3i = Array.unsafe_get sim 3 in
-          let z4r = Array.unsafe_get sre 4 and z4i = Array.unsafe_get sim 4 in
-          (* omega_5^b = cb - i sign sb. *)
-          let c1 = 0.30901699437494745 and c2 = -0.8090169943749473 in
-          let s1 = sign *. 0.9510565162951535
-          and s2 = sign *. 0.5877852522924731 in
-          for k = 0 to m - 1 do
-            let w1r = Array.unsafe_get twre k
-            and w1i = sign *. Array.unsafe_get twim k in
-            let w2r = Array.unsafe_get twre (2 * k)
-            and w2i = sign *. Array.unsafe_get twim (2 * k) in
-            let w3r = Array.unsafe_get twre (3 * k)
-            and w3i = sign *. Array.unsafe_get twim (3 * k) in
-            let w4r = Array.unsafe_get twre (4 * k)
-            and w4i = sign *. Array.unsafe_get twim (4 * k) in
-            let a1r = Array.unsafe_get z1r k
-            and a1i = Array.unsafe_get z1i k in
-            let a2r = Array.unsafe_get z2r k
-            and a2i = Array.unsafe_get z2i k in
-            let a3r = Array.unsafe_get z3r k
-            and a3i = Array.unsafe_get z3i k in
-            let a4r = Array.unsafe_get z4r k
-            and a4i = Array.unsafe_get z4i k in
-            let t1r = (a1r *. w1r) -. (a1i *. w1i)
-            and t1i = (a1r *. w1i) +. (a1i *. w1r) in
-            let t2r = (a2r *. w2r) -. (a2i *. w2i)
-            and t2i = (a2r *. w2i) +. (a2i *. w2r) in
-            let t3r = (a3r *. w3r) -. (a3i *. w3i)
-            and t3i = (a3r *. w3i) +. (a3i *. w3r) in
-            let t4r = (a4r *. w4r) -. (a4i *. w4i)
-            and t4i = (a4r *. w4i) +. (a4i *. w4r) in
-            let u1r = t1r +. t4r and u1i = t1i +. t4i in
-            let v1r = t1r -. t4r and v1i = t1i -. t4i in
-            let u2r = t2r +. t3r and u2i = t2i +. t3i in
-            let v2r = t2r -. t3r and v2i = t2i -. t3i in
-            let br = Array.unsafe_get z0r k and bi = Array.unsafe_get z0i k in
-            Array.unsafe_set re k (br +. u1r +. u2r);
-            Array.unsafe_set im k (bi +. u1i +. u2i);
-            let p1r = br +. (c1 *. u1r) +. (c2 *. u2r)
-            and p1i = bi +. (c1 *. u1i) +. (c2 *. u2i) in
-            let q1r = (s1 *. v1r) +. (s2 *. v2r)
-            and q1i = (s1 *. v1i) +. (s2 *. v2i) in
-            Array.unsafe_set re (k + m) (p1r +. q1i);
-            Array.unsafe_set im (k + m) (p1i -. q1r);
-            Array.unsafe_set re (k + (4 * m)) (p1r -. q1i);
-            Array.unsafe_set im (k + (4 * m)) (p1i +. q1r);
-            let p2r = br +. (c2 *. u1r) +. (c1 *. u2r)
-            and p2i = bi +. (c2 *. u1i) +. (c1 *. u2i) in
-            let q2r = (s2 *. v1r) -. (s1 *. v2r)
-            and q2i = (s2 *. v1i) -. (s1 *. v2i) in
-            Array.unsafe_set re (k + (2 * m)) (p2r +. q2i);
-            Array.unsafe_set im (k + (2 * m)) (p2i -. q2r);
-            Array.unsafe_set re (k + (3 * m)) (p2r -. q2i);
-            Array.unsafe_set im (k + (3 * m)) (p2i +. q2r)
-          done
-      | _ ->
-          (* Unreached by [make_any_plan] (radices are 3 and 5); kept as
-             the reference recombination for any future radix. *)
-          for k = 0 to m - 1 do
-            for block = 0 to r - 1 do
-              let t = k + (block * m) in
-              let accr = ref 0.0 and acci = ref 0.0 in
-              for s = 0 to r - 1 do
-                let idx = t * s mod n in
-                let cr = Array.unsafe_get twre idx
-                and ci = sign *. Array.unsafe_get twim idx in
-                let zr = Array.unsafe_get (Array.unsafe_get sre s) k
-                and zi = Array.unsafe_get (Array.unsafe_get sim s) k in
-                accr := !accr +. ((zr *. cr) -. (zi *. ci));
-                acci := !acci +. ((zr *. ci) +. (zi *. cr))
-              done;
-              Array.unsafe_set re t !accr;
-              Array.unsafe_set im t !acci
-            done
-          done)
-  | Bluestein { b_size = n; np; cre; cim; bre; bim; sre; sim } ->
-      (* The inverse direction is conj . forward . conj (no scaling). *)
-      if conjugate then
-        for j = 0 to n - 1 do
-          Array.unsafe_set im j (-.Array.unsafe_get im j)
-        done;
-      bluestein_forward ~n ~np ~cre ~cim ~bre ~bim ~sre ~sim re im;
-      if conjugate then
-        for j = 0 to n - 1 do
-          Array.unsafe_set im j (-.Array.unsafe_get im j)
+      if r = 3 then begin
+        let z0r = Array.unsafe_get sre 0 and z0i = Array.unsafe_get sim 0 in
+        let z1r = Array.unsafe_get sre 1 and z1i = Array.unsafe_get sim 1 in
+        let z2r = Array.unsafe_get sre 2 and z2i = Array.unsafe_get sim 2 in
+        (* omega_3 = -1/2 - i sign sqrt(3)/2. *)
+        let s3 = sign *. 0.8660254037844386 in
+        for k = 0 to m - 1 do
+          let w1r = Array.unsafe_get twre k
+          and w1i = sign *. Array.unsafe_get twim k in
+          let w2r = Array.unsafe_get twre (2 * k)
+          and w2i = sign *. Array.unsafe_get twim (2 * k) in
+          let a1r = Array.unsafe_get z1r k
+          and a1i = Array.unsafe_get z1i k in
+          let a2r = Array.unsafe_get z2r k
+          and a2i = Array.unsafe_get z2i k in
+          let t1r = (a1r *. w1r) -. (a1i *. w1i)
+          and t1i = (a1r *. w1i) +. (a1i *. w1r) in
+          let t2r = (a2r *. w2r) -. (a2i *. w2i)
+          and t2i = (a2r *. w2i) +. (a2i *. w2r) in
+          let ur = t1r +. t2r and ui = t1i +. t2i in
+          let vr = t1r -. t2r and vi = t1i -. t2i in
+          let br = Array.unsafe_get z0r k and bi = Array.unsafe_get z0i k in
+          Array.unsafe_set re k (br +. ur);
+          Array.unsafe_set im k (bi +. ui);
+          let wr = br -. (0.5 *. ur) and wi = bi -. (0.5 *. ui) in
+          Array.unsafe_set re (k + m) (wr +. (s3 *. vi));
+          Array.unsafe_set im (k + m) (wi -. (s3 *. vr));
+          Array.unsafe_set re (k + (2 * m)) (wr -. (s3 *. vi));
+          Array.unsafe_set im (k + (2 * m)) (wi +. (s3 *. vr))
         done
+      end
+      else begin
+        (* Radix 5. *)
+        let z0r = Array.unsafe_get sre 0 and z0i = Array.unsafe_get sim 0 in
+        let z1r = Array.unsafe_get sre 1 and z1i = Array.unsafe_get sim 1 in
+        let z2r = Array.unsafe_get sre 2 and z2i = Array.unsafe_get sim 2 in
+        let z3r = Array.unsafe_get sre 3 and z3i = Array.unsafe_get sim 3 in
+        let z4r = Array.unsafe_get sre 4 and z4i = Array.unsafe_get sim 4 in
+        (* omega_5^b = cb - i sign sb. *)
+        let c1 = 0.30901699437494745 and c2 = -0.8090169943749473 in
+        let s1 = sign *. 0.9510565162951535
+        and s2 = sign *. 0.5877852522924731 in
+        for k = 0 to m - 1 do
+          let w1r = Array.unsafe_get twre k
+          and w1i = sign *. Array.unsafe_get twim k in
+          let w2r = Array.unsafe_get twre (2 * k)
+          and w2i = sign *. Array.unsafe_get twim (2 * k) in
+          let w3r = Array.unsafe_get twre (3 * k)
+          and w3i = sign *. Array.unsafe_get twim (3 * k) in
+          let w4r = Array.unsafe_get twre (4 * k)
+          and w4i = sign *. Array.unsafe_get twim (4 * k) in
+          let a1r = Array.unsafe_get z1r k
+          and a1i = Array.unsafe_get z1i k in
+          let a2r = Array.unsafe_get z2r k
+          and a2i = Array.unsafe_get z2i k in
+          let a3r = Array.unsafe_get z3r k
+          and a3i = Array.unsafe_get z3i k in
+          let a4r = Array.unsafe_get z4r k
+          and a4i = Array.unsafe_get z4i k in
+          let t1r = (a1r *. w1r) -. (a1i *. w1i)
+          and t1i = (a1r *. w1i) +. (a1i *. w1r) in
+          let t2r = (a2r *. w2r) -. (a2i *. w2i)
+          and t2i = (a2r *. w2i) +. (a2i *. w2r) in
+          let t3r = (a3r *. w3r) -. (a3i *. w3i)
+          and t3i = (a3r *. w3i) +. (a3i *. w3r) in
+          let t4r = (a4r *. w4r) -. (a4i *. w4i)
+          and t4i = (a4r *. w4i) +. (a4i *. w4r) in
+          let u1r = t1r +. t4r and u1i = t1i +. t4i in
+          let v1r = t1r -. t4r and v1i = t1i -. t4i in
+          let u2r = t2r +. t3r and u2i = t2i +. t3i in
+          let v2r = t2r -. t3r and v2i = t2i -. t3i in
+          let br = Array.unsafe_get z0r k and bi = Array.unsafe_get z0i k in
+          Array.unsafe_set re k (br +. u1r +. u2r);
+          Array.unsafe_set im k (bi +. u1i +. u2i);
+          let p1r = br +. (c1 *. u1r) +. (c2 *. u2r)
+          and p1i = bi +. (c1 *. u1i) +. (c2 *. u2i) in
+          let q1r = (s1 *. v1r) +. (s2 *. v2r)
+          and q1i = (s1 *. v1i) +. (s2 *. v2i) in
+          Array.unsafe_set re (k + m) (p1r +. q1i);
+          Array.unsafe_set im (k + m) (p1i -. q1r);
+          Array.unsafe_set re (k + (4 * m)) (p1r -. q1i);
+          Array.unsafe_set im (k + (4 * m)) (p1i +. q1r);
+          let p2r = br +. (c2 *. u1r) +. (c1 *. u2r)
+          and p2i = bi +. (c2 *. u1i) +. (c1 *. u2i) in
+          let q2r = (s2 *. v1r) -. (s1 *. v2r)
+          and q2i = (s2 *. v1i) -. (s1 *. v2i) in
+          Array.unsafe_set re (k + (2 * m)) (p2r +. q2i);
+          Array.unsafe_set im (k + (2 * m)) (p2i -. q2r);
+          Array.unsafe_set re (k + (3 * m)) (p2r -. q2i);
+          Array.unsafe_set im (k + (3 * m)) (p2i +. q2r)
+        done
+      end
 
-let rec make_any_plan n =
-  if n <= 0 then invalid_arg "Fft.make_any_plan: size must be positive";
-  if is_power_of_two n then make_plan n
-  else if n mod 3 = 0 && is_fast_size n then
-    split_plan ~radix:3 n
-  else if n mod 5 = 0 && is_fast_size n then
-    split_plan ~radix:5 n
+(* The plan for a fast size [n]: pow2 at the core, one Split per odd
+   radix on top (radix 3 first, so 15 * 2^k splits 3 then 5). *)
+let rec complex_plan n =
+  if is_power_of_two n then Pow2 (make_pow2_plan n)
   else begin
-    let ns = next_power_of_two ((2 * n) - 1) in
-    let np = make_pow2_plan ns in
-    let cre = Array.make n 1.0 and cim = Array.make n 0.0 in
-    let two_n = 2 * n in
-    for j = 0 to n - 1 do
-      (* j^2 mod 2n keeps the angle small without changing the chirp. *)
-      let q = j * j mod two_n in
-      let ang = -.Float.pi *. float_of_int q /. float_of_int n in
-      cre.(j) <- cos ang;
-      cim.(j) <- sin ang
-    done;
-    let bre = Array.make ns 0.0 and bim = Array.make ns 0.0 in
-    bre.(0) <- 1.0;
-    for j = 1 to n - 1 do
-      bre.(j) <- cre.(j);
-      bim.(j) <- -.cim.(j);
-      bre.(ns - j) <- cre.(j);
-      bim.(ns - j) <- -.cim.(j)
-    done;
-    transform_pow2 np ~conjugate:false bre bim;
-    Bluestein
+    let radix = if n mod 3 = 0 then 3 else 5 in
+    let m = n / radix in
+    let twre, twim = forward_twiddles n in
+    Split
       {
-        b_size = n;
-        np;
-        cre;
-        cim;
-        bre;
-        bim;
-        sre = Array.make ns 0.0;
-        sim = Array.make ns 0.0;
+        s_size = n;
+        radix;
+        sub = complex_plan m;
+        twre;
+        twim;
+        sre = Array.init radix (fun _ -> Array.make m 0.0);
+        sim = Array.init radix (fun _ -> Array.make m 0.0);
       }
   end
-
-and split_plan ~radix n =
-  let m = n / radix in
-  let twre, twim = forward_twiddles n in
-  Split
-    {
-      s_size = n;
-      radix;
-      sub = make_any_plan m;
-      twre;
-      twim;
-      sre = Array.init radix (fun _ -> Array.make m 0.0);
-      sim = Array.init radix (fun _ -> Array.make m 0.0);
-    }
-
-let size = function
-  | Pow2 p -> p.p2_size
-  | Split s -> s.s_size
-  | Bluestein b -> b.b_size
-
-let check_plan plan re im =
-  let n = size plan in
-  if Array.length re <> n || Array.length im <> n then
-    invalid_arg "Fft: array length does not match the plan size"
-
-let forward_ip plan ~re ~im =
-  check_plan plan re im;
-  transform_any plan ~conjugate:false re im
-
-let inverse_ip plan ~re ~im =
-  check_plan plan re im;
-  transform_any plan ~conjugate:true re im;
-  let n = size plan in
-  let inv = 1.0 /. float_of_int n in
-  for i = 0 to n - 1 do
-    Array.unsafe_set re i (Array.unsafe_get re i *. inv);
-    Array.unsafe_set im i (Array.unsafe_get im i *. inv)
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Unplanned API.
-
-   Sizes are powers of two, so at most ~60 distinct plans can ever
-   exist; memoizing them makes the plain [forward]/[inverse] calls all
-   over the statistics and trace generators reuse the tables too. *)
-
-let plan_cache : (int, plan) Hashtbl.t = Hashtbl.create 16
-
-(* Cache traffic is worth watching: a workload that misses here on a
-   hot path is rebuilding twiddle tables instead of transforming. *)
-let m_plan_hits = Lrd_obs.Obs.Counter.make "fft/plan_cache_hits"
-let m_plan_misses = Lrd_obs.Obs.Counter.make "fft/plan_cache_misses"
-
-let cached_plan n =
-  match Hashtbl.find_opt plan_cache n with
-  | Some p ->
-      Lrd_obs.Obs.Counter.incr m_plan_hits;
-      p
-  | None ->
-      Lrd_obs.Obs.Counter.incr m_plan_misses;
-      let p = make_plan n in
-      Hashtbl.add plan_cache n p;
-      p
-
-let check re im =
-  let n = Array.length re in
-  if Array.length im <> n then
-    invalid_arg "Fft: re and im must have the same length";
-  if not (is_power_of_two n) then
-    invalid_arg "Fft: length must be a power of two"
-
-let forward ~re ~im =
-  check re im;
-  transform_any (cached_plan (Array.length re)) ~conjugate:false re im
-
-let inverse ~re ~im =
-  check re im;
-  inverse_ip (cached_plan (Array.length re)) ~re ~im
 
 let dft_naive ~re ~im =
   let n = Array.length re in
@@ -534,7 +352,7 @@ module Real = struct
     {
       n;
       h;
-      sub = make_any_plan h;
+      sub = complex_plan h;
       ifac = 0.5 /. float_of_int h;
       tre;
       tim;
@@ -545,9 +363,9 @@ module Real = struct
   let size t = t.n
   let spectrum_length t = t.h + 1
 
-  (* Per-domain plan memo: real plans own scratch, so unlike the
-     power-of-two complex plans they cannot be shared across domains;
-     a DLS-keyed table gives each domain its own. *)
+  (* Per-domain plan memo: real plans own scratch, so they cannot be
+     shared across domains; a DLS-keyed table gives each domain its
+     own. *)
   let m_cache_hits = Lrd_obs.Obs.Counter.make "fft/real_plan_cache_hits"
   let m_cache_misses = Lrd_obs.Obs.Counter.make "fft/real_plan_cache_misses"
 

@@ -1,22 +1,16 @@
-(** Planned complex and real-input fast Fourier transforms.
+(** Real-input fast Fourier transforms.
 
-    The transform operates in place on a pair of arrays holding the real
-    and imaginary parts.  The forward transform computes
-    [X_k = sum_n x_n exp(-2 i pi k n / N)]; the inverse transform
-    includes the [1/N] normalization so that [inverse (forward x) = x]
-    up to rounding.
-
-    Two API levels are provided.  The planned API ({!make_plan},
-    {!make_any_plan}, {!forward_ip}, {!inverse_ip}) precomputes the
-    twiddle-factor tables once and then transforms caller-owned buffers
-    with zero heap allocation per call — this is what the solver's
-    convolution engine iterates hundreds of thousands of times.  The
-    plain {!forward}/{!inverse} calls keep the historical power-of-two
-    signature and reuse memoized plans internally.
-
-    {!Real} transforms real-valued signals of even fast length through
-    one half-size complex transform, producing the half-spectrum
-    [X_0 .. X_{n/2}] that conjugate symmetry completes. *)
+    Every signal the library transforms is real: the solver's occupancy
+    vectors, the Davies–Harte spectra and the estimators' series.  So
+    the one public engine is {!Real}, which transforms a real signal of
+    even fast length [n] through a single half-size complex transform
+    and produces the half-spectrum [X_0 .. X_{n/2}] that conjugate
+    symmetry completes.  The forward transform computes
+    [X_k = sum_j x_j exp(-2 i pi k j / n)]; the inverse includes the
+    [1/n] normalization.  The complex mixed-radix core (power-of-two
+    butterflies plus radix-3 and radix-5 splits) is private to this
+    module; plans precompute every twiddle factor, and a planned
+    transform performs no heap allocation. *)
 
 val is_power_of_two : int -> bool
 (** [is_power_of_two n] is [true] iff [n] is a positive power of two. *)
@@ -26,7 +20,7 @@ val next_power_of_two : int -> int
 
 val is_fast_size : int -> bool
 (** True iff [n] is of the form [2^a * f] with [f] in [{1, 3, 5, 15}] —
-    the sizes served by the mixed-radix engine without Bluestein. *)
+    the sizes the mixed-radix engine serves. *)
 
 val good_size : int -> int
 (** [good_size n] is the cheapest fast size [>= max 1 n] under a
@@ -40,52 +34,10 @@ type vec =
   (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Unboxed float vectors shared with the solver's Bigarray state. *)
 
-type plan
-(** Precomputed twiddle factors (plus, beyond powers of two, decimation
-    scratch) for one transform size.  Power-of-two plans are immutable
-    and can be shared freely; plans from {!make_any_plan} for other
-    sizes own scratch buffers and must not be used concurrently. *)
-
-val make_plan : int -> plan
-(** [make_plan n] builds a plan for size-[n] transforms.  Cost is
-    [O(n)] including [n - 1] trigonometric evaluations; every factor is
-    computed by a direct cos/sin call, so planned transforms avoid the
-    error-accumulating recurrence of a twiddle-on-the-fly butterfly.
-    @raise Invalid_argument unless [n] is a power of two. *)
-
-val make_any_plan : int -> plan
-(** [make_any_plan n] builds a plan for any positive [n]: a radix-2
-    plan when [n] is a power of two, a mixed-radix plan peeling odd
-    radices 3 and 5 when {!is_fast_size}, and a Bluestein (chirp-z)
-    plan over a power-of-two grid [>= 2 n - 1] otherwise.  Non-power-
-    of-two plans own scratch and must not be shared across domains. *)
-
-val size : plan -> int
-(** The transform size the plan was built for. *)
-
-val forward_ip : plan -> re:float array -> im:float array -> unit
-(** In-place forward transform using the plan's tables.  Performs no
-    heap allocation.  @raise Invalid_argument if the array lengths do
-    not match the plan size. *)
-
-val inverse_ip : plan -> re:float array -> im:float array -> unit
-(** In-place inverse transform with [1/N] normalization; allocation-free
-    like {!forward_ip}.  @raise Invalid_argument as for {!forward_ip}. *)
-
-val forward : re:float array -> im:float array -> unit
-(** In-place forward transform.  Reuses an internally memoized plan for
-    the given size (sizes are powers of two, so the memo table stays
-    tiny).  @raise Invalid_argument if the arrays have different lengths
-    or a length that is not a power of two. *)
-
-val inverse : re:float array -> im:float array -> unit
-(** In-place inverse transform with [1/N] normalization.
-    @raise Invalid_argument as for {!forward}. *)
-
 val dft_naive : re:float array -> im:float array -> float array * float array
 (** Direct O(N^2) discrete Fourier transform of the given complex signal,
     returned as fresh arrays.  Any length is accepted.  Intended as a test
-    oracle for {!forward} and {!forward_ip}. *)
+    oracle for {!Real}. *)
 
 (** Real-input transforms via the pack-real trick: a real signal of
     even fast length [n] is transformed by one complex FFT of size

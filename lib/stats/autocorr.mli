@@ -7,9 +7,10 @@
     The one-shot entry points pick between the direct O(n * max_lag)
     loop and the FFT path by the centralized crossover
     ({!Lrd_numerics.Convolution.prefer_fft_fixed}); both are exact, so
-    the choice is invisible beyond speed.  Repeated estimation over
-    series of one length should go through a {!Workspace}, which plans
-    the FFT once and reuses its scratch. *)
+    the choice is invisible beyond speed.  The FFT path runs on the
+    per-domain cached real-input plans ({!Lrd_numerics.Fft.Real}), so
+    repeated estimation over series of one length plans once per
+    domain. *)
 
 val autocovariance : float array -> max_lag:int -> float array
 (** Biased estimator [g(k) = (1/n) sum (x_i - m)(x_{i+k} - m)] for
@@ -28,38 +29,3 @@ val autocovariance_direct : float array -> max_lag:int -> float array
 val autocorrelation : float array -> max_lag:int -> float array
 (** Autocovariance normalized by lag 0; [r.(0) = 1].
     @raise Invalid_argument additionally when the series is constant. *)
-
-module Workspace : sig
-  type t
-  (** A planned Wiener-Khinchin engine for one transform size
-      [next_pow2 (2 n)]: FFT plan plus complex scratch, reused across
-      calls so the steady state allocates nothing beyond the result.
-      Results are bit-identical to the one-shot FFT path.  Holds mutable
-      scratch — do not share across domains; see {!domain_workspace}. *)
-
-  val make : n:int -> t
-  (** Workspace for series whose length rounds to the same
-      [next_pow2 (2 n)] as [n].  @raise Invalid_argument if [n <= 0]. *)
-
-  val size : t -> int
-  (** The transform size [next_pow2 (2 n)]. *)
-
-  val autocovariance_into :
-    t -> float array -> max_lag:int -> dst:float array -> unit
-  (** Writes lags [0 .. max_lag] into the prefix of [dst] with zero
-      array allocation.  @raise Invalid_argument if the series length
-      does not round to the workspace size, on bad [max_lag], or if
-      [dst] is too short. *)
-
-  val autocovariance : t -> float array -> max_lag:int -> float array
-  (** {!autocovariance_into} into a fresh array. *)
-
-  val autocorrelation : t -> float array -> max_lag:int -> float array
-  (** Normalized by lag 0, like the one-shot {!val:autocorrelation}. *)
-end
-
-val domain_workspace : n:int -> Workspace.t
-(** The calling domain's cached workspace for series of length [n],
-    keyed by transform size (lengths rounding to the same power of two
-    share one).  Composes with {!Lrd_parallel.Pool} without locks.
-    @raise Invalid_argument if [n <= 0]. *)

@@ -106,32 +106,19 @@ let rescaled_range ?(min_block = 8) ?max_block ?(points = 12) a =
     sizes;
   fit_of_points (Array.of_list (List.rev !pts)) ~hurst_of_slope:(fun s -> s)
 
-let periodogram a =
-  let n = Array.length a in
-  let m = Lrd_numerics.Array_ops.mean a in
-  let size = Lrd_numerics.Fft.next_power_of_two n in
-  let re = Array.make size 0.0 and im = Array.make size 0.0 in
-  for i = 0 to n - 1 do
-    re.(i) <- a.(i) -. m
-  done;
-  Lrd_numerics.Fft.forward ~re ~im;
-  (* I(w_j) = |X_j|^2 / (2 pi n) at w_j = 2 pi j / size. *)
-  let norm = 2.0 *. Float.pi *. float_of_int n in
-  ( Array.init (size / 2) (fun j ->
-        2.0 *. Float.pi *. float_of_int j /. float_of_int size),
-    Array.init (size / 2) (fun j ->
-        ((re.(j) *. re.(j)) +. (im.(j) *. im.(j))) /. norm) )
-
 let gph ?frequencies a =
   let n = Array.length a in
   if n < 16 then invalid_arg "Hurst.gph: series too short";
-  let omega, spec = periodogram a in
+  (* Bin j holds I(w) at w = 2 pi (j + 1) / size. *)
+  let { Spectral.frequencies = omega; power = spec; _ } =
+    Spectral.periodogram a
+  in
   let m =
     Option.value frequencies ~default:(int_of_float (sqrt (float_of_int n)))
   in
   let m = max 4 (min m (Array.length omega - 1)) in
   let pts = ref [] in
-  for j = 1 to m do
+  for j = 0 to m - 1 do
     if spec.(j) > 0.0 then begin
       let x = log (4.0 *. Float.pow (sin (omega.(j) /. 2.0)) 2.0) in
       pts := (x, log spec.(j)) :: !pts

@@ -16,27 +16,19 @@ type estimate = {
 val periodogram : float array -> estimate
 (** Raw periodogram at the Fourier frequencies of the (power-of-two
     padded) series, excluding frequency zero; normalized so that the
-    integral over (-pi, pi] approximates the variance. *)
+    integral over (-pi, pi] approximates the variance.  Bin [j] holds
+    [|X_{j+1}|^2 / (2 pi n)] at [2 pi (j + 1) / next_pow2 n].
+    @raise Invalid_argument for series shorter than 8 points. *)
 
-module Workspace : sig
-  type t
-  (** A planned periodogram engine for one transform size
-      [next_pow2 n]: FFT plan plus complex scratch reused across calls.
-      Results are bit-identical to {!val:periodogram}.  Holds mutable
-      scratch — do not share across domains. *)
-
-  val make : n:int -> t
-  (** Workspace for series whose length rounds to the same [next_pow2]
-      as [n].  @raise Invalid_argument if [n < 8]. *)
-
-  val size : t -> int
-  (** The transform size. *)
-
-  val periodogram : t -> float array -> estimate
-  (** As {!val:periodogram}, reusing the plan and scratch.
-      @raise Invalid_argument if the series length does not round to
-      the workspace size, or is shorter than 8 points. *)
-end
+val half_spectrum :
+  size:int -> float array -> re:float array -> im:float array -> unit
+(** [half_spectrum ~size x ~re ~im] writes the half-spectrum
+    [X_0 .. X_{size/2}] of the mean-removed [x], zero-padded to [size],
+    into the prefixes of [re]/[im] — the real-input transform
+    ({!Lrd_numerics.Fft.Real.cached_plan}) under the periodogram, the
+    FFT autocovariance and the phase-randomized surrogate.
+    @raise Invalid_argument unless [size] is a valid real plan size
+    [>= Array.length x] and the buffers hold [size/2 + 1] bins. *)
 
 val welch :
   ?segment:int -> ?overlap:float -> float array -> estimate

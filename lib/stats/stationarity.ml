@@ -3,30 +3,26 @@ let phase_randomized_surrogate rng a =
   if n < 4 then invalid_arg "Stationarity: series too short";
   let mean = Lrd_numerics.Array_ops.mean a in
   let size = Lrd_numerics.Fft.next_power_of_two n in
-  let re = Array.make size 0.0 and im = Array.make size 0.0 in
-  for i = 0 to n - 1 do
-    re.(i) <- a.(i) -. mean
-  done;
-  Lrd_numerics.Fft.forward ~re ~im;
-  (* Keep each bin's magnitude, draw fresh phases with conjugate
-     symmetry so the inverse transform is real. *)
   let half = size / 2 in
+  let re = Array.make (half + 1) 0.0 and im = Array.make (half + 1) 0.0 in
+  Spectral.half_spectrum ~size a ~re ~im;
+  (* Keep each bin's magnitude and draw fresh phases; the half-spectrum
+     implies the conjugate-symmetric upper half, so the inverse is real. *)
   let assign k phase =
     let magnitude = sqrt ((re.(k) *. re.(k)) +. (im.(k) *. im.(k))) in
     re.(k) <- magnitude *. cos phase;
-    im.(k) <- magnitude *. sin phase;
-    if k <> 0 && k <> half then begin
-      re.(size - k) <- re.(k);
-      im.(size - k) <- -.im.(k)
-    end
+    im.(k) <- magnitude *. sin phase
   in
   assign 0 0.0;
   assign half 0.0;
   for k = 1 to half - 1 do
     assign k (2.0 *. Float.pi *. Lrd_rng.Rng.float rng)
   done;
-  Lrd_numerics.Fft.inverse ~re ~im;
-  Array.init n (fun i -> re.(i) +. mean)
+  let out = Array.make n 0.0 in
+  Lrd_numerics.Fft.Real.inverse_ip
+    (Lrd_numerics.Fft.Real.cached_plan size)
+    ~spec_re:re ~spec_im:im ~signal:out ~len:n;
+  Array.map (fun x -> x +. mean) out
 
 type cusum_result = {
   statistic : float;

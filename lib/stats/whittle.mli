@@ -25,35 +25,5 @@ val local_whittle : ?frequencies:int -> float array -> fit
     [n^0.65], a standard bandwidth choice).  The objective is minimized
     over [d] in [-0.49, 0.99] by golden-section search (it is unimodal
     in practice; the bracket covers anti-persistent through strongly
-    persistent series).  @raise Invalid_argument for series shorter
-    than 64 points. *)
-
-module Workspace : sig
-  type t
-  (** A planned estimation engine for one transform size [next_pow2 n]:
-      FFT plan, complex scratch, periodogram buffer, and the
-      data-independent frequency grid — log Fourier frequencies with
-      their compensated prefix means for every admissible bandwidth —
-      precomputed at build time, so a call pays only for the transform,
-      the periodogram fill and the profile search, allocating nothing
-      beyond the returned record.  Fits are bit-identical to
-      {!val:local_whittle}.  Holds mutable scratch — do not share across
-      domains; see {!domain_workspace}. *)
-
-  val make : n:int -> t
-  (** Workspace for series whose length rounds to the same [next_pow2]
-      as [n].  @raise Invalid_argument if [n < 64]. *)
-
-  val size : t -> int
-  (** The transform size. *)
-
-  val local_whittle : t -> ?frequencies:int -> float array -> fit
-  (** As {!val:local_whittle}, reusing the plan and buffers.
-      @raise Invalid_argument if the series length does not round to
-      the workspace size, or is shorter than 64 points. *)
-end
-
-val domain_workspace : n:int -> Workspace.t
-(** The calling domain's cached workspace for series of length [n],
-    keyed by transform size.  Composes with {!Lrd_parallel.Pool}
-    without locks.  @raise Invalid_argument if [n < 64]. *)
+    persistent series).  The periodogram is {!Spectral.periodogram}'s.
+    @raise Invalid_argument for series shorter than 64 points. *)

@@ -8,7 +8,7 @@
 #      fail on this (shared runners are too noisy for a hard perf gate)
 # The diff report lands on stdout (CI captures it into the step
 # summary); benchmark progress goes to stderr.  Extra arguments are
-# passed to the bench binary (e.g. --quick, --only kernel/fft).
+# passed to the bench binary (e.g. --quick, --only kernel/rfft).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

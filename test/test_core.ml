@@ -1152,7 +1152,7 @@ let prop_covariance_nonnegative_decreasing =
 
 (* The repeated-squaring kernel against the brute N-fold convolution
    chain the solver engine already trusts: same pmf convolved with
-   itself n - 1 times through a planned Convolution.execute_real. *)
+   itself n - 1 times through a planned Convolution.execute. *)
 let prop_self_convolve_matches_brute =
   QCheck.Test.make ~name:"self_convolve matches brute N-fold convolution"
     ~count:60
@@ -1175,7 +1175,7 @@ let prop_self_convolve_matches_brute =
       let brute = ref (Array.copy pmf) in
       let dst = Array.make out_len 0.0 in
       for _ = 2 to n do
-        Lrd_numerics.Convolution.execute_real plan !brute ~dst;
+        Lrd_numerics.Convolution.execute plan !brute ~dst;
         brute := Array.sub dst 0 (Array.length !brute + len - 1)
       done;
       let fast = Superpose.self_convolve ~pmf ~n in

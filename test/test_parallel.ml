@@ -193,6 +193,35 @@ let test_fig7_deterministic_across_pools () =
   in
   Alcotest.(check string) "fig7 at jobs=2" (table ~jobs:1) (table ~jobs:2)
 
+let test_estimators_deterministic_across_domains () =
+  (* The FFT estimators run on per-domain cached real plans; inside pool
+     tasks they must return bitwise the sequential results.  Lengths
+     repeat transform sizes so several domains build and reuse plans of
+     one size at once. *)
+  let series =
+    Array.init 12 (fun i ->
+        let n = [| 700; 1000; 1024; 2000; 4096; 5000 |].(i mod 6) in
+        let r =
+          Lrd_rng.Rng.split_indexed (Lrd_rng.Rng.create ~seed:99L) ~index:i
+        in
+        Array.init n (fun _ -> Lrd_rng.Sampler.normal r ~mean:1.0 ~std:2.0))
+  in
+  let estimate x =
+    ( (Lrd_stats.Hurst.gph x).Lrd_stats.Hurst.hurst,
+      (Lrd_stats.Spectral.welch x).Lrd_stats.Spectral.power,
+      Lrd_stats.Autocorr.autocorrelation x ~max_lag:(Array.length x / 2),
+      Lrd_stats.Whittle.local_whittle x )
+  in
+  let expected = Array.map estimate series in
+  List.iter
+    (fun workers ->
+      Pool.with_pool ~workers (fun pool ->
+          Alcotest.(check bool)
+            (Printf.sprintf "bitwise, parallelism %d" (Pool.parallelism pool))
+            true
+            (expected = Pool.map pool estimate series)))
+    [ 1; 2; 3 ]
+
 (* ------------------------------------------------------------------ *)
 (* Workload cache: exactly one model + one workload entry per distinct
    key, every other lookup a hit, and cached solves bitwise-equal to
@@ -334,6 +363,8 @@ let () =
             test_fig4_deterministic_across_pools;
           Alcotest.test_case "fig7 across pool sizes" `Slow
             test_fig7_deterministic_across_pools;
+          Alcotest.test_case "estimators across domains" `Quick
+            test_estimators_deterministic_across_domains;
         ] );
       ( "cache",
         [

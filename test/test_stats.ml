@@ -54,13 +54,11 @@ let test_linear_regression_rejects_degenerate () =
 (* Autocorrelation *)
 
 let test_autocovariance_fft_matches_direct () =
-  (* The workspace always takes the FFT path, so comparing it against
-     the direct loop exercises the Wiener-Khinchin route even at lag
-     counts where the one-shot crossover would choose direct. *)
+  (* At 400 lags of a 700-point series the crossover takes the
+     Wiener-Khinchin route; it must agree with the direct loop. *)
   let a = white_noise 700 in
-  let ws = Autocorr.Workspace.make ~n:700 in
-  let fft = Autocorr.Workspace.autocovariance ws a ~max_lag:50 in
-  let direct = Autocorr.autocovariance_direct a ~max_lag:50 in
+  let fft = Autocorr.autocovariance a ~max_lag:400 in
+  let direct = Autocorr.autocovariance_direct a ~max_lag:400 in
   Array.iteri
     (fun k v -> check_close ~eps:1e-9 (Printf.sprintf "lag %d" k) v fft.(k))
     direct
@@ -68,54 +66,20 @@ let test_autocovariance_fft_matches_direct () =
 let test_autocovariance_crossover_both_exact () =
   (* Either side of the centralized crossover gives the same numbers up
      to rounding: small max_lag (one-shot goes direct) against the
-     workspace FFT, and large max_lag (one-shot goes FFT) against the
-     direct loop. *)
+     leading lags of an FFT-path call, and large max_lag (one-shot goes
+     FFT) against the direct loop. *)
   let a = white_noise 700 in
-  let ws = Autocorr.Workspace.make ~n:700 in
   let small = Autocorr.autocovariance a ~max_lag:2 in
-  let small_fft = Autocorr.Workspace.autocovariance ws a ~max_lag:2 in
+  let big = Autocorr.autocovariance a ~max_lag:600 in
   Array.iteri
     (fun k v ->
-      check_close ~eps:1e-9 (Printf.sprintf "small lag %d" k) v small_fft.(k))
+      check_close ~eps:1e-9 (Printf.sprintf "small lag %d" k) v big.(k))
     small;
-  let big = Autocorr.autocovariance a ~max_lag:600 in
   let big_direct = Autocorr.autocovariance_direct a ~max_lag:600 in
   Array.iteri
     (fun k v ->
       check_close ~eps:1e-9 (Printf.sprintf "big lag %d" k) v big_direct.(k))
     big
-
-let test_autocorr_workspace_bit_identical () =
-  (* At a lag count where the one-shot path takes the FFT branch, the
-     workspace result must be bitwise the same array of floats — the two
-     paths share the core loop, so any drift is a real bug. *)
-  let a = white_noise 700 in
-  let ws = Autocorr.Workspace.make ~n:700 in
-  Alcotest.(check int) "size" 2048 (Autocorr.Workspace.size ws);
-  let oneshot = Autocorr.autocovariance a ~max_lag:400 in
-  Alcotest.(check bool) "acv bitwise" true
-    (oneshot = Autocorr.Workspace.autocovariance ws a ~max_lag:400);
-  (* Reuse after a different series: scratch carries no state. *)
-  let b = Array.map (fun v -> v *. 3.0) a in
-  ignore (Autocorr.Workspace.autocovariance ws b ~max_lag:10);
-  Alcotest.(check bool) "acv bitwise after reuse" true
-    (oneshot = Autocorr.Workspace.autocovariance ws a ~max_lag:400);
-  Alcotest.(check bool) "acf bitwise" true
-    (Autocorr.autocorrelation a ~max_lag:400
-    = Autocorr.Workspace.autocorrelation ws a ~max_lag:400);
-  (* The domain arena hands back a workspace of the same size. *)
-  let dw = Autocorr.domain_workspace ~n:700 in
-  Alcotest.(check bool) "domain workspace bitwise" true
-    (oneshot = Autocorr.Workspace.autocovariance dw a ~max_lag:400);
-  Alcotest.check_raises "wrong length"
-    (Invalid_argument
-       "Autocorr.Workspace: series does not match the workspace size")
-    (fun () ->
-      ignore (Autocorr.Workspace.autocovariance ws (white_noise 3000) ~max_lag:5));
-  Alcotest.check_raises "dst too short"
-    (Invalid_argument "Autocorr.Workspace: dst too short") (fun () ->
-      Autocorr.Workspace.autocovariance_into ws a ~max_lag:10
-        ~dst:(Array.make 5 0.0))
 
 let test_autocorrelation_normalized () =
   let a = white_noise 4096 in
@@ -307,52 +271,6 @@ let test_whittle_rejects_short () =
     (Invalid_argument "Whittle.local_whittle: series too short") (fun () ->
       ignore (Whittle.local_whittle (white_noise 32)))
 
-let test_whittle_workspace_bit_identical () =
-  let data = fgn 0.8 10_000 in
-  let oneshot = Whittle.local_whittle data in
-  let ws = Whittle.Workspace.make ~n:10_000 in
-  Alcotest.(check int) "size" 16_384 (Whittle.Workspace.size ws);
-  Alcotest.(check bool) "fit bitwise" true
-    (oneshot = Whittle.Workspace.local_whittle ws data);
-  (* A second call reuses the scratch and still reproduces the fit, and
-     an explicit bandwidth threads through identically. *)
-  Alcotest.(check bool) "fit bitwise on reuse" true
-    (oneshot = Whittle.Workspace.local_whittle ws data);
-  Alcotest.(check bool) "bandwidth bitwise" true
-    (Whittle.local_whittle ~frequencies:128 data
-    = Whittle.Workspace.local_whittle ws ~frequencies:128 data);
-  let dw = Whittle.domain_workspace ~n:10_000 in
-  Alcotest.(check bool) "domain workspace bitwise" true
-    (oneshot = Whittle.Workspace.local_whittle dw data);
-  Alcotest.check_raises "wrong length"
-    (Invalid_argument
-       "Whittle.Workspace: series does not match the workspace size")
-    (fun () -> ignore (Whittle.Workspace.local_whittle ws (fgn 0.8 1024)));
-  Alcotest.check_raises "short series"
-    (Invalid_argument "Whittle.local_whittle: series too short") (fun () ->
-      ignore (Whittle.Workspace.local_whittle ws (white_noise 32)));
-  Alcotest.check_raises "workspace too small"
-    (Invalid_argument "Whittle.Workspace.make: n must be at least 64")
-    (fun () -> ignore (Whittle.Workspace.make ~n:32))
-
-let test_spectral_workspace_bit_identical () =
-  let data = fgn 0.7 5_000 in
-  let oneshot = Spectral.periodogram data in
-  let ws = Spectral.Workspace.make ~n:5_000 in
-  Alcotest.(check int) "size" 8192 (Spectral.Workspace.size ws);
-  let planned = Spectral.Workspace.periodogram ws data in
-  Alcotest.(check bool) "frequencies bitwise" true
-    (oneshot.Spectral.frequencies = planned.Spectral.frequencies);
-  Alcotest.(check bool) "power bitwise" true
-    (oneshot.Spectral.power = planned.Spectral.power);
-  let again = Spectral.Workspace.periodogram ws data in
-  Alcotest.(check bool) "power bitwise on reuse" true
-    (oneshot.Spectral.power = again.Spectral.power);
-  Alcotest.check_raises "wrong length"
-    (Invalid_argument
-       "Spectral.Workspace: series does not match the workspace size")
-    (fun () -> ignore (Spectral.Workspace.periodogram ws (white_noise 512)))
-
 let test_estimators_reject_short_series () =
   Alcotest.check_raises "aggvar short"
     (Invalid_argument "Hurst.aggregated_variance: series too short") (fun () ->
@@ -487,6 +405,40 @@ let test_surrogate_preserves_second_order () =
   let h = (Hurst.abry_veitch surrogate).Hurst.hurst in
   Alcotest.(check bool) "H survives" true (Float.abs (h -. 0.8) < 0.15)
 
+let test_surrogate_keeps_magnitudes () =
+  (* At a power-of-two length nothing is padded or truncated, so the
+     surrogate has exactly the input's mean and, bin for bin, the
+     magnitudes of its mean-removed spectrum; only the phases move. *)
+  let n = 1024 in
+  let data = Array.map (fun x -> x +. 4.0) (white_noise n) in
+  let surrogate = Stationarity.phase_randomized_surrogate (rng ()) data in
+  check_close ~eps:1e-12 "mean" (Descriptive.mean data)
+    (Descriptive.mean surrogate);
+  let spectrum x =
+    let re = Array.make ((n / 2) + 1) 0.0 in
+    let im = Array.make ((n / 2) + 1) 0.0 in
+    Spectral.half_spectrum ~size:n x ~re ~im;
+    (re, im)
+  in
+  let magnitudes x =
+    let re, im = spectrum x in
+    Array.mapi (fun k r -> sqrt ((r *. r) +. (im.(k) *. im.(k)))) re
+  in
+  let before = magnitudes data and after = magnitudes surrogate in
+  let peak = Array.fold_left Float.max 0.0 before in
+  (* Bin 0 of a mean-removed series is rounding noise on both sides. *)
+  if after.(0) > 1e-9 *. peak then Alcotest.failf "dc bin %g" after.(0);
+  for k = 1 to n / 2 do
+    check_close ~eps:1e-9 (Printf.sprintf "bin %d" k) before.(k) after.(k)
+  done;
+  let phases_moved = ref false in
+  let re, im = spectrum data and re', im' = spectrum surrogate in
+  for k = 1 to (n / 2) - 1 do
+    if Float.abs (atan2 im.(k) re.(k) -. atan2 im'.(k) re'.(k)) > 1e-6 then
+      phases_moved := true
+  done;
+  Alcotest.(check bool) "phases moved" true !phases_moved
+
 let test_surrogate_differs_from_original () =
   let data = fgn 0.7 1_024 in
   let surrogate = Stationarity.phase_randomized_surrogate (rng ()) data in
@@ -538,6 +490,41 @@ let prop_acv_lag0_is_variance =
       Float.abs (acv.(0) -. Descriptive.variance a)
       <= 1e-8 *. (1.0 +. acv.(0)))
 
+(* The periodogram against the O(n^2) oracle: |DFT|^2 / (2 pi n) of the
+   mean-removed series zero-padded to the next power of two, bins
+   1 .. size/2, within 1e-10 of the largest bin (bins near zero carry
+   the oracle's own rounding, so the error is measured normwise). *)
+let prop_periodogram_matches_naive =
+  QCheck.Test.make ~name:"periodogram matches naive DFT" ~count:60
+    (QCheck.make
+       ~print:QCheck.Print.(list float)
+       QCheck.Gen.(list_size (int_range 8 600) (float_range (-5.0) 5.0)))
+    (fun xs ->
+      let a = Array.of_list (List.map (fun x -> x +. 3.0) xs) in
+      let n = Array.length a in
+      let size = Lrd_numerics.Fft.next_power_of_two n in
+      let mean = Lrd_numerics.Array_ops.mean a in
+      let re = Array.make size 0.0 in
+      Array.iteri (fun i x -> re.(i) <- x -. mean) a;
+      let xr, xi = Lrd_numerics.Fft.dft_naive ~re ~im:(Array.make size 0.0) in
+      let expect =
+        Array.init (size / 2) (fun j ->
+            let k = j + 1 in
+            ((xr.(k) *. xr.(k)) +. (xi.(k) *. xi.(k)))
+            /. (2.0 *. Float.pi *. float_of_int n))
+      in
+      let p = Spectral.periodogram a in
+      let peak = Array.fold_left Float.max 0.0 expect in
+      Array.length p.Spectral.power = size / 2
+      && Array.for_all2
+           (fun e got -> Float.abs (got -. e) <= 1e-10 *. peak)
+           expect p.Spectral.power
+      && Array.for_all2
+           (fun w j ->
+             w = 2.0 *. Float.pi *. float_of_int (j + 1) /. float_of_int size)
+           p.Spectral.frequencies
+           (Array.init (size / 2) Fun.id))
+
 let prop_quantile_monotone =
   QCheck.Test.make ~name:"quantile is monotone in p" ~count:100
     (QCheck.make
@@ -571,8 +558,6 @@ let () =
             test_autocovariance_fft_matches_direct;
           Alcotest.test_case "crossover both exact" `Quick
             test_autocovariance_crossover_both_exact;
-          Alcotest.test_case "workspace bit-identical" `Quick
-            test_autocorr_workspace_bit_identical;
           Alcotest.test_case "normalization" `Quick
             test_autocorrelation_normalized;
           Alcotest.test_case "AR(1) geometric decay" `Slow
@@ -616,8 +601,6 @@ let () =
             test_whittle_bandwidth_control;
           Alcotest.test_case "rejects short series" `Quick
             test_whittle_rejects_short;
-          Alcotest.test_case "workspace bit-identical" `Slow
-            test_whittle_workspace_bit_identical;
         ] );
       ( "spectral",
         [
@@ -631,8 +614,6 @@ let () =
             test_fgn_spectrum_integrates_to_variance;
           Alcotest.test_case "rejects bad input" `Quick
             test_spectra_reject_bad_input;
-          Alcotest.test_case "workspace bit-identical" `Quick
-            test_spectral_workspace_bit_identical;
         ] );
       ( "batch-means",
         [
@@ -650,6 +631,8 @@ let () =
             test_surrogate_preserves_second_order;
           Alcotest.test_case "surrogate differs" `Quick
             test_surrogate_differs_from_original;
+          Alcotest.test_case "surrogate keeps magnitudes and mean" `Quick
+            test_surrogate_keeps_magnitudes;
           Alcotest.test_case "cusum detects level shift" `Quick
             test_cusum_detects_level_shift;
           Alcotest.test_case "cusum accepts white noise" `Quick
@@ -657,5 +640,10 @@ let () =
           Alcotest.test_case "split-half shift" `Quick test_split_half_shift;
         ] );
       ( "properties",
-        qcheck [ prop_acv_lag0_is_variance; prop_quantile_monotone ] );
+        qcheck
+          [
+            prop_acv_lag0_is_variance;
+            prop_periodogram_matches_naive;
+            prop_quantile_monotone;
+          ] );
     ]
