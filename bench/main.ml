@@ -247,6 +247,12 @@ let micro_tests ctx =
       ~max_signal:1500 ()
   in
   let conv_dst1500 = Array.make (1500 + 1500 - 1) 0.0 in
+  (* One Lindley step of both chains on a warm MTV workspace. *)
+  let step m =
+    let w = Lrd_core.Workload.create mtv_model ~service_rate:mtv_c in
+    let ws = Lrd_core.Solver.Workspace.make w ~buffer:mtv_c ~m in
+    fun () -> Lrd_core.Solver.Workspace.step ws
+  in
   let kernel_tests =
     [
       mk "kernel/conv-direct-1k" (fun () ->
@@ -262,6 +268,9 @@ let micro_tests ctx =
       mk "kernel/conv-real-1500" (fun () ->
           Lrd_numerics.Convolution.execute plan1500 signal1500
             ~dst:conv_dst1500);
+      (* The grid most one-shot solves finish on, and a deep-buffer one. *)
+      mk "kernel/step-m128" (step 128);
+      mk "kernel/step-m2048" (step 2048);
       mk "kernel/solver-onoff-exp" (fun () ->
           ignore (Lrd_core.Solver.solve exp_model ~service_rate:1.25 ~buffer:2.0));
       mk "kernel/fgn-16k" (fun () ->

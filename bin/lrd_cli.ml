@@ -14,13 +14,18 @@ let read_trace path =
   try Ok (Lrd_trace.Trace_io.load ~path)
   with Failure msg | Sys_error msg -> Error msg
 
+(* The built-in marginals and the mean epoch of their synthetic trace.
+   [--marginal] parses through [Arg.enum], so an unknown name is a usage
+   error (exit 2). *)
 let builtin_marginal ctx = function
-  | "mtv" -> Ok (Lrd_experiments.Data.mtv_marginal ctx)
-  | "bellcore" -> Ok (Lrd_experiments.Data.bc_marginal ctx)
-  | other ->
-      Error
-        (Printf.sprintf
-           "unknown built-in marginal %S (expected mtv or bellcore)" other)
+  | `Mtv -> Lrd_experiments.Data.mtv_marginal ctx
+  | `Bellcore -> Lrd_experiments.Data.bc_marginal ctx
+
+let builtin_mean_epoch ctx = function
+  | `Mtv -> Lrd_experiments.Data.mtv_mean_epoch ctx
+  | `Bellcore -> Lrd_experiments.Data.bc_mean_epoch ctx
+
+let marginal_conv = Arg.enum [ ("mtv", `Mtv); ("bellcore", `Bellcore) ]
 
 (* ------------------------------------------------------------------ *)
 (* Shared arguments *)
@@ -218,7 +223,7 @@ let solve_cmd =
   let marginal_arg =
     let doc = "Built-in marginal: mtv or bellcore (synthetic trace \
                histograms).  Ignored when --trace-file is given." in
-    Arg.(value & opt string "mtv" & info [ "marginal" ] ~docv:"NAME" ~doc)
+    Arg.(value & opt marginal_conv `Mtv & info [ "marginal" ] ~docv:"NAME" ~doc)
   in
   let epoch_arg =
     let doc = "Mean epoch duration in seconds used to match theta (eq. 25) \
@@ -240,23 +245,20 @@ let solve_cmd =
             (fun t -> Lrd_core.Model.fit_from_trace ~hurst ~cutoff t)
             (read_trace path)
       | None ->
-          Result.map
-            (fun marginal ->
-              let mean_epoch =
-                match epoch with
-                | Some e -> e
-                | None ->
-                    if marginal_name = "bellcore" then
-                      Lrd_experiments.Data.bc_mean_epoch ctx
-                    else Lrd_experiments.Data.mtv_mean_epoch ctx
-              in
-              let theta =
-                Lrd_dist.Interarrival.theta_for_mean_epoch ~mean_epoch
-                  ~alpha:(Lrd_core.Model.alpha_of_hurst hurst)
-                  ()
-              in
-              Lrd_core.Model.of_hurst ~marginal ~hurst ~theta ~cutoff)
-            (builtin_marginal ctx marginal_name)
+          let mean_epoch =
+            match epoch with
+            | Some e -> e
+            | None -> builtin_mean_epoch ctx marginal_name
+          in
+          let theta =
+            Lrd_dist.Interarrival.theta_for_mean_epoch ~mean_epoch
+              ~alpha:(Lrd_core.Model.alpha_of_hurst hurst)
+              ()
+          in
+          Ok
+            (Lrd_core.Model.of_hurst
+               ~marginal:(builtin_marginal ctx marginal_name)
+               ~hurst ~theta ~cutoff)
     in
     match model_result with
     | Error msg -> `Error (false, msg)
@@ -718,15 +720,31 @@ let stationarity_cmd =
 let provision_cmd =
   let target_arg =
     let doc = "Target loss rate, in [1e-10, 1)." in
-    Arg.(value & opt float 1e-6 & info [ "target" ] ~docv:"LOSS" ~doc)
+    Arg.(
+      value
+      & opt
+          (checked_float ~expected:"a loss target in [1e-10, 1)" (fun t ->
+               t >= 1e-10 && t < 1.0))
+          1e-6
+      & info [ "target" ] ~docv:"LOSS" ~doc)
   in
   let knob_arg =
     let doc = "Knob to invert: buffer, utilization, or streams." in
-    Arg.(value & opt string "buffer" & info [ "knob" ] ~docv:"KNOB" ~doc)
+    Arg.(
+      value
+      & opt
+          (enum
+             [
+               ("buffer", `Buffer);
+               ("utilization", `Utilization);
+               ("streams", `Streams);
+             ])
+          `Buffer
+      & info [ "knob" ] ~docv:"KNOB" ~doc)
   in
   let marginal_arg =
     let doc = "Built-in marginal: mtv or bellcore." in
-    Arg.(value & opt string "mtv" & info [ "marginal" ] ~docv:"NAME" ~doc)
+    Arg.(value & opt marginal_conv `Mtv & info [ "marginal" ] ~docv:"NAME" ~doc)
   in
   let hurst_arg =
     let doc = "Hurst parameter in (0.5, 1)." in
@@ -747,20 +765,16 @@ let provision_cmd =
             (fun t -> Lrd_core.Model.fit_from_trace ~hurst ~cutoff t)
             (read_trace path)
       | None ->
-          Result.map
-            (fun marginal ->
-              let mean_epoch =
-                if marginal_name = "bellcore" then
-                  Lrd_experiments.Data.bc_mean_epoch ctx
-                else Lrd_experiments.Data.mtv_mean_epoch ctx
-              in
-              let theta =
-                Lrd_dist.Interarrival.theta_for_mean_epoch ~mean_epoch
-                  ~alpha:(Lrd_core.Model.alpha_of_hurst hurst)
-                  ()
-              in
-              Lrd_core.Model.of_hurst ~marginal ~hurst ~theta ~cutoff)
-            (builtin_marginal ctx marginal_name)
+          let theta =
+            Lrd_dist.Interarrival.theta_for_mean_epoch
+              ~mean_epoch:(builtin_mean_epoch ctx marginal_name)
+              ~alpha:(Lrd_core.Model.alpha_of_hurst hurst)
+              ()
+          in
+          Ok
+            (Lrd_core.Model.of_hurst
+               ~marginal:(builtin_marginal ctx marginal_name)
+               ~hurst ~theta ~cutoff)
     in
     match model_result with
     | Error msg -> `Error (false, msg)
@@ -773,23 +787,18 @@ let provision_cmd =
         in
         try
           (match knob with
-          | "buffer" ->
+          | `Buffer ->
               describe "required buffer (seconds)"
                 (Lrd_core.Provision.buffer_for_loss model ~utilization
                    ~target)
-          | "utilization" ->
+          | `Utilization ->
               describe "maximum utilization"
                 (Lrd_core.Provision.utilization_for_loss model
                    ~buffer_seconds:buffer ~target)
-          | "streams" ->
+          | `Streams ->
               describe "required multiplexed streams"
                 (Lrd_core.Provision.streams_for_loss model ~utilization
-                   ~buffer_seconds:buffer ~target)
-          | other ->
-              failwith
-                (Printf.sprintf
-                   "unknown knob %S (expected buffer, utilization, streams)"
-                   other));
+                   ~buffer_seconds:buffer ~target));
           `Ok ()
         with Failure msg | Invalid_argument msg -> `Error (false, msg))
   in

@@ -167,30 +167,32 @@ module Workspace = struct
           Lrd_numerics.Convolution.prefer_fft ~na:(m + 1) ~nb:((2 * m) + 1)
     in
     Obs.Counter.incr (if use_fft then m_workspaces_fft else m_workspaces_direct);
+    (* The upper plan shares the lower plan's transform tables. *)
+    let plans ?size () =
+      let lower =
+        Lrd_numerics.Convolution.make_real_plan ?size
+          ~kernel:bins.Workload.lower ~max_signal:(m + 1) ()
+      in
+      let upper =
+        Lrd_numerics.Convolution.make_real_plan ~share:lower
+          ~kernel:bins.Workload.upper ~max_signal:(m + 1) ()
+      in
+      (lower, upper)
+    in
     let kernels =
       if use_fft then
         if Lrd_numerics.Fft.is_fast_size m then
+          let lower, upper = plans ~size:(2 * m) () in
           Real_circular
             {
-              lower =
-                Lrd_numerics.Convolution.make_real_plan ~size:(2 * m)
-                  ~kernel:bins.Workload.lower ~max_signal:(m + 1) ();
-              upper =
-                Lrd_numerics.Convolution.make_real_plan ~size:(2 * m)
-                  ~kernel:bins.Workload.upper ~max_signal:(m + 1) ();
+              lower;
+              upper;
               lower_tail = tail_cumulative bins.Workload.lower ~m;
               upper_tail = tail_cumulative bins.Workload.upper ~m;
             }
         else
-          Real_linear
-            {
-              lower =
-                Lrd_numerics.Convolution.make_real_plan
-                  ~kernel:bins.Workload.lower ~max_signal:(m + 1) ();
-              upper =
-                Lrd_numerics.Convolution.make_real_plan
-                  ~kernel:bins.Workload.upper ~max_signal:(m + 1) ();
-            }
+          let lower, upper = plans () in
+          Real_linear { lower; upper }
       else
         Direct { lower = bins.Workload.lower; upper = bins.Workload.upper }
     in

@@ -45,18 +45,12 @@ let fft a b =
     let n = real_transform_size_for out_len in
     let rp = Fft.Real.cached_plan n in
     let bins = Fft.Real.spectrum_length rp in
-    let are = Array.make bins 0.0 and aim = Array.make bins 0.0 in
     let bre = Array.make bins 0.0 and bim = Array.make bins 0.0 in
-    Fft.Real.forward_ip rp ~signal:a ~len:na ~spec_re:are ~spec_im:aim;
     Fft.Real.forward_ip rp ~signal:b ~len:nb ~spec_re:bre ~spec_im:bim;
-    for i = 0 to bins - 1 do
-      let r = (are.(i) *. bre.(i)) -. (aim.(i) *. bim.(i)) in
-      let im = (are.(i) *. bim.(i)) +. (aim.(i) *. bre.(i)) in
-      are.(i) <- r;
-      aim.(i) <- im
-    done;
     let out = Array.make out_len 0.0 in
-    Fft.Real.inverse_ip rp ~spec_re:are ~spec_im:aim ~signal:out ~len:out_len;
+    Fft.Real.convolve rp Fft.Real.Floats ~kernel_re:bre ~kernel_im:bim
+      ~spec_re:(Array.make bins 0.0) ~spec_im:(Array.make bins 0.0) ~signal:a
+      ~len:na ~dst:out ~dst_len:out_len;
     out
   end
 
@@ -106,10 +100,10 @@ let auto a b =
 
    The plan owns the kernel's half-spectrum, a real-transform plan, and
    half-spectrum scratch, so [execute] performs no heap allocation in
-   steady state: pack the (zero-extended) signal straight into the
-   half-size transform, multiply the n/2 + 1 independent bins in one
-   fused pass (conjugate symmetry makes the upper half free), and
-   interleave the inverse directly into [dst].
+   steady state: both entry points run {!Fft.Real.convolve} — pack the
+   (zero-extended) signal straight into the half-size transform, one
+   pass over the n/2 + 1 independent bins (conjugate symmetry makes the
+   upper half free), and the inverse interleaved directly into [dst].
 
    A plan built with an explicit [size] smaller than the full linear
    length computes CIRCULAR convolutions: the kernel is wrapped mod
@@ -124,20 +118,31 @@ type real_plan = {
   rfft : Fft.Real.t;
   kre : float array;  (* kernel half-spectrum, length n/2 + 1 *)
   kim : float array;
-  sre : float array;  (* signal half-spectrum scratch *)
+  sre : float array;  (* spectrum scratch *)
   sim : float array;
 }
 
-let make_real_plan ?size ~kernel ~max_signal () =
+let make_real_plan ?share ?size ~kernel ~max_signal () =
   let nk = Array.length kernel in
   if nk = 0 then invalid_arg "Convolution.make_real_plan: empty kernel";
   if max_signal < 1 then
     invalid_arg "Convolution.make_real_plan: max_signal < 1";
   let full = nk + max_signal - 1 in
-  let n = match size with None -> real_transform_size_for full | Some s -> s in
+  let n =
+    match (share, size) with
+    | Some p, Some s when s <> p.n ->
+        invalid_arg "Convolution.make_real_plan: size differs from share"
+    | Some p, _ -> p.n
+    | None, Some s -> s
+    | None, None -> real_transform_size_for full
+  in
   if n < max_signal then
     invalid_arg "Convolution.make_real_plan: size smaller than max_signal";
-  let rfft = Fft.Real.make_plan n in
+  let rfft =
+    match share with
+    | Some p -> Fft.Real.clone p.rfft
+    | None -> Fft.Real.make_plan n
+  in
   let bins = Fft.Real.spectrum_length rfft in
   let kre = Array.make bins 0.0 and kim = Array.make bins 0.0 in
   if nk <= n then
@@ -165,17 +170,6 @@ let make_real_plan ?size ~kernel ~max_signal () =
 
 let real_transform_size plan = plan.n
 
-(* The fused half-spectrum pass shared by every execute flavor. *)
-let multiply_spectra plan =
-  let kre = plan.kre and kim = plan.kim in
-  let sre = plan.sre and sim = plan.sim in
-  for i = 0 to Array.length sre - 1 do
-    let ar = Array.unsafe_get sre i and ai = Array.unsafe_get sim i in
-    let br = Array.unsafe_get kre i and bi = Array.unsafe_get kim i in
-    Array.unsafe_set sre i ((ar *. br) -. (ai *. bi));
-    Array.unsafe_set sim i ((ar *. bi) +. (ai *. br))
-  done
-
 let execute plan a ~dst =
   let na = Array.length a in
   if na = 0 then invalid_arg "Convolution.execute: empty signal";
@@ -186,22 +180,18 @@ let execute plan a ~dst =
   let out_len = na + plan.kernel_len - 1 in
   if Array.length dst < out_len then
     invalid_arg "Convolution.execute: dst too short";
-  Fft.Real.forward_ip plan.rfft ~signal:a ~len:na ~spec_re:plan.sre
-    ~spec_im:plan.sim;
-  multiply_spectra plan;
-  Fft.Real.inverse_ip plan.rfft ~spec_re:plan.sre ~spec_im:plan.sim ~signal:dst
-    ~len:out_len
+  Fft.Real.convolve plan.rfft Fft.Real.Floats ~kernel_re:plan.kre
+    ~kernel_im:plan.kim ~spec_re:plan.sre ~spec_im:plan.sim ~signal:a ~len:na
+    ~dst ~dst_len:out_len
 
 let execute_real_circular plan ~signal ~len ~dst =
   if len < 1 || len > plan.max_signal || len > plan.n then
     invalid_arg "Convolution.execute_real_circular: bad signal length";
   if Bigarray.Array1.dim dst < plan.n then
     invalid_arg "Convolution.execute_real_circular: dst shorter than size";
-  Fft.Real.forward_big plan.rfft ~signal ~len ~spec_re:plan.sre
-    ~spec_im:plan.sim;
-  multiply_spectra plan;
-  Fft.Real.inverse_big plan.rfft ~spec_re:plan.sre ~spec_im:plan.sim
-    ~signal:dst ~len:plan.n
+  Fft.Real.convolve plan.rfft Fft.Real.Vec ~kernel_re:plan.kre
+    ~kernel_im:plan.kim ~spec_re:plan.sre ~spec_im:plan.sim ~signal ~len ~dst
+    ~dst_len:plan.n
 
 (* Schoolbook convolution reading the signal from / writing into
    Bigarray vectors — the solver's direct path over its unboxed state.

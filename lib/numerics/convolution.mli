@@ -56,13 +56,19 @@ type real_plan
 (** A reusable real-transform plan for repeated convolutions against a
     fixed kernel, as in the solver where the increment distribution [w]
     is fixed across iterations while the occupancy vector changes.  The
-    kernel's half-spectrum is precomputed; each execution is one real
-    forward transform, one fused pass over the [n/2 + 1] independent
-    bins, and one real inverse.  The plan owns its scratch buffers; a
-    single plan must not be used concurrently. *)
+    kernel's half-spectrum is precomputed; each execution is one
+    {!Fft.Real.convolve}: a half-size forward transform, one pass over
+    the [n/2 + 1] independent bins, and a half-size inverse.  The plan
+    owns its scratch buffers; a single plan must not be used
+    concurrently. *)
 
 val make_real_plan :
-  ?size:int -> kernel:float array -> max_signal:int -> unit -> real_plan
+  ?share:real_plan ->
+  ?size:int ->
+  kernel:float array ->
+  max_signal:int ->
+  unit ->
+  real_plan
 (** [make_real_plan ~kernel ~max_signal ()] precomputes the kernel
     half-spectrum on the default {!real_transform_size_for} grid, large
     enough for linear convolution with signals of length
@@ -70,8 +76,13 @@ val make_real_plan :
     [max_signal]) overrides the grid; when it is smaller than the full
     linear length the plan computes CIRCULAR convolutions mod [size]
     with the kernel wrapped at build time — the solver's aliased
-    Lindley step.  @raise Invalid_argument on an empty kernel, a
-    nonpositive [max_signal], or an unsupported/too-small [size]. *)
+    Lindley step.  With [share], the plan takes [share]'s size and
+    shares its immutable transform tables ({!Fft.Real.clone}), owning
+    only its scratch and kernel spectrum — two plans that run one after
+    the other, like the solver's two chains, build the tables once.
+    @raise Invalid_argument on an empty kernel, a nonpositive
+    [max_signal], an unsupported/too-small [size], or a [size] other
+    than [share]'s. *)
 
 val real_transform_size : real_plan -> int
 (** The transform grid the plan runs on. *)

@@ -10,10 +10,15 @@ type vec =
 (* ------------------------------------------------------------------ *)
 (* Complex transforms at fast sizes — the private core of {!Real}.
 
-   A power-of-two plan for size [n] precomputes the bit-reversal
-   permutation and one flat twiddle-factor table shared by every
-   butterfly stage: stage [len = 2^s] reads its [half = len/2] factors
-   at offset [half - 1] (the halves of the earlier stages sum to
+   Plans hold only immutable tables.  A transform runs in place on a
+   block of the caller's buffers, which must already hold the input in
+   the plan's input order ([input_order]): the reordering is folded into
+   whichever pass loads the data, so the transform itself is butterfly
+   stages only.
+
+   A power-of-two plan keeps one flat twiddle-factor table shared by
+   every butterfly stage: stage [len = 2^s] reads its [half = len/2]
+   factors at offset [half - 1] (the halves of the earlier stages sum to
    exactly that), so the table holds [n - 1] factors total.  Each factor
    is computed by a direct cos/sin call rather than a repeated-
    multiplication recurrence, which both removes the O(len) error
@@ -22,15 +27,16 @@ type vec =
 
 type pow2_plan = {
   p2_size : int;
-  bitrev : int array;  (* bitrev.(i) is i with log2 n bits reversed. *)
   wre : float array;  (* cos of the forward angle -2 pi k / len. *)
   wim : float array;  (* sin of the forward angle (<= 0 half-plane). *)
 }
 
 (* Sizes beyond powers of two: [Split] peels one odd radix r in {3, 5}
    off the top with a decimation-in-time step over r interleaved
-   sub-transforms; nesting two Splits reaches 15 * 2^k.  Splits own
-   scratch, as does the {!Real} plan holding them. *)
+   sub-transforms; nesting two Splits reaches 15 * 2^k.  The input
+   order puts sub-transform s on the s-th contiguous block, so the
+   sub-transforms and the radix butterfly that recombines them all run
+   in place. *)
 type plan =
   | Pow2 of pow2_plan
   | Split of {
@@ -39,16 +45,9 @@ type plan =
       sub : plan;  (* size s_size / radix *)
       twre : float array;  (* cos (-2 pi j / n), j = 0 .. n - 1 *)
       twim : float array;
-      sre : float array array;  (* radix scratch rows of length n/radix *)
-      sim : float array array;
     }
 
 let make_pow2_plan n =
-  let bitrev = Array.make n 0 in
-  for i = 1 to n - 1 do
-    (* Shift the previous reversal right and bring in the new low bit. *)
-    bitrev.(i) <- (bitrev.(i lsr 1) lsr 1) lor (if i land 1 = 0 then 0 else n lsr 1)
-  done;
   let wre = Array.make (max 1 (n - 1)) 1.0 in
   let wim = Array.make (max 1 (n - 1)) 0.0 in
   let len = ref 2 in
@@ -62,7 +61,7 @@ let make_pow2_plan n =
     done;
     len := !len * 2
   done;
-  { p2_size = n; bitrev; wre; wim }
+  { p2_size = n; wre; wim }
 
 (* Supported fast sizes are 2^a * f with f in {1, 3, 5, 15}: one Split
    per odd radix on top of a power-of-two core. *)
@@ -105,92 +104,135 @@ let forward_twiddles n =
   done;
   (twre, twim)
 
-(* The in-place power-of-two butterflies.  [conjugate = false] is the
-   forward transform; [true] runs the inverse (without the 1/n scaling)
-   by negating the table's sine.  Performs no heap allocation. *)
-let transform_pow2 plan ~conjugate re im =
-  let n = plan.p2_size in
-  let bitrev = plan.bitrev in
-  for i = 0 to n - 1 do
-    let j = Array.unsafe_get bitrev i in
-    if i < j then begin
-      let tr = Array.unsafe_get re i and ti = Array.unsafe_get im i in
-      Array.unsafe_set re i (Array.unsafe_get re j);
-      Array.unsafe_set im i (Array.unsafe_get im j);
-      Array.unsafe_set re j tr;
-      Array.unsafe_set im j ti
-    end
-  done;
-  let wre = plan.wre and wim = plan.wim in
+(* The in-place power-of-two butterflies over [off, off + n), input in
+   bit-reversed order.  [conjugate = false] is the forward transform;
+   [true] runs the inverse (without the 1/n scaling) by negating the
+   table's sine.  Stages run two per pass (radix 2^2): for each group
+   a, b = a + q, c = a + 2q, d = c + q of a block of 4q, the pass does
+   stage 2q's butterflies (a, b) and (c, d), then stage 4q's (a, c) and
+   (b, d), with exactly the twiddles and operations the stage-at-a-time
+   loop would apply to each element.  An odd number of stages starts
+   with one radix-2 pass.  A pass walks the buffer in spans of [chunk]
+   points (or one block, when larger) with each k's twiddles loaded
+   once per span, so the early, small-block passes stay in cache.
+   Performs no heap allocation. *)
+let chunk = 1024
+
+let butterflies p ~conjugate re im off =
+  let n = p.p2_size in
+  let wre = p.wre and wim = p.wim in
   let sign = if conjugate then -1.0 else 1.0 in
-  let len = ref 2 in
-  while !len <= n do
-    let half = !len / 2 in
-    let offset = half - 1 in
-    let i = ref 0 in
-    while !i < n do
-      for k = 0 to half - 1 do
-        let cr = Array.unsafe_get wre (offset + k)
-        and ci = sign *. Array.unsafe_get wim (offset + k) in
-        let a = !i + k in
-        let b = a + half in
-        let rb = Array.unsafe_get re b and ib = Array.unsafe_get im b in
-        let tr = (rb *. cr) -. (ib *. ci) and ti = (rb *. ci) +. (ib *. cr) in
-        let ra = Array.unsafe_get re a and ia = Array.unsafe_get im a in
-        Array.unsafe_set re b (ra -. tr);
-        Array.unsafe_set im b (ia -. ti);
-        Array.unsafe_set re a (ra +. tr);
-        Array.unsafe_set im a (ia +. ti)
-      done;
-      i := !i + !len
+  let stop = off + n in
+  let stages = ref 0 in
+  while 1 lsl !stages < n do incr stages done;
+  let q = ref 1 in
+  if !stages land 1 = 1 then begin
+    let cr = Array.unsafe_get wre 0 and ci = sign *. Array.unsafe_get wim 0 in
+    let a = ref off in
+    while !a < stop do
+      let b = !a + 1 in
+      let rb = Array.unsafe_get re b and ib = Array.unsafe_get im b in
+      let tr = (rb *. cr) -. (ib *. ci) and ti = (rb *. ci) +. (ib *. cr) in
+      let ra = Array.unsafe_get re !a and ia = Array.unsafe_get im !a in
+      Array.unsafe_set re b (ra -. tr);
+      Array.unsafe_set im b (ia -. ti);
+      Array.unsafe_set re !a (ra +. tr);
+      Array.unsafe_set im !a (ia +. ti);
+      a := !a + 2
     done;
-    len := !len * 2
+    q := 2
+  end;
+  while 4 * !q <= n do
+    let q1 = !q in
+    let q2 = 2 * q1 in
+    let span = min n (max (2 * q2) chunk) in
+    let base = ref off in
+    while !base < stop do
+      let span_stop = !base + span in
+      for k = 0 to q1 - 1 do
+        let w1r = Array.unsafe_get wre (q1 - 1 + k)
+        and w1i = sign *. Array.unsafe_get wim (q1 - 1 + k) in
+        let w2r = Array.unsafe_get wre (q2 - 1 + k)
+        and w2i = sign *. Array.unsafe_get wim (q2 - 1 + k) in
+        let w3r = Array.unsafe_get wre (q2 - 1 + q1 + k)
+        and w3i = sign *. Array.unsafe_get wim (q2 - 1 + q1 + k) in
+        let a = ref (!base + k) in
+        while !a < span_stop do
+          let b = !a + q1 in
+          let c = !a + q2 in
+          let d = c + q1 in
+          (* Stage 2 q1: (a, b) and (c, d), both with w1. *)
+          let rb = Array.unsafe_get re b and ib = Array.unsafe_get im b in
+          let tr = (rb *. w1r) -. (ib *. w1i)
+          and ti = (rb *. w1i) +. (ib *. w1r) in
+          let ra = Array.unsafe_get re !a and ia = Array.unsafe_get im !a in
+          let br = ra -. tr and bi = ia -. ti in
+          let ar = ra +. tr and ai = ia +. ti in
+          let rd = Array.unsafe_get re d and id = Array.unsafe_get im d in
+          let tr = (rd *. w1r) -. (id *. w1i)
+          and ti = (rd *. w1i) +. (id *. w1r) in
+          let rc = Array.unsafe_get re c and ic = Array.unsafe_get im c in
+          let dr = rc -. tr and di = ic -. ti in
+          let cr = rc +. tr and ci = ic +. ti in
+          (* Stage 4 q1: (a, c) with w2 and (b, d) with w3. *)
+          let tr = (cr *. w2r) -. (ci *. w2i)
+          and ti = (cr *. w2i) +. (ci *. w2r) in
+          Array.unsafe_set re c (ar -. tr);
+          Array.unsafe_set im c (ai -. ti);
+          Array.unsafe_set re !a (ar +. tr);
+          Array.unsafe_set im !a (ai +. ti);
+          let tr = (dr *. w3r) -. (di *. w3i)
+          and ti = (dr *. w3i) +. (di *. w3r) in
+          Array.unsafe_set re d (br -. tr);
+          Array.unsafe_set im d (bi -. ti);
+          Array.unsafe_set re b (br +. tr);
+          Array.unsafe_set im b (bi +. ti);
+          a := !a + (2 * q2)
+        done
+      done;
+      base := span_stop
+    done;
+    q := 2 * q2
   done
 
-let rec transform_any plan ~conjugate re im =
+let rec transform plan ~conjugate re im off =
   match plan with
-  | Pow2 p -> transform_pow2 p ~conjugate re im
-  | Split { s_size = n; radix = r; sub; twre; twim; sre; sim } ->
+  | Pow2 p -> butterflies p ~conjugate re im off
+  | Split { s_size = n; radix = r; sub; twre; twim } ->
       let m = n / r in
-      (* Decimate: row s holds x_{r l + s}. *)
+      (* Block s holds sub-transform s, of x_{r l + s}. *)
       for s = 0 to r - 1 do
-        let rs = Array.unsafe_get sre s and is_ = Array.unsafe_get sim s in
-        for l = 0 to m - 1 do
-          let src = (r * l) + s in
-          Array.unsafe_set rs l (Array.unsafe_get re src);
-          Array.unsafe_set is_ l (Array.unsafe_get im src)
-        done;
-        transform_any sub ~conjugate rs is_
+        transform sub ~conjugate re im (off + (s * m))
       done;
       (* Recombine X_{k + s' m} = sum_s w_n^{(k + s' m) s} Z_s[k] with a
          dedicated radix butterfly: the twiddles t_s = Z_s[k] w_n^{s k}
          cost (r - 1) complex multiplies per k, and the cross-output
          combination uses the real constants of the r-point DFT instead
          of r more table multiplies per output — this is what makes the
-         mixed-radix grids competitive with power-of-two padding. *)
+         mixed-radix grids competitive with power-of-two padding.  Each
+         k reads Z_s[k] at off + s m + k and writes X at the same r
+         slots, so the recombination runs in place. *)
       let sign = if conjugate then -1.0 else 1.0 in
       if r = 3 then begin
-        let z0r = Array.unsafe_get sre 0 and z0i = Array.unsafe_get sim 0 in
-        let z1r = Array.unsafe_get sre 1 and z1i = Array.unsafe_get sim 1 in
-        let z2r = Array.unsafe_get sre 2 and z2i = Array.unsafe_get sim 2 in
         (* omega_3 = -1/2 - i sign sqrt(3)/2. *)
         let s3 = sign *. 0.8660254037844386 in
-        for k = 0 to m - 1 do
-          let w1r = Array.unsafe_get twre k
-          and w1i = sign *. Array.unsafe_get twim k in
-          let w2r = Array.unsafe_get twre (2 * k)
-          and w2i = sign *. Array.unsafe_get twim (2 * k) in
-          let a1r = Array.unsafe_get z1r k
-          and a1i = Array.unsafe_get z1i k in
-          let a2r = Array.unsafe_get z2r k
-          and a2i = Array.unsafe_get z2i k in
+        for k = off to off + m - 1 do
+          let j = k - off in
+          let w1r = Array.unsafe_get twre j
+          and w1i = sign *. Array.unsafe_get twim j in
+          let w2r = Array.unsafe_get twre (2 * j)
+          and w2i = sign *. Array.unsafe_get twim (2 * j) in
+          let a1r = Array.unsafe_get re (k + m)
+          and a1i = Array.unsafe_get im (k + m) in
+          let a2r = Array.unsafe_get re (k + (2 * m))
+          and a2i = Array.unsafe_get im (k + (2 * m)) in
           let t1r = (a1r *. w1r) -. (a1i *. w1i)
           and t1i = (a1r *. w1i) +. (a1i *. w1r) in
           let t2r = (a2r *. w2r) -. (a2i *. w2i)
           and t2i = (a2r *. w2i) +. (a2i *. w2r) in
           let ur = t1r +. t2r and ui = t1i +. t2i in
           let vr = t1r -. t2r and vi = t1i -. t2i in
-          let br = Array.unsafe_get z0r k and bi = Array.unsafe_get z0i k in
+          let br = Array.unsafe_get re k and bi = Array.unsafe_get im k in
           Array.unsafe_set re k (br +. ur);
           Array.unsafe_set im k (bi +. ui);
           let wr = br -. (0.5 *. ur) and wi = bi -. (0.5 *. ui) in
@@ -201,33 +243,28 @@ let rec transform_any plan ~conjugate re im =
         done
       end
       else begin
-        (* Radix 5. *)
-        let z0r = Array.unsafe_get sre 0 and z0i = Array.unsafe_get sim 0 in
-        let z1r = Array.unsafe_get sre 1 and z1i = Array.unsafe_get sim 1 in
-        let z2r = Array.unsafe_get sre 2 and z2i = Array.unsafe_get sim 2 in
-        let z3r = Array.unsafe_get sre 3 and z3i = Array.unsafe_get sim 3 in
-        let z4r = Array.unsafe_get sre 4 and z4i = Array.unsafe_get sim 4 in
-        (* omega_5^b = cb - i sign sb. *)
+        (* Radix 5.  omega_5^b = cb - i sign sb. *)
         let c1 = 0.30901699437494745 and c2 = -0.8090169943749473 in
         let s1 = sign *. 0.9510565162951535
         and s2 = sign *. 0.5877852522924731 in
-        for k = 0 to m - 1 do
-          let w1r = Array.unsafe_get twre k
-          and w1i = sign *. Array.unsafe_get twim k in
-          let w2r = Array.unsafe_get twre (2 * k)
-          and w2i = sign *. Array.unsafe_get twim (2 * k) in
-          let w3r = Array.unsafe_get twre (3 * k)
-          and w3i = sign *. Array.unsafe_get twim (3 * k) in
-          let w4r = Array.unsafe_get twre (4 * k)
-          and w4i = sign *. Array.unsafe_get twim (4 * k) in
-          let a1r = Array.unsafe_get z1r k
-          and a1i = Array.unsafe_get z1i k in
-          let a2r = Array.unsafe_get z2r k
-          and a2i = Array.unsafe_get z2i k in
-          let a3r = Array.unsafe_get z3r k
-          and a3i = Array.unsafe_get z3i k in
-          let a4r = Array.unsafe_get z4r k
-          and a4i = Array.unsafe_get z4i k in
+        for k = off to off + m - 1 do
+          let j = k - off in
+          let w1r = Array.unsafe_get twre j
+          and w1i = sign *. Array.unsafe_get twim j in
+          let w2r = Array.unsafe_get twre (2 * j)
+          and w2i = sign *. Array.unsafe_get twim (2 * j) in
+          let w3r = Array.unsafe_get twre (3 * j)
+          and w3i = sign *. Array.unsafe_get twim (3 * j) in
+          let w4r = Array.unsafe_get twre (4 * j)
+          and w4i = sign *. Array.unsafe_get twim (4 * j) in
+          let a1r = Array.unsafe_get re (k + m)
+          and a1i = Array.unsafe_get im (k + m) in
+          let a2r = Array.unsafe_get re (k + (2 * m))
+          and a2i = Array.unsafe_get im (k + (2 * m)) in
+          let a3r = Array.unsafe_get re (k + (3 * m))
+          and a3i = Array.unsafe_get im (k + (3 * m)) in
+          let a4r = Array.unsafe_get re (k + (4 * m))
+          and a4i = Array.unsafe_get im (k + (4 * m)) in
           let t1r = (a1r *. w1r) -. (a1i *. w1i)
           and t1i = (a1r *. w1i) +. (a1i *. w1r) in
           let t2r = (a2r *. w2r) -. (a2i *. w2i)
@@ -240,7 +277,7 @@ let rec transform_any plan ~conjugate re im =
           let v1r = t1r -. t4r and v1i = t1i -. t4i in
           let u2r = t2r +. t3r and u2i = t2i +. t3i in
           let v2r = t2r -. t3r and v2i = t2i -. t3i in
-          let br = Array.unsafe_get z0r k and bi = Array.unsafe_get z0i k in
+          let br = Array.unsafe_get re k and bi = Array.unsafe_get im k in
           Array.unsafe_set re k (br +. u1r +. u2r);
           Array.unsafe_set im k (bi +. u1i +. u2i);
           let p1r = br +. (c1 *. u1r) +. (c2 *. u2r)
@@ -268,19 +305,26 @@ let rec complex_plan n =
   if is_power_of_two n then Pow2 (make_pow2_plan n)
   else begin
     let radix = if n mod 3 = 0 then 3 else 5 in
-    let m = n / radix in
     let twre, twim = forward_twiddles n in
-    Split
-      {
-        s_size = n;
-        radix;
-        sub = complex_plan m;
-        twre;
-        twim;
-        sre = Array.init radix (fun _ -> Array.make m 0.0);
-        sim = Array.init radix (fun _ -> Array.make m 0.0);
-      }
+    Split { s_size = n; radix; sub = complex_plan (n / radix); twre; twim }
   end
+
+(* [input_order plan] maps each input index to its slot in the buffer
+   [transform] expects: the bit reversal for a power of two, and for a
+   Split x_{r l + s} at slot s m + (sub order of l), the decimation into
+   blocks composed with the blocks' own order. *)
+let rec input_order = function
+  | Pow2 { p2_size = n; _ } ->
+      let rev = Array.make n 0 in
+      for i = 1 to n - 1 do
+        (* Shift the previous reversal right and bring in the new low bit. *)
+        rev.(i) <- (rev.(i lsr 1) lsr 1) lor (if i land 1 = 0 then 0 else n lsr 1)
+      done;
+      rev
+  | Split { s_size = n; radix = r; sub; _ } ->
+      let m = n / r in
+      let inner = input_order sub in
+      Array.init n (fun j -> ((j mod r) * m) + inner.(j / r))
 
 let dft_naive ~re ~im =
   let n = Array.length re in
@@ -318,13 +362,16 @@ let dft_naive ~re ~im =
    The inverse runs the same algebra backwards — W_k built from the
    half-spectrum feeds one half-size FORWARD transform whose output
    interleaves back into the signal — so forward and inverse share the
-   complex core and the twiddle table t_k = exp(-2 i pi k / n). *)
+   complex core and the twiddle table t_k = exp(-2 i pi k / n).  Every
+   pass that loads the complex core writes straight into its input
+   order, so no transform pays a separate permutation pass. *)
 
 module Real = struct
   type t = {
     n : int;
     h : int;
     sub : plan;  (* complex plan of size h *)
+    order : int array;  (* [input_order sub] *)
     ifac : float;  (* 1 / (2 h), preboxed so inverse calls stay alloc-free *)
     tre : float array;  (* cos (-2 pi k / n), k = 0 .. h *)
     tim : float array;
@@ -349,10 +396,12 @@ module Real = struct
       tre.(k) <- cos ang;
       tim.(k) <- sin ang
     done;
+    let sub = complex_plan h in
     {
       n;
       h;
-      sub = complex_plan h;
+      sub;
+      order = input_order sub;
       ifac = 0.5 /. float_of_int h;
       tre;
       tim;
@@ -360,6 +409,7 @@ module Real = struct
       pim = Array.make h 0.0;
     }
 
+  let clone t = { t with pre = Array.make t.h 0.0; pim = Array.make t.h 0.0 }
   let size t = t.n
   let spectrum_length t = t.h + 1
 
@@ -388,42 +438,48 @@ module Real = struct
     if Array.length spec_re < t.h + 1 || Array.length spec_im < t.h + 1 then
       invalid_arg "Fft.Real: spectrum buffers shorter than n/2 + 1"
 
-  (* Pack signal.(0 .. len-1), zero-extended to n, into pre/pim. *)
+  (* Zero the input slots of pairs [next .. h - 1]. *)
+  let pack_zeros t next =
+    let pre = t.pre and pim = t.pim and order = t.order in
+    for l = next to t.h - 1 do
+      let p = Array.unsafe_get order l in
+      Array.unsafe_set pre p 0.0;
+      Array.unsafe_set pim p 0.0
+    done
+
+  (* Pack signal.(0 .. len-1), zero-extended to n, into pre/pim in the
+     complex core's input order. *)
   let pack_float t signal len =
-    let pre = t.pre and pim = t.pim in
+    let pre = t.pre and pim = t.pim and order = t.order in
     let pairs = len / 2 in
     for l = 0 to pairs - 1 do
-      Array.unsafe_set pre l (Array.unsafe_get signal (2 * l));
-      Array.unsafe_set pim l (Array.unsafe_get signal ((2 * l) + 1))
+      let p = Array.unsafe_get order l in
+      Array.unsafe_set pre p (Array.unsafe_get signal (2 * l));
+      Array.unsafe_set pim p (Array.unsafe_get signal ((2 * l) + 1))
     done;
-    let next =
-      if len land 1 = 1 then begin
-        Array.unsafe_set pre pairs (Array.unsafe_get signal (len - 1));
-        Array.unsafe_set pim pairs 0.0;
-        pairs + 1
-      end
-      else pairs
-    in
-    Array.fill pre next (t.h - next) 0.0;
-    Array.fill pim next (t.h - next) 0.0
+    if len land 1 = 1 then begin
+      let p = Array.unsafe_get order pairs in
+      Array.unsafe_set pre p (Array.unsafe_get signal (len - 1));
+      Array.unsafe_set pim p 0.0;
+      pack_zeros t (pairs + 1)
+    end
+    else pack_zeros t pairs
 
   let pack_big t (signal : vec) len =
-    let pre = t.pre and pim = t.pim in
+    let pre = t.pre and pim = t.pim and order = t.order in
     let pairs = len / 2 in
     for l = 0 to pairs - 1 do
-      Array.unsafe_set pre l (Bigarray.Array1.unsafe_get signal (2 * l));
-      Array.unsafe_set pim l (Bigarray.Array1.unsafe_get signal ((2 * l) + 1))
+      let p = Array.unsafe_get order l in
+      Array.unsafe_set pre p (Bigarray.Array1.unsafe_get signal (2 * l));
+      Array.unsafe_set pim p (Bigarray.Array1.unsafe_get signal ((2 * l) + 1))
     done;
-    let next =
-      if len land 1 = 1 then begin
-        Array.unsafe_set pre pairs (Bigarray.Array1.unsafe_get signal (len - 1));
-        Array.unsafe_set pim pairs 0.0;
-        pairs + 1
-      end
-      else pairs
-    in
-    Array.fill pre next (t.h - next) 0.0;
-    Array.fill pim next (t.h - next) 0.0
+    if len land 1 = 1 then begin
+      let p = Array.unsafe_get order pairs in
+      Array.unsafe_set pre p (Bigarray.Array1.unsafe_get signal (len - 1));
+      Array.unsafe_set pim p 0.0;
+      pack_zeros t (pairs + 1)
+    end
+    else pack_zeros t pairs
 
   (* Split the packed spectrum Z into the real half-spectrum.  The
      (k, h-k) pair shares one twiddle read: with P = t_k O_k,
@@ -466,28 +522,19 @@ module Real = struct
       invalid_arg "Fft.Real.forward_ip: signal shorter than len";
     check_spec t ~spec_re ~spec_im;
     pack_float t signal len;
-    transform_any t.sub ~conjugate:false t.pre t.pim;
+    transform t.sub ~conjugate:false t.pre t.pim 0;
     split_forward t ~spec_re ~spec_im
 
-  let forward_big t ~(signal : vec) ~len ~spec_re ~spec_im =
-    if len < 0 || len > t.n then invalid_arg "Fft.Real.forward_big: bad len";
-    if Bigarray.Array1.dim signal < len then
-      invalid_arg "Fft.Real.forward_big: signal shorter than len";
-    check_spec t ~spec_re ~spec_im;
-    pack_big t signal len;
-    transform_any t.sub ~conjugate:false t.pre t.pim;
-    split_forward t ~spec_re ~spec_im
-
-  (* Load W_k = fac * (E2_k + i (D2_k conj t_k)) into pre/pim, where
-     E2_k = X_k + conj X_{h-k} and D2_k = X_k - conj X_{h-k} (so E2/2
-     and D2 conj t / 2 are the even/odd sub-spectra).  With fac =
-     1/(2h) the following half-size CONJUGATE transform interleaves the
-     normalized inverse; [conj] negates the imaginary reads, which with
-     fac = 1 turns the same pass into the unnormalized synthesis
+  (* Load W_k = fac * (E2_k + i (D2_k conj t_k)) into pre/pim (input
+     order), where E2_k = X_k + conj X_{h-k} and D2_k = X_k - conj X_{h-k}
+     (so E2/2 and D2 conj t / 2 are the even/odd sub-spectra).  With
+     fac = 1/(2h) the following half-size CONJUGATE transform interleaves
+     the normalized inverse; [conj] negates the imaginary reads, which
+     with fac = 1 turns the same pass into the unnormalized synthesis
      y_j = sum_k X_k exp(-2 i pi j k / n) of a Hermitian spectrum. *)
   let load_w t ~spec_re ~spec_im ~conj ~fac =
     let h = t.h in
-    let pre = t.pre and pim = t.pim in
+    let pre = t.pre and pim = t.pim and order = t.order in
     let tre = t.tre and tim = t.tim in
     let sign = if conj then -1.0 else 1.0 in
     for k = 0 to h - 1 do
@@ -501,29 +548,28 @@ module Real = struct
       let tr = Array.unsafe_get tre k and ti = Array.unsafe_get tim k in
       let our = (dr *. tr) +. (di *. ti) in
       let oui = (di *. tr) -. (dr *. ti) in
-      Array.unsafe_set pre k (fac *. (er -. oui));
-      Array.unsafe_set pim k (fac *. (ei +. our))
+      let p = Array.unsafe_get order k in
+      Array.unsafe_set pre p (fac *. (er -. oui));
+      Array.unsafe_set pim p (fac *. (ei +. our))
     done
 
-  let unpack_float t signal len =
-    let pre = t.pre and pim = t.pim in
+  let unpack_float ~(re : float array) ~(im : float array) signal len =
     let pairs = len / 2 in
     for l = 0 to pairs - 1 do
-      Array.unsafe_set signal (2 * l) (Array.unsafe_get pre l);
-      Array.unsafe_set signal ((2 * l) + 1) (Array.unsafe_get pim l)
+      Array.unsafe_set signal (2 * l) (Array.unsafe_get re l);
+      Array.unsafe_set signal ((2 * l) + 1) (Array.unsafe_get im l)
     done;
     if len land 1 = 1 then
-      Array.unsafe_set signal (len - 1) (Array.unsafe_get pre pairs)
+      Array.unsafe_set signal (len - 1) (Array.unsafe_get re pairs)
 
-  let unpack_big t (signal : vec) len =
-    let pre = t.pre and pim = t.pim in
+  let unpack_big ~(re : float array) ~(im : float array) (signal : vec) len =
     let pairs = len / 2 in
     for l = 0 to pairs - 1 do
-      Bigarray.Array1.unsafe_set signal (2 * l) (Array.unsafe_get pre l);
-      Bigarray.Array1.unsafe_set signal ((2 * l) + 1) (Array.unsafe_get pim l)
+      Bigarray.Array1.unsafe_set signal (2 * l) (Array.unsafe_get re l);
+      Bigarray.Array1.unsafe_set signal ((2 * l) + 1) (Array.unsafe_get im l)
     done;
     if len land 1 = 1 then
-      Bigarray.Array1.unsafe_set signal (len - 1) (Array.unsafe_get pre pairs)
+      Bigarray.Array1.unsafe_set signal (len - 1) (Array.unsafe_get re pairs)
 
   let inverse_ip t ~spec_re ~spec_im ~signal ~len =
     if len < 0 || len > t.n then invalid_arg "Fft.Real.inverse_ip: bad len";
@@ -531,17 +577,8 @@ module Real = struct
       invalid_arg "Fft.Real.inverse_ip: signal shorter than len";
     check_spec t ~spec_re ~spec_im;
     load_w t ~spec_re ~spec_im ~conj:false ~fac:t.ifac;
-    transform_any t.sub ~conjugate:true t.pre t.pim;
-    unpack_float t signal len
-
-  let inverse_big t ~spec_re ~spec_im ~(signal : vec) ~len =
-    if len < 0 || len > t.n then invalid_arg "Fft.Real.inverse_big: bad len";
-    if Bigarray.Array1.dim signal < len then
-      invalid_arg "Fft.Real.inverse_big: signal shorter than len";
-    check_spec t ~spec_re ~spec_im;
-    load_w t ~spec_re ~spec_im ~conj:false ~fac:t.ifac;
-    transform_any t.sub ~conjugate:true t.pre t.pim;
-    unpack_big t signal len
+    transform t.sub ~conjugate:true t.pre t.pim 0;
+    unpack_float ~re:t.pre ~im:t.pim signal len
 
   let synthesize_ip t ~spec_re ~spec_im ~signal ~len =
     if len < 0 || len > t.n then invalid_arg "Fft.Real.synthesize_ip: bad len";
@@ -549,6 +586,110 @@ module Real = struct
       invalid_arg "Fft.Real.synthesize_ip: signal shorter than len";
     check_spec t ~spec_re ~spec_im;
     load_w t ~spec_re ~spec_im ~conj:true ~fac:1.0;
-    transform_any t.sub ~conjugate:true t.pre t.pim;
-    unpack_float t signal len
+    transform t.sub ~conjugate:true t.pre t.pim 0;
+    unpack_float ~re:t.pre ~im:t.pim signal len
+
+  (* The spectral pass of a convolution: for each bin pair (k, h-k) of
+     the packed spectrum Z in pre/pim, the split of [split_forward], the
+     kernel multiply Y = X K, and the [load_w] of the inverse (fac =
+     1/(2h)), writing W into spec_re/spec_im in input order.  Each value
+     goes through exactly the operations of those three passes; only the
+     round trips through memory between them are gone. *)
+  let spectral_pass t ~kernel_re ~kernel_im ~spec_re ~spec_im =
+    let h = t.h in
+    let pre = t.pre and pim = t.pim and order = t.order in
+    let tre = t.tre and tim = t.tim in
+    let fac = t.ifac in
+    (* k = 0 against h: X_0 and X_h are real. *)
+    let zr0 = Array.unsafe_get pre 0 and zi0 = Array.unsafe_get pim 0 in
+    let xkr = zr0 +. zi0 and xki = 0.0 in
+    let xjr = zr0 -. zi0 and xji = 0.0 in
+    let kkr = Array.unsafe_get kernel_re 0 and kki = Array.unsafe_get kernel_im 0 in
+    let kjr = Array.unsafe_get kernel_re h and kji = Array.unsafe_get kernel_im h in
+    let ykr = (xkr *. kkr) -. (xki *. kki) and yki = (xkr *. kki) +. (xki *. kkr) in
+    let yjr = (xjr *. kjr) -. (xji *. kji) and yji = (xjr *. kji) +. (xji *. kjr) in
+    let er = ykr +. yjr and ei = yki -. yji in
+    let dr = ykr -. yjr and di = yki +. yji in
+    let tr = Array.unsafe_get tre 0 and ti = Array.unsafe_get tim 0 in
+    let our = (dr *. tr) +. (di *. ti) and oui = (di *. tr) -. (dr *. ti) in
+    let p = Array.unsafe_get order 0 in
+    Array.unsafe_set spec_re p (fac *. (er -. oui));
+    Array.unsafe_set spec_im p (fac *. (ei +. our));
+    let k = ref 1 in
+    while 2 * !k < h do
+      let kk = !k in
+      let j = h - kk in
+      (* Split. *)
+      let zrk = Array.unsafe_get pre kk and zik = Array.unsafe_get pim kk in
+      let zrj = Array.unsafe_get pre j and zij = Array.unsafe_get pim j in
+      let er = 0.5 *. (zrk +. zrj) and ei = 0.5 *. (zik -. zij) in
+      let our = 0.5 *. (zik +. zij) and oui = 0.5 *. (zrj -. zrk) in
+      let tkr = Array.unsafe_get tre kk and tki = Array.unsafe_get tim kk in
+      let pr = (our *. tkr) -. (oui *. tki) in
+      let pi = (our *. tki) +. (oui *. tkr) in
+      let xkr = er +. pr and xki = ei +. pi in
+      let xjr = er -. pr and xji = pi -. ei in
+      (* Kernel multiply. *)
+      let kkr = Array.unsafe_get kernel_re kk
+      and kki = Array.unsafe_get kernel_im kk in
+      let kjr = Array.unsafe_get kernel_re j
+      and kji = Array.unsafe_get kernel_im j in
+      let ykr = (xkr *. kkr) -. (xki *. kki)
+      and yki = (xkr *. kki) +. (xki *. kkr) in
+      let yjr = (xjr *. kjr) -. (xji *. kji)
+      and yji = (xjr *. kji) +. (xji *. kjr) in
+      (* W_k, then W_{h-k} with the roles of k and h - k swapped. *)
+      let er = ykr +. yjr and ei = yki -. yji in
+      let dr = ykr -. yjr and di = yki +. yji in
+      let our = (dr *. tkr) +. (di *. tki) and oui = (di *. tkr) -. (dr *. tki) in
+      let p = Array.unsafe_get order kk in
+      Array.unsafe_set spec_re p (fac *. (er -. oui));
+      Array.unsafe_set spec_im p (fac *. (ei +. our));
+      let er = yjr +. ykr and ei = yji -. yki in
+      let dr = yjr -. ykr and di = yji +. yki in
+      let tjr = Array.unsafe_get tre j and tji = Array.unsafe_get tim j in
+      let our = (dr *. tjr) +. (di *. tji) and oui = (di *. tjr) -. (dr *. tji) in
+      let p = Array.unsafe_get order j in
+      Array.unsafe_set spec_re p (fac *. (er -. oui));
+      Array.unsafe_set spec_im p (fac *. (ei +. our));
+      incr k
+    done;
+    if h land 1 = 0 && h >= 2 then begin
+      (* The middle bin pairs with itself. *)
+      let mid = h / 2 in
+      let xr = Array.unsafe_get pre mid and xi = -.Array.unsafe_get pim mid in
+      let kr = Array.unsafe_get kernel_re mid and ki = Array.unsafe_get kernel_im mid in
+      let yr = (xr *. kr) -. (xi *. ki) and yi = (xr *. ki) +. (xi *. kr) in
+      let er = yr +. yr and ei = yi -. yi in
+      let dr = yr -. yr and di = yi +. yi in
+      let tr = Array.unsafe_get tre mid and ti = Array.unsafe_get tim mid in
+      let our = (dr *. tr) +. (di *. ti) and oui = (di *. tr) -. (dr *. ti) in
+      let p = Array.unsafe_get order mid in
+      Array.unsafe_set spec_re p (fac *. (er -. oui));
+      Array.unsafe_set spec_im p (fac *. (ei +. our))
+    end
+
+  type _ buffer = Floats : float array buffer | Vec : vec buffer
+
+  let convolve (type a) t (kind : a buffer) ~kernel_re ~kernel_im ~spec_re
+      ~spec_im ~(signal : a) ~len ~(dst : a) ~dst_len =
+    let short =
+      match kind with
+      | Floats -> Array.length signal < len || Array.length dst < dst_len
+      | Vec ->
+          Bigarray.Array1.dim signal < len || Bigarray.Array1.dim dst < dst_len
+    in
+    if len < 0 || len > t.n || dst_len < 0 || dst_len > t.n || short then
+      invalid_arg "Fft.Real.convolve: bad signal or dst length";
+    check_spec t ~spec_re:kernel_re ~spec_im:kernel_im;
+    check_spec t ~spec_re ~spec_im;
+    (match kind with
+    | Floats -> pack_float t signal len
+    | Vec -> pack_big t signal len);
+    transform t.sub ~conjugate:false t.pre t.pim 0;
+    spectral_pass t ~kernel_re ~kernel_im ~spec_re ~spec_im;
+    transform t.sub ~conjugate:true spec_re spec_im 0;
+    match kind with
+    | Floats -> unpack_float ~re:spec_re ~im:spec_im dst dst_len
+    | Vec -> unpack_big ~re:spec_re ~im:spec_im dst dst_len
 end

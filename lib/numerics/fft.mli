@@ -10,7 +10,8 @@
     [1/n] normalization.  The complex mixed-radix core (power-of-two
     butterflies plus radix-3 and radix-5 splits) is private to this
     module; plans precompute every twiddle factor, and a planned
-    transform performs no heap allocation. *)
+    transform performs no heap allocation.  {!Real.convolve} is the one
+    fused path every planned convolution runs. *)
 
 val is_power_of_two : int -> bool
 (** [is_power_of_two n] is [true] iff [n] is a positive power of two. *)
@@ -58,6 +59,12 @@ module Real : sig
       scratch, so the memo table lives in domain-local storage and
       never shares a plan between domains. *)
 
+  val clone : t -> t
+  (** [clone t] is a plan of the same size that shares [t]'s immutable
+      twiddle and input-order tables but owns fresh scratch, so the two
+      can run one after the other without either recomputing the
+      tables.  Like any plan, a clone must not be used concurrently. *)
+
   val size : t -> int
   (** The signal length [n]. *)
 
@@ -98,11 +105,31 @@ module Real : sig
       given by its half [X_0 .. X_{n/2}] — the Davies–Harte synthesis
       step — writing the first [len] samples. *)
 
-  val forward_big :
-    t -> signal:vec -> len:int -> spec_re:float array -> spec_im:float array -> unit
-  (** {!forward_ip} reading the signal from a Bigarray vector. *)
+  (** The signal buffers {!convolve} reads and writes: float arrays or
+      Bigarray vectors. *)
+  type _ buffer = Floats : float array buffer | Vec : vec buffer
 
-  val inverse_big :
-    t -> spec_re:float array -> spec_im:float array -> signal:vec -> len:int -> unit
-  (** {!inverse_ip} writing the signal into a Bigarray vector. *)
+  val convolve :
+    t ->
+    'a buffer ->
+    kernel_re:float array ->
+    kernel_im:float array ->
+    spec_re:float array ->
+    spec_im:float array ->
+    signal:'a ->
+    len:int ->
+    dst:'a ->
+    dst_len:int ->
+    unit
+  (** [convolve t kind ~kernel_re ~kernel_im ~spec_re ~spec_im ~signal
+      ~len ~dst ~dst_len] writes the first [dst_len] samples of the
+      CIRCULAR convolution (mod the plan size) of [signal.(0 .. len - 1)],
+      zero-extended, with the kernel whose half-spectrum is
+      [kernel_re/kernel_im] (as {!forward_ip} produces it).  Bitwise
+      equal to {!forward_ip}, a bin-wise complex multiply by the kernel
+      spectrum and {!inverse_ip}, in one forward transform, one pass
+      over the bin pairs and one inverse transform.  [spec_re/spec_im]
+      (at least [n/2 + 1] long) are scratch.  Allocation-free.
+      @raise Invalid_argument if [len] or [dst_len] exceeds the plan
+      size or a buffer is too short. *)
 end

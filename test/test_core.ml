@@ -517,8 +517,10 @@ let test_workspace_step_does_not_allocate () =
   let m = pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:5.0 () in
   let workload = Workload.create m ~service_rate:1.25 in
   List.iter
-    (fun conv ->
-      let ws = Solver.Workspace.make ~convolution:conv workload ~buffer:2.0 ~m:128 in
+    (fun (conv, bins) ->
+      let ws =
+        Solver.Workspace.make ~convolution:conv workload ~buffer:2.0 ~m:bins
+      in
       for _ = 1 to 16 do
         Solver.Workspace.step ws
       done;
@@ -530,10 +532,12 @@ let test_workspace_step_does_not_allocate () =
       match Sys.backend_type with
       | Sys.Native ->
           if allocated > 0.0 then
-            Alcotest.failf "steady-state step allocated %.0f minor words"
-              allocated
+            Alcotest.failf
+              "steady-state step allocated %.0f minor words at m = %d"
+              allocated bins
       | Sys.Bytecode | Sys.Other _ -> ())
-    [ `Fft; `Direct ]
+    (* Both parities of log2 m, a radix-3 grid, a large grid. *)
+    [ (`Fft, 128); (`Fft, 256); (`Fft, 96); (`Fft, 4096); (`Direct, 128) ]
 
 (* ------------------------------------------------------------------ *)
 (* Resumable solver states *)

@@ -184,15 +184,22 @@ let test_fft_rejects_bad_input () =
     (fun () ->
       Fft.Real.synthesize_ip plan ~spec_re:(Array.make 4 0.0) ~spec_im:(spec ())
         ~signal:(Array.make 16 0.0) ~len:16);
-  Alcotest.check_raises "forward_big short signal"
-    (Invalid_argument "Fft.Real.forward_big: signal shorter than len")
+  let bad_length = Invalid_argument "Fft.Real.convolve: bad signal or dst length" in
+  let convolve ?(kernel = spec ()) signal ~len dst ~dst_len =
+    Fft.Real.convolve plan Fft.Real.Vec ~kernel_re:kernel ~kernel_im:(spec ())
+      ~spec_re:(spec ()) ~spec_im:(spec ()) ~signal ~len ~dst ~dst_len
+  in
+  Alcotest.check_raises "convolve short signal" bad_length (fun () ->
+      convolve (big 8) ~len:16 (big 16) ~dst_len:16);
+  Alcotest.check_raises "convolve short dst" bad_length (fun () ->
+      convolve (big 16) ~len:16 (big 8) ~dst_len:16);
+  Alcotest.check_raises "convolve dst longer than plan" bad_length (fun () ->
+      convolve (big 32) ~len:16 (big 32) ~dst_len:17);
+  Alcotest.check_raises "convolve short kernel spectrum"
+    (Invalid_argument "Fft.Real: spectrum buffers shorter than n/2 + 1")
     (fun () ->
-      Fft.Real.forward_big plan ~signal:(big 8) ~len:16 ~spec_re:(spec ())
-        ~spec_im:(spec ()));
-  Alcotest.check_raises "inverse_big bad len"
-    (Invalid_argument "Fft.Real.inverse_big: bad len") (fun () ->
-      Fft.Real.inverse_big plan ~spec_re:(spec ()) ~spec_im:(spec ())
-        ~signal:(big 32) ~len:(-1))
+      convolve ~kernel:(Array.make 4 0.0) (big 16) ~len:16 (big 16)
+        ~dst_len:16)
 
 let test_fft_plan_rejects_bad_input () =
   (* The memoized constructor refuses exactly what make_plan refuses. *)
@@ -259,7 +266,13 @@ let test_convolution_plan_rejects_long_signal () =
   Alcotest.check_raises "too long"
     (Invalid_argument "Convolution.execute: signal longer than plan")
     (fun () ->
-      Convolution.execute plan (Array.make 5 0.0) ~dst:(Array.make 8 0.0))
+      Convolution.execute plan (Array.make 5 0.0) ~dst:(Array.make 8 0.0));
+  Alcotest.check_raises "shared tables of another size"
+    (Invalid_argument "Convolution.make_real_plan: size differs from share")
+    (fun () ->
+      ignore
+        (Convolution.make_real_plan ~share:plan ~size:16 ~kernel:[| 1.0 |]
+           ~max_signal:4 ()))
 
 let test_convolution_direct_into_matches () =
   let a = Array.init 33 (fun _ -> next_float () -. 0.4) in
@@ -727,32 +740,525 @@ let test_execute_real_circular_matches_wrapped_direct () =
 
 let test_real_convolution_no_allocation () =
   (* The steady-state entry points must not touch the OCaml heap: one
-     real linear convolution and one circular one, measured after a
-     warmup round.  Bytecode boxes floats everywhere, so the pin only
-     holds on native builds. *)
-  if Sys.backend_type = Sys.Native then begin
-    let m = 16 in
-    let kernel = Array.init ((2 * m) + 1) (fun _ -> next_float ()) in
-    let signal = Array.init (m + 1) (fun _ -> next_float ()) in
-    let lin = Convolution.make_real_plan ~kernel ~max_signal:(m + 1) () in
-    let out = Array.make ((3 * m) + 1) 0.0 in
-    let circ =
-      Convolution.make_real_plan ~size:(2 * m) ~kernel ~max_signal:(m + 1) ()
+     real linear convolution and one circular one per solver grid size,
+     measured after a warmup round.  The sizes cover both parities of
+     log2 (the butterflies pair stages, with one lone radix-2 pass when
+     the count is odd), the radix-3 and radix-15 Split towers, and the
+     smallest and a large solver grid.  Bytecode boxes floats
+     everywhere, so the pin only holds on native builds. *)
+  if Sys.backend_type = Sys.Native then
+    List.iter
+      (fun m ->
+        let kernel = Array.init ((2 * m) + 1) (fun _ -> next_float ()) in
+        let signal = Array.init (m + 1) (fun _ -> next_float ()) in
+        let lin = Convolution.make_real_plan ~kernel ~max_signal:(m + 1) () in
+        let out = Array.make ((3 * m) + 1) 0.0 in
+        let circ =
+          Convolution.make_real_plan ~size:(2 * m) ~kernel ~max_signal:(m + 1) ()
+        in
+        let shared =
+          Convolution.make_real_plan ~share:circ ~kernel ~max_signal:(m + 1) ()
+        in
+        let n = 2 * m in
+        let src = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+        let dst = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+        Bigarray.Array1.fill src 0.0;
+        Array.iteri (fun i v -> Bigarray.Array1.set src i v) signal;
+        let run () =
+          Convolution.execute lin signal ~dst:out;
+          Convolution.execute_real_circular circ ~signal:src ~len:(m + 1) ~dst;
+          Convolution.execute_real_circular shared ~signal:src ~len:(m + 1)
+            ~dst
+        in
+        run ();
+        let before = Gc.minor_words () in
+        run ();
+        let after = Gc.minor_words () in
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "minor words allocated at m = %d" m)
+          0.0 (after -. before))
+      [ 16; 32; 24; 120; 128; 2048; 4096 ]
+
+(* ------------------------------------------------------------------ *)
+(* Bitwise oracle: the radix-2 transform and unfused convolution
+   sequence of the earlier engine, kept verbatim as test code.  The
+   fused kernel must reproduce every output bit of it. *)
+
+module Oracle = struct
+  type pow2_plan = {
+    p2_size : int;
+    bitrev : int array;  (* bitrev.(i) is i with log2 n bits reversed. *)
+    wre : float array;  (* cos of the forward angle -2 pi k / len. *)
+    wim : float array;  (* sin of the forward angle (<= 0 half-plane). *)
+  }
+
+  (* Sizes beyond powers of two: [Split] peels one odd radix r in {3, 5}
+     off the top with a decimation-in-time step over r interleaved
+     sub-transforms; nesting two Splits reaches 15 * 2^k.  Splits own
+     scratch, as does the {!Real} plan holding them. *)
+  type plan =
+    | Pow2 of pow2_plan
+    | Split of {
+        s_size : int;
+        radix : int;  (* 3 or 5 *)
+        sub : plan;  (* size s_size / radix *)
+        twre : float array;  (* cos (-2 pi j / n), j = 0 .. n - 1 *)
+        twim : float array;
+        sre : float array array;  (* radix scratch rows of length n/radix *)
+        sim : float array array;
+      }
+
+  let make_pow2_plan n =
+    let bitrev = Array.make n 0 in
+    for i = 1 to n - 1 do
+      (* Shift the previous reversal right and bring in the new low bit. *)
+      bitrev.(i) <- (bitrev.(i lsr 1) lsr 1) lor (if i land 1 = 0 then 0 else n lsr 1)
+    done;
+    let wre = Array.make (max 1 (n - 1)) 1.0 in
+    let wim = Array.make (max 1 (n - 1)) 0.0 in
+    let len = ref 2 in
+    while !len <= n do
+      let half = !len / 2 in
+      let offset = half - 1 in
+      for k = 0 to half - 1 do
+        let ang = -2.0 *. Float.pi *. float_of_int k /. float_of_int !len in
+        wre.(offset + k) <- cos ang;
+        wim.(offset + k) <- sin ang
+      done;
+      len := !len * 2
+    done;
+    { p2_size = n; bitrev; wre; wim }
+
+  let forward_twiddles n =
+    let twre = Array.make n 1.0 and twim = Array.make n 0.0 in
+    for j = 0 to n - 1 do
+      let ang = -2.0 *. Float.pi *. float_of_int j /. float_of_int n in
+      twre.(j) <- cos ang;
+      twim.(j) <- sin ang
+    done;
+    (twre, twim)
+
+  (* The in-place power-of-two butterflies.  [conjugate = false] is the
+     forward transform; [true] runs the inverse (without the 1/n scaling)
+     by negating the table's sine.  Performs no heap allocation. *)
+  let transform_pow2 plan ~conjugate re im =
+    let n = plan.p2_size in
+    let bitrev = plan.bitrev in
+    for i = 0 to n - 1 do
+      let j = Array.unsafe_get bitrev i in
+      if i < j then begin
+        let tr = Array.unsafe_get re i and ti = Array.unsafe_get im i in
+        Array.unsafe_set re i (Array.unsafe_get re j);
+        Array.unsafe_set im i (Array.unsafe_get im j);
+        Array.unsafe_set re j tr;
+        Array.unsafe_set im j ti
+      end
+    done;
+    let wre = plan.wre and wim = plan.wim in
+    let sign = if conjugate then -1.0 else 1.0 in
+    let len = ref 2 in
+    while !len <= n do
+      let half = !len / 2 in
+      let offset = half - 1 in
+      let i = ref 0 in
+      while !i < n do
+        for k = 0 to half - 1 do
+          let cr = Array.unsafe_get wre (offset + k)
+          and ci = sign *. Array.unsafe_get wim (offset + k) in
+          let a = !i + k in
+          let b = a + half in
+          let rb = Array.unsafe_get re b and ib = Array.unsafe_get im b in
+          let tr = (rb *. cr) -. (ib *. ci) and ti = (rb *. ci) +. (ib *. cr) in
+          let ra = Array.unsafe_get re a and ia = Array.unsafe_get im a in
+          Array.unsafe_set re b (ra -. tr);
+          Array.unsafe_set im b (ia -. ti);
+          Array.unsafe_set re a (ra +. tr);
+          Array.unsafe_set im a (ia +. ti)
+        done;
+        i := !i + !len
+      done;
+      len := !len * 2
+    done
+
+  let rec transform_any plan ~conjugate re im =
+    match plan with
+    | Pow2 p -> transform_pow2 p ~conjugate re im
+    | Split { s_size = n; radix = r; sub; twre; twim; sre; sim } ->
+        let m = n / r in
+        (* Decimate: row s holds x_{r l + s}. *)
+        for s = 0 to r - 1 do
+          let rs = Array.unsafe_get sre s and is_ = Array.unsafe_get sim s in
+          for l = 0 to m - 1 do
+            let src = (r * l) + s in
+            Array.unsafe_set rs l (Array.unsafe_get re src);
+            Array.unsafe_set is_ l (Array.unsafe_get im src)
+          done;
+          transform_any sub ~conjugate rs is_
+        done;
+        (* Recombine X_{k + s' m} = sum_s w_n^{(k + s' m) s} Z_s[k] with a
+           dedicated radix butterfly: the twiddles t_s = Z_s[k] w_n^{s k}
+           cost (r - 1) complex multiplies per k, and the cross-output
+           combination uses the real constants of the r-point DFT instead
+           of r more table multiplies per output — this is what makes the
+           mixed-radix grids competitive with power-of-two padding. *)
+        let sign = if conjugate then -1.0 else 1.0 in
+        if r = 3 then begin
+          let z0r = Array.unsafe_get sre 0 and z0i = Array.unsafe_get sim 0 in
+          let z1r = Array.unsafe_get sre 1 and z1i = Array.unsafe_get sim 1 in
+          let z2r = Array.unsafe_get sre 2 and z2i = Array.unsafe_get sim 2 in
+          (* omega_3 = -1/2 - i sign sqrt(3)/2. *)
+          let s3 = sign *. 0.8660254037844386 in
+          for k = 0 to m - 1 do
+            let w1r = Array.unsafe_get twre k
+            and w1i = sign *. Array.unsafe_get twim k in
+            let w2r = Array.unsafe_get twre (2 * k)
+            and w2i = sign *. Array.unsafe_get twim (2 * k) in
+            let a1r = Array.unsafe_get z1r k
+            and a1i = Array.unsafe_get z1i k in
+            let a2r = Array.unsafe_get z2r k
+            and a2i = Array.unsafe_get z2i k in
+            let t1r = (a1r *. w1r) -. (a1i *. w1i)
+            and t1i = (a1r *. w1i) +. (a1i *. w1r) in
+            let t2r = (a2r *. w2r) -. (a2i *. w2i)
+            and t2i = (a2r *. w2i) +. (a2i *. w2r) in
+            let ur = t1r +. t2r and ui = t1i +. t2i in
+            let vr = t1r -. t2r and vi = t1i -. t2i in
+            let br = Array.unsafe_get z0r k and bi = Array.unsafe_get z0i k in
+            Array.unsafe_set re k (br +. ur);
+            Array.unsafe_set im k (bi +. ui);
+            let wr = br -. (0.5 *. ur) and wi = bi -. (0.5 *. ui) in
+            Array.unsafe_set re (k + m) (wr +. (s3 *. vi));
+            Array.unsafe_set im (k + m) (wi -. (s3 *. vr));
+            Array.unsafe_set re (k + (2 * m)) (wr -. (s3 *. vi));
+            Array.unsafe_set im (k + (2 * m)) (wi +. (s3 *. vr))
+          done
+        end
+        else begin
+          (* Radix 5. *)
+          let z0r = Array.unsafe_get sre 0 and z0i = Array.unsafe_get sim 0 in
+          let z1r = Array.unsafe_get sre 1 and z1i = Array.unsafe_get sim 1 in
+          let z2r = Array.unsafe_get sre 2 and z2i = Array.unsafe_get sim 2 in
+          let z3r = Array.unsafe_get sre 3 and z3i = Array.unsafe_get sim 3 in
+          let z4r = Array.unsafe_get sre 4 and z4i = Array.unsafe_get sim 4 in
+          (* omega_5^b = cb - i sign sb. *)
+          let c1 = 0.30901699437494745 and c2 = -0.8090169943749473 in
+          let s1 = sign *. 0.9510565162951535
+          and s2 = sign *. 0.5877852522924731 in
+          for k = 0 to m - 1 do
+            let w1r = Array.unsafe_get twre k
+            and w1i = sign *. Array.unsafe_get twim k in
+            let w2r = Array.unsafe_get twre (2 * k)
+            and w2i = sign *. Array.unsafe_get twim (2 * k) in
+            let w3r = Array.unsafe_get twre (3 * k)
+            and w3i = sign *. Array.unsafe_get twim (3 * k) in
+            let w4r = Array.unsafe_get twre (4 * k)
+            and w4i = sign *. Array.unsafe_get twim (4 * k) in
+            let a1r = Array.unsafe_get z1r k
+            and a1i = Array.unsafe_get z1i k in
+            let a2r = Array.unsafe_get z2r k
+            and a2i = Array.unsafe_get z2i k in
+            let a3r = Array.unsafe_get z3r k
+            and a3i = Array.unsafe_get z3i k in
+            let a4r = Array.unsafe_get z4r k
+            and a4i = Array.unsafe_get z4i k in
+            let t1r = (a1r *. w1r) -. (a1i *. w1i)
+            and t1i = (a1r *. w1i) +. (a1i *. w1r) in
+            let t2r = (a2r *. w2r) -. (a2i *. w2i)
+            and t2i = (a2r *. w2i) +. (a2i *. w2r) in
+            let t3r = (a3r *. w3r) -. (a3i *. w3i)
+            and t3i = (a3r *. w3i) +. (a3i *. w3r) in
+            let t4r = (a4r *. w4r) -. (a4i *. w4i)
+            and t4i = (a4r *. w4i) +. (a4i *. w4r) in
+            let u1r = t1r +. t4r and u1i = t1i +. t4i in
+            let v1r = t1r -. t4r and v1i = t1i -. t4i in
+            let u2r = t2r +. t3r and u2i = t2i +. t3i in
+            let v2r = t2r -. t3r and v2i = t2i -. t3i in
+            let br = Array.unsafe_get z0r k and bi = Array.unsafe_get z0i k in
+            Array.unsafe_set re k (br +. u1r +. u2r);
+            Array.unsafe_set im k (bi +. u1i +. u2i);
+            let p1r = br +. (c1 *. u1r) +. (c2 *. u2r)
+            and p1i = bi +. (c1 *. u1i) +. (c2 *. u2i) in
+            let q1r = (s1 *. v1r) +. (s2 *. v2r)
+            and q1i = (s1 *. v1i) +. (s2 *. v2i) in
+            Array.unsafe_set re (k + m) (p1r +. q1i);
+            Array.unsafe_set im (k + m) (p1i -. q1r);
+            Array.unsafe_set re (k + (4 * m)) (p1r -. q1i);
+            Array.unsafe_set im (k + (4 * m)) (p1i +. q1r);
+            let p2r = br +. (c2 *. u1r) +. (c1 *. u2r)
+            and p2i = bi +. (c2 *. u1i) +. (c1 *. u2i) in
+            let q2r = (s2 *. v1r) -. (s1 *. v2r)
+            and q2i = (s2 *. v1i) -. (s1 *. v2i) in
+            Array.unsafe_set re (k + (2 * m)) (p2r +. q2i);
+            Array.unsafe_set im (k + (2 * m)) (p2i -. q2r);
+            Array.unsafe_set re (k + (3 * m)) (p2r -. q2i);
+            Array.unsafe_set im (k + (3 * m)) (p2i +. q2r)
+          done
+        end
+
+  (* The plan for a fast size [n]: pow2 at the core, one Split per odd
+     radix on top (radix 3 first, so 15 * 2^k splits 3 then 5). *)
+  let rec complex_plan n =
+    if Fft.is_power_of_two n then Pow2 (make_pow2_plan n)
+    else begin
+      let radix = if n mod 3 = 0 then 3 else 5 in
+      let m = n / radix in
+      let twre, twim = forward_twiddles n in
+      Split
+        {
+          s_size = n;
+          radix;
+          sub = complex_plan m;
+          twre;
+          twim;
+          sre = Array.init radix (fun _ -> Array.make m 0.0);
+          sim = Array.init radix (fun _ -> Array.make m 0.0);
+        }
+    end
+
+  (* The parent's real-input layer on float arrays: pack in natural
+     order, the complex transform above (which bit-reverses in place),
+     then the split / load passes, one pass each. *)
+  type real_plan = {
+    n : int;
+    h : int;
+    sub : plan;
+    ifac : float;
+    tre : float array;
+    tim : float array;
+    pre : float array;
+    pim : float array;
+  }
+
+  let make_real n =
+    let h = n / 2 in
+    let tre = Array.make (h + 1) 1.0 and tim = Array.make (h + 1) 0.0 in
+    for k = 0 to h do
+      let ang = -2.0 *. Float.pi *. float_of_int k /. float_of_int n in
+      tre.(k) <- cos ang;
+      tim.(k) <- sin ang
+    done;
+    {
+      n;
+      h;
+      sub = complex_plan h;
+      ifac = 0.5 /. float_of_int h;
+      tre;
+      tim;
+      pre = Array.make h 0.0;
+      pim = Array.make h 0.0;
+    }
+
+  let pack t signal len =
+    let pairs = len / 2 in
+    for l = 0 to pairs - 1 do
+      t.pre.(l) <- signal.(2 * l);
+      t.pim.(l) <- signal.((2 * l) + 1)
+    done;
+    let next =
+      if len land 1 = 1 then begin
+        t.pre.(pairs) <- signal.(len - 1);
+        t.pim.(pairs) <- 0.0;
+        pairs + 1
+      end
+      else pairs
     in
-    let n = 2 * m in
-    let src = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-    let dst = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-    Bigarray.Array1.fill src 0.0;
-    Array.iteri (fun i v -> Bigarray.Array1.set src i v) signal;
-    Convolution.execute lin signal ~dst:out;
-    Convolution.execute_real_circular circ ~signal:src ~len:(m + 1) ~dst;
-    let before = Gc.minor_words () in
-    Convolution.execute lin signal ~dst:out;
-    Convolution.execute_real_circular circ ~signal:src ~len:(m + 1) ~dst;
-    let after = Gc.minor_words () in
-    Alcotest.(check (float 0.0))
-      "minor words allocated" 0.0 (after -. before)
-  end
+    Array.fill t.pre next (t.h - next) 0.0;
+    Array.fill t.pim next (t.h - next) 0.0
+
+  let forward t signal len =
+    let h = t.h in
+    let spec_re = Array.make (h + 1) 0.0 and spec_im = Array.make (h + 1) 0.0 in
+    pack t signal len;
+    transform_any t.sub ~conjugate:false t.pre t.pim;
+    let pre = t.pre and pim = t.pim in
+    let zr0 = pre.(0) and zi0 = pim.(0) in
+    spec_re.(0) <- zr0 +. zi0;
+    spec_im.(0) <- 0.0;
+    spec_re.(h) <- zr0 -. zi0;
+    spec_im.(h) <- 0.0;
+    let k = ref 1 in
+    while 2 * !k < h do
+      let kk = !k in
+      let j = h - kk in
+      let zrk = pre.(kk) and zik = pim.(kk) in
+      let zrj = pre.(j) and zij = pim.(j) in
+      let er = 0.5 *. (zrk +. zrj) and ei = 0.5 *. (zik -. zij) in
+      let our = 0.5 *. (zik +. zij) and oui = 0.5 *. (zrj -. zrk) in
+      let tr = t.tre.(kk) and ti = t.tim.(kk) in
+      let pr = (our *. tr) -. (oui *. ti) in
+      let pi = (our *. ti) +. (oui *. tr) in
+      spec_re.(kk) <- er +. pr;
+      spec_im.(kk) <- ei +. pi;
+      spec_re.(j) <- er -. pr;
+      spec_im.(j) <- pi -. ei;
+      incr k
+    done;
+    if h land 1 = 0 && h >= 2 then begin
+      let mid = h / 2 in
+      spec_re.(mid) <- pre.(mid);
+      spec_im.(mid) <- -.pim.(mid)
+    end;
+    (spec_re, spec_im)
+
+  (* [conj]/[fac] as in the parent: the normalized inverse, or the
+     unnormalized Hermitian synthesis.  Returns the first [len] samples. *)
+  let backward t (spec_re, spec_im) ~conj ~fac len =
+    let h = t.h in
+    let sign = if conj then -1.0 else 1.0 in
+    for k = 0 to h - 1 do
+      let j = h - k in
+      let xrk = spec_re.(k) and xik = sign *. spec_im.(k) in
+      let xrj = spec_re.(j) and xij = sign *. spec_im.(j) in
+      let er = xrk +. xrj and ei = xik -. xij in
+      let dr = xrk -. xrj and di = xik +. xij in
+      let tr = t.tre.(k) and ti = t.tim.(k) in
+      let our = (dr *. tr) +. (di *. ti) in
+      let oui = (di *. tr) -. (dr *. ti) in
+      t.pre.(k) <- fac *. (er -. oui);
+      t.pim.(k) <- fac *. (ei +. our)
+    done;
+    transform_any t.sub ~conjugate:true t.pre t.pim;
+    Array.init len (fun i -> if i land 1 = 0 then t.pre.(i / 2) else t.pim.(i / 2))
+
+  let inverse t spec len = backward t spec ~conj:false ~fac:t.ifac len
+  let synthesize t spec len = backward t spec ~conj:true ~fac:1.0 len
+
+  (* The parent's unfused convolution: forward the signal, multiply by the
+     kernel half-spectrum bin by bin, inverse. *)
+  let convolve t (kre, kim) signal ~len ~dst_len =
+    let sre, sim = forward t signal len in
+    for i = 0 to t.h do
+      let ar = sre.(i) and ai = sim.(i) in
+      let br = kre.(i) and bi = kim.(i) in
+      sre.(i) <- (ar *. br) -. (ai *. bi);
+      sim.(i) <- (ar *. bi) +. (ai *. br)
+    done;
+    inverse t (sre, sim) dst_len
+
+  (* The kernel spectrum of a plan of size n, the kernel wrapped mod n
+     when it is longer. *)
+  let kernel_spectrum t kernel =
+    let nk = Array.length kernel in
+    if nk <= t.n then forward t kernel nk
+    else begin
+      let wrapped = Array.make t.n 0.0 in
+      Array.iteri (fun i v -> wrapped.(i mod t.n) <- wrapped.(i mod t.n) +. v) kernel;
+      forward t wrapped t.n
+    end
+end
+
+(* Every real-transform entry point and both planned convolutions
+   against the oracle, bit for bit (Int64.bits_of_float, so signed zeros
+   count).  Sizes walk every power of two up to 2^15 and the radix-3/5/15
+   towers; signals include the solver's point-mass initial states and
+   exact zeros, kernels are pmfs with exact-zero bins. *)
+let oracle_sizes =
+  List.init 15 (fun e -> 1 lsl (e + 1))
+  @ [ 6; 10; 12; 30; 60; 96; 120; 160; 240; 480; 960; 1920; 7680; 15360; 30720 ]
+
+let same_bits what expect got =
+  if Array.length expect <> Array.length got then
+    QCheck.Test.fail_reportf "%s: length %d, expected %d" what
+      (Array.length got) (Array.length expect);
+  Array.iteri
+    (fun i e ->
+      if Int64.bits_of_float e <> Int64.bits_of_float got.(i) then
+        QCheck.Test.fail_reportf "%s: index %d is %h, expected %h" what i
+          got.(i) e)
+    expect
+
+(* A pmf of length [len] with about half its bins exactly zero. *)
+let sparse_pmf rs len =
+  let p =
+    Array.init len (fun _ ->
+        if Random.State.bool rs then 0.0 else Random.State.float rs 1.0)
+  in
+  let total = Array.fold_left ( +. ) 0.0 p in
+  if total = 0.0 then (p.(0) <- 1.0; p) else Array.map (fun v -> v /. total) p
+
+let oracle_signal rs shape len =
+  match shape with
+  | 0 -> Array.init len (fun i -> if i = 0 then 1.0 else 0.0)
+  | 1 -> Array.init len (fun i -> if i = len - 1 then 1.0 else 0.0)
+  | 2 -> Array.make len 0.0
+  | 3 -> sparse_pmf rs len
+  | _ ->
+      Array.init len (fun _ ->
+          match Random.State.int rs 4 with
+          | 0 -> 0.0
+          | 1 -> -0.0
+          | _ -> Random.State.float rs 2.0 -. 1.0)
+
+let big_of a =
+  let v = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (Array.length a) in
+  Array.iteri (fun i x -> Bigarray.Array1.set v i x) a;
+  v
+
+let array_of_big v = Array.init (Bigarray.Array1.dim v) (Bigarray.Array1.get v)
+
+let prop_fused_matches_oracle =
+  let gen =
+    QCheck.Gen.(
+      oneofl oracle_sizes >>= fun n ->
+      quad (int_range 0 4) (int_range 1 (n / 2)) (int_range 1 (n / 2))
+        (pair (int_range 1 (2 * n)) int)
+      >|= fun c -> (n, c))
+  in
+  let print (n, (shape, len, nk, (nkc, seed))) =
+    Printf.sprintf "n=%d shape=%d len=%d nk=%d nk_circ=%d seed=%d" n shape len
+      nk nkc seed
+  in
+  QCheck.Test.make ~name:"fused real transforms match the oracle bitwise"
+    ~count:120 (QCheck.make ~print gen)
+    (fun (n, (shape, len, nk, (nkc, seed))) ->
+      let rs = Random.State.make [| seed |] in
+      let signal = oracle_signal rs shape len in
+      let kernel = sparse_pmf rs nk and kernel_circ = sparse_pmf rs nkc in
+      let o = Oracle.make_real n in
+      let plan = Fft.Real.make_plan n in
+      (* Forward, inverse, synthesize. *)
+      let ore, oim = Oracle.forward o signal len in
+      let sre, sim = real_forward plan signal in
+      same_bits "forward re" ore sre;
+      same_bits "forward im" oim sim;
+      let back = Array.make n nan in
+      Fft.Real.inverse_ip plan ~spec_re:ore ~spec_im:oim ~signal:back ~len:n;
+      same_bits "inverse" (Oracle.inverse o (ore, oim) n) back;
+      Fft.Real.synthesize_ip plan ~spec_re:ore ~spec_im:oim ~signal:back ~len:n;
+      same_bits "synthesize" (Oracle.synthesize o (ore, oim) n) back;
+      (* Linear execute: len + nk - 1 < n. *)
+      let lin = Convolution.make_real_plan ~size:n ~kernel ~max_signal:len () in
+      let out_len = len + nk - 1 in
+      let dst = Array.make out_len nan in
+      Convolution.execute lin signal ~dst;
+      let kspec = Oracle.kernel_spectrum o kernel in
+      same_bits "execute" (Oracle.convolve o kspec signal ~len ~dst_len:out_len) dst;
+      (* Circular execute, the kernel wrapped when longer than n, and a
+         plan sharing its tables. *)
+      let circ =
+        Convolution.make_real_plan ~size:n ~kernel:kernel_circ ~max_signal:len ()
+      in
+      let src = big_of signal and bdst = big_of (Array.make n nan) in
+      Convolution.execute_real_circular circ ~signal:src ~len ~dst:bdst;
+      same_bits "circular"
+        (Oracle.convolve o (Oracle.kernel_spectrum o kernel_circ) signal ~len
+           ~dst_len:n)
+        (array_of_big bdst);
+      let shared =
+        Convolution.make_real_plan ~share:circ ~kernel ~max_signal:len ()
+      in
+      Convolution.execute_real_circular shared ~signal:src ~len ~dst:bdst;
+      same_bits "shared tables"
+        (Oracle.convolve o kspec signal ~len ~dst_len:n)
+        (array_of_big bdst);
+      (* One-shot convolution on its own grid. *)
+      let o1 = Oracle.make_real (Convolution.real_transform_size_for out_len) in
+      same_bits "one-shot fft"
+        (Oracle.convolve o1
+           (Oracle.forward o1 kernel nk)
+           signal ~len ~dst_len:out_len)
+        (Convolution.fft signal kernel);
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Properties *)
@@ -1026,5 +1532,6 @@ let () =
             prop_kahan_close_to_sorted_sum;
             prop_rfft_roundtrip;
             prop_rfft_matches_complex;
+            prop_fused_matches_oracle;
           ] );
     ]
