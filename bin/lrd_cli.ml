@@ -1304,11 +1304,11 @@ let () =
         metrics_cmd;
       ]
   in
-  (* A command line the parser or a converter rejects is bad input:
+  (* A command line the parser or a converter rejects is bad input, and
+     so is an [`Error] a command returns (a missing trace file, say):
      cmdliner has printed the message, and the tool exits 2. *)
   exit
     (match Cmd.eval_value cmd with
     | Ok (`Ok () | `Help | `Version) -> Cmd.Exit.ok
-    | Error `Parse -> 2
-    | Error `Term -> Cmd.Exit.cli_error
+    | Error (`Parse | `Term) -> 2
     | Error `Exn -> Cmd.Exit.internal_error)

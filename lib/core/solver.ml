@@ -478,6 +478,9 @@ module State = struct
     mutable finished : bool;
     mutable converged : bool;
     mutable warm_started : bool;
+    mutable certified : bool;
+        (* [lower]/[upper] bound the true loss: always for a cold chain
+           once checked, for a warm one only at a settled check. *)
   }
 
   let create ?(params = default_params) ?cache ?(trace_levels = false) model
@@ -487,15 +490,16 @@ module State = struct
     if not (buffer >= 0.0) then
       invalid_arg "Solver.solve: buffer must be nonnegative";
     Obs.Counter.incr m_solves;
+    (* The grid memo is this state's own: every grid refinement
+       re-evaluates the survival functions on a superset of the coarser
+       grid's points, while cells sharing a cached workload quantize
+       other buffers, possibly on other domains. *)
     let workload =
-      match cache with
-      | Some (cache, key) ->
-          Workload.Cache.workload cache ~key model ~service_rate
-      | None ->
-          (* Memoization still pays within a single solve: every grid
-             refinement re-evaluates the survival functions on a
-             superset of the coarser grid's points. *)
-          Workload.create ~memoize:true model ~service_rate
+      Workload.with_memo
+        (match cache with
+        | Some (cache, key) ->
+            Workload.Cache.workload cache ~key model ~service_rate
+        | None -> Workload.create model ~service_rate)
     in
     let norm =
       Model.mean_rate model
@@ -550,6 +554,7 @@ module State = struct
       finished = trivial <> None;
       converged = trivial <> None;
       warm_started = false;
+      certified = trivial <> None;
     }
 
   let create_utilization ?params ?cache ?trace_levels model ~utilization
@@ -563,6 +568,7 @@ module State = struct
   let iterations t = t.iterations
   let refinements t = t.refinements
   let warm_started t = t.warm_started
+  let certified t = t.certified
 
   let bins t =
     match t.trivial with
@@ -615,7 +621,16 @@ module State = struct
     t.lower <- lo;
     t.upper <- hi;
     t.finished <- true;
-    t.converged <- converged
+    t.converged <- converged;
+    t.certified <- true
+
+  (* The losses of an empty and of a full buffer: the cold chains'
+     starting points, certified bounds on any cell.  What a warm start
+     reports when it is stopped before its own bounds are certified. *)
+  let cold_extremes t ws =
+    let ov = ws.Workspace.overflow in
+    ( Bigarray.Array1.get ov 0 /. t.norm,
+      Bigarray.Array1.get ov (Workspace.bins ws) /. t.norm )
 
   let plateaued t previous current =
     Float.is_finite previous
@@ -636,8 +651,6 @@ module State = struct
       Obs.Gauge.set m_last_gap rel
     end;
     t.since_check <- 0;
-    t.lower <- lo;
-    t.upper <- hi;
     (* A warm-started chain approaches its stationary value from an
        arbitrary side, so a transiently narrow gap (or transiently tiny
        upper bound) proves nothing.  Accept a convergence criterion only
@@ -651,11 +664,15 @@ module State = struct
       (not t.warm_started)
       || (plateaued t t.prev_lower lo && plateaued t t.prev_upper hi)
     in
+    t.lower <- lo;
+    t.upper <- hi;
+    t.certified <- settled;
     if hi < t.params.negligible_loss && settled then
       finish t ~converged:true ~lo ~hi
     else if gap <= t.params.tolerance *. mid && settled then
       finish t ~converged:true ~lo ~hi
     else if t.iterations >= t.params.max_iterations then
+      let lo, hi = if settled then (lo, hi) else cold_extremes t ws in
       finish t ~converged:false ~lo ~hi
     else begin
       (* Refine only when BOTH chains have individually plateaued:
@@ -739,23 +756,28 @@ module State = struct
     done
 
   (* Flush the partial check period's iteration count so sweep counters
-     stay exact, then evaluate bounds if this state never reached a
-     check (the initial floor/ceiling states are themselves certified,
-     if vacuous, bounds). *)
+     stay exact, then make the bounds certified: a cold chain that never
+     reached a check reports its current losses (every cold iterate
+     brackets the loss), a warm one without a settled check the cold
+     extremes — its seed's losses bound nothing. *)
   let stop t =
     if not t.finished then begin
       if Obs.enabled () && t.since_check > 0 then
         Obs.Counter.add m_iterations t.since_check;
       t.since_check <- 0;
-      if Float.is_nan t.lower then begin
+      if not t.certified then begin
         let ws = ensure_ws t in
-        let lo, hi = Workspace.losses ws ~norm:t.norm in
+        let lo, hi =
+          if t.warm_started then cold_extremes t ws
+          else Workspace.losses ws ~norm:t.norm
+        in
         t.lower <- lo;
         t.upper <- hi
       end;
       if t.trace_levels && Obs.Trace.enabled () then
         Obs.Trace.end_ ~arg:(bins t) "solver/level";
-      t.finished <- true
+      t.finished <- true;
+      t.certified <- true
     end
 
   (* A seed is accepted when the neighbour's buffer agrees within this

@@ -176,7 +176,10 @@ module State : sig
     buffer:float ->
     t
   (** A fresh cold state (floor chain empty, ceiling chain full; the
-      workspace itself is built lazily on the first {!advance}).
+      workspace itself is built lazily on the first {!advance}).  The
+      state quantizes through its own grid memo
+      ({!Workload.with_memo}), also when its workload comes from
+      [cache].
       Trivial cells — zero buffer, or a workload that can never exceed
       the service rate — are born {!finished} with their closed-form
       result.  [trace_levels] (default [false]) emits the
@@ -250,13 +253,25 @@ module State : sig
       accepts a convergence criterion once both chains have {e also}
       plateaued (within [stall_factor]), i.e. they sit at their
       stationary values, which bound the true loss regardless of the
-      initial state.  Cold states are unaffected bit for bit. *)
+      initial state.  Cold states are unaffected bit for bit.  A warm
+      state that exhausts [max_iterations] without such a settled check
+      reports the cold extremes instead (see {!stop}). *)
+
+  val certified : t -> bool
+  (** Whether {!bounds} currently bracket the true loss: for a cold
+      state from its first check on, for a warm-started one only at a
+      check where both chains had plateaued, and for every finished
+      state.  A sweep policy that compares cells reads only certified
+      bounds. *)
 
   val stop : t -> unit
-  (** Finish the state now, keeping its latest certified bounds (after
-      evaluating them once if the state never reached a check).  The
-      result reports [converged = false]: the cell was cut off by
-      policy, not by its own criterion.  Idempotent. *)
+  (** Finish the state now with certified bounds: its latest ones when
+      {!certified}; otherwise, for a cold state that never reached a
+      check, its current losses, and for a warm-started state the cold
+      extremes — the losses of an empty and of a full buffer — since
+      its seed's losses bound nothing.  The result reports
+      [converged = false]: the cell was cut off by policy, not by its
+      own criterion.  Idempotent. *)
 
   val result : t -> result
   (** The result so far; meaningful once {!finished} (before the first
@@ -282,11 +297,10 @@ val solve :
     {!Workload.zero_buffer_loss} directly.
 
     [cache] is a {!Workload.Cache} plus a key identifying [model] within
-    it: cells of a sweep that pass the same key share one memoizing
-    workload (and hence one set of survival memo tables) instead of
-    re-deriving it per cell.  The key must be injective over the models
-    the sweep solves.  Without a cache the solve still memoizes its own
-    survival evaluations, which refinement levels reuse.  Caching never
+    it: cells of a sweep that pass the same key share one workload
+    instead of re-deriving it per cell.  The key must be injective over
+    the models the sweep solves.  Either way the solve memoizes its own
+    survival grids, which refinement levels reuse.  Caching never
     changes any computed value.
     @raise Invalid_argument on nonpositive service rate or negative
     buffer. *)

@@ -2,12 +2,11 @@
    {!overflow_table}.  A refinement level's grid contains its parent's
    points bitwise (the step [buffer /. m] scales by exact powers of two),
    so the finest grid computed so far answers any coarser level by
-   striding and seeds half of the next doubling.  A mutex guards the
-   state because a cached workload may be quantized from several domains
-   at once; quantization is construction-time only, never part of the
+   striding and seeds half of the next doubling.  A memo belongs to one
+   solve ({!with_memo}), which runs on one domain at a time, so it needs
+   no lock; quantization is construction-time only, never part of the
    solver's iteration hot loop. *)
 type memo = {
-  lock : Mutex.t;
   mutable grid_buffer : float;
   mutable grid_m : int;  (* 0 = empty *)
   mutable grid_ge : float array;  (* length 2 grid_m + 1 *)
@@ -26,30 +25,36 @@ type t = {
   memo : memo option;
 }
 
+let with_memo t =
+  {
+    t with
+    memo =
+      Some
+        {
+          grid_buffer = nan;
+          grid_m = 0;
+          grid_ge = [||];
+          grid_gt = [||];
+          ov_buffer = nan;
+          ov_m = 0;
+          ov = [||];
+        };
+  }
+
 let create ?(memoize = false) model ~service_rate =
   if not (service_rate > 0.0) then
     invalid_arg "Workload.create: service rate must be positive";
-  {
-    service_rate;
-    rates = Lrd_dist.Marginal.rates model.Model.marginal;
-    probs = Lrd_dist.Marginal.probs model.Model.marginal;
-    law = model.Model.interarrival;
-    mean_rate = Model.mean_rate model;
-    memo =
-      (if memoize then
-         Some
-           {
-             lock = Mutex.create ();
-             grid_buffer = nan;
-             grid_m = 0;
-             grid_ge = [||];
-             grid_gt = [||];
-             ov_buffer = nan;
-             ov_m = 0;
-             ov = [||];
-           }
-       else None);
-  }
+  let t =
+    {
+      service_rate;
+      rates = Lrd_dist.Marginal.rates model.Model.marginal;
+      probs = Lrd_dist.Marginal.probs model.Model.marginal;
+      law = model.Model.interarrival;
+      mean_rate = Model.mean_rate model;
+      memo = None;
+    }
+  in
+  if memoize then with_memo t else t
 
 let mean t =
   t.law.Lrd_dist.Interarrival.mean *. (t.mean_rate -. t.service_rate)
@@ -276,46 +281,42 @@ let survival_grid t ~buffer ~m =
       fill_survival t ~m ~d ~skip:0 ge gt;
       (ge, gt)
   | Some memo ->
-      Mutex.lock memo.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock memo.lock)
-        (fun () ->
-          let gm = memo.grid_m in
-          let same_buffer = gm > 0 && memo.grid_buffer = buffer in
-          if same_buffer && gm = m then (
-            Lrd_obs.Obs.Counter.add m_grid_reused len;
-            (memo.grid_ge, memo.grid_gt))
-          else if same_buffer && gm mod m = 0 && is_pow2 (gm / m) then (
-            (* The cached finer grid contains this level as a stride. *)
-            let r = gm / m in
-            let ge = Array.make len 0.0 and gt = Array.make len 0.0 in
-            for i = -m to m do
-              ge.(i + m) <- memo.grid_ge.((r * i) + gm);
-              gt.(i + m) <- memo.grid_gt.((r * i) + gm)
-            done;
-            Lrd_obs.Obs.Counter.add m_grid_reused len;
-            (ge, gt))
-          else
-            let ge = Array.make len 0.0 and gt = Array.make len 0.0 in
-            let fresh = ref len in
-            (if same_buffer && m mod gm = 0 && is_pow2 (m / gm) then (
-               (* Doubling (or further refining): cached coarse points
-                  land on every [r]-th index of this grid bitwise. *)
-               let r = m / gm in
-               for i = -gm to gm do
-                 ge.((r * i) + m) <- memo.grid_ge.(i + gm);
-                 gt.((r * i) + m) <- memo.grid_gt.(i + gm)
-               done;
-               fresh := len - ((2 * gm) + 1);
-               fill_survival t ~m ~d ~skip:r ge gt)
-             else fill_survival t ~m ~d ~skip:0 ge gt);
-            Lrd_obs.Obs.Counter.add m_grid_fresh !fresh;
-            Lrd_obs.Obs.Counter.add m_grid_reused (len - !fresh);
-            memo.grid_buffer <- buffer;
-            memo.grid_m <- m;
-            memo.grid_ge <- ge;
-            memo.grid_gt <- gt;
-            (ge, gt))
+      let gm = memo.grid_m in
+      let same_buffer = gm > 0 && memo.grid_buffer = buffer in
+      if same_buffer && gm = m then (
+        Lrd_obs.Obs.Counter.add m_grid_reused len;
+        (memo.grid_ge, memo.grid_gt))
+      else if same_buffer && gm mod m = 0 && is_pow2 (gm / m) then (
+        (* The cached finer grid contains this level as a stride. *)
+        let r = gm / m in
+        let ge = Array.make len 0.0 and gt = Array.make len 0.0 in
+        for i = -m to m do
+          ge.(i + m) <- memo.grid_ge.((r * i) + gm);
+          gt.(i + m) <- memo.grid_gt.((r * i) + gm)
+        done;
+        Lrd_obs.Obs.Counter.add m_grid_reused len;
+        (ge, gt))
+      else
+        let ge = Array.make len 0.0 and gt = Array.make len 0.0 in
+        let fresh = ref len in
+        (if same_buffer && m mod gm = 0 && is_pow2 (m / gm) then (
+           (* Doubling (or further refining): cached coarse points
+              land on every [r]-th index of this grid bitwise. *)
+           let r = m / gm in
+           for i = -gm to gm do
+             ge.((r * i) + m) <- memo.grid_ge.(i + gm);
+             gt.((r * i) + m) <- memo.grid_gt.(i + gm)
+           done;
+           fresh := len - ((2 * gm) + 1);
+           fill_survival t ~m ~d ~skip:r ge gt)
+         else fill_survival t ~m ~d ~skip:0 ge gt);
+        Lrd_obs.Obs.Counter.add m_grid_fresh !fresh;
+        Lrd_obs.Obs.Counter.add m_grid_reused (len - !fresh);
+        memo.grid_buffer <- buffer;
+        memo.grid_m <- m;
+        memo.grid_ge <- ge;
+        memo.grid_gt <- gt;
+        (ge, gt)
 
 let overflow_table t ~buffer ~bins =
   if not (buffer > 0.0) then
@@ -331,36 +332,32 @@ let overflow_table t ~buffer ~bins =
       fill_overflow t ~buffer ~step ~skip:0 a;
       a
   | Some memo ->
-      Mutex.lock memo.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock memo.lock)
-        (fun () ->
-          let om = memo.ov_m in
-          let same_buffer = om > 0 && memo.ov_buffer = buffer in
-          if same_buffer && om = m then (
-            Lrd_obs.Obs.Counter.add m_grid_reused len;
-            Array.copy memo.ov)
-          else if same_buffer && om mod m = 0 && is_pow2 (om / m) then (
-            let r = om / m in
-            Lrd_obs.Obs.Counter.add m_grid_reused len;
-            Array.init len (fun j -> memo.ov.(r * j)))
-          else
-            let a = Array.make len 0.0 in
-            let fresh = ref len in
-            (if same_buffer && m mod om = 0 && is_pow2 (m / om) then (
-               let r = m / om in
-               for j = 0 to om do
-                 a.(r * j) <- memo.ov.(j)
-               done;
-               fresh := len - (om + 1);
-               fill_overflow t ~buffer ~step ~skip:r a)
-             else fill_overflow t ~buffer ~step ~skip:0 a);
-            Lrd_obs.Obs.Counter.add m_grid_fresh !fresh;
-            Lrd_obs.Obs.Counter.add m_grid_reused (len - !fresh);
-            memo.ov_buffer <- buffer;
-            memo.ov_m <- m;
-            memo.ov <- a;
-            Array.copy a)
+      let om = memo.ov_m in
+      let same_buffer = om > 0 && memo.ov_buffer = buffer in
+      if same_buffer && om = m then (
+        Lrd_obs.Obs.Counter.add m_grid_reused len;
+        memo.ov)
+      else if same_buffer && om mod m = 0 && is_pow2 (om / m) then (
+        let r = om / m in
+        Lrd_obs.Obs.Counter.add m_grid_reused len;
+        Array.init len (fun j -> memo.ov.(r * j)))
+      else
+        let a = Array.make len 0.0 in
+        let fresh = ref len in
+        (if same_buffer && m mod om = 0 && is_pow2 (m / om) then (
+           let r = m / om in
+           for j = 0 to om do
+             a.(r * j) <- memo.ov.(j)
+           done;
+           fresh := len - (om + 1);
+           fill_overflow t ~buffer ~step ~skip:r a)
+         else fill_overflow t ~buffer ~step ~skip:0 a);
+        Lrd_obs.Obs.Counter.add m_grid_fresh !fresh;
+        Lrd_obs.Obs.Counter.add m_grid_reused (len - !fresh);
+        memo.ov_buffer <- buffer;
+        memo.ov_m <- m;
+        memo.ov <- a;
+        a
 
 let loss_rate_of_occupancy t ~buffer ~occupancy_probs =
   let n = Array.length occupancy_probs in
@@ -431,10 +428,12 @@ let discretize t ~buffer ~bins =
    A sweep surface re-derives the same model and workload for every cell
    of a column that varies only the buffer size (fig. 4/5: one model per
    cutoff across seven buffers; fig. 12/13: one scaled marginal per
-   scaling factor).  The cache shares one memoizing workload per
-   caller-supplied key — so all those cells also share ONE set of
-   grid caches — and counts lookups/hits so tests can assert the
-   sharing actually happens.  Models and interarrival laws contain
+   scaling factor).  The cache shares one workload per caller-supplied
+   key and counts lookups/hits so tests can assert the
+   sharing actually happens.  The shared workload carries no grid memo:
+   each solve attaches its own ({!with_memo}), so two cells of one
+   column quantizing on two domains neither wait on each other nor
+   evict each other's grids.  Models and interarrival laws contain
    closures, so identity must come from the caller: the key must be
    injective over the models the sweep builds (e.g. the hex-printed
    column coordinate). *)
@@ -505,7 +504,7 @@ module Cache = struct
 
   let workload c ~key m ~service_rate =
     find_or_build c c.workloads (key, service_rate) (fun () ->
-        make_workload ~memoize:true m ~service_rate)
+        make_workload m ~service_rate)
 
   let lookups c =
     Mutex.lock c.lock;

@@ -16,19 +16,22 @@ type t
     discretization. *)
 
 val create : ?memoize:bool -> Model.t -> service_rate:float -> t
-(** [memoize] (default false) attaches mutex-guarded grid-level caches
-    to [discretize] and [overflow_table]: the finest survival grids and
+(** [memoize] (default false) is [with_memo] applied to the result.
+    @raise Invalid_argument unless the service rate is positive. *)
+
+val with_memo : t -> t
+(** The same workload with a fresh grid-level cache attached to
+    [discretize] and [overflow_table]: the finest survival grids and
     overflow table computed for the current buffer.  Because a
     refinement level at [2 m] bins evaluates a superset of its [m]-bin
     parent's points (the grid step halves exactly in floating point), a
     memoizing workload quantizes only the new points of each doubling
-    and answers a coarser level by striding; sharing one memoizing
-    workload across the cells of a sweep (see [Cache]) extends the reuse
-    across cells.  The scalar functions ([survival_ge], [survival_gt],
-    [expected_overflow]) are never cached.  Memoization never changes
-    any computed value — only whether it is recomputed — and is safe to
-    use from several domains at once.
-    @raise Invalid_argument unless the service rate is positive. *)
+    and answers a coarser level by striding.  The scalar functions
+    ([survival_ge], [survival_gt], [expected_overflow]) are never
+    cached.  Memoization never changes any computed value — only
+    whether it is recomputed.  The cache is not locked: use a memoizing
+    workload from one domain at a time, as a solver state does (each
+    [Solver.State] attaches its own). *)
 
 val mean : t -> float
 (** E[W] = E[T] (mean_rate - c). *)
@@ -59,8 +62,8 @@ val overflow_table : t -> buffer:float -> bins:int -> float array
     [d = buffer / bins], bitwise.  On a memoizing workload the finest
     table computed for the buffer is cached, so each doubling of a
     refinement chain only evaluates the new odd points and coarser
-    levels are answered by striding.  The returned array is fresh;
-    mutating it never corrupts the cache.
+    levels are answered by striding.  On a memoizing workload the
+    returned array may be the cache's own: callers only read it.
     @raise Invalid_argument unless buffer and bins are positive. *)
 
 val loss_rate_of_occupancy :
@@ -91,10 +94,11 @@ val discretize : t -> buffer:float -> bins:int -> bins
 
     A sweep whose cells differ only in buffer size re-derives the same
     model and workload once per cell; the cache shares a single
-    memoizing workload per caller key, so its grid caches are shared
-    too.  Keys must be injective over the distinct models of the
-    sweep (e.g. the hex-printed column coordinate); the service rate is
-    part of the workload key automatically.  All operations are
+    workload per caller key.  Keys must be injective over the distinct
+    models of the sweep (e.g. the hex-printed column coordinate); the
+    service rate is part of the workload key automatically.  Cached
+    workloads carry no grid memo — a solve attaches its own with
+    {!with_memo} — so they hold no mutable state.  All operations are
     domain-safe; the lookup/hit counters let tests assert that a sweep
     creates exactly one entry per distinct key and hits on every other
     lookup.  Sharing a cache entry never changes a computed value, so
@@ -110,8 +114,8 @@ module Cache : sig
       the cached model afterwards. *)
 
   val workload : t -> key:string -> Model.t -> service_rate:float -> workload
-  (** The shared memoizing workload for [(key, service_rate)]; built with
-      [create ~memoize:true] on first use. *)
+  (** The shared workload for [(key, service_rate)]; built with
+      {!create} on first use. *)
 
   val lookups : t -> int
   (** Total [model] + [workload] calls so far. *)

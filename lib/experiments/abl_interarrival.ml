@@ -53,7 +53,7 @@ let run ctx fmt =
   in
   (* Models are built once per law up front; the grid of solves (one row
      per law, one column per buffer) runs on the pool, each law's cells
-     sharing one memoizing workload through the cache. *)
+     sharing one workload through the cache. *)
   let models =
     Array.of_list
       (List.map

@@ -12,8 +12,8 @@ let surface ctx ~model_of ~utilization =
   let buffers = Sweep.buffers ~quick () in
   let cutoffs = Sweep.cutoffs ~quick () in
   let params = Data.solver_params ctx in
-  (* One model + memoizing workload per cutoff column, shared across the
-     buffer rows (and across domains when a pool is set).  The cutoff is
+  (* One model + workload per cutoff column, shared across the buffer
+     rows (and across domains when a pool is set).  The cutoff is
      the x axis, so the buffer — hence the occupancy grid — is constant
      along each warm-start chain of the scheduled sweep. *)
   let cache = Lrd_core.Workload.Cache.create () in

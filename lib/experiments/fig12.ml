@@ -15,7 +15,7 @@ let surface ctx ~base_marginal ~theta ~hurst ~utilization ~title =
   let scalings = Sweep.scalings ~quick () in
   let params = Data.solver_params ctx in
   (* The model depends only on the scaling column, so the cache shares
-     one model + memoizing workload per column across the buffer rows.
+     one model + workload per column across the buffer rows.
      Scaling is mean-preserving, so the buffer in work units is
      constant along each buffer row and the warm-start chains run along
      the scaling axis. *)

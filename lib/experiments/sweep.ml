@@ -68,31 +68,35 @@ let surface ?pool ~xs ~ys ~f () =
 let cell_key x = Printf.sprintf "%h" x
 
 (* ------------------------------------------------------------------ *)
-(* Gap-driven sweep scheduler.
+(* Row-chain sweep scheduler.
 
    [scheduled_surface] evaluates a grid of resumable solver states
-   ([Solver.State]) instead of independent fire-and-forget solves, and
-   spends iterations where uncertainty lives: each round it advances the
-   cells with the widest relative bound gaps by one slice, in parallel
-   on the pool when one is given.  Two further levers ride on the same
-   machinery:
+   ([Solver.State]) instead of independent fire-and-forget solves.  The
+   unit of parallel work is a row: its cells run left to right, each
+   created through the figure's [state] callback and — when the grids
+   coincide — warm-started from its finished left neighbour
+   ([Solver.State.seed_from]), skipping the refinement ladder and most
+   of the mixing time.  A row runs inside one pool task, so
+   quantization and plan building happen on the domain that steps the
+   chain, and a row holds at most two states: the cell in progress and
+   the finished neighbour that seeds it.  A finished cell keeps only its
+   result.
 
-   - continuation along the x axis: when a cell finishes, its right
-     neighbour is created and warm-started from its occupancy pmfs
-     ([Solver.State.seed_from] — a bitwise grid-coincidence check with
-     a cold-start fallback), skipping the refinement ladder and most of
-     the mixing time;
-   - a per-figure [gap_policy]: an optional plotted-contrast rule stops
-     cells whose certified upper bound already sits decades below the
-     surface's largest lower bound (their exact value cannot change the
-     figure), and an optional global iteration budget hard-stops the
-     whole surface.
+   Under the uniform policy a row's allowance is unlimited and the
+   whole surface is one [Pool.iter].  The contrast and budget policies
+   run the rows in epochs of [slice] chain iterations each and apply
+   the policy between epochs, on the calling domain:
 
-   Determinism: rounds are sequential and the frontier is a pure
-   function of the accumulated solver states, which themselves evolve
-   independently per cell — so results are byte-identical for every
-   pool size, exactly like [surface].  The pool only changes which
-   domain runs a given slice. *)
+   - an optional plotted-contrast rule stops cells whose certified
+     upper bound already sits decades below the surface's largest
+     certified lower bound (their exact value cannot change the
+     figure);
+   - an optional global iteration budget hard-stops the whole surface.
+
+   Determinism: a row's work in an epoch depends only on its own
+   states, and the policies read them between epochs in row order — so
+   results are byte-identical for every pool size, exactly like
+   [surface].  The pool only changes which domain runs a row. *)
 
 type contrast = Decades of float | From_axis
 
@@ -108,6 +112,17 @@ let m_iterations_saved = Lrd_obs.Obs.Counter.make "sweep/iterations_saved"
 let m_early_stopped = Lrd_obs.Obs.Counter.make "sweep/cells_early_stopped"
 let m_rounds = Lrd_obs.Obs.Counter.make "sweep/schedule_rounds"
 let m_sched_gap = Lrd_obs.Obs.Trajectory.make ~capacity:256 "sweep/gap_rel"
+
+type row = {
+  iy : int;
+  mutable ix : int;  (* the cell in progress; [nx] once the row is done *)
+  mutable cell : Lrd_core.Solver.State.t option;
+  mutable left : Lrd_core.Solver.State.t option;
+      (* the finished left neighbour, until it has seeded [ix] *)
+  mutable seed_iterations : int;
+      (* iterations the seed had spent; -1 for a cold cell *)
+  mutable spent : int;  (* iterations of the row's finished cells *)
+}
 
 let scheduled_surface (type a b) ?pool ?(policy = uniform_policy)
     ?(slice = 512) ?(warm_start = true) ?shard ~(xs : a array)
@@ -139,228 +154,207 @@ let scheduled_surface (type a b) ?pool ?(policy = uniform_policy)
              policy (contrast/budget couple cells across shards)";
         fun iy -> Shard.owns_row sh ~iy
   in
-  let owned_rows = ref 0 in
-  for iy = 0 to ny - 1 do
-    if owned iy then incr owned_rows
-  done;
+  let rows =
+    List.init ny Fun.id
+    |> List.filter owned
+    |> List.map (fun iy ->
+           {
+             iy;
+             ix = 0;
+             cell = None;
+             left = None;
+             seed_iterations = -1;
+             spent = 0;
+           })
+    |> Array.of_list
+  in
   (* Owned cells only: summing [sweep/cells] across a shard set then
      reproduces the whole run's count exactly. *)
-  Obs.Counter.add m_cells (!owned_rows * nx);
-  if nx = 0 then Array.map (fun _ -> [||]) ys
-  else begin
-    let n = nx * ny in
-    let states : State.t option array = Array.make n None in
-    (* Iterations the warm-start source had spent when this cell was
-       seeded; -1 for cold cells.  The difference to the seeded cell's
-       own final count is a conservative estimate of the iterations the
-       continuation saved (the true counterfactual would need a cold
-       rerun). *)
-    let seed_iterations = Array.make n (-1) in
-    let handled = Array.make n false in
-    let rec on_finished i =
-      if not handled.(i) then begin
-        handled.(i) <- true;
-        (match states.(i) with
-        | Some st when seed_iterations.(i) >= 0 ->
-            Obs.Counter.add m_iterations_saved
-              (max 0 (seed_iterations.(i) - State.iterations st))
-        | _ -> ());
-        (* Continuation: the chain's next cell starts — warm when the
-           grids coincide — as soon as its predecessor settles. *)
-        let ix = i mod nx and iy = i / nx in
-        if ix + 1 < nx && states.(i + 1) = None then create_cell iy (ix + 1)
-      end
-    and create_cell iy ix =
-      let i = (iy * nx) + ix in
-      let st = state xs.(ix) ys.(iy) in
-      states.(i) <- Some st;
-      if warm_start && ix > 0 then (
-        match states.(i - 1) with
-        | Some src when State.finished src ->
-            if State.seed_from ~src st then begin
-              Obs.Counter.incr m_warm_starts;
-              seed_iterations.(i) <- State.iterations src;
-              if Obs.Trace.enabled () then
-                Obs.Trace.instant ~arg:i "sweep/warm_start"
-            end
-        | _ -> ());
-      (* A trivial cell (zero buffer / non-growing workload) is born
-         finished: keep the chain moving without waiting for a round. *)
-      if State.finished st then on_finished i
-    in
-    let active () =
-      let acc = ref [] in
-      for i = n - 1 downto 0 do
-        match states.(i) with
-        | Some st when not (State.finished st) -> acc := i :: !acc
-        | _ -> ()
-      done;
-      !acc
-    in
-    let total_iterations () =
-      Array.fold_left
-        (fun acc s ->
-          match s with Some st -> acc + State.iterations st | None -> acc)
-        0 states
-    in
-    let stop_cell i =
-      match states.(i) with
-      | Some st when not (State.finished st) ->
-          State.stop st;
-          Obs.Counter.incr m_early_stopped;
+  Obs.Counter.add m_cells (Array.length rows * nx);
+  (* Unowned rows keep the NaN placeholder in this shard's partial
+     output; the merge replaces them with the owning shard's cells. *)
+  let results = Array.init ny (fun _ -> Array.make nx Shard.absent_result) in
+  let index r = (r.iy * nx) + r.ix in
+  let open_cell ~warm r =
+    let st = state xs.(r.ix) ys.(r.iy) in
+    r.seed_iterations <- -1;
+    (match r.left with
+    | Some src when warm ->
+        if State.seed_from ~src st then begin
+          Obs.Counter.incr m_warm_starts;
+          r.seed_iterations <- State.iterations src;
           if Obs.Trace.enabled () then
-            Obs.Trace.instant ~arg:i "sweep/early_stop";
-          on_finished i
-      | _ -> ()
-    in
-    (* Plotted-contrast early stop: a cell whose certified upper bound
-       sits [decades] below the largest lower bound anywhere on the
-       surface so far cannot move its own pixel — every further
-       iteration would only narrow an invisibly small value. *)
-    let apply_contrast () =
-      let decades =
-        match policy.contrast with
-        | None -> None
-        | Some (Decades d) -> Some d
-        | Some From_axis ->
-            (* Derive the contrast from the loss axis itself: the
-               certified lower bounds of finished cells span the
-               plotted range, and a cell more than one decade below
-               the smallest plotted value sits off the bottom of the
-               axis.  Until at least one cell has finished with a
-               positive bound there is no axis to read, so no cut is
-               applied — the derivation only ever sees settled values
-               and is a pure function of the states, keeping rounds
-               deterministic.  The legacy fixed default (2 decades)
-               is the floor so a near-flat axis never turns the rule
-               into a hair trigger. *)
-            let lmax = ref 0.0 and lmin = ref Float.infinity in
-            Array.iter
-              (function
-                | Some st when State.finished st ->
-                    let lo, _ = State.bounds st in
-                    if Float.is_finite lo && lo > 0.0 then begin
-                      if lo > !lmax then lmax := lo;
-                      if lo < !lmin then lmin := lo
-                    end
-                | _ -> ())
-              states;
-            if !lmax > 0.0 then
-              Some (Float.max 2.0 (Float.log10 (!lmax /. !lmin) +. 1.0))
-            else None
+            Obs.Trace.instant ~arg:(index r) "sweep/warm_start"
+        end
+    | _ -> ());
+    r.left <- None;
+    r.cell <- Some st;
+    st
+  in
+  let finish_cell r st =
+    (* Source-minus-own iterations: a conservative estimate of what the
+       warm start saved (the true counterfactual would need a cold
+       rerun). *)
+    if r.seed_iterations >= 0 then
+      Obs.Counter.add m_iterations_saved
+        (max 0 (r.seed_iterations - State.iterations st));
+    results.(r.iy).(r.ix) <- State.result st;
+    r.spent <- r.spent + State.iterations st;
+    r.cell <- None;
+    r.left <- Some st;
+    r.ix <- r.ix + 1
+  in
+  let stop_cell r st =
+    if not (State.finished st) then begin
+      State.stop st;
+      Obs.Counter.incr m_early_stopped;
+      if Obs.Trace.enabled () then
+        Obs.Trace.instant ~arg:(index r) "sweep/early_stop"
+    end;
+    finish_cell r st
+  in
+  (* Advance row [r] left to right by up to [allowance] chain
+     iterations, opening each cell as its predecessor finishes. *)
+  let run_row r ~allowance =
+    let remaining = ref allowance in
+    while r.ix < nx && !remaining > 0 do
+      let st =
+        match r.cell with Some st -> st | None -> open_cell ~warm:warm_start r
       in
-      match decades with
-      | None -> ()
-      | Some decades ->
-          let floor_lower = ref 0.0 in
-          Array.iter
-            (function
-              | Some st ->
-                  let lo, _ = State.bounds st in
-                  if Float.is_finite lo && lo > !floor_lower then
-                    floor_lower := lo
-              | None -> ())
-            states;
-          let cut = !floor_lower *. (10.0 ** -.decades) in
-          if cut > 0.0 then
-            List.iter
-              (fun i ->
-                match states.(i) with
-                | Some st ->
-                    let _, hi = State.bounds st in
-                    if Float.is_finite hi && hi < cut then stop_cell i
-                | None -> ())
-              (active ())
+      if not (State.finished st) then begin
+        let before = State.iterations st in
+        let advance () = State.advance st ~iterations:!remaining in
+        if Obs.Trace.enabled () then
+          Obs.Trace.with_span ~arg:(index r) "sweep/slice" advance
+        else advance ();
+        remaining := !remaining - (State.iterations st - before);
+        if Obs.enabled () then
+          Obs.Trajectory.record m_sched_gap (State.gap_rel st)
+      end;
+      if State.finished st then finish_cell r st
+    done
+  in
+  let active () = List.filter (fun r -> r.ix < nx) (Array.to_list rows) in
+  (* One epoch: every unfinished row runs once, in a task of its own.
+     Tasks claim rows from a shared counter, last row first: the
+     deepest-buffer and highest-H rows are the longest chains. *)
+  let epoch ~allowance =
+    let act = Array.of_list (active ()) in
+    let n = Array.length act in
+    let next = Atomic.make 0 in
+    let task _ = run_row act.(n - 1 - Atomic.fetch_and_add next 1) ~allowance in
+    Obs.Counter.incr m_rounds;
+    match pool with
+    | Some p when n > 1 -> Lrd_parallel.Pool.iter p task n
+    | _ ->
+        for k = 0 to n - 1 do
+          task k
+        done
+  in
+  let finished_lowers () =
+    Array.fold_left
+      (fun acc r ->
+        let los = ref acc in
+        for ix = 0 to r.ix - 1 do
+          los := results.(r.iy).(ix).Lrd_core.Solver.lower_bound :: !los
+        done;
+        !los)
+      [] rows
+  in
+  (* Plotted-contrast early stop: a cell whose certified upper bound
+     sits [decades] below the largest certified lower bound anywhere on
+     the surface so far cannot move its own pixel — every further
+     iteration would only narrow an invisibly small value. *)
+  let apply_contrast () =
+    let positive = List.filter (fun lo -> Float.is_finite lo && lo > 0.0) in
+    let decades =
+      match policy.contrast with
+      | None -> None
+      | Some (Decades d) -> Some d
+      | Some From_axis -> (
+          (* Derive the contrast from the loss axis itself: the
+             certified lower bounds of finished cells span the plotted
+             range, and a cell more than one decade below the smallest
+             plotted value sits off the bottom of the axis.  Until a
+             cell has finished with a positive bound there is no axis to
+             read, so no cut is applied.  The fixed default (2 decades)
+             is the floor so a near-flat axis never turns the rule into
+             a hair trigger. *)
+          match positive (finished_lowers ()) with
+          | [] -> None
+          | lo :: los ->
+              let lmax = List.fold_left Float.max lo los
+              and lmin = List.fold_left Float.min lo los in
+              Some (Float.max 2.0 (Float.log10 (lmax /. lmin) +. 1.0)))
     in
-    (* Global budget: once the surface has spent its iteration cap,
-       stop everything — including chain cells not yet created, which
-       get their (vacuous but certified) initial bounds. *)
-    let apply_budget () =
-      match policy.iteration_budget with
-      | None -> ()
-      | Some budget ->
-          if total_iterations () >= budget then begin
-            let rec drain () =
-              match active () with
-              | [] -> ()
-              | act ->
-                  List.iter stop_cell act;
-                  drain ()
-            in
-            drain ()
-          end
-    in
-    let advance_cell i =
-      match states.(i) with
-      | Some st ->
-          if Lrd_obs.Obs.Trace.enabled () then
-            Lrd_obs.Obs.Trace.with_span ~arg:i "sweep/slice" (fun () ->
-                State.advance st ~iterations:slice)
-          else State.advance st ~iterations:slice
-      | None -> ()
-    in
-    for iy = 0 to ny - 1 do
-      if owned iy then create_cell iy 0
-    done;
-    apply_budget ();
-    let rec rounds () =
-      match active () with
-      | [] -> ()
-      | act ->
-          Obs.Counter.incr m_rounds;
-          (* Frontier: every active cell within 2x of the widest
-             relative gap.  Fresh cells report an infinite gap and are
-             always scheduled; as the surface converges the frontier
-             narrows onto the hard cells. *)
-          let gap i =
-            match states.(i) with
-            | Some st -> State.gap_rel st
-            | None -> 0.0
+    match decades with
+    | None -> ()
+    | Some decades ->
+        let running =
+          List.filter_map
+            (fun r ->
+              match r.cell with
+              | Some st when State.certified st -> Some (r, st)
+              | _ -> None)
+            (active ())
+        in
+        let lowers =
+          List.map (fun (_, st) -> fst (State.bounds st)) running
+          @ finished_lowers ()
+        in
+        let floor_lower = List.fold_left Float.max 0.0 (positive lowers) in
+        let cut = floor_lower *. (10.0 ** -.decades) in
+        if cut > 0.0 then
+          List.iter
+            (fun (r, st) ->
+              let _, hi = State.bounds st in
+              if Float.is_finite hi && hi < cut then stop_cell r st)
+            running
+  in
+  (* Global budget: once the surface has spent its iteration cap, stop
+     everything — the cells not yet opened too, which report their
+     cold (vacuous but certified) initial bounds. *)
+  let budget_spent () =
+    match policy.iteration_budget with
+    | None -> false
+    | Some budget ->
+        let spent =
+          Array.fold_left
+            (fun acc r ->
+              acc + r.spent
+              + match r.cell with Some st -> State.iterations st | None -> 0)
+            0 rows
+        in
+        spent >= budget
+  in
+  let drain () =
+    List.iter
+      (fun r ->
+        while r.ix < nx do
+          let st =
+            match r.cell with Some st -> st | None -> open_cell ~warm:false r
           in
-          let gmax = List.fold_left (fun g i -> Float.max g (gap i)) 0.0 act in
-          let frontier =
-            Array.of_list
-              (List.filter (fun i -> gap i >= 0.5 *. gmax) act)
-          in
-          (match pool with
-          | Some p when Array.length frontier > 1 ->
-              Lrd_parallel.Pool.iter p
-                (fun k -> advance_cell frontier.(k))
-                (Array.length frontier)
-          | _ -> Array.iter advance_cell frontier);
-          (* Post-round bookkeeping runs on the scheduling domain, in
-             index order: gap trajectories, chain continuation, then
-             the policy passes — all deterministic. *)
-          Array.iter
-            (fun i ->
-              if Obs.enabled () then Obs.Trajectory.record m_sched_gap (gap i);
-              match states.(i) with
-              | Some st when State.finished st -> on_finished i
-              | _ -> ())
-            frontier;
-          apply_contrast ();
-          apply_budget ();
-          rounds ()
-    in
-    if Obs.Trace.enabled () then
-      Obs.Trace.with_span "sweep/scheduled" rounds
-    else rounds ();
-    let results =
-      Array.init ny (fun iy ->
-          Array.init nx (fun ix ->
-              match states.((iy * nx) + ix) with
-              | Some st -> State.result st
-              | None ->
-                  (* Unowned rows report a NaN placeholder in this
-                     shard's partial output; the merge replaces them
-                     with the owning shard's cells. *)
-                  if owned iy then assert false else Shard.absent_result))
-    in
-    (match shard with
-    | Some sh -> Shard.record_grid sh ~nx ~ny results
-    | None -> ());
-    results
-  end
+          stop_cell r st
+        done)
+      (active ())
+  in
+  (* Under the uniform policy nothing reads the states between epochs,
+     so a row's allowance is unlimited and one epoch runs the surface. *)
+  let allowance = if policy = uniform_policy then max_int else slice in
+  let rec epochs () =
+    if budget_spent () then drain ()
+    else if active () <> [] then begin
+      epoch ~allowance;
+      apply_contrast ();
+      epochs ()
+    end
+  in
+  if Obs.Trace.enabled () then Obs.Trace.with_span "sweep/scheduled" epochs
+  else epochs ();
+  (match shard with
+  | Some sh -> Shard.record_grid sh ~nx ~ny results
+  | None -> ());
+  results
 
 (* The shared parameter grids, as manifest JSON.  Infinite cutoffs are
    rendered as the string "inf": JSON has no infinity literal and a

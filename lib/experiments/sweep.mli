@@ -65,7 +65,7 @@ type contrast =
   | Decades of float
       (** A fixed contrast window: stop refining a cell once its
           certified upper bound sits this many decades below the
-          largest lower bound anywhere on the surface. *)
+          largest certified lower bound anywhere on the surface. *)
   | From_axis
       (** Derive the window from the figure's own loss axis: the
           certified lower bounds of finished cells span the plotted
@@ -82,9 +82,10 @@ type gap_policy = {
           the plotted contrast.  [None] (the default) converges every
           cell to the solver's own gap target. *)
   iteration_budget : int option;
-      (** Hard cap on the total chain iterations the whole surface may
-          spend; when it runs out every remaining cell is stopped with
-          its latest certified (possibly loose) bounds.  [None]: no
+      (** Cap on the total chain iterations the whole surface may
+          spend, checked between epochs (so it can be overshot by at
+          most one epoch); when it runs out every remaining cell is
+          stopped with certified (possibly loose) bounds.  [None]: no
           cap. *)
 }
 (** Per-figure error-budget policy for {!scheduled_surface}.  Both
@@ -107,32 +108,39 @@ val scheduled_surface :
   state:('a -> 'b -> Lrd_core.Solver.State.t) ->
   unit ->
   Lrd_core.Solver.result array array
-(** Gap-driven grid evaluation over resumable solver states:
+(** Row-chain grid evaluation over resumable solver states:
     [cells.(row).(col)] is the result of [state xs.(col) ys.(row)],
-    like {!psurface}, but iterations flow to the cells with the widest
-    relative bound gaps.  Each scheduling round advances every active
-    cell within 2x of the widest gap by [slice] chain iterations
-    (default 512), on the pool when one is given.  Cells are created
-    lazily along each row: when a cell finishes, its right neighbour
-    starts and — when [warm_start] (default [true]) and the occupancy
-    grids (nearly) coincide — is seeded from its converged pmfs
+    like {!psurface}.  Each row is a warm-start chain run left to right
+    inside one pool task (when a pool is given): the task creates each
+    cell through [state] — so [state] runs on pool domains and must be
+    domain-safe, like any cell function — and, when [warm_start]
+    (default [true]) and the occupancy grids (nearly) coincide, seeds
+    it from its finished left neighbour
     ({!Lrd_core.Solver.State.seed_from}), skipping the refinement
     ladder.  All six loss surfaces keep the buffer (nearly) constant
     along a row — mean-preserving marginal transforms leave the service
     rate fixed up to zero-clamping — so the coincidence holds by
     construction there; the check falls back to a cold start
-    otherwise.
+    otherwise.  Tasks claim rows last row first (the deepest-buffer and
+    highest-H rows are the longest chains); a row holds only the cell in
+    progress and the neighbour that seeds it, a finished cell only its
+    result.
 
-    Deterministic for every pool size: rounds are sequential, the
-    frontier is a pure function of the per-cell states, and cells never
-    share mutable state (the usual sweep contract).  Counters:
-    [sweep/warm_starts], [sweep/iterations_saved] (conservative:
-    source-minus-own iterations per warm-started cell),
-    [sweep/cells_early_stopped], [sweep/schedule_rounds]; recent
+    Under {!uniform_policy} every row runs to the end in one pass.  The
+    contrast and budget policies run the rows in epochs of [slice]
+    chain iterations each (default 512) and apply the policy between
+    epochs, on the calling domain, reading only certified bounds
+    ({!Lrd_core.Solver.State.certified}).
+
+    Deterministic for every pool size: a row's work in an epoch depends
+    only on its own states, and the policies read them between epochs
+    (the usual sweep contract).  Counters: [sweep/warm_starts],
+    [sweep/iterations_saved] (conservative: source-minus-own iterations
+    per warm-started cell), [sweep/cells_early_stopped],
+    [sweep/schedule_rounds] (epochs; 1 under the uniform policy);
     per-slice gaps land in the [sweep/gap_rel] trajectory, and
     [sweep/slice] / [sweep/warm_start] / [sweep/early_stop] trace
-    events show the budget flowing to hard cells on a Perfetto
-    timeline.
+    events show the work of each cell on a Perfetto timeline.
 
     [shard] slices or replays the grid ({!Shard}): a compute-mode
     handle runs only the rows its spec owns (unowned cells report

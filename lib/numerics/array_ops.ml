@@ -25,8 +25,21 @@ let variance a =
   Array.iter (fun x -> Summation.add acc ((x -. m) *. (x -. m))) a;
   Summation.total acc /. float_of_int n
 
-let min_element a = Array.fold_left Float.min a.(0) a
-let max_element a = Array.fold_left Float.max a.(0) a
+(* Loops rather than [Array.fold_left], whose accumulator is boxed on
+   every element. *)
+let min_element a =
+  let m = ref a.(0) in
+  for i = 1 to Array.length a - 1 do
+    m := Float.min !m a.(i)
+  done;
+  !m
+
+let max_element a =
+  let m = ref a.(0) in
+  for i = 1 to Array.length a - 1 do
+    m := Float.max !m a.(i)
+  done;
+  !m
 
 let normalize a =
   let s = sum a in

@@ -98,8 +98,10 @@ let auto a b =
 (* ------------------------------------------------------------------ *)
 (* Planned real convolution against a fixed kernel.
 
-   The plan owns the kernel's half-spectrum, a real-transform plan, and
-   half-spectrum scratch, so [execute] performs no heap allocation in
+   The plan owns the kernel's half-spectrum, a clone of the domain's
+   cached real-transform plan (shared tables, own packing scratch) and
+   half-spectrum scratch — a [share]d plan reuses another plan's
+   transform and scratch — so [execute] performs no heap allocation in
    steady state: both entry points run {!Fft.Real.convolve} — pack the
    (zero-extended) signal straight into the half-size transform, one
    pass over the n/2 + 1 independent bins (conjugate symmetry makes the
@@ -140,8 +142,8 @@ let make_real_plan ?share ?size ~kernel ~max_signal () =
     invalid_arg "Convolution.make_real_plan: size smaller than max_signal";
   let rfft =
     match share with
-    | Some p -> Fft.Real.clone p.rfft
-    | None -> Fft.Real.make_plan n
+    | Some p -> p.rfft
+    | None -> Fft.Real.clone (Fft.Real.cached_plan n)
   in
   let bins = Fft.Real.spectrum_length rfft in
   let kre = Array.make bins 0.0 and kim = Array.make bins 0.0 in
@@ -164,8 +166,8 @@ let make_real_plan ?share ?size ~kernel ~max_signal () =
     rfft;
     kre;
     kim;
-    sre = Array.make bins 0.0;
-    sim = Array.make bins 0.0;
+    sre = (match share with Some p -> p.sre | None -> Array.make bins 0.0);
+    sim = (match share with Some p -> p.sim | None -> Array.make bins 0.0);
   }
 
 let real_transform_size plan = plan.n

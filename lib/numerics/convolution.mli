@@ -59,8 +59,9 @@ type real_plan
     kernel's half-spectrum is precomputed; each execution is one
     {!Fft.Real.convolve}: a half-size forward transform, one pass over
     the [n/2 + 1] independent bins, and a half-size inverse.  The plan
-    owns its scratch buffers; a single plan must not be used
-    concurrently. *)
+    owns its scratch buffers (or shares them, see [share]); a plan must
+    not be used concurrently with itself or with a plan sharing its
+    scratch. *)
 
 val make_real_plan :
   ?share:real_plan ->
@@ -76,10 +77,12 @@ val make_real_plan :
     [max_signal]) overrides the grid; when it is smaller than the full
     linear length the plan computes CIRCULAR convolutions mod [size]
     with the kernel wrapped at build time — the solver's aliased
-    Lindley step.  With [share], the plan takes [share]'s size and
-    shares its immutable transform tables ({!Fft.Real.clone}), owning
-    only its scratch and kernel spectrum — two plans that run one after
-    the other, like the solver's two chains, build the tables once.
+    Lindley step.  The transform tables come from the calling domain's
+    {!Fft.Real.cached_plan}; the plan owns a clone's scratch.  With
+    [share], the plan takes [share]'s size and shares its transform and
+    its scratch, owning only its kernel spectrum: two plans that never
+    run at the same time, like the solver's two chains, allocate the
+    scratch once.
     @raise Invalid_argument on an empty kernel, a nonpositive
     [max_signal], an unsupported/too-small [size], or a [size] other
     than [share]'s. *)

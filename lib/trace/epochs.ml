@@ -16,9 +16,11 @@ let run_lengths h trace =
   runs := !current_len :: !runs;
   Array.of_list (List.rev !runs)
 
+(* The runs partition the trace, so their mean is the sample count over
+   the run count: no run list is built. *)
 let mean_run_length h trace =
-  let runs = run_lengths h trace in
-  float_of_int (Array.fold_left ( + ) 0 runs) /. float_of_int (Array.length runs)
+  let rates = trace.Trace.rates in
+  float_of_int (Array.length rates) /. float_of_int (Histogram.run_count h rates)
 
 let mean_epoch_duration ?bins trace =
   let h = Histogram.of_trace ?bins trace in

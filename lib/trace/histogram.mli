@@ -27,3 +27,8 @@ val marginal_of_trace : ?bins:int -> Trace.t -> Lrd_dist.Marginal.t
 val bin_index : t -> float -> int
 (** Bin containing the given rate (clamped to the edge bins).  Used by the
     epoch run-length statistics. *)
+
+val run_count : t -> float array -> int
+(** Number of maximal runs of consecutive rates that fall in the same
+    bin ([bin_index]); at least 1.  Allocates nothing per rate.
+    @raise Invalid_argument on an empty array. *)

@@ -69,4 +69,7 @@ let generate rng ~sources ~slots ~slot =
         on := not !on
       done)
     sources;
-  Trace.create ~rates:(Array.map (fun w -> w /. slot) work) ~slot
+  for i = 0 to slots - 1 do
+    work.(i) <- work.(i) /. slot
+  done;
+  Trace.create ~rates:work ~slot

@@ -625,6 +625,71 @@ let test_state_stop_reports_certified_bounds () =
     (r.Solver.lower_bound <= full.Solver.lower_bound +. 1e-12
     && full.Solver.upper_bound <= r.Solver.upper_bound +. 1e-12)
 
+let test_state_warm_stop_reports_cold_extremes () =
+  (* A warm start stopped before any check has nothing certified of its
+     own: it must report the cold extremes — the losses of an empty and
+     a full buffer, which is what a cold state stopped at step zero
+     reports — not its seed's losses. *)
+  let model theta = pareto_model ~theta ~alpha:1.4 ~cutoff:2.0 () in
+  let src = Solver.State.create (model 0.2) ~service_rate:1.25 ~buffer:2.0 in
+  Solver.State.run src;
+  let warm = Solver.State.create (model 0.3) ~service_rate:1.25 ~buffer:2.0 in
+  Alcotest.(check bool) "seeding accepted" true
+    (Solver.State.seed_from ~src warm);
+  Alcotest.(check bool) "seed not certified" false
+    (Solver.State.certified warm);
+  Solver.State.stop warm;
+  Alcotest.(check bool) "stopped state certified" true
+    (Solver.State.certified warm);
+  let cold = Solver.State.create (model 0.3) ~service_rate:1.25 ~buffer:2.0 in
+  Solver.State.stop cold;
+  let w = Solver.State.result warm and c = Solver.State.result cold in
+  check_close "lower is the empty-buffer loss" c.Solver.lower_bound
+    w.Solver.lower_bound;
+  check_close "upper is the full-buffer loss" c.Solver.upper_bound
+    w.Solver.upper_bound;
+  let full = Solver.solve (model 0.3) ~service_rate:1.25 ~buffer:2.0 in
+  Alcotest.(check bool) "contains the converged interval" true
+    (w.Solver.lower_bound <= full.Solver.lower_bound
+    && full.Solver.upper_bound <= w.Solver.upper_bound)
+
+(* Each state quantizes through its own grid memo: a 128 -> 256 doubling
+   reuses every coarse point even after another cell of the same cached
+   column quantized another buffer in between. *)
+let test_state_grid_memo_per_cell () =
+  let module Obs = Lrd_obs.Obs in
+  let model = pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:2.0 () in
+  (* A gap target no resolution meets, so the first stall refines. *)
+  let params = { Solver.default_params with Solver.tolerance = 1e-12 } in
+  let cache = Workload.Cache.create () in
+  let cell buffer =
+    Solver.State.create ~params ~cache:(cache, "column") model
+      ~service_rate:1.25 ~buffer
+  in
+  let a = cell 2.0 and b = cell 3.0 in
+  let fresh = Obs.Counter.make "workload_grid/points_fresh"
+  and reused = Obs.Counter.make "workload_grid/points_reused" in
+  Obs.set_enabled true;
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      Solver.State.advance a ~iterations:1;
+      Solver.State.advance b ~iterations:1;
+      let f0 = Obs.Counter.value fresh and r0 = Obs.Counter.value reused in
+      while Solver.State.refinements a = 0 && not (Solver.State.finished a) do
+        Solver.State.advance a ~iterations:16
+      done;
+      Alcotest.(check int) "refined once" 1 (Solver.State.refinements a);
+      Alcotest.(check int) "at 256 bins" 256 (Solver.State.bins a);
+      (* Survival grids: 2 m + 1 points, overflow table: m + 1. *)
+      Alcotest.(check int) "coarse points reused" (257 + 129)
+        (Obs.Counter.value reused - r0);
+      Alcotest.(check int) "only new points computed" (256 + 128)
+        (Obs.Counter.value fresh - f0))
+
 (* ------------------------------------------------------------------ *)
 (* Snapshots (Fig. 2 machinery) *)
 
@@ -1364,6 +1429,10 @@ let () =
             test_state_seed_from_neighbour;
           Alcotest.test_case "stop keeps certified bounds" `Quick
             test_state_stop_reports_certified_bounds;
+          Alcotest.test_case "warm stop reports cold extremes" `Quick
+            test_state_warm_stop_reports_cold_extremes;
+          Alcotest.test_case "grid memo per cell" `Quick
+            test_state_grid_memo_per_cell;
         ] );
       ( "snapshots",
         [

@@ -381,6 +381,71 @@ let fig12_cell ctx a ~buffer_seconds =
   Lrd_core.Solver.State.create_utilization ~params:(Data.solver_params ctx)
     model ~utilization:Data.mtv_utilization ~buffer_seconds
 
+(* A fig4 cell: cutoff on the x axis, buffer on the y axis, one model
+   and workload per cutoff column through a fresh cache per surface. *)
+let fig4_state ctx =
+  let cache = Lrd_core.Workload.Cache.create () in
+  fun cutoff buffer_seconds ->
+    let key = Sweep.cell_key cutoff in
+    let model =
+      Lrd_core.Workload.Cache.model cache ~key (fun () ->
+          Data.mtv_model ctx ~cutoff)
+    in
+    Lrd_core.Solver.State.create_utilization ~params:(Data.solver_params ctx)
+      ~cache:(cache, key) model ~utilization:Data.mtv_utilization
+      ~buffer_seconds
+
+let quick_fig12_axes () =
+  (Sweep.scalings ~quick:true (), Sweep.buffers ~quick:true ~max_seconds:5.0 ())
+
+(* Every quick fig12 cell solved cold to convergence, one state each. *)
+let fig12_cold =
+  lazy
+    (let ctx = Lazy.force ctx in
+     let scalings, buffers = quick_fig12_axes () in
+     Array.map
+       (fun b ->
+         Array.map
+           (fun a ->
+             let st = fig12_cell ctx a ~buffer_seconds:b in
+             Lrd_core.Solver.State.run st;
+             Lrd_core.Solver.State.result st)
+           scalings)
+       buffers)
+
+(* Two certified intervals of one cell both contain its true loss, so
+   they must meet. *)
+let check_meets_cold cells =
+  let module S = Lrd_core.Solver in
+  Array.iteri
+    (fun iy row ->
+      Array.iteri
+        (fun ix (w : S.result) ->
+          let c = (Lazy.force fig12_cold).(iy).(ix) in
+          if
+            not
+              (w.S.lower_bound <= c.S.upper_bound +. 1e-12
+              && c.S.lower_bound <= w.S.upper_bound +. 1e-12)
+          then
+            Alcotest.failf
+              "cell [%d][%d]: [%.6g, %.6g] misses its cold interval [%.6g, \
+               %.6g]"
+              iy ix w.S.lower_bound w.S.upper_bound c.S.lower_bound
+              c.S.upper_bound)
+        row)
+    cells
+
+(* Pools of 1, 2 and 3 domains, shut down after [f]. *)
+let with_pools f =
+  let pools = List.map (fun w -> Lrd_parallel.Pool.create ~workers:w ()) [ 0; 1; 2 ] in
+  Fun.protect
+    ~finally:(fun () -> List.iter Lrd_parallel.Pool.shutdown pools)
+    (fun () -> f pools)
+
+(* [compare] rather than [=]: bitwise-equal results may hold nan. *)
+let check_same_surface msg a b =
+  Alcotest.(check bool) msg true (compare a b = 0)
+
 let test_scheduled_row_certified_and_contains_cold () =
   let module S = Lrd_core.Solver in
   let ctx = Lazy.force ctx in
@@ -432,8 +497,7 @@ let test_scheduled_row_certified_and_contains_cold () =
 let test_scheduled_budget_stops_everywhere_certified () =
   let module S = Lrd_core.Solver in
   let ctx = Lazy.force ctx in
-  let scalings = Sweep.scalings ~quick:true () in
-  let buffers = Sweep.buffers ~quick:true ~max_seconds:5.0 () in
+  let scalings, buffers = quick_fig12_axes () in
   let policy = { Sweep.contrast = None; iteration_budget = Some 200 } in
   let cells =
     Sweep.scheduled_surface ~policy ~slice:64 ~xs:scalings ~ys:buffers
@@ -446,7 +510,10 @@ let test_scheduled_budget_stops_everywhere_certified () =
            (r.S.lower_bound <= r.S.upper_bound
            && r.S.lower_bound >= 0.0
            && Float.is_finite r.S.upper_bound)))
-    cells
+    cells;
+  (* A warm start stopped before its chains settled must not report its
+     seed's losses. *)
+  check_meets_cold cells
 
 let test_scheduled_matches_uniform_sweep_losses () =
   (* The scheduler under the uniform policy must land inside the same
@@ -481,8 +548,7 @@ let test_scheduled_from_axis_certified () =
      still converge to the uniform target. *)
   let module S = Lrd_core.Solver in
   let ctx = Lazy.force ctx in
-  let scalings = Sweep.scalings ~quick:true () in
-  let buffers = Sweep.buffers ~quick:true ~max_seconds:5.0 () in
+  let scalings, buffers = quick_fig12_axes () in
   let policy = { Sweep.contrast = Some Sweep.From_axis; iteration_budget = None } in
   let cells =
     Sweep.scheduled_surface ~policy ~xs:scalings ~ys:buffers
@@ -498,7 +564,89 @@ let test_scheduled_from_axis_certified () =
            && r.S.lower_bound >= 0.0
            && Float.is_finite r.S.upper_bound)))
     cells;
+  check_meets_cold cells;
   Alcotest.(check bool) "some cells converge" true (!converged > 0)
+
+(* Under the uniform policy a surface is its rows' warm-start chains:
+   each cell seeded from its finished left neighbour, then run to the
+   end.  The scheduler must reproduce that bit for bit on any pool. *)
+let test_scheduled_uniform_matches_reference () =
+  let module S = Lrd_core.Solver in
+  let ctx = Lazy.force ctx in
+  let reference ~xs ~ys ~state =
+    Array.map
+      (fun y ->
+        let left = ref None in
+        Array.map
+          (fun x ->
+            let st = state x y in
+            Option.iter (fun src -> ignore (S.State.seed_from ~src st)) !left;
+            S.State.run st;
+            left := Some st;
+            S.State.result st)
+          xs)
+      ys
+  in
+  let scalings, fig12_buffers = quick_fig12_axes () in
+  let fig12 = fun a b -> fig12_cell ctx a ~buffer_seconds:b in
+  let cutoffs = Sweep.cutoffs ~quick:true () in
+  let buffers = Sweep.buffers ~quick:true () in
+  let fig12_ref = reference ~xs:scalings ~ys:fig12_buffers ~state:fig12 in
+  let fig4_ref = reference ~xs:cutoffs ~ys:buffers ~state:(fig4_state ctx) in
+  with_pools (fun pools ->
+      List.iter
+        (fun pool ->
+          let jobs =
+            match pool with
+            | None -> "no pool"
+            | Some p ->
+                Printf.sprintf "pool of %d" (Lrd_parallel.Pool.parallelism p)
+          in
+          check_same_surface ("fig12, " ^ jobs) fig12_ref
+            (Sweep.scheduled_surface ?pool ~xs:scalings ~ys:fig12_buffers
+               ~state:fig12 ());
+          check_same_surface ("fig4, " ^ jobs) fig4_ref
+            (Sweep.scheduled_surface ?pool ~xs:cutoffs ~ys:buffers
+               ~state:(fig4_state ctx) ()))
+        (None :: List.map Option.some pools))
+
+(* The epoch policies couple cells only between epochs, on the calling
+   domain, so every pool size gives the same bits. *)
+let test_scheduled_policies_identical_across_pools () =
+  let ctx = Lazy.force ctx in
+  let scalings, buffers = quick_fig12_axes () in
+  let run ?pool policy =
+    Sweep.scheduled_surface ?pool ~policy ~slice:64 ~xs:scalings ~ys:buffers
+      ~state:(fun a b -> fig12_cell ctx a ~buffer_seconds:b)
+      ()
+  in
+  (* The budgets bind after a few epochs, so the drain path runs too. *)
+  let policies =
+    [
+      ("budget", { Sweep.contrast = None; iteration_budget = Some 300 });
+      ("from-axis", { Sweep.contrast = Some Sweep.From_axis; iteration_budget = None });
+      ( "decades + budget",
+        { Sweep.contrast = Some (Sweep.Decades 1.0); iteration_budget = Some 500 }
+      );
+    ]
+  in
+  let stopped =
+    Array.exists (Array.exists (fun r -> not r.Lrd_core.Solver.converged))
+  in
+  with_pools (fun pools ->
+      List.iter
+        (fun (name, policy) ->
+          let sequential = run policy in
+          if policy.Sweep.iteration_budget <> None then
+            Alcotest.(check bool) (name ^ " binds") true (stopped sequential);
+          List.iter
+            (fun pool ->
+              check_same_surface
+                (Printf.sprintf "%s, pool of %d" name
+                   (Lrd_parallel.Pool.parallelism pool))
+                sequential (run ~pool policy))
+            pools)
+        policies)
 
 (* ------------------------------------------------------------------ *)
 (* fig11_scale: superposition at production scale *)
@@ -743,6 +891,10 @@ let () =
             test_scheduled_matches_uniform_sweep_losses;
           Alcotest.test_case "from-axis contrast stays certified" `Slow
             test_scheduled_from_axis_certified;
+          Alcotest.test_case "uniform matches sequential reference" `Slow
+            test_scheduled_uniform_matches_reference;
+          Alcotest.test_case "policies identical across pools" `Slow
+            test_scheduled_policies_identical_across_pools;
         ] );
       ( "fig11_scale",
         [

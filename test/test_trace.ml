@@ -351,6 +351,24 @@ let test_epoch_run_lengths () =
   check_close "mean run" 2.0 (Epochs.mean_run_length h t);
   check_close "mean epoch" 1.0 (Epochs.mean_epoch_duration ~bins:10 t)
 
+(* The mean epoch counts runs instead of listing them: beyond its
+   50-bin histogram, a call allocates nothing per sample, so the minor
+   words match at 4096 and 65536 samples. *)
+let test_mean_epoch_allocation_flat () =
+  let words n =
+    let rates = Array.init n (fun i -> float_of_int ((i * 7919) mod 13)) in
+    let t = Trace.create ~rates ~slot:0.01 in
+    let before = Gc.minor_words () in
+    ignore (Epochs.mean_epoch_duration ~bins:50 t);
+    Gc.minor_words () -. before
+  in
+  ignore (words 4096);
+  let small = words 4096 and large = words 65536 in
+  if Float.abs (large -. small) > 16.0 then
+    Alcotest.failf
+      "minor words grow with the trace: %.0f at 4096 samples, %.0f at 65536"
+      small large
+
 let test_epoch_single_run () =
   let t = Trace.create ~rates:[| 2.0; 2.0; 2.0 |] ~slot:1.0 in
   check_close "whole trace" 3.0 (Epochs.mean_epoch_duration ~bins:5 t)
@@ -629,6 +647,8 @@ let () =
             test_histogram_bin_index_clamps;
           Alcotest.test_case "epoch run lengths" `Quick test_epoch_run_lengths;
           Alcotest.test_case "single run" `Quick test_epoch_single_run;
+          Alcotest.test_case "mean epoch allocation flat" `Quick
+            test_mean_epoch_allocation_flat;
         ] );
       ( "synthetic",
         [
