@@ -646,8 +646,8 @@ let scaling_figures =
     ("fig11_scale", fun ctx -> ignore (Fig11_scale.compute ctx));
   ]
 
-let time_figure ?shard ~jobs run =
-  let ctx = Data.create ?shard ~jobs ~quick:!quick () in
+let time_figure ~jobs run =
+  let ctx = Data.create ~jobs ~quick:!quick () in
   Fun.protect
     ~finally:(fun () -> Data.teardown ctx)
     (fun () ->
@@ -664,25 +664,9 @@ let time_figure ?shard ~jobs run =
       run ctx;
       Unix.gettimeofday () -. t0)
 
-(* One full figure computed as [shards] row-slices, sequentially in this
-   process (jobs = 1 each).  The measured time is the summed per-shard
-   work, so the interesting number is the partition overhead against the
-   unsharded jobs=1 baseline — near 1.0x, since the row slicing keeps
-   every warm-start chain intact — not parallel speedup; cross-process
-   wall-clock scaling belongs to the CLI driver ([lrd experiment
-   --shards]). *)
-let time_sharded ~shards run =
-  List.fold_left
-    (fun total index ->
-      let shard = Shard.compute { Shard.index; count = shards } in
-      total +. time_figure ~shard ~jobs:1 run)
-    0.0
-    (List.init shards (fun i -> i + 1))
-
 type scaling_row = {
   row_figure : string;
   row_jobs : int;
-  row_shards : int;
   row_seconds : float;
   row_speedup : float;
   (* More pool domains than usable cores: the row measures
@@ -694,7 +678,6 @@ type scaling_row = {
 
 let run_scaling ~json () =
   let jobs_list = [ 1; 2; 4; 8 ] in
-  let shards_list = [ 1; 2 ] in
   let cores = Domain.recommended_domain_count () in
   (* Scaling rows are routinely compared across machines (the committed
      BENCH_scaling.json vs a CI rerun), so a host too small to exercise
@@ -736,57 +719,27 @@ let run_scaling ~json () =
           "domain scaling on %s (%s grids, machine has %d cores)\n%!" figure
           (if !quick then "quick" else "full")
           cores;
-        Printf.printf "%8s %8s %12s %10s\n%!" "jobs" "shards" "seconds"
-          "speedup";
+        Printf.printf "%8s %12s %10s\n%!" "jobs" "seconds" "speedup";
         let timed =
           List.map (fun jobs -> (jobs, time_figure ~jobs run)) jobs_list
         in
         let baseline = match timed with (_, s) :: _ -> s | [] -> Float.nan in
-        let print_row r =
-          Printf.printf "%8d %8d %12.3f %10.2f%s\n%!" r.row_jobs r.row_shards
-            r.row_seconds r.row_speedup
-            (if r.row_oversubscribed then "  (oversubscribed)" else "")
-        in
-        let domain_rows =
-          List.map
-            (fun (jobs, seconds) ->
-              let r =
-                {
-                  row_figure = figure;
-                  row_jobs = jobs;
-                  row_shards = 1;
-                  row_seconds = seconds;
-                  row_speedup = baseline /. seconds;
-                  row_oversubscribed = jobs > cores;
-                }
-              in
-              print_row r;
-              r)
-            timed
-        in
-        (* Sharded rows for fig12 only (the committed trajectory):
-           sequential in-process slices, so never oversubscribed. *)
-        let shard_rows =
-          if figure <> "fig12" then []
-          else
-            List.map
-              (fun shards ->
-                let seconds = time_sharded ~shards run in
-                let r =
-                  {
-                    row_figure = figure;
-                    row_jobs = 1;
-                    row_shards = shards;
-                    row_seconds = seconds;
-                    row_speedup = baseline /. seconds;
-                    row_oversubscribed = false;
-                  }
-                in
-                print_row r;
-                r)
-              shards_list
-        in
-        domain_rows @ shard_rows)
+        List.map
+          (fun (jobs, seconds) ->
+            let r =
+              {
+                row_figure = figure;
+                row_jobs = jobs;
+                row_seconds = seconds;
+                row_speedup = baseline /. seconds;
+                row_oversubscribed = jobs > cores;
+              }
+            in
+            Printf.printf "%8d %12.3f %10.2f%s\n%!" r.row_jobs r.row_seconds
+              r.row_speedup
+              (if r.row_oversubscribed then "  (oversubscribed)" else "");
+            r)
+          timed)
       figures
   in
   if json <> "" then begin
@@ -796,10 +749,10 @@ let run_scaling ~json () =
     List.iteri
       (fun i r ->
         Printf.fprintf oc
-          "  {\"figure\": %S, \"jobs\": %d, \"shards\": %d, \"cores\": %d, \
-           \"seconds\": %.3f, \"speedup\": %.3f, \"oversubscribed\": %b}%s\n"
-          r.row_figure r.row_jobs r.row_shards cores r.row_seconds
-          r.row_speedup r.row_oversubscribed
+          "  {\"figure\": %S, \"jobs\": %d, \"cores\": %d, \"seconds\": \
+           %.3f, \"speedup\": %.3f, \"oversubscribed\": %b}%s\n"
+          r.row_figure r.row_jobs cores r.row_seconds r.row_speedup
+          r.row_oversubscribed
           (if i = last then "" else ","))
       rows;
     output_string oc "]\n";

@@ -148,9 +148,7 @@ let metrics_interval_arg =
   let doc =
     "Enable telemetry and append a timestamped metrics snapshot line \
      (JSONL) every $(docv) seconds to a ticker file (next to \
-     $(b,--metrics-out), else $(b,lrd-metrics.ticker.jsonl)).  With \
-     $(b,--shards) the driver also prints per-shard heartbeat lines at \
-     the same period."
+     $(b,--metrics-out), else $(b,lrd-metrics.ticker.jsonl))."
   in
   Arg.(
     value
@@ -309,7 +307,20 @@ let trace_cmd =
                fractional Gaussian noise), farima (FARIMA(0, 0.3, 0) \
                rates), mginf (M/G/inf session traffic), dar (DAR(1) with \
                the video marginal)." in
-    Arg.(value & opt string "video" & info [ "kind" ] ~docv:"KIND" ~doc)
+    Arg.(
+      value
+      & opt
+          (enum
+             [
+               ("video", `Video);
+               ("ethernet", `Ethernet);
+               ("fgn", `Fgn);
+               ("farima", `Farima);
+               ("mginf", `Mginf);
+               ("dar", `Dar);
+             ])
+          `Video
+      & info [ "kind" ] ~docv:"KIND" ~doc)
   in
   let slots_arg =
     let doc = "Number of trace samples (0 = the paper-scale default)." in
@@ -323,30 +334,30 @@ let trace_cmd =
     let rng = Lrd_rng.Rng.create ~seed in
     let trace =
       match kind with
-      | "video" ->
+      | `Video ->
           if slots > 0 then Lrd_trace.Video.generate_short rng ~n:slots
           else Lrd_trace.Video.generate rng
-      | "ethernet" ->
+      | `Ethernet ->
           if slots > 0 then Lrd_trace.Ethernet.generate_short rng ~n:slots
           else Lrd_trace.Ethernet.generate rng
-      | "fgn" ->
+      | `Fgn ->
           let params =
             if slots > 0 then { Lrd_trace.Video.mtv_like with frames = slots }
             else Lrd_trace.Video.mtv_like
           in
           Lrd_trace.Video.generate_fgn ~params rng
-      | "farima" ->
+      | `Farima ->
           (* Zero-mean FARIMA shifted to a positive rate floor of 10. *)
           let n = if slots > 0 then slots else 65_536 in
           let xs = Lrd_trace.Farima.generate rng ~d:0.3 ~n in
           Lrd_trace.Trace.create
             ~rates:(Array.map (fun v -> Float.max 0.0 (10.0 +. v)) xs)
             ~slot:0.01
-      | "mginf" ->
+      | `Mginf ->
           Lrd_trace.Mginf.generate rng
             ~slots:(if slots > 0 then slots else 65_536)
             ~slot:0.01
-      | "dar" ->
+      | `Dar ->
           let marginal =
             Lrd_trace.Histogram.marginal_of_trace ~bins:50
               (Lrd_trace.Video.generate_short rng ~n:16_384)
@@ -355,7 +366,6 @@ let trace_cmd =
           Lrd_baselines.Dar.generate dar rng
             ~slots:(if slots > 0 then slots else 107_892)
             ~slot:(1.0 /. 30.0)
-      | other -> failwith (Printf.sprintf "unknown trace kind %S" other)
     in
     Lrd_trace.Trace_io.save trace ~path:out;
     Format.printf
@@ -811,131 +821,7 @@ let provision_cmd =
        $ target_arg))
 
 (* ------------------------------------------------------------------ *)
-(* experiment — including the process-sharding modes.
-
-   One figure grid can be split across worker processes:
-
-     lrd experiment fig12 --shard 1/2 --out DIR   one worker's rows
-     lrd experiment fig12 --shards 2  --out DIR   self-exec both, merge
-     lrd experiment fig12 --merge DIR             merge existing shards
-
-   Rows are the unit of determinism (warm-start chains never cross
-   them), so the merged results are byte-identical to the whole run's.
-   Exit codes follow `lrd metrics diff`: 2 on malformed or mismatched
-   shard files, 1 when a worker still fails after its retries. *)
-
-let superpose_name = function
-  | Lrd_core.Superpose.Exact -> "exact"
-  | Lrd_core.Superpose.Edgeworth -> "edgeworth"
-  | Lrd_core.Superpose.Auto -> "auto"
-
-(* The parameter digest shards are stamped with.  Computed from a
-   throwaway sequential context: the digest excludes "jobs", and shard
-   modes require the uniform gap policy, so (seed, quick, superpose)
-   determine it fully. *)
-let shard_digest ~quick ~seed ~superpose id =
-  let ctx = Lrd_experiments.Data.create ~seed ~superpose ~quick () in
-  Lrd_experiments.Shard.digest ~figure:id
-    (Lrd_experiments.Data.manifest_fields ctx)
-
-(* Worker: compute one shard's rows, then write the partial results,
-   the cells payload, the metrics snapshot and — last, sealing the
-   checkpoint — the shard manifest. *)
-let run_shard_worker ~quick ~seed ~jobs ~superpose ~dir ~spec id =
-  let module E = Lrd_experiments in
-  E.Shard.ensure_dir dir;
-  (* The shard metrics snapshot is part of the checkpoint (the merge
-     sums the counters), so the worker records telemetry regardless of
-     its own --metrics flags. *)
-  Lrd_obs.Obs.set_enabled true;
-  let sh = E.Shard.compute spec in
-  let ctx = E.Data.create ~seed ~jobs ~superpose ~shard:sh ~quick () in
-  Fun.protect
-    ~finally:(fun () -> E.Data.teardown ctx)
-    (fun () ->
-      E.Registry.run ~only:[ id ]
-        ~results:(E.Shard.results_path ~dir spec)
-        ctx Format.std_formatter);
-  let digest = E.Shard.digest ~figure:id (E.Data.manifest_fields ctx) in
-  E.Shard.write_cells sh ~dir ~figure:id ~digest;
-  let snapshot = Lrd_obs.Obs.to_json (Lrd_obs.Obs.snapshot ()) in
-  let oc = open_out (E.Shard.metrics_path ~dir spec) in
-  output_string oc snapshot;
-  close_out oc;
-  let metrics =
-    match Lrd_obs.Json.parse snapshot with Ok v -> Some v | Error _ -> None
-  in
-  Lrd_obs.Manifest.write
-    (E.Shard.manifest_path ~dir spec)
-    (Lrd_obs.Manifest.make ~schema:Lrd_obs.Manifest.shard_schema
-       ~figures:[ id ]
-       ~parameters:(E.Data.manifest_fields ctx)
-       ~extra:(E.Shard.shard_section sh ~figure:id ~digest)
-       ?metrics ~tool:"lrd experiment --shard" ())
-
-(* Merge: validate + load the shard set, replay the figure against the
-   merged store (byte-identical output, no solver work), and sum the
-   shard counters into merged.metrics.json.  Exit 2 on any malformed or
-   mismatched input, like `lrd metrics diff`. *)
-let run_shard_merge ~quick ~seed ~jobs ~superpose ~manifest ~digest ~dir id =
-  let module E = Lrd_experiments in
-  match E.Shard.load ~dir ~figure:id ~digest with
-  | Error msg ->
-      prerr_endline ("lrd experiment --merge: " ^ msg);
-      exit 2
-  | Ok (replay, per_shard) ->
-      let ctx = E.Data.create ~seed ~jobs ~superpose ~shard:replay ~quick () in
-      Fun.protect
-        ~finally:(fun () -> E.Data.teardown ctx)
-        (fun () ->
-          E.Registry.run ~only:[ id ] ?manifest
-            ~results:(E.Shard.merged_results_path ~dir)
-            ctx Format.std_formatter);
-      (match E.Shard.write_merged_metrics ~dir per_shard with
-      | Ok () -> ()
-      | Error msg ->
-          prerr_endline ("lrd experiment --merge: " ^ msg);
-          exit 2);
-      per_shard
-
-(* Driver: self-exec one worker per shard, wait (with bounded
-   restart-on-failure), then merge.  --resume skips shards whose
-   checkpoint manifest still matches.  Exit 1 when a shard fails for
-   good. *)
-let run_shard_driver ?heartbeat ~quick ~seed ~jobs ~superpose ~manifest ~dir
-    ~count ~resume ~retries id =
-  let module E = Lrd_experiments in
-  let digest = shard_digest ~quick ~seed ~superpose id in
-  let worker_argv spec =
-    [
-      "experiment";
-      id;
-      "--shard";
-      E.Shard.spec_string spec;
-      "--out";
-      dir;
-      "--seed";
-      Int64.to_string seed;
-      "--jobs";
-      string_of_int jobs;
-      "--superpose";
-      superpose_name superpose;
-    ]
-    @ (if quick then [ "--quick" ] else [])
-  in
-  match
-    E.Shard.drive ?heartbeat ~dir ~figure:id ~digest ~count ~resume ~retries
-      ~worker_argv ()
-  with
-  | Error msg ->
-      prerr_endline ("lrd experiment --shards: " ^ msg);
-      exit 1
-  | Ok skipped ->
-      let per_shard =
-        run_shard_merge ~quick ~seed ~jobs ~superpose ~manifest ~digest ~dir
-          id
-      in
-      E.Shard.record_counters ~per_shard ~skipped
+(* experiment *)
 
 let experiment_cmd =
   let ids_arg =
@@ -970,8 +856,8 @@ let experiment_cmd =
     let doc =
       "Hard cap on the total chain iterations each figure surface may \
        spend; when it runs out, remaining cells report their latest \
-       certified (possibly loose) bounds.  Composes with \
-       $(b,--gap-policy)."
+       certified (possibly loose) bounds.  $(docv) must be at least 1.  \
+       Composes with $(b,--gap-policy)."
     in
     Arg.(
       value
@@ -993,11 +879,12 @@ let experiment_cmd =
     let contrast c =
       Ok { Lrd_experiments.Sweep.contrast = Some c; iteration_budget }
     in
-    match String.lowercase_ascii s with
-    | "uniform" ->
+    match (iteration_budget, String.lowercase_ascii s) with
+    | Some n, _ when n < 1 -> Error "--iteration-budget needs a positive N"
+    | _, "uniform" ->
         Ok { Lrd_experiments.Sweep.contrast = None; iteration_budget }
-    | "contrast" -> contrast Lrd_experiments.Sweep.From_axis
-    | other -> (
+    | _, "contrast" -> contrast Lrd_experiments.Sweep.From_axis
+    | _, other -> (
         match String.index_opt other ':' with
         | Some i when String.sub other 0 i = "contrast" -> (
             let rest = String.sub other (i + 1) (String.length other - i - 1) in
@@ -1014,72 +901,6 @@ let experiment_cmd =
               (Printf.sprintf
                  "unknown --gap-policy %S (expected uniform, contrast or \
                   contrast:D)" s))
-  in
-  let shard_arg =
-    let doc =
-      "Worker mode: compute only shard $(docv) (e.g. $(b,1/2)) of one \
-       shardable figure's grid.  Rows are partitioned round-robin, so \
-       every warm-start chain stays inside one shard and each owned \
-       cell is bitwise identical to the whole run's.  Writes the \
-       partial results, a cells payload, a metrics snapshot and a \
-       checkpoint manifest into $(b,--out).  Requires the uniform gap \
-       policy."
-    in
-    Arg.(value & opt (some string) None & info [ "shard" ] ~docv:"K/N" ~doc)
-  in
-  let shards_arg =
-    let doc =
-      "Driver mode: self-exec $(docv) worker processes (one per shard) \
-       over one shardable figure, wait for all (restarting failures up \
-       to $(b,--retries) times), then merge — results byte-identical \
-       to the unsharded run.  Exit 1 when a shard still fails after \
-       its retries."
-    in
-    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)
-  in
-  let merge_arg =
-    let doc =
-      "Merge mode: load the shard files in $(docv), refuse mismatched \
-       schema / figure / parameter digests (exit 2, the $(b,lrd \
-       metrics diff) discipline), replay the figure against the merged \
-       store and write $(b,merged.results.txt) plus \
-       $(b,merged.metrics.json) (counter sums across shards)."
-    in
-    Arg.(value & opt (some string) None & info [ "merge" ] ~docv:"DIR" ~doc)
-  in
-  let out_arg =
-    let doc =
-      "Directory for shard outputs (worker and driver modes); created \
-       if missing."
-    in
-    Arg.(value & opt string "lrd-shards" & info [ "out" ] ~docv:"DIR" ~doc)
-  in
-  let resume_arg =
-    let doc =
-      "With $(b,--shards): skip spawning shards whose checkpoint (cells \
-       payload + manifest with matching schema, figure, spec and \
-       parameter digest) is already valid in $(b,--out) — only the \
-       missing cells are recomputed.  Skipped work lands in the \
-       $(b,shard/cells_skipped) counter."
-    in
-    Arg.(value & flag & info [ "resume" ] ~doc)
-  in
-  let retries_arg =
-    let doc =
-      "With $(b,--shards): restart a failed worker up to $(docv) times \
-       before giving up."
-    in
-    Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N" ~doc)
-  in
-  let results_out_arg =
-    let doc =
-      "Tee every figure's pure output (without the per-figure wall-time \
-       lines) to $(docv) — byte-comparable across runs; what the \
-       shard-equivalence gate compares $(b,merged.results.txt) \
-       against."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "results-out" ] ~docv:"FILE" ~doc)
   in
   let superpose_arg =
     let doc =
@@ -1102,106 +923,39 @@ let experiment_cmd =
       & info [ "superpose" ] ~docv:"METHOD" ~doc)
   in
   let run quick seed jobs gap_policy iteration_budget superpose metrics
-      metrics_out metrics_interval trace_out manifest shard shards merge out
-      resume retries results_out ids =
+      metrics_out metrics_interval trace_out manifest ids =
     with_telemetry ?metrics_interval ?trace_out metrics metrics_out
     @@ fun () ->
-    match parse_gap_policy gap_policy iteration_budget with
+    match
+      Result.bind (parse_gap_policy gap_policy iteration_budget) (fun policy ->
+          try
+            Ok
+              (Lrd_experiments.Data.create ~seed ~jobs ~gap_policy:policy
+                 ~superpose ~quick ())
+          with Invalid_argument msg -> Error msg)
+    with
     | Error msg -> `Error (false, msg)
-    | Ok policy -> (
-        let shard_modes =
-          (if shard <> None then 1 else 0)
-          + (if shards <> None then 1 else 0)
-          + if merge <> None then 1 else 0
-        in
-        if shard_modes > 1 then
-          `Error (false, "--shard, --shards and --merge are mutually exclusive")
-        else if shard_modes = 1 then
-          (* Process-sharding modes: exactly one shardable figure under
-             the uniform policy. *)
-          match ids with
-          | [ id ] -> (
-              match Lrd_experiments.Registry.find id with
-              | None ->
-                  `Error (false, Printf.sprintf "unknown experiment id %S" id)
-              | Some e when not e.Lrd_experiments.Registry.shardable ->
-                  `Error
-                    ( false,
-                      Printf.sprintf
-                        "%s is not shardable (only the scheduled-sweep \
-                         figures are: fig4, fig5, fig10, fig11, fig12, \
-                         fig13, fig11_scale)"
-                        id )
-              | Some _ when policy <> Lrd_experiments.Sweep.uniform_policy ->
-                  `Error
-                    ( false,
-                      "sharding requires --gap-policy uniform without \
-                       --iteration-budget: the contrast and budget rules \
-                       couple cells across the whole surface, which a \
-                       partition cannot reproduce" )
-              | Some _ -> (
-                  match (shard, shards, merge) with
-                  | Some spec_s, None, None -> (
-                      match Lrd_experiments.Shard.parse_spec spec_s with
-                      | Error msg -> `Error (false, "--shard: " ^ msg)
-                      | Ok spec ->
-                          run_shard_worker ~quick ~seed ~jobs ~superpose
-                            ~dir:out ~spec id;
-                          `Ok ())
-                  | None, Some count, None ->
-                      if count < 1 then
-                        `Error (false, "--shards needs a positive count")
-                      else begin
-                        run_shard_driver ?heartbeat:metrics_interval ~quick
-                          ~seed ~jobs ~superpose ~manifest ~dir:out ~count
-                          ~resume ~retries id;
-                        `Ok ()
-                      end
-                  | None, None, Some dir ->
-                      let digest = shard_digest ~quick ~seed ~superpose id in
-                      let _ : (Lrd_experiments.Shard.spec * int) list =
-                        run_shard_merge ~quick ~seed ~jobs ~superpose
-                          ~manifest ~digest ~dir id
-                      in
-                      `Ok ()
-                  | _ -> assert false))
-          | _ ->
-              `Error
-                ( false,
-                  "--shard/--shards/--merge run exactly one figure id \
-                   (e.g. lrd experiment fig12 --shards 2)" )
-        else
-          match
-            try
-              Ok
-                (Lrd_experiments.Data.create ~seed ~jobs ~gap_policy:policy
-                   ~superpose ~quick ())
-            with Invalid_argument msg -> Error msg
-          with
-          | Error msg -> `Error (false, msg)
-          | Ok ctx ->
-              Fun.protect
-                ~finally:(fun () -> Lrd_experiments.Data.teardown ctx)
-                (fun () ->
-                  match ids with
-                  | [ "list" ] ->
-                      List.iter
-                        (fun e ->
-                          Format.printf "%-18s %s@."
-                            e.Lrd_experiments.Registry.id
-                            e.Lrd_experiments.Registry.title)
-                        Lrd_experiments.Registry.all;
-                      `Ok ()
-                  | [] ->
-                      Lrd_experiments.Registry.run ?manifest
-                        ?results:results_out ctx Format.std_formatter;
-                      `Ok ()
-                  | ids -> (
-                      try
-                        Lrd_experiments.Registry.run ~only:ids ?manifest
-                          ?results:results_out ctx Format.std_formatter;
-                        `Ok ()
-                      with Invalid_argument msg -> `Error (false, msg))))
+    | Ok ctx ->
+        Fun.protect
+          ~finally:(fun () -> Lrd_experiments.Data.teardown ctx)
+          (fun () ->
+            match ids with
+            | [ "list" ] ->
+                List.iter
+                  (fun e ->
+                    Format.printf "%-18s %s@." e.Lrd_experiments.Registry.id
+                      e.Lrd_experiments.Registry.title)
+                  Lrd_experiments.Registry.all;
+                `Ok ()
+            | [] ->
+                Lrd_experiments.Registry.run ?manifest ctx Format.std_formatter;
+                `Ok ()
+            | ids -> (
+                try
+                  Lrd_experiments.Registry.run ~only:ids ?manifest ctx
+                    Format.std_formatter;
+                  `Ok ()
+                with Invalid_argument msg -> `Error (false, msg)))
   in
   let doc = "run the paper's figures and the ablations" in
   Cmd.v (Cmd.info "experiment" ~doc)
@@ -1210,8 +964,7 @@ let experiment_cmd =
         (const run $ quick_arg $ seed_arg $ jobs_arg $ gap_policy_arg
        $ iteration_budget_arg $ superpose_arg $ metrics_format_arg
        $ metrics_out_arg $ metrics_interval_arg $ trace_out_arg $ manifest_arg
-       $ shard_arg $ shards_arg $ merge_arg $ out_arg $ resume_arg
-       $ retries_arg $ results_out_arg $ ids_arg))
+       $ ids_arg))
 
 (* ------------------------------------------------------------------ *)
 (* metrics diff *)
@@ -1256,8 +1009,8 @@ let metrics_cmd =
         "Equivalence gating: any numeric difference on a series present \
          in both snapshots — either direction, any size — is a \
          regression (exit 3).  Names on one side only still warn.  \
-         Used with $(b,--filter solver/) to assert a merged sharded \
-         run reproduced the whole run's deterministic counters."
+         Used to assert that a run manifest embeds the same final \
+         snapshot as the run's $(b,--metrics-out) file."
       in
       Arg.(value & flag & info [ "exact" ] ~doc)
     in
@@ -1306,9 +1059,18 @@ let () =
   in
   (* A command line the parser or a converter rejects is bad input, and
      so is an [`Error] a command returns (a missing trace file, say):
-     cmdliner has printed the message, and the tool exits 2. *)
+     cmdliner has printed the message, and the tool exits 2.  An output
+     path that cannot be written ([Sys_error]) is bad input too; any
+     other exception is an internal error. *)
   exit
-    (match Cmd.eval_value cmd with
+    (match Cmd.eval_value ~catch:false cmd with
     | Ok (`Ok () | `Help | `Version) -> Cmd.Exit.ok
     | Error (`Parse | `Term) -> 2
-    | Error `Exn -> Cmd.Exit.internal_error)
+    | Error `Exn -> Cmd.Exit.internal_error
+    | exception Sys_error msg ->
+        prerr_endline ("lrd: " ^ msg);
+        2
+    | exception e ->
+        prerr_endline
+          ("lrd: internal error, uncaught exception: " ^ Printexc.to_string e);
+        Cmd.Exit.internal_error)

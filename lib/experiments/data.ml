@@ -4,7 +4,6 @@ type t = {
   jobs : int;
   gap_policy : Sweep.gap_policy;
   superpose : Lrd_core.Superpose.method_;
-  shard : Shard.t option;
   pool : Lrd_parallel.Pool.t option;
   lock : Mutex.t;
       (* [Lazy.force] is not domain-safe (a second forcer raises
@@ -36,7 +35,7 @@ let pool_of_jobs jobs =
       else Some (Lrd_parallel.Pool.create ~workers:(j - 1) ())
 
 let create ?(seed = 20260705L) ?jobs ?(gap_policy = Sweep.uniform_policy)
-    ?(superpose = Lrd_core.Superpose.Auto) ?shard ~quick () =
+    ?(superpose = Lrd_core.Superpose.Auto) ~quick () =
   let pool = pool_of_jobs jobs in
   let rng = Lrd_rng.Rng.create ~seed in
   let mtv_rng = Lrd_rng.Rng.split rng in
@@ -63,7 +62,6 @@ let create ?(seed = 20260705L) ?jobs ?(gap_policy = Sweep.uniform_policy)
     jobs = (match pool with None -> 1 | Some p -> Lrd_parallel.Pool.parallelism p);
     gap_policy;
     superpose;
-    shard;
     pool;
     lock = Mutex.create ();
     mtv;
@@ -79,7 +77,6 @@ let seed t = t.seed
 let jobs t = t.jobs
 let gap_policy t = t.gap_policy
 let superpose_method t = t.superpose
-let shard t = t.shard
 let pool t = t.pool
 
 let teardown t =

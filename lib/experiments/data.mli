@@ -18,7 +18,6 @@ val create :
   ?jobs:int ->
   ?gap_policy:Sweep.gap_policy ->
   ?superpose:Lrd_core.Superpose.method_ ->
-  ?shard:Shard.t ->
   quick:bool ->
   unit ->
   t
@@ -32,13 +31,7 @@ val create :
     policy the scheduled figure sweeps run under.  [superpose] (default
     [Auto]) selects the aggregate-marginal construction the
     superposition experiments use ({!Lrd_core.Superpose.method_} — the
-    CLI's [--superpose] lever).  [shard] (default none: run every cell)
-    is the process-sharding handle the scheduled sweeps thread through
-    to {!Sweep.scheduled_surface} — a compute-mode handle runs one
-    shard's rows, a replay-mode handle serves merged results
-    ({!Shard}).  The shard spec is deliberately {e not} part of
-    {!manifest_fields}: shard and whole runs share one parameter
-    digest.
+    CLI's [--superpose] lever).
     @raise Invalid_argument when [jobs] is negative. *)
 
 val quick : t -> bool
@@ -59,10 +52,6 @@ val gap_policy : t -> Sweep.gap_policy
 val superpose_method : t -> Lrd_core.Superpose.method_
 (** The aggregate-marginal construction for superposition experiments
     ([Auto] unless overridden at {!create}). *)
-
-val shard : t -> Shard.t option
-(** The context's sharding handle, if any; the shardable figure runners
-    pass this to {!Sweep.scheduled_surface}. *)
 
 val teardown : t -> unit
 (** Shuts down the pool's worker domains (idempotent; no-op for

@@ -19,8 +19,7 @@ let surface ctx ~model_of ~utilization =
   let cache = Lrd_core.Workload.Cache.create () in
   let cells =
     Sweep.scheduled_surface ?pool:(Data.pool ctx)
-      ~policy:(Data.gap_policy ctx) ?shard:(Data.shard ctx) ~xs:cutoffs
-      ~ys:buffers
+      ~policy:(Data.gap_policy ctx) ~xs:cutoffs ~ys:buffers
       ~state:(fun cutoff buffer ->
         let key = Sweep.cell_key cutoff in
         let model =

@@ -25,7 +25,7 @@ let surface ctx ~base_marginal ~theta ~utilization ~title
        so the service rate — and with it the occupancy grid — is
        bitwise constant along each Hurst row. *)
     Sweep.scheduled_surface ?pool:(Data.pool ctx)
-      ~policy:(Data.gap_policy ctx) ?shard:(Data.shard ctx) ~xs ~ys:hursts
+      ~policy:(Data.gap_policy ctx) ~xs ~ys:hursts
       ~state:(fun x hurst ->
         let marginal = transform base_marginal x in
         let model =

@@ -89,7 +89,7 @@ let compute ctx =
   let params = Data.solver_params ctx in
   let cells =
     Sweep.scheduled_surface ?pool:(Data.pool ctx)
-      ~policy:(Data.gap_policy ctx) ?shard:(Data.shard ctx) ~xs:ns ~ys:hursts
+      ~policy:(Data.gap_policy ctx) ~xs:ns ~ys:hursts
       ~state:(fun nf hurst ->
         let marginal = Hashtbl.find marginals (int_of_float nf) in
         let model =

@@ -22,8 +22,7 @@ let surface ctx ~base_marginal ~theta ~hurst ~utilization ~title =
   let cache = Lrd_core.Workload.Cache.create () in
   let cells =
     Sweep.scheduled_surface ?pool:(Data.pool ctx)
-      ~policy:(Data.gap_policy ctx) ?shard:(Data.shard ctx) ~xs:scalings
-      ~ys:buffers
+      ~policy:(Data.gap_policy ctx) ~xs:scalings ~ys:buffers
       ~state:(fun a buffer_seconds ->
         let key = Sweep.cell_key a in
         let model =

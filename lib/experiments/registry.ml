@@ -1,30 +1,25 @@
 type entry = {
   id : string;
   title : string;
-  shardable : bool;
   run : Data.t -> Format.formatter -> unit;
 }
 
-(* [shardable] marks the figures whose every grid goes through
-   [Sweep.scheduled_surface] — the ones a [Shard] handle can slice and
-   replay.  The ablations and the remaining figures evaluate arbitrary
-   cell shapes ([psurface], series) with no serialized form. *)
-let entry ?(shardable = false) id title run = { id; title; shardable; run }
+let entry id title run = { id; title; run }
 
 let figures =
   [
     entry Fig02.id Fig02.title Fig02.run;
     entry Fig03.id Fig03.title Fig03.run;
-    entry ~shardable:true Fig04.id Fig04.title Fig04.run;
-    entry ~shardable:true Fig05.id Fig05.title Fig05.run;
+    entry Fig04.id Fig04.title Fig04.run;
+    entry Fig05.id Fig05.title Fig05.run;
     entry Fig06.id Fig06.title Fig06.run;
     entry Fig07.id Fig07.title Fig07.run;
     entry Fig08.id Fig08.title Fig08.run;
     entry Fig09.id Fig09.title Fig09.run;
-    entry ~shardable:true Fig10.id Fig10.title Fig10.run;
-    entry ~shardable:true Fig11.id Fig11.title Fig11.run;
-    entry ~shardable:true Fig12.id Fig12.title Fig12.run;
-    entry ~shardable:true Fig13.id Fig13.title Fig13.run;
+    entry Fig10.id Fig10.title Fig10.run;
+    entry Fig11.id Fig11.title Fig11.run;
+    entry Fig12.id Fig12.title Fig12.run;
+    entry Fig13.id Fig13.title Fig13.run;
     entry Fig14.id Fig14.title Fig14.run;
   ]
 
@@ -52,7 +47,7 @@ let extensions =
     entry Ext_control.id Ext_control.title Ext_control.run;
     entry Ext_priority.id Ext_priority.title Ext_priority.run;
     entry Ext_confidence.id Ext_confidence.title Ext_confidence.run;
-    entry ~shardable:true Fig11_scale.id Fig11_scale.title Fig11_scale.run;
+    entry Fig11_scale.id Fig11_scale.title Fig11_scale.run;
   ]
 
 let all = figures @ ablations @ extensions
@@ -63,7 +58,7 @@ module Obs = Lrd_obs.Obs
 let m_runs = Obs.Counter.make "experiment/runs"
 let m_wall = Obs.Span.make "experiment/wall_seconds"
 
-let run ?only ?manifest ?results ctx fmt =
+let run ?only ?manifest ctx fmt =
   let selected =
     match only with
     | None -> all
@@ -76,11 +71,6 @@ let run ?only ?manifest ?results ctx fmt =
         List.filter (fun e -> List.mem e.id ids) all
   in
   let run_t0 = Unix.gettimeofday () in
-  (* With [results], each figure's pure output is captured and teed to
-     the results file; the wall-time line below goes to [fmt] only, so
-     the file is byte-comparable across runs (and between a whole run
-     and a merged shard set). *)
-  let results_buf = Option.map (fun _ -> Buffer.create 4096) results in
   List.iter
     (fun e ->
       Obs.Counter.incr m_runs;
@@ -90,16 +80,7 @@ let run ?only ?manifest ?results ctx fmt =
       Fun.protect
         ~finally:(fun () ->
           if Obs.Trace.enabled () then Obs.Trace.end_ ("experiment/" ^ e.id))
-        (fun () ->
-          match results_buf with
-          | None -> e.run ctx fmt
-          | Some rb ->
-              let buf = Buffer.create 1024 in
-              let bfmt = Format.formatter_of_buffer buf in
-              e.run ctx bfmt;
-              Format.pp_print_flush bfmt ();
-              Buffer.add_buffer rb buf;
-              Format.pp_print_string fmt (Buffer.contents buf));
+        (fun () -> e.run ctx fmt);
       (* Per-figure wall time lands in a gauge named after the figure
          (each figure runs once per invocation) plus the shared
          histogram for an all-up latency distribution. *)
@@ -111,12 +92,6 @@ let run ?only ?manifest ?results ctx fmt =
       Format.fprintf fmt "[%s completed in %.2f s CPU]@." e.id
         (Sys.time () -. t0))
     selected;
-  (match (results, results_buf) with
-  | Some path, Some rb ->
-      let oc = open_out path in
-      Buffer.output_buffer oc rb;
-      close_out oc
-  | _ -> ());
   match manifest with
   | None -> ()
   | Some path ->

@@ -5,10 +5,6 @@
 type entry = {
   id : string;  (** Stable identifier, e.g. "fig4" or "abl-shuffle". *)
   title : string;
-  shardable : bool;
-      (** Every grid of this figure goes through
-          {!Sweep.scheduled_surface}, so a {!Shard} handle can slice
-          and replay it ([lrd experiment --shard/--shards/--merge]). *)
   run : Data.t -> Format.formatter -> unit;
 }
 
@@ -31,7 +27,6 @@ val find : string -> entry option
 val run :
   ?only:string list ->
   ?manifest:string ->
-  ?results:string ->
   Data.t ->
   Format.formatter ->
   unit
@@ -45,10 +40,4 @@ val run :
     shuts the context's pool down ({!Data.teardown}) before taking that
     snapshot, so the snapshot includes every worker's last idle span
     and equals one the caller takes afterwards; the context must not
-    run pooled work again.
-
-    [?results] additionally tees each figure's pure output to the given
-    file, {e excluding} the per-figure ["[... completed in N s CPU]"]
-    wall-time line — so two runs with the same parameters produce
-    byte-identical results files, which is how the shard-equivalence
-    gate compares a merged shard set against the whole run. *)
+    run pooled work again. *)

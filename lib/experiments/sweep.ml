@@ -125,68 +125,49 @@ type row = {
 }
 
 let scheduled_surface (type a b) ?pool ?(policy = uniform_policy)
-    ?(slice = 512) ?(warm_start = true) ?shard ~(xs : a array)
-    ~(ys : b array) ~(state : a -> b -> Lrd_core.Solver.State.t) () =
+    ?(slice = 512) ~(xs : a array) ~(ys : b array)
+    ~(state : a -> b -> Lrd_core.Solver.State.t) () =
   let module State = Lrd_core.Solver.State in
   let module Obs = Lrd_obs.Obs in
   if slice <= 0 then
     invalid_arg "Sweep.scheduled_surface: slice must be positive";
+  (match policy.iteration_budget with
+  | Some n when n <= 0 ->
+      invalid_arg "Sweep.scheduled_surface: iteration budget must be positive"
+  | _ -> ());
   let nx = Array.length xs and ny = Array.length ys in
-  match shard with
-  | Some sh when Shard.is_replay sh ->
-      (* Merge replay: every cell is served from the merged store, the
-         [state] callback is never invoked and no solver work runs — the
-         figure's printing path sees bitwise the whole run's results. *)
-      Shard.replay_grid sh ~nx ~ny
-  | _ ->
-  (* Row ownership: a compute-mode shard runs only its rows.  Rows are
-     the unit of determinism — warm-start chains run left to right
-     within a row — but the contrast/budget policies couple cells
-     across the whole surface, so sharding requires the uniform
-     policy. *)
-  let owned =
-    match shard with
-    | None -> fun _ -> true
-    | Some sh ->
-        if policy <> uniform_policy then
-          invalid_arg
-            "Sweep.scheduled_surface: sharding requires the uniform gap \
-             policy (contrast/budget couple cells across shards)";
-        fun iy -> Shard.owns_row sh ~iy
-  in
   let rows =
-    List.init ny Fun.id
-    |> List.filter owned
-    |> List.map (fun iy ->
-           {
-             iy;
-             ix = 0;
-             cell = None;
-             left = None;
-             seed_iterations = -1;
-             spent = 0;
-           })
-    |> Array.of_list
+    Array.init ny (fun iy ->
+        { iy; ix = 0; cell = None; left = None; seed_iterations = -1; spent = 0 })
   in
-  (* Owned cells only: summing [sweep/cells] across a shard set then
-     reproduces the whole run's count exactly. *)
-  Obs.Counter.add m_cells (Array.length rows * nx);
-  (* Unowned rows keep the NaN placeholder in this shard's partial
-     output; the merge replaces them with the owning shard's cells. *)
-  let results = Array.init ny (fun _ -> Array.make nx Shard.absent_result) in
+  Obs.Counter.add m_cells (nx * ny);
+  (* Every cell is overwritten by [finish_cell] before the surface
+     returns; the NaN placeholder only fills the matrix. *)
+  let pending =
+    {
+      Lrd_core.Solver.loss = Float.nan;
+      lower_bound = Float.nan;
+      upper_bound = Float.nan;
+      iterations = 0;
+      bins = 0;
+      refinements = 0;
+      converged = false;
+    }
+  in
+  let results = Array.make_matrix ny nx pending in
   let index r = (r.iy * nx) + r.ix in
-  let open_cell ~warm r =
+  let open_cell r =
     let st = state xs.(r.ix) ys.(r.iy) in
     r.seed_iterations <- -1;
     (match r.left with
-    | Some src when warm ->
+    | Some src ->
         if State.seed_from ~src st then begin
           Obs.Counter.incr m_warm_starts;
           r.seed_iterations <- State.iterations src;
           if Obs.Trace.enabled () then
             Obs.Trace.instant ~arg:(index r) "sweep/warm_start"
         end
-    | _ -> ());
+    | None -> ());
     r.left <- None;
     r.cell <- Some st;
     st
@@ -218,9 +199,7 @@ let scheduled_surface (type a b) ?pool ?(policy = uniform_policy)
   let run_row r ~allowance =
     let remaining = ref allowance in
     while r.ix < nx && !remaining > 0 do
-      let st =
-        match r.cell with Some st -> st | None -> open_cell ~warm:warm_start r
-      in
+      let st = match r.cell with Some st -> st | None -> open_cell r in
       if not (State.finished st) then begin
         let before = State.iterations st in
         let advance () = State.advance st ~iterations:!remaining in
@@ -331,9 +310,10 @@ let scheduled_surface (type a b) ?pool ?(policy = uniform_policy)
     List.iter
       (fun r ->
         while r.ix < nx do
-          let st =
-            match r.cell with Some st -> st | None -> open_cell ~warm:false r
-          in
+          (* A drained cell reports its cold initial bounds: it is
+             never seeded from its stopped neighbour. *)
+          r.left <- None;
+          let st = match r.cell with Some st -> st | None -> open_cell r in
           stop_cell r st
         done)
       (active ())
@@ -351,9 +331,6 @@ let scheduled_surface (type a b) ?pool ?(policy = uniform_policy)
   in
   if Obs.Trace.enabled () then Obs.Trace.with_span "sweep/scheduled" epochs
   else epochs ();
-  (match shard with
-  | Some sh -> Shard.record_grid sh ~nx ~ny results
-  | None -> ());
   results
 
 (* The shared parameter grids, as manifest JSON.  Infinite cutoffs are

@@ -86,7 +86,7 @@ type gap_policy = {
           spend, checked between epochs (so it can be overshot by at
           most one epoch); when it runs out every remaining cell is
           stopped with certified (possibly loose) bounds.  [None]: no
-          cap. *)
+          cap; [Some n] needs [n >= 1]. *)
 }
 (** Per-figure error-budget policy for {!scheduled_surface}.  Both
     levers compose; both leave every reported bound certified
@@ -101,8 +101,6 @@ val scheduled_surface :
   ?pool:Lrd_parallel.Pool.t ->
   ?policy:gap_policy ->
   ?slice:int ->
-  ?warm_start:bool ->
-  ?shard:Shard.t ->
   xs:'a array ->
   ys:'b array ->
   state:('a -> 'b -> Lrd_core.Solver.State.t) ->
@@ -113,9 +111,8 @@ val scheduled_surface :
     like {!psurface}.  Each row is a warm-start chain run left to right
     inside one pool task (when a pool is given): the task creates each
     cell through [state] — so [state] runs on pool domains and must be
-    domain-safe, like any cell function — and, when [warm_start]
-    (default [true]) and the occupancy grids (nearly) coincide, seeds
-    it from its finished left neighbour
+    domain-safe, like any cell function — and, when the occupancy grids
+    (nearly) coincide, seeds it from its finished left neighbour
     ({!Lrd_core.Solver.State.seed_from}), skipping the refinement
     ladder.  All six loss surfaces keep the buffer (nearly) constant
     along a row — mean-preserving marginal transforms leave the service
@@ -142,17 +139,8 @@ val scheduled_surface :
     [sweep/slice] / [sweep/warm_start] / [sweep/early_stop] trace
     events show the work of each cell on a Perfetto timeline.
 
-    [shard] slices or replays the grid ({!Shard}): a compute-mode
-    handle runs only the rows its spec owns (unowned cells report
-    {!Shard.absent_result}) and records the owned rows into the handle;
-    a replay-mode handle short-circuits the whole evaluation to the
-    merged store, never invoking [state].  Because warm-start chains
-    never cross rows, each owned cell is bitwise identical to the same
-    cell of the unsharded run, and [sweep/cells] counts owned cells
-    only so the counter sums exactly across a shard set.
-    @raise Invalid_argument when [slice <= 0], or when [shard] is
-    combined with a non-uniform [policy] (contrast/budget couple cells
-    across the whole surface, which a partition cannot reproduce). *)
+    @raise Invalid_argument when [slice <= 0] or the policy's
+    [iteration_budget] is [Some n] with [n <= 0]. *)
 
 val manifest_fields : quick:bool -> unit -> (string * Lrd_obs.Json.t) list
 (** The shared parameter grids above, for a run's provenance manifest:

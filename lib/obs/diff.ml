@@ -61,7 +61,7 @@ let rec scalars (v : Json.t) =
     -> (
       (* A manifest: check the tag, then diff the embedded snapshot. *)
       match Json.member "schema" v with
-      | Some (Str s) when s = Manifest.schema || s = Manifest.shard_schema -> (
+      | Some (Str s) when s = Manifest.schema -> (
           match Json.member "metrics" v with
           | Some Null | None -> Ok []
           | Some m -> scalars m)
@@ -84,8 +84,8 @@ let classify ~exact ~threshold ~min_abs base current =
   | Some b, Some c ->
       if c = b then Unchanged
       else if exact then
-        (* Equivalence gating (e.g. a merged sharded run against the
-           whole run): any numeric difference in either direction is a
+        (* Equivalence gating (e.g. a manifest against the snapshot it
+           embeds): any numeric difference in either direction is a
            failure; one-sided names keep their warning semantics. *)
         Regressed
       else if c > b then

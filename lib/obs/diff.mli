@@ -67,9 +67,9 @@ val compare_values :
     the solver cells stay warn-only.  [exact] (default [false]) switches
     to equivalence gating: any numeric difference on a series present in
     both snapshots — in either direction, of any size — is a regression.
-    Used to assert that a merged sharded run reproduced the whole run's
-    deterministic counters; one-sided names keep their warning
-    semantics. *)
+    Used to assert that two snapshots of one run are the same (a
+    manifest against the metrics snapshot it embeds); one-sided names
+    keep their warning semantics. *)
 
 val render : report -> string
 (** A fixed-width text table (one row per changed/missing name, plus a

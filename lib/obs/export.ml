@@ -1,116 +1,5 @@
-(* Snapshot export beyond the native JSON: OpenMetrics/Prometheus text
-   exposition, and a periodic JSONL ticker that streams timestamped
-   snapshots to a file while a run is in flight. *)
-
-(* ------------------------------------------------------------------ *)
-(* OpenMetrics *)
-
-(* Metric names may only use [a-zA-Z0-9_:] and must not start with a
-   digit; everything is prefixed lrd_ so solver/solve_seconds becomes
-   lrd_solver_solve_seconds.  Sanitization is not invertible (label
-   escaping below is). *)
-let metric_name name =
-  let b = Buffer.create (String.length name + 4) in
-  Buffer.add_string b "lrd_";
-  String.iter
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> Buffer.add_char b c
-      | _ -> Buffer.add_char b '_')
-    name;
-  Buffer.contents b
-
-let escape_label_value s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '"' -> Buffer.add_string b "\\\""
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let unescape_label_value s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    (if s.[!i] = '\\' && !i + 1 < n then begin
-       (match s.[!i + 1] with
-       | '\\' -> Buffer.add_char b '\\'
-       | '"' -> Buffer.add_char b '"'
-       | 'n' -> Buffer.add_char b '\n'
-       | c ->
-           Buffer.add_char b '\\';
-           Buffer.add_char b c);
-       incr i
-     end
-     else Buffer.add_char b s.[!i]);
-    incr i
-  done;
-  Buffer.contents b
-
-let num v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.17g" v
-
-let openmetrics snapshot =
-  let b = Buffer.create 4096 in
-  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  List.iter
-    (fun (name, value) ->
-      let m = metric_name name in
-      match value with
-      | Obs.Counter { total; per_domain } ->
-          pf "# TYPE %s counter\n" m;
-          if per_domain = [] then pf "%s_total %d\n" m total
-          else
-            List.iter
-              (fun (d, n) ->
-                pf "%s_total{domain=\"%s\"} %d\n" m
-                  (escape_label_value (string_of_int d))
-                  n)
-              per_domain
-      | Obs.Gauge v -> (
-          match v with
-          | None -> ()  (* never set: no sample line to expose *)
-          | Some v when not (Float.is_finite v) -> ()
-          | Some v ->
-              pf "# TYPE %s gauge\n" m;
-              pf "%s %s\n" m (num v))
-      | Obs.Histogram h ->
-          pf "# TYPE %s histogram\n" m;
-          let cum = ref 0 in
-          List.iter
-            (fun (lower, count) ->
-              cum := !cum + count;
-              (* Obs buckets are [2^e, 2^{e+1}): the exposition upper
-                 bound of the bucket at lower 2^e is 2^{e+1}; the
-                 underflow bucket (lower -inf) tops out at the lowest
-                 real bound. *)
-              let upper =
-                if lower = neg_infinity then
-                  ldexp 1.0 Obs.Histogram.min_exponent
-                else lower *. 2.0
-              in
-              pf "%s_bucket{le=\"%s\"} %d\n" m
-                (escape_label_value (num upper))
-                !cum)
-            h.Obs.buckets;
-          pf "%s_bucket{le=\"+Inf\"} %d\n" m h.Obs.count;
-          if Float.is_finite h.Obs.sum then
-            pf "%s_sum %s\n" m (num h.Obs.sum);
-          pf "%s_count %d\n" m h.Obs.count
-      | Obs.Trajectory _ -> ()  (* ordered rings have no exposition *))
-    snapshot;
-  Buffer.add_string b "# EOF\n";
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* JSONL metrics ticker *)
+(* Snapshot export beyond the native JSON: a periodic JSONL ticker that
+   streams timestamped snapshots to a file while a run is in flight. *)
 
 (* One line per tick: the native snapshot JSON flattened onto one line
    with a wall-clock "ts" key spliced in front of "metrics".  A tick is
@@ -138,6 +27,7 @@ let write_tick oc =
 type ticker = {
   stop : bool Atomic.t;
   wake : Unix.file_descr;  (* write end of the worker's self-pipe *)
+  sleep : Unix.file_descr;  (* read end, which the worker selects on *)
   worker : Thread.t;
   channel : out_channel;
 }
@@ -149,13 +39,15 @@ let stop_ticker () =
   | None -> ()
   | Some t ->
       Atomic.set t.stop true;
-      (* Wake the worker out of its select immediately; EPIPE et al.
-         are impossible while we hold the read end open in the worker,
-         but be defensive anyway. *)
+      (* Wake the worker out of its select immediately.  The read end
+         stays open until after the join: a worker that sees [stop]
+         before its first select exits at once, and a write to a pipe
+         with no reader would raise SIGPIPE. *)
       (try ignore (Unix.write t.wake (Bytes.make 1 '!') 0 1)
        with Unix.Unix_error _ -> ());
       Thread.join t.worker;
       (try Unix.close t.wake with Unix.Unix_error _ -> ());
+      (try Unix.close t.sleep with Unix.Unix_error _ -> ());
       write_tick t.channel;
       close_out t.channel;
       running := None
@@ -192,10 +84,9 @@ let start_ticker ~interval ~path =
                   end
                 end
               in
-              loop (Obs.now () +. interval);
-              Unix.close rd)
+              loop (Obs.now () +. interval))
             ()
         in
-        running := Some { stop; wake = wr; worker; channel = oc };
+        running := Some { stop; wake = wr; sleep = rd; worker; channel = oc };
         Ok ()
   end

@@ -1,34 +1,11 @@
-(** Snapshot export: OpenMetrics text exposition and a streaming JSONL
-    metrics ticker. *)
-
-val openmetrics : Obs.snapshot -> string
-(** The snapshot in OpenMetrics/Prometheus text exposition format.
-    Counters become [lrd_<name>_total] (per-domain series labelled
-    [domain="k"]), gauges expose their last value (unset and non-finite
-    gauges are skipped), histograms become cumulative
-    [_bucket{le="..."}] series with [_sum]/[_count], trajectories are
-    skipped (no exposition models an ordered ring).  Ends with
-    [# EOF]. *)
-
-val metric_name : string -> string
-(** Sanitized exposition name: [lrd_] prefix, characters outside
-    [[a-zA-Z0-9_:]] replaced by [_].  Not invertible. *)
-
-val escape_label_value : string -> string
-(** OpenMetrics label-value escaping: backslash, double quote and
-    newline become backslash escapes. *)
-
-val unescape_label_value : string -> string
-(** Inverse of {!escape_label_value}. *)
-
-(** {1 Metrics ticker}
+(** Snapshot export: a streaming JSONL metrics ticker.
 
     A background domain appending one timestamped snapshot line (a
     [ts] epoch-seconds key plus the native [metrics] array, one object
-    per line) to a JSONL file every [interval] seconds.  A tick is also written synchronously at start
-    and at stop, so runs shorter than one interval still produce a
-    series.  At most one ticker runs per process; starting a new one
-    stops the old one first. *)
+    per line) to a JSONL file every [interval] seconds.  A tick is also
+    written synchronously at start and at stop, so runs shorter than one
+    interval still produce a series.  At most one ticker runs per
+    process; starting a new one stops the old one first. *)
 
 val start_ticker : interval:float -> path:string -> (unit, string) result
 (** Errors on a non-positive interval or an unwritable [path]. *)

@@ -19,29 +19,19 @@
 val schema : string
 (** ["lrd-manifest/1"] — bumped on any key change. *)
 
-val shard_schema : string
-(** ["lrd-shard-manifest/1"] — the per-shard checkpoint manifest written
-    by [lrd experiment --shard k/n]: the base manifest key set plus a
-    ["shard"] section (index, count, owned cell count, grid shapes and
-    the parameter digest the merge step validates against). *)
-
 val make :
-  ?schema:string ->
   ?figures:string list ->
   ?parameters:(string * Json.t) list ->
-  ?extra:(string * Json.t) list ->
   ?wall_seconds:float ->
   ?metrics:Json.t ->
   tool:string ->
   unit ->
   Json.t
 (** Compose a manifest object with a fixed key order: [schema], [tool],
-    [figures], [parameters], the [extra] pairs (if any — e.g. the
-    ["shard"] section under {!shard_schema}), [ocaml_version],
-    [os_type], [word_size], [argv], [git_rev], [git_dirty],
-    [metrics_enabled], [generated_at_unix], [wall_seconds], [metrics].
-    [schema] defaults to {!schema}; [git_rev] / [git_dirty] are [null]
-    outside a git checkout. *)
+    [figures], [parameters], [ocaml_version], [os_type], [word_size],
+    [argv], [git_rev], [git_dirty], [metrics_enabled],
+    [generated_at_unix], [wall_seconds], [metrics].  [git_rev] /
+    [git_dirty] are [null] outside a git checkout. *)
 
 val write : string -> Json.t -> unit
 (** Pretty-print to a file. *)

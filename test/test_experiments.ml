@@ -648,6 +648,24 @@ let test_scheduled_policies_identical_across_pools () =
             pools)
         policies)
 
+(* A budget of zero or fewer iterations is refused before any cell is
+   created: it would stop every cell at its cold initial bounds. *)
+let test_scheduled_rejects_nonpositive_budget () =
+  List.iter
+    (fun n ->
+      Alcotest.check_raises
+        (Printf.sprintf "budget %d" n)
+        (Invalid_argument
+           "Sweep.scheduled_surface: iteration budget must be positive")
+        (fun () ->
+          ignore
+            (Sweep.scheduled_surface
+               ~policy:{ Sweep.contrast = None; iteration_budget = Some n }
+               ~xs:[| 1.0 |] ~ys:[| 1.0 |]
+               ~state:(fun _ _ -> Alcotest.fail "state must not run")
+               ())))
+    [ 0; -5 ]
+
 (* ------------------------------------------------------------------ *)
 (* fig11_scale: superposition at production scale *)
 
@@ -685,138 +703,6 @@ let test_fig11_scale_loss_decreases_with_n () =
               (v <= row.(ix - 1) +. 1e-12))
         row)
     s.Table.cells
-
-(* ------------------------------------------------------------------ *)
-(* Shard: process-level sharding of the scheduled sweeps *)
-
-let test_shard_spec_parsing () =
-  (match Shard.parse_spec "3/8" with
-  | Ok s ->
-      Alcotest.(check int) "index" 3 s.Shard.index;
-      Alcotest.(check int) "count" 8 s.Shard.count;
-      Alcotest.(check string) "round-trips" "3/8" (Shard.spec_string s)
-  | Error e -> Alcotest.fail e);
-  List.iter
-    (fun raw ->
-      match Shard.parse_spec raw with
-      | Ok _ -> Alcotest.fail (Printf.sprintf "%S should be rejected" raw)
-      | Error _ -> ())
-    [ ""; "0/2"; "3/2"; "1/0"; "a/b"; "1"; "1/2/3"; "-1/2"; "2/-1"; "1/2 " ]
-
-let test_shard_rows_partition () =
-  (* Round-robin row ownership: every row of any grid height belongs to
-     exactly one of the n shards. *)
-  List.iter
-    (fun count ->
-      for iy = 0 to 24 do
-        let owners =
-          List.filter
-            (fun index ->
-              Shard.owns_row (Shard.compute { Shard.index; count }) ~iy)
-            (List.init count (fun i -> i + 1))
-        in
-        Alcotest.(check int)
-          (Printf.sprintf "row %d owners among %d shards" iy count)
-          1 (List.length owners)
-      done)
-    [ 1; 2; 3; 5 ]
-
-let test_shard_digest_semantics () =
-  (* The params digest must ignore parallelism (shards may run at
-     different job counts) but react to anything that changes figure
-     values. *)
-  let fields ~seed ~jobs =
-    [
-      ("seed", Lrd_obs.Json.Str seed);
-      ("jobs", Lrd_obs.Json.Num (float_of_int jobs));
-      ("quick", Lrd_obs.Json.Bool true);
-    ]
-  in
-  let d = Shard.digest ~figure:"fig12" (fields ~seed:"a" ~jobs:1) in
-  Alcotest.(check string) "jobs never changes the digest" d
-    (Shard.digest ~figure:"fig12" (fields ~seed:"a" ~jobs:8));
-  Alcotest.(check bool) "seed changes the digest" true
-    (d <> Shard.digest ~figure:"fig12" (fields ~seed:"b" ~jobs:1));
-  Alcotest.(check bool) "figure changes the digest" true
-    (d <> Shard.digest ~figure:"fig4" (fields ~seed:"a" ~jobs:1))
-
-(* One shard's slice of the quick fig12 grid, computed in-process:
-   returns the cells-file JSON a worker would write plus the digest it
-   was computed under. *)
-let shard_slice ?seed { Shard.index; count } =
-  let shard = Shard.compute { Shard.index; count } in
-  let ctx = Data.create ?seed ~shard ~quick:true () in
-  Fun.protect
-    ~finally:(fun () -> Data.teardown ctx)
-    (fun () ->
-      ignore (Fig12.compute ctx);
-      let digest =
-        Shard.digest ~figure:"fig12" (Data.manifest_fields ctx)
-      in
-      (digest, Shard.cells_json shard ~figure:"fig12" ~digest))
-
-let whole_fig12 =
-  lazy
-    (let ctx = Data.create ~quick:true () in
-     Fun.protect
-       ~finally:(fun () -> Data.teardown ctx)
-       (fun () -> Fig12.compute ctx))
-
-let prop_shard_merge_bitwise_identical =
-  QCheck.Test.make ~name:"any k/n partition merges bitwise-identical"
-    ~count:3
-    (QCheck.make QCheck.Gen.(int_range 1 3))
-    (fun count ->
-      let whole = Lazy.force whole_fig12 in
-      let slices =
-        List.map
-          (fun i -> shard_slice { Shard.index = i + 1; count })
-          (List.init count Fun.id)
-      in
-      let digest = fst (List.hd slices) in
-      match Shard.of_cells_json ~figure:"fig12" ~digest (List.map snd slices)
-      with
-      | Error e -> QCheck.Test.fail_report e
-      | Ok (replay, per_shard) ->
-          let total = List.fold_left (fun a (_, c) -> a + c) 0 per_shard in
-          if total <> Array.length whole.Table.ys * Array.length whole.Table.xs
-          then QCheck.Test.fail_report "per-shard cells do not cover the grid";
-          let ctx = Data.create ~shard:replay ~quick:true () in
-          let merged =
-            Fun.protect
-              ~finally:(fun () -> Data.teardown ctx)
-              (fun () -> Fig12.compute ctx)
-          in
-          Array.for_all2
-            (fun (wrow : float array) mrow ->
-              Array.for_all2
-                (fun w m -> Int64.bits_of_float w = Int64.bits_of_float m)
-                wrow mrow)
-            whole.Table.cells merged.Table.cells)
-
-let test_shard_merge_rejections () =
-  let digest, c1 = shard_slice { Shard.index = 1; count = 2 } in
-  let _, c2 = shard_slice { Shard.index = 2; count = 2 } in
-  let expect_error name ~digest cells =
-    match Shard.of_cells_json ~figure:"fig12" ~digest cells with
-    | Ok _ -> Alcotest.fail (name ^ ": merge should be refused")
-    | Error _ -> ()
-  in
-  (* The valid pair merges — everything below must be a refusal. *)
-  (match Shard.of_cells_json ~figure:"fig12" ~digest [ c1; c2 ] with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail ("valid pair refused: " ^ e));
-  expect_error "mismatched digest" ~digest:"0123456789abcdef" [ c1; c2 ];
-  expect_error "duplicate index" ~digest [ c1; c1 ];
-  expect_error "missing shard" ~digest [ c1 ];
-  expect_error "malformed cells" ~digest [ Lrd_obs.Json.Obj [] ];
-  (* A shard of a different partition arity cannot join this set. *)
-  let _, c13 = shard_slice { Shard.index = 1; count = 3 } in
-  expect_error "mixed counts" ~digest [ c13; c2 ];
-  (* A shard computed under a different seed carries a different params
-     digest, so the set is refused — the CLI surfaces this as exit 2. *)
-  let _, c2_seed = shard_slice ~seed:999L { Shard.index = 2; count = 2 } in
-  expect_error "mismatched seed" ~digest [ c1; c2_seed ]
 
 let () =
   Alcotest.run "experiments"
@@ -895,6 +781,8 @@ let () =
             test_scheduled_uniform_matches_reference;
           Alcotest.test_case "policies identical across pools" `Slow
             test_scheduled_policies_identical_across_pools;
+          Alcotest.test_case "rejects nonpositive budget" `Quick
+            test_scheduled_rejects_nonpositive_budget;
         ] );
       ( "fig11_scale",
         [
@@ -902,16 +790,5 @@ let () =
             test_fig11_scale_population_partition;
           Alcotest.test_case "loss decreases with N" `Slow
             test_fig11_scale_loss_decreases_with_n;
-        ] );
-      ( "shard",
-        [
-          Alcotest.test_case "spec parsing" `Quick test_shard_spec_parsing;
-          Alcotest.test_case "rows partition exactly" `Quick
-            test_shard_rows_partition;
-          Alcotest.test_case "digest semantics" `Quick
-            test_shard_digest_semantics;
-          QCheck_alcotest.to_alcotest prop_shard_merge_bitwise_identical;
-          Alcotest.test_case "merge rejections" `Slow
-            test_shard_merge_rejections;
         ] );
     ]

@@ -820,10 +820,6 @@ let has_sub ~sub s =
   let rec go i = i + lsub <= ls && (String.sub s i lsub = sub || go (i + 1)) in
   lsub = 0 || go 0
 
-let has_suffix ~suffix s =
-  let ls = String.length s and lx = String.length suffix in
-  ls >= lx && String.sub s (ls - lx) lx = suffix
-
 let test_report_phase_aggregates () =
   let r = report_of_events synthetic_sweep in
   Alcotest.(check int) "events (metadata dropped)" 19 r.Report.events;
@@ -932,57 +928,38 @@ let test_report_rejects_non_journal () =
   | Ok _ -> Alcotest.fail "missing file accepted"
 
 (* ------------------------------------------------------------------ *)
-(* Export: OpenMetrics exposition and escaping. *)
+(* Export: the JSONL ticker writes one tick at start and one at stop,
+   even when the run is shorter than one interval. *)
 
-let test_openmetrics_escaping_roundtrip () =
-  let cases =
-    [
-      "";
-      "plain";
-      "back\\slash";
-      "quo\"te";
-      "line\nbreak";
-      "\\n is not a newline";
-      "mix \\ \" \n end\\";
-    ]
-  in
-  List.iter
-    (fun s ->
-      Alcotest.(check string)
-        (Printf.sprintf "round-trip %S" s)
-        s
-        (Export.unescape_label_value (Export.escape_label_value s)))
-    cases;
-  Alcotest.(check string) "escaped form" "a\\\\b\\\"c\\nd"
-    (Export.escape_label_value "a\\b\"c\nd")
-
-let test_openmetrics_names_and_exposition () =
-  reset_disabled ();
-  Alcotest.(check string) "name sanitization" "lrd_solver_solve_seconds"
-    (Export.metric_name "solver/solve_seconds");
-  Obs.set_enabled true;
-  let c = Obs.Counter.make "test_obs/om_counter" in
-  let g = Obs.Gauge.make "test_obs/om_gauge" in
-  let h = Obs.Histogram.make "test_obs/om_histogram" in
-  Obs.Counter.add c 5;
-  Obs.Gauge.set g 2.5;
-  Obs.Histogram.observe h 0.5;
-  Obs.set_enabled false;
-  let text = Export.openmetrics (Obs.snapshot ()) in
-  let has sub = has_sub ~sub text in
-  Alcotest.(check bool) "counter series" true
-    (has "lrd_test_obs_om_counter_total{domain=\"0\"} 5");
-  Alcotest.(check bool) "gauge series" true
-    (has "lrd_test_obs_om_gauge 2.5");
-  Alcotest.(check bool) "histogram +Inf bucket" true
-    (has "lrd_test_obs_om_histogram_bucket{le=\"+Inf\"} 1");
-  Alcotest.(check bool) "histogram count" true
-    (has "lrd_test_obs_om_histogram_count 1");
-  (* 0.5 lands in the [2^-1, 2^0) bucket: cumulative 1 at le=1. *)
-  Alcotest.(check bool) "histogram bucket upper bound" true
-    (has "lrd_test_obs_om_histogram_bucket{le=\"1\"} 1");
-  Alcotest.(check bool) "EOF terminator" true
-    (has_suffix ~suffix:"# EOF\n" text)
+let test_ticker_start_stop_series () =
+  (match Export.start_ticker ~interval:0.0 ~path:"ticker_unused.jsonl" with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "zero interval accepted");
+  (match Export.start_ticker ~interval:1.0 ~path:"/nonexistent/t.jsonl" with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "unwritable path accepted");
+  let path = Filename.temp_file "lrd_ticker" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      (match Export.start_ticker ~interval:3600.0 ~path with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      Export.stop_ticker ();
+      let lines =
+        In_channel.with_open_text path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+      in
+      Alcotest.(check int) "start and stop ticks" 2 (List.length lines);
+      List.iter
+        (fun line ->
+          match Json.parse line with
+          | Ok v ->
+              Alcotest.(check bool) "ts and metrics keys" true
+                (Json.member "ts" v <> None && Json.member "metrics" v <> None)
+          | Error e -> Alcotest.fail e)
+        lines)
 
 (* ------------------------------------------------------------------ *)
 (* Resource: GC gauges appear once sampled; Alloc attributes minor
@@ -1085,12 +1062,10 @@ let () =
           Alcotest.test_case "rejects non-journal" `Quick
             test_report_rejects_non_journal;
         ] );
-      ( "openmetrics",
+      ( "ticker",
         [
-          Alcotest.test_case "escaping round-trip" `Quick
-            test_openmetrics_escaping_roundtrip;
-          Alcotest.test_case "names and exposition" `Quick
-            test_openmetrics_names_and_exposition;
+          Alcotest.test_case "start and stop ticks" `Quick
+            test_ticker_start_stop_series;
         ] );
       ( "resource",
         [
