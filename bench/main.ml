@@ -264,6 +264,7 @@ let micro_tests ctx =
             ~spec_re:rfft_spec_re ~spec_im:rfft_spec_im);
       mk "kernel/conv-real-1k" (fun () ->
           Lrd_numerics.Convolution.execute_real_circular plan
+            (Lrd_numerics.Convolution.local_scratch plan)
             ~signal:conv_big_signal ~len:1025 ~dst:conv_big_dst);
       mk "kernel/conv-real-1500" (fun () ->
           Lrd_numerics.Convolution.execute plan1500 signal1500

@@ -830,10 +830,13 @@ let experiment_cmd =
     Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc)
   in
   let jobs_arg =
-    let doc = "Total parallelism for the sweep grids: 1 runs \
-               sequentially (the default), 0 auto-sizes to the machine, \
-               N >= 2 spreads grid cells over N domains.  Results are \
-               identical for every value." in
+    let doc = "Parallelism of the sweep grids: 1 runs their cells one \
+               at a time (the default), 0 auto-sizes to the machine, \
+               N >= 2 spreads grid cells over N domains.  Independently \
+               of $(docv), a solve that runs outside the grid pool (a \
+               one-shot solve, or a grid cell at 1) steps its floor and \
+               ceiling chains on two domains when the machine has two \
+               cores.  Results are identical for every value." in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let gap_policy_arg =

@@ -70,14 +70,13 @@ let m_solve_alloc = Resource.Alloc.make "solver/solve_minor_words"
 (* ------------------------------------------------------------------ *)
 (* Per-level workspace.
 
-   One resolution level owns everything a Lindley step touches: the
-   occupancy pmfs of both chains, the dual-channel convolution plan for
-   the discretized increment kernels (or the raw kernels on the direct
-   path), the convolution output buffers, and the per-bin
-   expected-overflow table.  All of it is allocated when the level is
-   built — [step] then advances both chains
-   with zero heap allocation, which is what makes the 200k-iteration
-   sweeps FLOP-bound instead of GC-bound. *)
+   One resolution level owns everything a Lindley step touches: per
+   chain the occupancy pmf, the convolution plan for its discretized
+   increment kernel (or the raw kernel on the direct path) and the
+   convolution output buffer; and the per-bin expected-overflow table.
+   All of it is allocated when the level is built — [step] then
+   advances both chains with zero heap allocation, which is what makes
+   the 200k-iteration sweeps FLOP-bound instead of GC-bound. *)
 
 module Workspace = struct
   type vec = Lrd_numerics.Fft.vec
@@ -101,28 +100,32 @@ module Workspace = struct
      the default real grid (still one half-size transform each way).
 
      [Direct] — schoolbook, for small grids. *)
-  type kernels =
+  type engine =
     | Real_circular of {
-        lower : Lrd_numerics.Convolution.real_plan;
-        upper : Lrd_numerics.Convolution.real_plan;
-        lower_tail : vec;  (* tail.(j) = sum_{l >= 2m-j} lower_ker.(l) *)
-        upper_tail : vec;
+        plan : Lrd_numerics.Convolution.real_plan;
+        tail : vec;  (* tail.(j) = sum_{l >= 2m-j} ker.(l) *)
       }
-    | Real_linear of {
-        lower : Lrd_numerics.Convolution.real_plan;
-        upper : Lrd_numerics.Convolution.real_plan;
-      }
-    | Direct of { lower : float array; upper : float array }
+    | Real_linear of Lrd_numerics.Convolution.real_plan
+    | Direct of float array
+
+  (* One chain's state.  The two chains of a level share only the
+     read-only grid data, so they may step on two domains at once: the
+     floor chain always steps on the domain advancing the solve and
+     borrows that domain's transform scratch; the ceiling chain, which
+     may step on the helper domain, owns its scratch. *)
+  type chain = {
+    engine : engine;
+    q : vec;  (* occupancy pmf, length m + 1 *)
+    conv : vec;  (* convolution output *)
+    own : Lrd_numerics.Convolution.scratch option;
+  }
 
   type t = {
     m : int;
     width : float;  (* grid step d = buffer / m *)
-    kernels : kernels;
     overflow : vec;  (* E[W_l | Q = j d], j = 0 .. m. *)
-    lower_q : vec;  (* floor-chain occupancy pmf, length m + 1 *)
-    upper_q : vec;  (* ceiling-chain occupancy pmf *)
-    conv_lower : vec;  (* convolution outputs *)
-    conv_upper : vec;
+    lower : chain;  (* floor chain *)
+    upper : chain;  (* ceiling chain *)
   }
 
   let vec_make len : vec =
@@ -136,8 +139,8 @@ module Workspace = struct
   let pmf_copy (q : vec) m =
     Array.init (m + 1) (fun j -> Bigarray.Array1.get q j)
 
-  let lower_pmf t = pmf_copy t.lower_q t.m
-  let upper_pmf t = pmf_copy t.upper_q t.m
+  let lower_pmf t = pmf_copy t.lower.q t.m
+  let upper_pmf t = pmf_copy t.upper.q t.m
 
   (* Downward Neumaier cumulative of the kernel top: tail.(j) holds
      sum_{l >= 2m - j} ker.(l) for j = 0 .. m, so the full-state mass
@@ -167,61 +170,46 @@ module Workspace = struct
           Lrd_numerics.Convolution.prefer_fft ~na:(m + 1) ~nb:((2 * m) + 1)
     in
     Obs.Counter.incr (if use_fft then m_workspaces_fft else m_workspaces_direct);
-    (* The upper plan shares the lower plan's transform tables. *)
-    let plans ?size () =
-      let lower =
-        Lrd_numerics.Convolution.make_real_plan ?size
-          ~kernel:bins.Workload.lower ~max_signal:(m + 1) ()
-      in
-      let upper =
-        Lrd_numerics.Convolution.make_real_plan ~share:lower
-          ~kernel:bins.Workload.upper ~max_signal:(m + 1) ()
-      in
-      (lower, upper)
-    in
-    let kernels =
-      if use_fft then
-        if Lrd_numerics.Fft.is_fast_size m then
-          let lower, upper = plans ~size:(2 * m) () in
+    let chain kernel ~start ~owns_scratch =
+      let engine =
+        if not use_fft then Direct kernel
+        else if Lrd_numerics.Fft.is_fast_size m then
           Real_circular
             {
-              lower;
-              upper;
-              lower_tail = tail_cumulative bins.Workload.lower ~m;
-              upper_tail = tail_cumulative bins.Workload.upper ~m;
+              plan =
+                Lrd_numerics.Convolution.make_real_plan ~size:(2 * m) ~kernel
+                  ~max_signal:(m + 1) ();
+              tail = tail_cumulative kernel ~m;
             }
         else
-          let lower, upper = plans () in
-          Real_linear { lower; upper }
-      else
-        Direct { lower = bins.Workload.lower; upper = bins.Workload.upper }
+          Real_linear
+            (Lrd_numerics.Convolution.make_real_plan ~kernel
+               ~max_signal:(m + 1) ())
+      in
+      let conv_len =
+        match engine with
+        | Real_circular _ -> 2 * m
+        | Real_linear plan -> Lrd_numerics.Convolution.real_transform_size plan
+        | Direct _ -> (3 * m) + 1
+      in
+      let own =
+        match engine with
+        | (Real_circular { plan; _ } | Real_linear plan) when owns_scratch ->
+            Some (Lrd_numerics.Convolution.make_scratch plan)
+        | _ -> None
+      in
+      let q = vec_make (m + 1) in
+      Bigarray.Array1.set q start 1.0;
+      { engine; q; conv = vec_make conv_len; own }
     in
-    let conv_len =
-      match kernels with
-      | Real_circular _ -> 2 * m
-      | Real_linear { lower; _ } ->
-          Lrd_numerics.Convolution.real_transform_size lower
-      | Direct _ -> (3 * m) + 1
-    in
+    let lower = chain bins.Workload.lower ~start:0 ~owns_scratch:false in
+    let upper = chain bins.Workload.upper ~start:m ~owns_scratch:true in
     let overflow = vec_make (m + 1) in
     let ov = Workload.overflow_table workload ~buffer ~bins:m in
     for j = 0 to m do
       Bigarray.Array1.set overflow j ov.(j)
     done;
-    let lower_q = vec_make (m + 1) in
-    let upper_q = vec_make (m + 1) in
-    Bigarray.Array1.set lower_q 0 1.0;
-    Bigarray.Array1.set upper_q m 1.0;
-    {
-      m;
-      width = bins.Workload.step;
-      kernels;
-      overflow;
-      lower_q;
-      upper_q;
-      conv_lower = vec_make conv_len;
-      conv_upper = vec_make conv_len;
-    }
+    { m; width = bins.Workload.step; overflow; lower; upper }
 
   (* Fold the convolution [u] back onto the grid in place (eqs. 19-20):
      mass below 0 collapses into the empty state, mass above B into the
@@ -329,33 +317,32 @@ module Workspace = struct
         Bigarray.Array1.unsafe_set q j (Bigarray.Array1.unsafe_get q j /. total)
       done
 
-  (* One Lindley step for BOTH chains: a real-input convolution per
-     chain (circular when the grid allows) followed by the boundary
-     folds.  Zero heap allocation. *)
-  let step t =
+  let scratch c plan =
+    match c.own with
+    | Some s -> s
+    | None -> Lrd_numerics.Convolution.local_scratch plan
+
+  (* One Lindley step of one chain: a real-input convolution (circular
+     when the grid allows) followed by the boundary fold.  Zero heap
+     allocation. *)
+  let step_chain t c =
     let len = t.m + 1 in
-    match t.kernels with
-    | Real_circular { lower; upper; lower_tail; upper_tail } ->
-        Lrd_numerics.Convolution.execute_real_circular lower ~signal:t.lower_q
-          ~len ~dst:t.conv_lower;
-        fold_aliased t t.conv_lower t.lower_q lower_tail;
-        Lrd_numerics.Convolution.execute_real_circular upper ~signal:t.upper_q
-          ~len ~dst:t.conv_upper;
-        fold_aliased t t.conv_upper t.upper_q upper_tail
-    | Real_linear { lower; upper } ->
-        Lrd_numerics.Convolution.execute_real_circular lower ~signal:t.lower_q
-          ~len ~dst:t.conv_lower;
-        Lrd_numerics.Convolution.execute_real_circular upper ~signal:t.upper_q
-          ~len ~dst:t.conv_upper;
-        fold_exact t t.conv_lower t.lower_q;
-        fold_exact t t.conv_upper t.upper_q
-    | Direct { lower; upper } ->
-        Lrd_numerics.Convolution.direct_into_big t.lower_q ~len ~kernel:lower
-          ~dst:t.conv_lower;
-        Lrd_numerics.Convolution.direct_into_big t.upper_q ~len ~kernel:upper
-          ~dst:t.conv_upper;
-        fold_exact t t.conv_lower t.lower_q;
-        fold_exact t t.conv_upper t.upper_q
+    match c.engine with
+    | Real_circular { plan; tail } ->
+        Lrd_numerics.Convolution.execute_real_circular plan (scratch c plan)
+          ~signal:c.q ~len ~dst:c.conv;
+        fold_aliased t c.conv c.q tail
+    | Real_linear plan ->
+        Lrd_numerics.Convolution.execute_real_circular plan (scratch c plan)
+          ~signal:c.q ~len ~dst:c.conv;
+        fold_exact t c.conv c.q
+    | Direct kernel ->
+        Lrd_numerics.Convolution.direct_into_big c.q ~len ~kernel ~dst:c.conv;
+        fold_exact t c.conv c.q
+
+  let step t =
+    step_chain t t.lower;
+    step_chain t t.upper
 
   let loss_of t ~norm (q : vec) =
     let acc = Lrd_numerics.Summation.create () in
@@ -366,7 +353,7 @@ module Workspace = struct
     done;
     Lrd_numerics.Summation.total acc /. norm
 
-  let losses t ~norm = (loss_of t ~norm t.lower_q, loss_of t ~norm t.upper_q)
+  let losses t ~norm = (loss_of t ~norm t.lower.q, loss_of t ~norm t.upper.q)
 
   (* Doubling the grid: old point j d sits exactly at new point 2j (d/2),
      so re-quantization is an exact re-indexing and both chains keep
@@ -374,13 +361,13 @@ module Workspace = struct
   let refine_from ~src dst =
     if dst.m <> 2 * src.m then
       invalid_arg "Solver.Workspace.refine_from: dst must have twice the bins";
-    Bigarray.Array1.fill dst.lower_q 0.0;
-    Bigarray.Array1.fill dst.upper_q 0.0;
+    Bigarray.Array1.fill dst.lower.q 0.0;
+    Bigarray.Array1.fill dst.upper.q 0.0;
     for j = 0 to src.m do
-      Bigarray.Array1.set dst.lower_q (2 * j)
-        (Bigarray.Array1.get src.lower_q j);
-      Bigarray.Array1.set dst.upper_q (2 * j)
-        (Bigarray.Array1.get src.upper_q j)
+      Bigarray.Array1.set dst.lower.q (2 * j)
+        (Bigarray.Array1.get src.lower.q j);
+      Bigarray.Array1.set dst.upper.q (2 * j)
+        (Bigarray.Array1.get src.upper.q j)
     done
 end
 
@@ -481,7 +468,19 @@ module State = struct
     mutable certified : bool;
         (* [lower]/[upper] bound the true loss: always for a cold chain
            once checked, for a warm one only at a settled check. *)
+    mutable batch : int;  (* steps of the current run between checks *)
+    floor_run : unit -> unit;  (* [batch] steps of one chain; built once *)
+    ceiling_run : unit -> unit;  (* so a check period allocates nothing *)
   }
+
+  let run_chain t chain =
+    match t.ws with
+    | Some ws ->
+        let c = chain ws in
+        for _ = 1 to t.batch do
+          Workspace.step_chain ws c
+        done
+    | None -> ()
 
   let create ?(params = default_params) ?cache ?(trace_levels = false) model
       ~service_rate ~buffer =
@@ -536,14 +535,15 @@ module State = struct
             point_mass_occupancy )
       else None
     in
-    {
-      params;
-      workload;
-      norm;
-      buffer;
-      trace_levels;
-      trivial;
-      ws = None;
+    let rec t =
+      {
+        params;
+        workload;
+        norm;
+        buffer;
+        trace_levels;
+        trivial;
+        ws = None;
       iterations = 0;
       refinements = 0;
       since_check = 0;
@@ -555,7 +555,12 @@ module State = struct
       converged = trivial <> None;
       warm_started = false;
       certified = trivial <> None;
+      batch = 0;
+      floor_run = (fun () -> run_chain t (fun ws -> ws.Workspace.lower));
+      ceiling_run = (fun () -> run_chain t (fun ws -> ws.Workspace.upper));
     }
+    in
+    t
 
   let create_utilization ?params ?cache ?trace_levels model ~utilization
       ~buffer_seconds =
@@ -733,9 +738,12 @@ module State = struct
         let to_check = t.params.check_every - t.since_check in
         let to_budget = t.params.max_iterations - t.iterations in
         let steps = min (min to_check to_budget) !remaining in
-        for _ = 1 to steps do
-          Workspace.step !ws
-        done;
+        (* The chains do not read each other between checks: the floor
+           chain steps here, the ceiling chain on the helper domain
+           when one is free, each in its own order, so the bits do not
+           depend on where they ran. *)
+        t.batch <- steps;
+        Lrd_parallel.Pool.both t.floor_run t.ceiling_run;
         t.iterations <- t.iterations + steps;
         t.since_check <- t.since_check + steps;
         remaining := !remaining - steps;
@@ -816,8 +824,8 @@ module State = struct
               Workspace.make ~convolution:t.params.convolution t.workload
                 ~buffer:t.buffer ~m
         in
-        Bigarray.Array1.blit sws.Workspace.lower_q ws.Workspace.lower_q;
-        Bigarray.Array1.blit sws.Workspace.upper_q ws.Workspace.upper_q;
+        Bigarray.Array1.blit sws.Workspace.lower.q ws.Workspace.lower.q;
+        Bigarray.Array1.blit sws.Workspace.upper.q ws.Workspace.upper.q;
         t.ws <- Some ws;
         t.warm_started <- true;
         (* Evaluate the seeded pmfs under THIS cell's workload as the

@@ -165,7 +165,14 @@ module State : sig
 
       A state is single-threaded (advance it from one domain at a
       time), but successive slices may run on {e different} domains —
-      what a sweep scheduler needs. *)
+      what a sweep scheduler needs.  Within a slice, each run of steps
+      between two bound checks goes to {!Lrd_parallel.Pool.both}: the
+      floor chain steps on the advancing domain and the ceiling chain
+      on the helper domain, unless the state advances inside a pool
+      task (or the helper is busy, or the machine has one core), when
+      the chains step in turn.  Either way every chain does the same
+      float operations in the same order, so no computed bit depends
+      on where the chains ran. *)
 
   val create :
     ?params:params ->
@@ -295,6 +302,12 @@ val solve :
 (** Loss rate of the queue with the given service rate and buffer fed by
     the model.  [buffer = 0] returns the closed form
     {!Workload.zero_buffer_loss} directly.
+
+    Called outside a {!Lrd_parallel.Pool} task on a machine with two or
+    more cores, the solve steps its floor and ceiling chains on two
+    domains at once (the caller's and a process-wide helper's, see
+    {!Lrd_parallel.Pool.both}); inside a pool task they step in turn.
+    The result is bit-identical either way.
 
     [cache] is a {!Workload.Cache} plus a key identifying [model] within
     it: cells of a sweep that pass the same key share one workload

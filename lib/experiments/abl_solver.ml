@@ -3,7 +3,9 @@
    convolution.  Both variants must agree on the loss value; the
    interesting output is the iteration count / wall time — which is why
    this ablation deliberately ignores the context's domain pool: the
-   per-variant timings would be polluted by contending domains. *)
+   per-variant timings would be polluted by contending domains.  Each
+   solve still steps its two chains on two domains, as every one-shot
+   solve does. *)
 
 let id = "abl-solver"
 let title = "Ablation: solver warm restart and convolution strategy"
@@ -30,12 +32,12 @@ let run ctx fmt =
     "iterations" "bins" "refines" "seconds";
   List.iter
     (fun (name, params) ->
-      let t0 = Sys.time () in
+      let t0 = Unix.gettimeofday () in
       let r =
         Lrd_core.Solver.solve_utilization ~params model ~utilization
           ~buffer_seconds
       in
-      let dt = Sys.time () -. t0 in
+      let dt = Unix.gettimeofday () -. t0 in
       Format.fprintf fmt "%12s %12s %10d %8d %8d %10.3f@." name
         (Table.cell_value r.Lrd_core.Solver.loss)
         r.Lrd_core.Solver.iterations r.Lrd_core.Solver.bins

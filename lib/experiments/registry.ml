@@ -74,7 +74,7 @@ let run ?only ?manifest ctx fmt =
   List.iter
     (fun e ->
       Obs.Counter.incr m_runs;
-      let t0 = Sys.time () in
+      let t0 = Unix.gettimeofday () in
       let w0 = Obs.Span.start () in
       if Obs.Trace.enabled () then Obs.Trace.begin_ ("experiment/" ^ e.id);
       Fun.protect
@@ -89,8 +89,8 @@ let run ?only ?manifest ctx fmt =
         Obs.Gauge.set
           (Obs.Gauge.make ("experiment/" ^ e.id ^ "/wall_seconds"))
           (Obs.now () -. w0);
-      Format.fprintf fmt "[%s completed in %.2f s CPU]@." e.id
-        (Sys.time () -. t0))
+      Printf.eprintf "[%s completed in %.2f s]\n%!" e.id
+        (Unix.gettimeofday () -. t0))
     selected;
   match manifest with
   | None -> ()

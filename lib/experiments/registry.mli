@@ -31,7 +31,10 @@ val run :
   Format.formatter ->
   unit
 (** Runs the selected entries (all by default) in registry order,
-    printing each.  Unknown ids in [only] raise [Invalid_argument].
+    printing each, and after each a [[<id> completed in <s> s]] line
+    with the entry's wall seconds on stderr — so the tables on the
+    formatter do not depend on timing.  Unknown ids in [only] raise
+    [Invalid_argument].
 
     [?manifest] writes a run provenance manifest ({!Lrd_obs.Manifest})
     to the given path after the run: the selected figure ids, the

@@ -98,11 +98,18 @@ let auto a b =
 (* ------------------------------------------------------------------ *)
 (* Planned real convolution against a fixed kernel.
 
-   The plan owns the kernel's half-spectrum, a clone of the domain's
-   cached real-transform plan (shared tables, own packing scratch) and
-   half-spectrum scratch — a [share]d plan reuses another plan's
-   transform and scratch — so [execute] performs no heap allocation in
-   steady state: both entry points run {!Fft.Real.convolve} — pack the
+   The plan owns only the kernel's half-spectrum.  Executing it takes a
+   [scratch]: a real-transform plan of the plan's size (tables plus
+   packing buffers) and half-spectrum buffers.  [local_scratch] is the
+   calling domain's, one per size, built on first use from its
+   {!Fft.Real.cached_plan}; [make_scratch] gives a plan buffers of its
+   own that share the building domain's read-only tables.  A plan that
+   runs on whichever domain is at hand uses the first; one that must
+   run beside another plan of the same size — the solver's ceiling
+   chain, which steps on a helper domain while the floor chain steps
+   on the caller — carries the second, so the helper builds no tables
+   and allocates nothing.  Either way an execution performs no heap
+   allocation: both entry points run {!Fft.Real.convolve} — pack the
    (zero-extended) signal straight into the half-size transform, one
    pass over the n/2 + 1 independent bins (conjugate symmetry makes the
    upper half free), and the inverse interleaved directly into [dst].
@@ -112,63 +119,75 @@ let auto a b =
    [size] at build time, which is what the solver's aliased Lindley
    step wants.  Such a plan refuses the linear [execute]. *)
 
+type scratch = { rfft : Fft.Real.t; sre : float array; sim : float array }
+
+let scratch_of rfft =
+  let bins = Fft.Real.spectrum_length rfft in
+  { rfft; sre = Array.make bins 0.0; sim = Array.make bins 0.0 }
+
+let domain_scratch : (int, scratch) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
+
+(* [Hashtbl.find] rather than [find_opt]: the hit path, taken once per
+   execution, must not allocate. *)
+let scratch_for_size n =
+  let table = Domain.DLS.get domain_scratch in
+  match Hashtbl.find table n with
+  | s -> s
+  | exception Not_found ->
+      let s = scratch_of (Fft.Real.cached_plan n) in
+      Hashtbl.add table n s;
+      s
+
 type real_plan = {
   kernel_len : int;
   max_signal : int;
   n : int;  (* transform size *)
   linear : bool;  (* n covers na + nk - 1: [execute] output is linear *)
-  rfft : Fft.Real.t;
+  tables : Fft.Real.t;  (* the building domain's cached plan *)
   kre : float array;  (* kernel half-spectrum, length n/2 + 1 *)
   kim : float array;
-  sre : float array;  (* spectrum scratch *)
-  sim : float array;
 }
 
-let make_real_plan ?share ?size ~kernel ~max_signal () =
+let local_scratch plan = scratch_for_size plan.n
+let make_scratch plan = scratch_of (Fft.Real.clone plan.tables)
+
+(* The calling domain's buffer for wrapping a kernel longer than a
+   circular plan, grown to the largest size seen: the solver builds two
+   such plans per grid level, and a fresh kernel-sized array for each
+   was a sixth of a one-shot solve's major-heap allocation. *)
+let wrap_buffer : float array ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [||])
+
+let make_real_plan ?size ~kernel ~max_signal () =
   let nk = Array.length kernel in
   if nk = 0 then invalid_arg "Convolution.make_real_plan: empty kernel";
   if max_signal < 1 then
     invalid_arg "Convolution.make_real_plan: max_signal < 1";
   let full = nk + max_signal - 1 in
   let n =
-    match (share, size) with
-    | Some p, Some s when s <> p.n ->
-        invalid_arg "Convolution.make_real_plan: size differs from share"
-    | Some p, _ -> p.n
-    | None, Some s -> s
-    | None, None -> real_transform_size_for full
+    match size with Some s -> s | None -> real_transform_size_for full
   in
   if n < max_signal then
     invalid_arg "Convolution.make_real_plan: size smaller than max_signal";
-  let rfft =
-    match share with
-    | Some p -> p.rfft
-    | None -> Fft.Real.clone (Fft.Real.cached_plan n)
-  in
+  let rfft = (scratch_for_size n).rfft in
   let bins = Fft.Real.spectrum_length rfft in
   let kre = Array.make bins 0.0 and kim = Array.make bins 0.0 in
   if nk <= n then
     Fft.Real.forward_ip rfft ~signal:kernel ~len:nk ~spec_re:kre ~spec_im:kim
   else begin
     (* Circular plan shorter than the kernel: wrap the kernel mod n. *)
-    let wrapped = Array.make n 0.0 in
+    let buffer = Domain.DLS.get wrap_buffer in
+    if Array.length !buffer < n then buffer := Array.make n 0.0
+    else Array.fill !buffer 0 n 0.0;
+    let wrapped = !buffer in
     for i = 0 to nk - 1 do
       let j = i mod n in
       wrapped.(j) <- wrapped.(j) +. kernel.(i)
     done;
     Fft.Real.forward_ip rfft ~signal:wrapped ~len:n ~spec_re:kre ~spec_im:kim
   end;
-  {
-    kernel_len = nk;
-    max_signal;
-    n;
-    linear = n >= full;
-    rfft;
-    kre;
-    kim;
-    sre = (match share with Some p -> p.sre | None -> Array.make bins 0.0);
-    sim = (match share with Some p -> p.sim | None -> Array.make bins 0.0);
-  }
+  { kernel_len = nk; max_signal; n; linear = n >= full; tables = rfft; kre; kim }
 
 let real_transform_size plan = plan.n
 
@@ -182,18 +201,21 @@ let execute plan a ~dst =
   let out_len = na + plan.kernel_len - 1 in
   if Array.length dst < out_len then
     invalid_arg "Convolution.execute: dst too short";
-  Fft.Real.convolve plan.rfft Fft.Real.Floats ~kernel_re:plan.kre
-    ~kernel_im:plan.kim ~spec_re:plan.sre ~spec_im:plan.sim ~signal:a ~len:na
-    ~dst ~dst_len:out_len
+  let s = local_scratch plan in
+  Fft.Real.convolve s.rfft Fft.Real.Floats ~kernel_re:plan.kre
+    ~kernel_im:plan.kim ~spec_re:s.sre ~spec_im:s.sim ~signal:a ~len:na ~dst
+    ~dst_len:out_len
 
-let execute_real_circular plan ~signal ~len ~dst =
+let execute_real_circular plan scratch ~signal ~len ~dst =
   if len < 1 || len > plan.max_signal || len > plan.n then
     invalid_arg "Convolution.execute_real_circular: bad signal length";
   if Bigarray.Array1.dim dst < plan.n then
     invalid_arg "Convolution.execute_real_circular: dst shorter than size";
-  Fft.Real.convolve plan.rfft Fft.Real.Vec ~kernel_re:plan.kre
-    ~kernel_im:plan.kim ~spec_re:plan.sre ~spec_im:plan.sim ~signal ~len ~dst
-    ~dst_len:plan.n
+  if Fft.Real.size scratch.rfft <> plan.n then
+    invalid_arg "Convolution.execute_real_circular: scratch of another size";
+  Fft.Real.convolve scratch.rfft Fft.Real.Vec ~kernel_re:plan.kre
+    ~kernel_im:plan.kim ~spec_re:scratch.sre ~spec_im:scratch.sim ~signal ~len
+    ~dst ~dst_len:plan.n
 
 (* Schoolbook convolution reading the signal from / writing into
    Bigarray vectors — the solver's direct path over its unboxed state.

@@ -10,8 +10,8 @@
     for one-shot products, and a {!real_plan} — the kernel's
     half-spectrum cached once — for the solver's repeated convolutions
     against a fixed kernel.  The planned entry points ({!execute},
-    {!execute_real_circular}) write into caller-owned buffers and reuse
-    plan-owned scratch, so the steady state of an iterated solve
+    {!execute_real_circular}) write into caller-owned buffers and work
+    in reused {!scratch}, so the steady state of an iterated solve
     performs zero heap allocation.  {!direct} is the exact oracle. *)
 
 val direct : float array -> float array -> float array
@@ -58,13 +58,15 @@ type real_plan
     is fixed across iterations while the occupancy vector changes.  The
     kernel's half-spectrum is precomputed; each execution is one
     {!Fft.Real.convolve}: a half-size forward transform, one pass over
-    the [n/2 + 1] independent bins, and a half-size inverse.  The plan
-    owns its scratch buffers (or shares them, see [share]); a plan must
-    not be used concurrently with itself or with a plan sharing its
-    scratch. *)
+    the [n/2 + 1] independent bins, and a half-size inverse.  A plan is
+    immutable; an execution works in a {!scratch}. *)
+
+type scratch
+(** The buffers one execution works in: a real-transform plan of the
+    plan's size and half-spectrum buffers.  One scratch must not serve
+    two executions at the same time. *)
 
 val make_real_plan :
-  ?share:real_plan ->
   ?size:int ->
   kernel:float array ->
   max_signal:int ->
@@ -78,34 +80,45 @@ val make_real_plan :
     linear length the plan computes CIRCULAR convolutions mod [size]
     with the kernel wrapped at build time — the solver's aliased
     Lindley step.  The transform tables come from the calling domain's
-    {!Fft.Real.cached_plan}; the plan owns a clone's scratch.  With
-    [share], the plan takes [share]'s size and shares its transform and
-    its scratch, owning only its kernel spectrum: two plans that never
-    run at the same time, like the solver's two chains, allocate the
-    scratch once.
+    {!Fft.Real.cached_plan}.
     @raise Invalid_argument on an empty kernel, a nonpositive
-    [max_signal], an unsupported/too-small [size], or a [size] other
-    than [share]'s. *)
+    [max_signal], or an unsupported/too-small [size]. *)
+
+val local_scratch : real_plan -> scratch
+(** The calling domain's scratch for the plan's size: one per domain
+    and size, built on first use from the domain's
+    {!Fft.Real.cached_plan}, shared by every plan of that size run on
+    the domain.  Allocation-free once built. *)
+
+val make_scratch : real_plan -> scratch
+(** Fresh scratch for the plan's size that shares the plan's read-only
+    transform tables: what a plan carries when it must execute beside
+    another plan of its size, or on a domain that should build no
+    tables of its own (the solver's ceiling chain on the helper
+    domain). *)
 
 val real_transform_size : real_plan -> int
 (** The transform grid the plan runs on. *)
 
 val execute : real_plan -> float array -> dst:float array -> unit
 (** [execute plan a ~dst] writes [a * kernel] (length
-    [na + kernel_len - 1]) into the prefix of [dst].  Performs zero heap
-    allocation.  @raise Invalid_argument if [a] is empty or longer than
-    the plan's [max_signal], [dst] is too short, or the plan is
-    circular. *)
+    [na + kernel_len - 1]) into the prefix of [dst], in the calling
+    domain's {!local_scratch}.  Performs zero heap allocation.
+    @raise Invalid_argument if [a] is empty or longer than the plan's
+    [max_signal], [dst] is too short, or the plan is circular. *)
 
 val execute_real_circular :
-  real_plan -> signal:Fft.vec -> len:int -> dst:Fft.vec -> unit
-(** [execute_real_circular plan ~signal ~len ~dst] convolves
+  real_plan -> scratch -> signal:Fft.vec -> len:int -> dst:Fft.vec -> unit
+(** [execute_real_circular plan scratch ~signal ~len ~dst] convolves
     [signal.(0 .. len - 1)] (zero-extended) with the kernel CIRCULARLY
     mod the plan size, writing all [size] wrapped values into [dst].
     Reads and writes Bigarray vectors — the solver's unboxed state —
     and performs zero heap allocation.  For a plan whose size covers
     the full linear length this is the linear convolution followed by
-    the (numerically zero) padding tail. *)
+    the (numerically zero) padding tail.  The result does not depend
+    on which scratch of the plan's size it ran in.
+    @raise Invalid_argument on a bad [len], a [dst] shorter than the
+    plan size, or a scratch of another size. *)
 
 val direct_into_big :
   Fft.vec -> len:int -> kernel:float array -> dst:Fft.vec -> unit

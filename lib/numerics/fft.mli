@@ -62,8 +62,9 @@ module Real : sig
   val clone : t -> t
   (** [clone t] is a plan of the same size that shares [t]'s immutable
       twiddle and input-order tables but owns fresh scratch, so the two
-      can run one after the other without either recomputing the
-      tables.  Like any plan, a clone must not be used concurrently. *)
+      can run one after the other, or at the same time on two domains,
+      without either recomputing the tables.  Like any plan, a clone
+      must not be used concurrently with itself. *)
 
   val size : t -> int
   (** The signal length [n]. *)

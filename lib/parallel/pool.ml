@@ -97,6 +97,10 @@ type t = {
 
 let parallelism t = Array.length t.workers + 1
 
+(* Set while this domain runs a pool task: [both] then stays
+   sequential, so a grid's parallelism is the pool's alone. *)
+let in_task : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
+
 (* Execute one task, routing any exception into the job's failure slot;
    once a failure is recorded, later tasks are skipped (but still
    counted) so the caller unblocks quickly.  Returns true iff this call
@@ -108,10 +112,14 @@ let execute job i =
        Obs.Histogram.observe m_queue_wait (t0 -. job.submitted);
      Obs.Counter.incr m_tasks_run;
      if Obs.Trace.enabled () then Obs.Trace.begin_ ~arg:i "pool/task";
+     let flag = Domain.DLS.get in_task in
+     let outer = !flag in
+     flag := true;
      (try job.run_task i
       with e ->
         let bt = Printexc.get_raw_backtrace () in
         ignore (Atomic.compare_and_set job.failure None (Some (e, bt))));
+     flag := outer;
      if Obs.Trace.enabled () then Obs.Trace.end_ ~arg:i "pool/task";
      Obs.Span.stop m_task_run t0
    end);
@@ -278,4 +286,171 @@ let map2_grid t ~xs ~ys ~f =
             match out.((iy * nx) + ix) with
             | Some v -> v
             | None -> assert false))
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Two-party fork-join on one process-wide helper domain.
+
+   Whoever wins the [owned] flag may post to the helper; everyone else
+   runs both thunks itself.  The owner writes [job], raises [phase] to
+   [posted], runs its own thunk and spins until the helper sets [done_]
+   — an atomic handoff on both sides, so each side's writes before it
+   are visible to the other after it.  Nothing on this path allocates:
+   the thunks are the caller's, and an exception is only boxed when one
+   is raised.
+
+   The helper outlives a single call: spawning and joining a domain per
+   one-shot solve raised the solve-cold benchmark's top heap by about a
+   third, and a spawn costs 0.5-4 ms on a 2-core VM, longer than most
+   solves.  But a live idle domain is not free either: every minor
+   collection stops all domains, a sleeping one included, and a
+   spinning one competes for the host core the caller's own work may
+   need.  So the helper spins briefly, then sleeps in [select] on a
+   pipe the owner writes a byte to, and retires when the sleep times
+   out.  Measured on a 2-core VM (noisy: repeated runs spread by
+   10-20%):
+
+   - [spin_seconds]: in solve-cold nine in ten gaps between two calls
+     are the bound check between two runs of steps (1-10 us); the rest
+     are mostly a new solve's set-up (0.1-1 ms) and refinements to a
+     large grid (1-10 ms).  A 2 ms spin slowed ext-ams --quick, whose
+     solves sit between allocation-heavy simulations, from 0.55 to
+     0.85 s; 100 us covers the checks and cost nothing measurable.
+   - [idle_seconds]: each retirement leaves the helper's heap for
+     another domain to adopt, and solve-cold's top heap at 55 s read
+     29.4-31.3 MB with 5 ms, which retires the helper in refinement
+     gaps and between passes (4 runs, 12-16 passes), against
+     28.2-30.6 MB with 0.5 s (10 runs, 15-19 passes) and 24.9-26.1 MB
+     without a helper.  Half a second outlasts the benchmark's set-up
+     between passes (0.25 s).  The price is a parked helper for up to
+     that long after a process's last solve: ext-ams --quick read
+     0.64 s against 0.55 s without a helper, and solve-cold's set-up
+     0.121 s against 0.113 s.  The next [both] after a retirement
+     joins the retired domain and spawns a fresh one. *)
+
+let spin_seconds = 1e-4
+let idle_seconds = 0.5
+let multicore = Domain.recommended_domain_count () > 1
+let owned = Atomic.make false
+let empty = 0
+let posted = 1
+let done_ = 2
+let phase = Atomic.make empty
+let sleeping = Atomic.make false
+let noop () = ()
+let job = ref noop
+let failure : (exn * Printexc.raw_backtrace) option ref = ref None
+
+(* The owner writes a byte here when it posts to a sleeping helper. *)
+let wakeup = lazy (Unix.pipe ~cloexec:true ())
+
+(* The helper domain, alive or retired and awaiting its join; read and
+   written only by the owner. *)
+let helper : unit Domain.t option ref = ref None
+let helper_alive = ref false
+
+(* Sleep until a byte arrives or [idle_seconds] pass; true on a byte.
+   Setting [sleeping] before the last look at [phase] (and the owner
+   posting before it looks at [sleeping]) means a post is never missed:
+   at worst a stray byte cuts the next sleep short.  A failing [select]
+   (say, a descriptor past its limit) counts as a timeout, so the
+   helper retires rather than leaving an owner waiting on it. *)
+let sleep_for_job () =
+  Atomic.set sleeping true;
+  let woken =
+    Atomic.get phase = posted
+    ||
+    let r, _ = Lazy.force wakeup in
+    match Unix.select [ r ] [] [] idle_seconds with
+    | [], _, _ -> false
+    | _ ->
+        ignore (Unix.read r (Bytes.create 64) 0 64);
+        true
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
+    | exception Unix.Unix_error _ -> false
+  in
+  Atomic.set sleeping false;
+  woken
+
+(* Wait for a posted job; false once the helper has retired.  Retiring
+   takes [owned] first, so no owner can be posting at that moment. *)
+let rec await_job () =
+  let t0 = Unix.gettimeofday () in
+  while
+    Atomic.get phase <> posted && Unix.gettimeofday () -. t0 < spin_seconds
+  do
+    Domain.cpu_relax ()
+  done;
+  if Atomic.get phase = posted then true
+  else if sleep_for_job () then await_job ()
+  else if Atomic.compare_and_set owned false true then begin
+    helper_alive := false;
+    Atomic.set owned false;
+    false
+  end
+  else await_job ()
+
+let rec serve () =
+  if await_job () then begin
+    (try !job ()
+     with e -> failure := Some (e, Printexc.get_raw_backtrace ()));
+    Atomic.set phase done_;
+    serve ()
+  end
+
+let sequentially f g =
+  match f () with
+  | () -> g ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      g ();
+      Printexc.raise_with_backtrace e bt
+
+(* Spawn a helper if none is alive; false if the runtime refuses. *)
+let ensure_helper () =
+  !helper_alive
+  ||
+  (Option.iter (fun d -> try Domain.join d with _ -> ()) !helper;
+   helper := None;
+   match
+     ignore (Lazy.force wakeup);
+     Domain.spawn serve
+   with
+   | d ->
+       helper := Some d;
+       helper_alive := true;
+       true
+   | exception _ -> false)
+
+let both f g =
+  if
+    (not multicore)
+    || !(Domain.DLS.get in_task)
+    || not (Atomic.compare_and_set owned false true)
+  then sequentially f g
+  else if not (ensure_helper ()) then begin
+    Atomic.set owned false;
+    sequentially f g
+  end
+  else begin
+    job := g;
+    Atomic.set phase posted;
+    if Atomic.get sleeping then
+      ignore (Unix.write_substring (snd (Lazy.force wakeup)) "!" 0 1);
+    let mine =
+      match f () with
+      | () -> None
+      | exception e -> Some (e, Printexc.get_raw_backtrace ())
+    in
+    while Atomic.get phase <> done_ do
+      Domain.cpu_relax ()
+    done;
+    Atomic.set phase empty;
+    let theirs = !failure in
+    failure := None;
+    job := noop;
+    Atomic.set owned false;
+    match (mine, theirs) with
+    | Some (e, bt), _ | None, Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None, None -> ()
   end

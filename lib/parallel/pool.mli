@@ -59,3 +59,25 @@ val shutdown : t -> unit
 
 val with_pool : ?workers:int -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] with a fresh pool and always shuts it down. *)
+
+val both : (unit -> unit) -> (unit -> unit) -> unit
+(** [both f g] runs [f] on the calling domain and [g] on a helper
+    domain at the same time, and returns once both are done: two-party
+    fork-join for work that splits into two independent halves, such as
+    the solver's floor and ceiling chains between bound checks.  The
+    helper is one process-wide domain, spawned by the first call that
+    needs it; it spins briefly after each job, then sleeps, and exits
+    after half a second without a job, so a process that stops calling
+    [both] soon stops paying for it.  The next call spawns a fresh helper.  [both] itself
+    allocates nothing once the helper is up.
+
+    [both] runs [f] then [g] on the calling domain instead when the
+    machine has one core ([Domain.recommended_domain_count () = 1]),
+    when the caller is running a pool task (a grid's parallelism is the
+    pool's), or when the helper is busy: a nested [both] from either
+    thunk, or a call from another domain while one is in flight.
+
+    Either way both thunks run to completion.  If one raises, its
+    exception is re-raised (with its backtrace) once the other has
+    finished; if both raise, [f]'s exception wins.  [f] and [g] must not
+    share mutable state. *)

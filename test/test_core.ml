@@ -540,6 +540,98 @@ let test_workspace_step_does_not_allocate () =
     [ (`Fft, 128); (`Fft, 256); (`Fft, 96); (`Fft, 4096); (`Direct, 128) ]
 
 (* ------------------------------------------------------------------ *)
+(* Chain pair: a one-shot solve outside a pool task steps its floor
+   chain on the caller and its ceiling chain on the helper domain
+   ({!Lrd_parallel.Pool.both}); inside a pool task both step on one
+   domain.  Where the chains ran must not change a bit. *)
+
+(* Everything a detailed solve reports, floats as bit patterns. *)
+let detailed_bits ((r : Solver.result), (occ : Solver.occupancy)) =
+  let bits = Int64.bits_of_float in
+  ( List.map bits [ r.loss; r.lower_bound; r.upper_bound; occ.Solver.step ],
+    (r.iterations, r.bins, r.refinements, r.converged),
+    Array.map bits occ.Solver.lower_pmf,
+    Array.map bits occ.Solver.upper_pmf )
+
+(* The solve on this domain (chains paired) and inside a pool task
+   (chains in turn). *)
+let paired_and_sequential ?params model ~service_rate ~buffer =
+  let solve () = Solver.solve_detailed ?params model ~service_rate ~buffer in
+  let paired = solve () in
+  let sequential =
+    Lrd_parallel.Pool.with_pool ~workers:1 (fun pool ->
+        (Lrd_parallel.Pool.map pool solve [| () |]).(0))
+  in
+  (paired, sequential)
+
+let test_chain_pair_bitwise () =
+  let m = pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:5.0 () in
+  let p = Solver.default_params in
+  let refined r = r.Solver.refinements > 0 in
+  let cases =
+    [
+      ("circular engine", p, 1.25, 8.0, refined);
+      (* 100 * 2^k is never a fast size: linear convolution throughout. *)
+      ( "linear engine",
+        { p with initial_bins = 100 },
+        1.25,
+        8.0,
+        fun r -> refined r && r.Solver.bins mod 25 = 0 );
+      ( "direct engine",
+        { p with convolution = `Direct; tolerance = 0.05 },
+        1.25,
+        2.0,
+        refined );
+      ("cold restarts", { p with warm_restart = false }, 1.25, 8.0, refined);
+      ( "refinement ladder",
+        { p with tolerance = 0.05 },
+        1.1,
+        8.0,
+        fun r -> r.Solver.bins >= 4096 );
+      ( "iteration budget",
+        { p with max_iterations = 40 },
+        1.25,
+        8.0,
+        fun r -> (not r.Solver.converged) && r.Solver.iterations = 40 );
+    ]
+  in
+  List.iter
+    (fun (name, params, service_rate, buffer, shape) ->
+      let paired, sequential =
+        paired_and_sequential ~params m ~service_rate ~buffer
+      in
+      Alcotest.(check bool) (name ^ ": case shape") true (shape (fst paired));
+      Alcotest.(check bool)
+        (name ^ ": identical bits")
+        true
+        (detailed_bits paired = detailed_bits sequential))
+    cases
+
+let prop_chain_pair_bitwise =
+  QCheck.Test.make ~count:12
+    ~name:"paired chains match sequential chains bitwise"
+    (QCheck.make
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 2 5)
+              (pair (float_range 0.0 10.0) (float_range 0.05 1.0)))
+           (float_range 0.3 0.95) (float_range 0.01 5.0)))
+    (fun (points, utilization, buffer_seconds) ->
+      let marginal = Lrd_dist.Marginal.of_points points in
+      let model = pareto_model ~marginal ~theta:0.2 ~alpha:1.4 ~cutoff:5.0 () in
+      let service_rate =
+        Model.service_rate_for_utilization model ~utilization
+      in
+      let params =
+        { Solver.default_params with max_iterations = 2_000; max_bins = 2048 }
+      in
+      let paired, sequential =
+        paired_and_sequential ~params model ~service_rate
+          ~buffer:(buffer_seconds *. service_rate)
+      in
+      detailed_bits paired = detailed_bits sequential)
+
+(* ------------------------------------------------------------------ *)
 (* Resumable solver states *)
 
 (* Any partition of the iteration stream into [State.advance] calls must
@@ -1421,6 +1513,9 @@ let () =
             test_solver_golden_matrix;
           Alcotest.test_case "workspace step allocates nothing" `Quick
             test_workspace_step_does_not_allocate;
+          Alcotest.test_case "chain pair matches sequential bitwise" `Quick
+            test_chain_pair_bitwise;
+          QCheck_alcotest.to_alcotest prop_chain_pair_bitwise;
         ] );
       ( "state",
         [

@@ -267,12 +267,13 @@ let test_convolution_plan_rejects_long_signal () =
     (Invalid_argument "Convolution.execute: signal longer than plan")
     (fun () ->
       Convolution.execute plan (Array.make 5 0.0) ~dst:(Array.make 8 0.0));
-  Alcotest.check_raises "shared tables of another size"
-    (Invalid_argument "Convolution.make_real_plan: size differs from share")
+  let circ = Convolution.make_real_plan ~size:16 ~kernel:[| 1.0 |] ~max_signal:4 () in
+  let v n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+  Alcotest.check_raises "scratch of another size"
+    (Invalid_argument "Convolution.execute_real_circular: scratch of another size")
     (fun () ->
-      ignore
-        (Convolution.make_real_plan ~share:plan ~size:16 ~kernel:[| 1.0 |]
-           ~max_signal:4 ()))
+      Convolution.execute_real_circular circ (Convolution.local_scratch plan)
+        ~signal:(v 16) ~len:4 ~dst:(v 16))
 
 let test_convolution_direct_into_matches () =
   let a = Array.init 33 (fun _ -> next_float () -. 0.4) in
@@ -726,7 +727,9 @@ let test_execute_real_circular_matches_wrapped_direct () =
   let dst = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
   Bigarray.Array1.fill src 0.0;
   Array.iteri (fun i v -> Bigarray.Array1.set src i v) signal;
-  Convolution.execute_real_circular plan ~signal:src ~len:(m + 1) ~dst;
+  Convolution.execute_real_circular plan
+    (Convolution.local_scratch plan)
+    ~signal:src ~len:(m + 1) ~dst;
   (* Oracle: the linear convolution folded modulo n. *)
   let linear = Convolution.direct signal kernel in
   let expect = Array.make n 0.0 in
@@ -756,9 +759,12 @@ let test_real_convolution_no_allocation () =
         let circ =
           Convolution.make_real_plan ~size:(2 * m) ~kernel ~max_signal:(m + 1) ()
         in
-        let shared =
-          Convolution.make_real_plan ~share:circ ~kernel ~max_signal:(m + 1) ()
+        let second =
+          Convolution.make_real_plan ~size:(2 * m) ~kernel:signal
+            ~max_signal:(m + 1) ()
         in
+        let local = Convolution.local_scratch circ
+        and own = Convolution.make_scratch second in
         let n = 2 * m in
         let src = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
         let dst = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
@@ -766,9 +772,10 @@ let test_real_convolution_no_allocation () =
         Array.iteri (fun i v -> Bigarray.Array1.set src i v) signal;
         let run () =
           Convolution.execute lin signal ~dst:out;
-          Convolution.execute_real_circular circ ~signal:src ~len:(m + 1) ~dst;
-          Convolution.execute_real_circular shared ~signal:src ~len:(m + 1)
-            ~dst
+          Convolution.execute_real_circular circ local ~signal:src
+            ~len:(m + 1) ~dst;
+          Convolution.execute_real_circular second own ~signal:src
+            ~len:(m + 1) ~dst
         in
         run ();
         let before = Gc.minor_words () in
@@ -1234,21 +1241,23 @@ let prop_fused_matches_oracle =
       let kspec = Oracle.kernel_spectrum o kernel in
       same_bits "execute" (Oracle.convolve o kspec signal ~len ~dst_len:out_len) dst;
       (* Circular execute, the kernel wrapped when longer than n, and a
-         plan sharing its tables. *)
+         second plan of the same size on scratch of its own. *)
       let circ =
         Convolution.make_real_plan ~size:n ~kernel:kernel_circ ~max_signal:len ()
       in
       let src = big_of signal and bdst = big_of (Array.make n nan) in
-      Convolution.execute_real_circular circ ~signal:src ~len ~dst:bdst;
+      Convolution.execute_real_circular circ (Convolution.local_scratch circ)
+        ~signal:src ~len ~dst:bdst;
       same_bits "circular"
         (Oracle.convolve o (Oracle.kernel_spectrum o kernel_circ) signal ~len
            ~dst_len:n)
         (array_of_big bdst);
-      let shared =
-        Convolution.make_real_plan ~share:circ ~kernel ~max_signal:len ()
+      let second =
+        Convolution.make_real_plan ~size:n ~kernel ~max_signal:len ()
       in
-      Convolution.execute_real_circular shared ~signal:src ~len ~dst:bdst;
-      same_bits "shared tables"
+      Convolution.execute_real_circular second (Convolution.make_scratch circ)
+        ~signal:src ~len ~dst:bdst;
+      same_bits "same-size plan, own scratch"
         (Oracle.convolve o kspec signal ~len ~dst_len:n)
         (array_of_big bdst);
       (* One-shot convolution on its own grid. *)

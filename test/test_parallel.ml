@@ -76,6 +76,161 @@ let test_shutdown_idempotent_and_final () =
       ignore (Pool.map pool (fun i -> i) [| 1 |]))
 
 (* ------------------------------------------------------------------ *)
+(* Pool.both: two-party fork-join on the helper domain *)
+
+let multicore = Domain.recommended_domain_count () > 1
+let self () = (Domain.self () :> int)
+
+(* The domains [both] ran its two thunks on. *)
+let both_on () =
+  let f_on = ref (-1) and g_on = ref (-1) in
+  Pool.both (fun () -> f_on := self ()) (fun () -> g_on := self ());
+  (!f_on, !g_on)
+
+let test_both_runs_both () =
+  let f_on, g_on = both_on () in
+  Alcotest.(check int) "f on the caller" (self ()) f_on;
+  Alcotest.(check bool)
+    "g on the helper (on the caller with one core)" multicore
+    (g_on <> self ())
+
+(* Each side's exception surfaces only after the other side finished;
+   when both raise, the caller's wins. *)
+let test_both_reraises () =
+  let slow_flag () =
+    let finished = ref false in
+    ( finished,
+      fun () ->
+        Unix.sleepf 0.02;
+        finished := true )
+  in
+  let expect name ~f ~g ~raised finished =
+    (match Pool.both f g with
+    | () -> Alcotest.failf "%s: expected an exception" name
+    | exception Boom i -> Alcotest.(check int) (name ^ ": which") raised i);
+    Alcotest.(check bool) (name ^ ": other side finished") true !finished
+  in
+  let finished, slow = slow_flag () in
+  expect "caller raises" ~f:(fun () -> raise (Boom 1)) ~g:slow ~raised:1
+    finished;
+  let finished, slow = slow_flag () in
+  expect "helper raises" ~f:slow ~g:(fun () -> raise (Boom 2)) ~raised:2
+    finished;
+  let g_done = ref false in
+  expect "both raise"
+    ~f:(fun () -> raise (Boom 3))
+    ~g:(fun () ->
+      g_done := true;
+      raise (Boom 4))
+    ~raised:3 g_done;
+  (* The helper survives its job's exception. *)
+  let f_on, _ = both_on () in
+  Alcotest.(check int) "usable afterwards" (self ()) f_on
+
+let check_on name domain (f_on, g_on) =
+  Alcotest.(check (pair int int)) name (domain, domain) (f_on, g_on)
+
+let test_both_sequential_cases () =
+  (* Inside pool tasks, on whichever domain runs them. *)
+  Pool.with_pool ~workers:1 (fun pool ->
+      Array.iter
+        (fun (d, on) -> check_on "inside a pool task" d on)
+        (Pool.map pool (fun () -> (self (), both_on ())) (Array.make 4 ())));
+  (* Nested, from either side. *)
+  let inner = ref (-1, -1) in
+  Pool.both (fun () -> inner := both_on ()) ignore;
+  check_on "nested in the caller's thunk" (self ()) !inner;
+  let helper = ref (-1) in
+  Pool.both ignore (fun () ->
+      helper := self ();
+      inner := both_on ());
+  check_on "nested in the helper's thunk" !helper !inner;
+  (* From another domain while this one holds the helper. *)
+  let other = ref (-1, (-1, -1)) in
+  Pool.both
+    (fun () ->
+      other := Domain.join (Domain.spawn (fun () -> (self (), both_on ()))))
+    ignore;
+  check_on "helper busy" (fst !other) (snd !other)
+
+let test_helper_retires_and_respawns () =
+  if multicore then begin
+    (* A host that stalls this domain past the idle period between two
+       calls retires the helper legitimately, so allow a few tries. *)
+    let kept () =
+      let _, h1 = both_on () in
+      let _, h2 = both_on () in
+      h1 = h2
+    in
+    Alcotest.(check bool) "kept between back-to-back calls" true
+      (kept () || kept () || kept ());
+    let _, h1 = both_on () in
+    (* Twice the idle period: the helper has exited. *)
+    Unix.sleepf 1.0;
+    let _, h3 = both_on () in
+    Alcotest.(check bool) "a fresh helper" true (h3 <> h1 && h3 <> self ())
+  end
+
+(* The handoff allocates nothing: neither [both] itself nor the
+   solver's per-check-period use of it.  A solve held at one grid (no
+   refinement, no convergence) to a budget of [n] steps allocates the
+   same number of minor words whether its chains step on two domains
+   or, inside a pool task, on one — at any [n].  Respawning a helper
+   does allocate, and a host stall past the idle period forces one, so
+   each measurement keeps the least of three tries.  Bytecode boxes
+   every float, so the pins hold on native builds only. *)
+let least_of_three f = Float.min (f ()) (Float.min (f ()) (f ()))
+
+let test_handoff_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let hits = ref 0 in
+    let f () = incr hits and g () = () in
+    Pool.both f g;
+    let calls () =
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        Pool.both f g
+      done;
+      Gc.minor_words () -. w0
+    in
+    Alcotest.(check (float 0.0)) "both" 0.0 (least_of_three calls);
+    let model =
+      Lrd_core.Model.cutoff_pareto
+        ~marginal:(Lrd_dist.Marginal.of_points [ (0.0, 0.5); (2.0, 0.5) ])
+        ~theta:0.2 ~alpha:1.4 ~cutoff:5.0
+    in
+    let words max_iterations =
+      let params =
+        {
+          Lrd_core.Solver.default_params with
+          max_iterations;
+          tolerance = -1.0;
+          negligible_loss = 0.0;
+          stall_factor = -1.0;
+        }
+      in
+      let w0 = Gc.minor_words () in
+      let r = Lrd_core.Solver.solve ~params model ~service_rate:1.25 ~buffer:2.0 in
+      Alcotest.(check int) "held at one grid" 128 r.Lrd_core.Solver.bins;
+      Gc.minor_words () -. w0
+    in
+    (* No workers: the task runs on this domain, whose plans and
+       scratch are then warm for both measurements. *)
+    let in_task n =
+      Pool.with_pool ~workers:0 (fun pool ->
+          (Pool.map pool (fun () -> words n) [| () |]).(0))
+    in
+    ignore (words 64);
+    List.iter
+      (fun n ->
+        Alcotest.(check (float 0.0))
+          (Printf.sprintf "solve of %d steps" n)
+          (in_task n)
+          (least_of_three (fun () -> words n)))
+      [ 64; 4096 ]
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Indexed rng splitting *)
 
 let test_split_indexed () =
@@ -344,6 +499,18 @@ let () =
             test_exception_propagates_and_pool_survives;
           Alcotest.test_case "shutdown" `Quick
             test_shutdown_idempotent_and_final;
+        ] );
+      ( "both",
+        [
+          Alcotest.test_case "runs both thunks" `Quick test_both_runs_both;
+          Alcotest.test_case "re-raises after the other side" `Quick
+            test_both_reraises;
+          Alcotest.test_case "sequential cases" `Quick
+            test_both_sequential_cases;
+          Alcotest.test_case "helper retires and respawns" `Quick
+            test_helper_retires_and_respawns;
+          Alcotest.test_case "handoff allocates nothing" `Quick
+            test_handoff_allocates_nothing;
         ] );
       ( "rng",
         [ Alcotest.test_case "split_indexed" `Quick test_split_indexed ] );
