@@ -214,39 +214,35 @@ let micro_tests ctx =
   let kernel = Array.init 2049 (fun i -> float_of_int (i mod 7)) in
   let signal = Array.init 1025 (fun i -> float_of_int (i mod 5)) in
   let plan =
-    Lrd_numerics.Convolution.make_real_plan ~kernel ~max_signal:1025 ()
+    Lrd_numerics.Convolution.make_real_plan ~size:2048 ~kernel
+      ~max_signal:1025
   in
   let exp_model =
     Lrd_core.Model.create
       ~marginal:(Lrd_dist.Marginal.of_points [ (0.0, 0.5); (2.0, 0.5) ])
       ~interarrival:(Lrd_dist.Interarrival.exponential ~mean:1.0)
   in
-  let conv_dst = Array.make (1025 + 2049 - 1) 0.0 in
   (* Real-engine counterparts: the half-spectrum transform alone, the
-     solver-shaped circular execute over Bigarray state, and a
-     non-power-of-two size that a radix-3 grid serves without padding
-     to 4096. *)
+     solver-shaped circular execute over Bigarray state (m = 1024), and
+     a non-fast grid (m = 750) whose 2m wrap runs on the next real
+     grid, 1536 points. *)
   let rfft_plan = Lrd_numerics.Fft.Real.make_plan 4096 in
   let rfft_spec_re = Array.make 2049 0.0 in
   let rfft_spec_im = Array.make 2049 0.0 in
-  let conv_big_signal =
-    let v =
-      Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout 1025
-    in
-    for i = 0 to 1024 do v.{i} <- float_of_int (i mod 5) done;
+  let big_of len f =
+    let v = Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout len in
+    for i = 0 to len - 1 do v.{i} <- f i done;
     v
   in
-  let conv_big_dst =
-    let n = Lrd_numerics.Convolution.real_transform_size plan in
-    Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout n
-  in
-  let kernel1500 = Array.init 1500 (fun i -> float_of_int (i mod 7)) in
-  let signal1500 = Array.init 1500 (fun i -> float_of_int (i mod 5)) in
+  let conv_big_signal = big_of 1025 (fun i -> float_of_int (i mod 5)) in
+  let conv_big_dst = big_of 2048 (fun _ -> 0.0) in
+  let n1500 = Lrd_numerics.Convolution.real_transform_size_for 1500 in
   let plan1500 =
-    Lrd_numerics.Convolution.make_real_plan ~kernel:kernel1500
-      ~max_signal:1500 ()
+    Lrd_numerics.Convolution.make_real_plan ~size:n1500
+      ~kernel:(Array.init 1501 (fun i -> float_of_int (i mod 7)))
+      ~max_signal:751
   in
-  let conv_dst1500 = Array.make (1500 + 1500 - 1) 0.0 in
+  let conv_dst1500 = big_of n1500 (fun _ -> 0.0) in
   (* One Lindley step of both chains on a warm MTV workspace. *)
   let step m =
     let w = Lrd_core.Workload.create mtv_model ~service_rate:mtv_c in
@@ -257,8 +253,6 @@ let micro_tests ctx =
     [
       mk "kernel/conv-direct-1k" (fun () ->
           ignore (Lrd_numerics.Convolution.direct signal kernel));
-      mk "kernel/conv-fft-plan-1k" (fun () ->
-          Lrd_numerics.Convolution.execute plan signal ~dst:conv_dst);
       mk "kernel/rfft-4096" (fun () ->
           Lrd_numerics.Fft.Real.forward_ip rfft_plan ~signal:re ~len:4096
             ~spec_re:rfft_spec_re ~spec_im:rfft_spec_im);
@@ -267,8 +261,9 @@ let micro_tests ctx =
             (Lrd_numerics.Convolution.local_scratch plan)
             ~signal:conv_big_signal ~len:1025 ~dst:conv_big_dst);
       mk "kernel/conv-real-1500" (fun () ->
-          Lrd_numerics.Convolution.execute plan1500 signal1500
-            ~dst:conv_dst1500);
+          Lrd_numerics.Convolution.execute_real_circular plan1500
+            (Lrd_numerics.Convolution.local_scratch plan1500)
+            ~signal:conv_big_signal ~len:751 ~dst:conv_dst1500);
       (* The grid most one-shot solves finish on, and a deep-buffer one. *)
       mk "kernel/step-m128" (step 128);
       mk "kernel/step-m2048" (step 2048);
@@ -395,8 +390,8 @@ let micro_tests ctx =
     [
       mk (Printf.sprintf "sweep/%s-uniform" name) (fun () ->
           ignore
-            (Sweep.surface ~xs:sweep_scalings ~ys:sweep_buffers
-               ~f:(fun ~x:a ~y:buffer_seconds ->
+            (Sweep.psurface ~xs:sweep_scalings ~ys:sweep_buffers
+               ~f:(fun a buffer_seconds ->
                  (Lrd_core.Solver.solve_utilization ~params:sweep_params
                     ~cache:(uniform_cache, Sweep.cell_key a)
                     (model_of uniform_cache a) ~utilization ~buffer_seconds)

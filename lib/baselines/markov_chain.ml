@@ -20,19 +20,6 @@ let create ~rates ~transition =
     transition;
   { rates; transition }
 
-let of_dar ~marginal ~rho =
-  if not (rho >= 0.0 && rho < 1.0) then
-    invalid_arg "Markov_chain.of_dar: rho must lie in [0, 1)";
-  let rates = Lrd_dist.Marginal.rates marginal in
-  let pi = Lrd_dist.Marginal.probs marginal in
-  let n = Array.length rates in
-  let transition =
-    Array.init n (fun i ->
-        Array.init n (fun j ->
-            ((1.0 -. rho) *. pi.(j)) +. if i = j then rho else 0.0))
-  in
-  { rates; transition }
-
 let fit_from_trace ?(bins = 50) trace =
   if bins <= 0 then
     invalid_arg "Markov_chain.fit_from_trace: bins must be positive";

@@ -14,10 +14,6 @@ val create : rates:float array -> transition:float array array -> t
 (** @raise Invalid_argument unless [transition] is row-stochastic and
     square with the same dimension as [rates] (which must be nonempty). *)
 
-val of_dar : marginal:Lrd_dist.Marginal.t -> rho:float -> t
-(** The DAR(1) chain: [P = rho I + (1 - rho) 1 pi^T].
-    @raise Invalid_argument unless [0 <= rho < 1]. *)
-
 val fit_from_trace : ?bins:int -> Lrd_trace.Trace.t -> t
 (** Order-1 empirical bin chain: the trace is quantized into [bins]
     (default 50) histogram bins, each occupied bin becomes one state at

@@ -81,9 +81,3 @@ let exponential_decay_rate ~marginal ~mean_epoch ~service_rate =
   done;
   Lrd_numerics.Roots.bisection ~f ~lo:!lo ~hi:!hi ()
 
-let exponential_tail ~marginal ~mean_epoch ~service_rate ~level =
-  if level <= 0.0 then 1.0
-  else begin
-    let delta = exponential_decay_rate ~marginal ~mean_epoch ~service_rate in
-    exp (-.delta *. level)
-  end

@@ -63,11 +63,3 @@ val exponential_decay_rate :
     ([mean rate < service_rate]) and at least one rate above the service
     rate (otherwise the queue is empty and the rate is infinite).
     @raise Invalid_argument if unstable or degenerate. *)
-
-val exponential_tail :
-  marginal:Lrd_dist.Marginal.t ->
-  mean_epoch:float ->
-  service_rate:float ->
-  level:float ->
-  float
-(** [exp (-decay_rate * level)]. *)

@@ -81,31 +81,28 @@ let m_solve_alloc = Resource.Alloc.make "solver/solve_minor_words"
 module Workspace = struct
   type vec = Lrd_numerics.Fft.vec
 
-  (* Three engines for the Lindley convolution, fastest first:
+  (* One Lindley step convolves the pmf (support [0, m]) with the
+     kernel (support [0, 2m]); the linear output u lives on [0, 3m], and
+     index s stands for the value (s - m) d.  Every engine produces u
+     WRAPPED modulo a grid of n >= 2m points, u^[t] = u[t] + u[t + n].
+     The wrap-around is controlled aliasing: t + n <= 3m forces
+     t <= 3m - n <= m, so it corrupts only the states the boundary fold
+     collapses into the empty state anyway, and the middle states
+     m+1 .. 2m-1 are alias-free.  The full-state mass sum_{s >= 2m}
+     u[s] is recovered EXACTLY by an O(m) correlation of the pmf with
+     the kernel's tail cumulative (tail.(j) = sum_{l >= 2m - j} ker.(l)),
+     and the empty-state mass by total-mass accounting — more
+     accurately than summing FFT output, since the tail masses that
+     drive deep-buffer loss are computed from nonnegative products
+     instead of cancelling transform noise.
 
-     [Real_circular] — m is a fast size, so both chains convolve on a
-     CIRCULAR real-transform grid of only n = 2m points (half the
-     linear length, a quarter of the old power-of-two dual grid).  The
-     wrap-around is controlled aliasing: the linear output u lives on
-     [0, 3m], so the folded u^[t] = u[t] + u[t + 2m] corrupts only
-     t <= m — exactly the range the boundary fold collapses anyway.
-     The full-state mass sum_{i >= 2m} u[i] is recovered EXACTLY by an
-     O(m) correlation of the pmf with the kernel's tail cumulative
-     (tail.(j) = sum_{l >= 2m - j} ker[l]), and the empty-state mass by
-     total-mass accounting — more accurately than summing FFT output,
-     since the tail masses that drive deep-buffer loss are computed
-     from nonnegative products instead of cancelling transform noise.
+     [Fft] — a circular real-transform plan of n points: n = 2m when m
+     is a fast size, the next real-transform grid above 2m otherwise.
 
-     [Real_linear] — m is not a fast size: plain linear convolution on
-     the default real grid (still one half-size transform each way).
-
-     [Direct] — schoolbook, for small grids. *)
+     [Direct] — the schoolbook linear product, wrapped mod n = 2m by an
+     O(m) pass; for small grids. *)
   type engine =
-    | Real_circular of {
-        plan : Lrd_numerics.Convolution.real_plan;
-        tail : vec;  (* tail.(j) = sum_{l >= 2m-j} ker.(l) *)
-      }
-    | Real_linear of Lrd_numerics.Convolution.real_plan
+    | Fft of Lrd_numerics.Convolution.real_plan
     | Direct of float array
 
   (* One chain's state.  The two chains of a level share only the
@@ -115,13 +112,15 @@ module Workspace = struct
      may step on the helper domain, owns its scratch. *)
   type chain = {
     engine : engine;
+    tail : vec;  (* tail.(j) = sum_{l >= 2m-j} ker.(l) *)
     q : vec;  (* occupancy pmf, length m + 1 *)
-    conv : vec;  (* convolution output *)
+    conv : vec;  (* wrapped convolution output *)
     own : Lrd_numerics.Convolution.scratch option;
   }
 
   type t = {
     m : int;
+    n : int;  (* wrap size of the convolution output, >= 2m *)
     width : float;  (* grid step d = buffer / m *)
     overflow : vec;  (* E[W_l | Q = j d], j = 0 .. m. *)
     lower : chain;  (* floor chain *)
@@ -170,37 +169,28 @@ module Workspace = struct
           Lrd_numerics.Convolution.prefer_fft ~na:(m + 1) ~nb:((2 * m) + 1)
     in
     Obs.Counter.incr (if use_fft then m_workspaces_fft else m_workspaces_direct);
+    let n =
+      if (not use_fft) || Lrd_numerics.Fft.is_fast_size m then 2 * m
+      else Lrd_numerics.Convolution.real_transform_size_for (2 * m)
+    in
     let chain kernel ~start ~owns_scratch =
       let engine =
-        if not use_fft then Direct kernel
-        else if Lrd_numerics.Fft.is_fast_size m then
-          Real_circular
-            {
-              plan =
-                Lrd_numerics.Convolution.make_real_plan ~size:(2 * m) ~kernel
-                  ~max_signal:(m + 1) ();
-              tail = tail_cumulative kernel ~m;
-            }
-        else
-          Real_linear
-            (Lrd_numerics.Convolution.make_real_plan ~kernel
-               ~max_signal:(m + 1) ())
-      in
-      let conv_len =
-        match engine with
-        | Real_circular _ -> 2 * m
-        | Real_linear plan -> Lrd_numerics.Convolution.real_transform_size plan
-        | Direct _ -> (3 * m) + 1
+        if use_fft then
+          Fft
+            (Lrd_numerics.Convolution.make_real_plan ~size:n ~kernel
+               ~max_signal:(m + 1))
+        else Direct kernel
       in
       let own =
         match engine with
-        | (Real_circular { plan; _ } | Real_linear plan) when owns_scratch ->
+        | Fft plan when owns_scratch ->
             Some (Lrd_numerics.Convolution.make_scratch plan)
         | _ -> None
       in
       let q = vec_make (m + 1) in
       Bigarray.Array1.set q start 1.0;
-      { engine; q; conv = vec_make conv_len; own }
+      let conv = vec_make (if use_fft then n else (3 * m) + 1) in
+      { engine; tail = tail_cumulative kernel ~m; q; conv; own }
     in
     let lower = chain bins.Workload.lower ~start:0 ~owns_scratch:false in
     let upper = chain bins.Workload.upper ~start:m ~owns_scratch:true in
@@ -209,71 +199,27 @@ module Workspace = struct
     for j = 0 to m do
       Bigarray.Array1.set overflow j ov.(j)
     done;
-    { m; width = bins.Workload.step; overflow; lower; upper }
+    { m; n; width = bins.Workload.step; overflow; lower; upper }
 
-  (* Fold the convolution [u] back onto the grid in place (eqs. 19-20):
-     mass below 0 collapses into the empty state, mass above B into the
-     full state; index s of [u] corresponds to the value (s - m) d.
-     FFT rounding can leave tiny negatives / drift, so clamp and rescale
-     to keep the pmf a probability vector.
+  (* Fold the wrapped convolution [u] back onto the grid in place
+     (eqs. 19-20): mass below 0 collapses into the empty state, mass
+     above B into the full state.  The full-state mass comes from the
+     tail correlation against the OLD pmf (still intact in q — the
+     convolution reads but never writes it).  The empty-state mass is
+     the wrapped prefix sum_{t <= m} u^[t], which counts every aliased
+     term u[t + n] once, plus the alias-free full-state entries
+     2m .. n-1 (none when n = 2m), minus that full-state mass.  FFT
+     rounding can leave tiny negatives / drift, so clamp and rescale to
+     keep the pmf a probability vector.
 
      The Neumaier sums are written out inline rather than through
      [Summation]: without flambda a cross-module call that takes or
      returns a float boxes it, and [Float.max] likewise, which would
      break the zero-allocation invariant of [step].  Local refs compile
      to unboxed mutable variables, so this whole function stays off the
-     heap. *)
-  let fold_exact t (u : vec) (q : vec) =
-    let m = t.m in
-    (* A local helper closure would re-box the refs; the Neumaier body
-       is therefore repeated verbatim in each of the sums. *)
-    let s = ref 0.0 and c = ref 0.0 in
-    for i = 0 to m do
-      let x = Bigarray.Array1.unsafe_get u i in
-      let t' = !s +. x in
-      if Float.abs !s >= Float.abs x then c := !c +. (!s -. t' +. x)
-      else c := !c +. (x -. t' +. !s);
-      s := t'
-    done;
-    let q0 = !s +. !c in
-    Bigarray.Array1.unsafe_set q 0 (if q0 > 0.0 then q0 else 0.0);
-    for j = 1 to m - 1 do
-      let v = Bigarray.Array1.unsafe_get u (m + j) in
-      Bigarray.Array1.unsafe_set q j (if v > 0.0 then v else 0.0)
-    done;
-    s := 0.0;
-    c := 0.0;
-    for i = 2 * m to 3 * m do
-      let x = Bigarray.Array1.unsafe_get u i in
-      let t' = !s +. x in
-      if Float.abs !s >= Float.abs x then c := !c +. (!s -. t' +. x)
-      else c := !c +. (x -. t' +. !s);
-      s := t'
-    done;
-    let qm = !s +. !c in
-    Bigarray.Array1.unsafe_set q m (if qm > 0.0 then qm else 0.0);
-    s := 0.0;
-    c := 0.0;
-    for i = 0 to m do
-      let x = Bigarray.Array1.unsafe_get q i in
-      let t' = !s +. x in
-      if Float.abs !s >= Float.abs x then c := !c +. (!s -. t' +. x)
-      else c := !c +. (x -. t' +. !s);
-      s := t'
-    done;
-    let total = !s +. !c in
-    if total > 0.0 && Float.abs (total -. 1.0) > 1e-15 then
-      for j = 0 to m do
-        Bigarray.Array1.unsafe_set q j (Bigarray.Array1.unsafe_get q j /. total)
-      done
-
-  (* Fold for the circular grid: u holds the 2m wrapped values
-     u^[t] = u[t] + u[t + 2m].  Middle states m+1 .. 2m-1 are alias-free.
-     The full-state mass comes from the tail correlation against the OLD
-     pmf (still intact in q — the convolution reads but never writes it),
-     and the empty-state mass from the wrapped prefix minus that: the
-     prefix sum_{t <= m} u^[t] counts every aliased term exactly once. *)
-  let fold_aliased t (u : vec) (q : vec) (tail : vec) =
+     heap.  A local helper closure would re-box the refs; the Neumaier
+     body is therefore repeated verbatim in each of the sums. *)
+  let fold t (u : vec) (q : vec) (tail : vec) =
     let m = t.m in
     let s = ref 0.0 and c = ref 0.0 in
     for j = 0 to m do
@@ -289,6 +235,13 @@ module Workspace = struct
     s := 0.0;
     c := 0.0;
     for i = 0 to m do
+      let x = Bigarray.Array1.unsafe_get u i in
+      let t' = !s +. x in
+      if Float.abs !s >= Float.abs x then c := !c +. (!s -. t' +. x)
+      else c := !c +. (x -. t' +. !s);
+      s := t'
+    done;
+    for i = 2 * m to t.n - 1 do
       let x = Bigarray.Array1.unsafe_get u i in
       let t' = !s +. x in
       if Float.abs !s >= Float.abs x then c := !c +. (!s -. t' +. x)
@@ -322,23 +275,24 @@ module Workspace = struct
     | Some s -> s
     | None -> Lrd_numerics.Convolution.local_scratch plan
 
-  (* One Lindley step of one chain: a real-input convolution (circular
-     when the grid allows) followed by the boundary fold.  Zero heap
-     allocation. *)
+  (* One Lindley step of one chain: the convolution wrapped mod n,
+     then the boundary fold.  Zero heap allocation. *)
   let step_chain t c =
     let len = t.m + 1 in
-    match c.engine with
-    | Real_circular { plan; tail } ->
+    (match c.engine with
+    | Fft plan ->
         Lrd_numerics.Convolution.execute_real_circular plan (scratch c plan)
-          ~signal:c.q ~len ~dst:c.conv;
-        fold_aliased t c.conv c.q tail
-    | Real_linear plan ->
-        Lrd_numerics.Convolution.execute_real_circular plan (scratch c plan)
-          ~signal:c.q ~len ~dst:c.conv;
-        fold_exact t c.conv c.q
+          ~signal:c.q ~len ~dst:c.conv
     | Direct kernel ->
         Lrd_numerics.Convolution.direct_into_big c.q ~len ~kernel ~dst:c.conv;
-        fold_exact t c.conv c.q
+        (* Wrap mod n = 2m: u[t + 2m] into u[t] for t <= m. *)
+        let u = c.conv in
+        for i = 0 to t.m do
+          Bigarray.Array1.unsafe_set u i
+            (Bigarray.Array1.unsafe_get u i
+            +. Bigarray.Array1.unsafe_get u (i + t.n))
+        done);
+    fold t c.conv c.q c.tail
 
   let step t =
     step_chain t t.lower;

@@ -10,10 +10,11 @@
     the iteration count and the grid resolution, the ceiling chain's
     decreasing — so the pair brackets the answer at every step.
 
-    Each iteration is one linear convolution of the occupancy pmf with
-    the discretized increment pmf (eq. 19) followed by folding the
+    Each iteration is one convolution of the occupancy pmf with the
+    discretized increment pmf (eq. 19) followed by folding the
     spill-over mass into the boundary states (eq. 20); the convolution
-    uses a cached-kernel FFT plan, O(m log m) per step.
+    is computed wrapped on a cached-kernel circular FFT plan,
+    O(m log m) per step (see {!Workspace}).
 
     The stopping protocol follows the paper: stop when the bounds come
     within [tolerance] (default 20%) of their midpoint, report zero when
@@ -70,16 +71,22 @@ val pp_result : Format.formatter -> result -> unit
 module Workspace : sig
   type t
   (** A mutable per-resolution-level workspace: the occupancy pmfs of
-      both chains as unboxed Bigarray vectors, one real-input FFT
-      convolution plan per chain built from the discretized increment
-      kernels ({!Lrd_numerics.Convolution.make_real_plan} — circular
-      mod [2 m] with precomputed alias-fold tails when [m] is a fast
-      size, linear on a {!Lrd_numerics.Fft.good_size} grid otherwise),
-      the convolution output buffers, and the expected-overflow table
-      (built in one batch by {!Workload.overflow_table}).  Everything
-      is allocated once when the level is built; {!step} then advances
-      both chains with {e zero heap allocation}, so iterating a level
-      is FLOP-bound rather than GC-bound. *)
+      both chains as unboxed Bigarray vectors, one convolution engine
+      per chain, the convolution output buffers, and the
+      expected-overflow table (built in one batch by
+      {!Workload.overflow_table}).  Every engine computes the Lindley
+      convolution WRAPPED modulo a grid of [n >= 2 m] points, and one
+      boundary fold (eqs. 19-20) maps it back onto the grid: the wrap
+      lands only on states the fold collapses into the empty state, and
+      the full-state mass comes exactly from a precomputed kernel-tail
+      correlation.  The FFT engine is a circular real-transform plan
+      ({!Lrd_numerics.Convolution.make_real_plan}) of [n = 2 m] points
+      when [m] is a fast size and of
+      {!Lrd_numerics.Convolution.real_transform_size_for} [(2 m)]
+      otherwise; the direct engine is the schoolbook product wrapped
+      mod [2 m].  Everything is allocated once when the level is built;
+      {!step} then advances both chains with {e zero heap allocation},
+      so iterating a level is FLOP-bound rather than GC-bound. *)
 
   val make :
     ?convolution:[ `Auto | `Fft | `Direct ] ->

@@ -359,21 +359,6 @@ let overflow_table t ~buffer ~bins =
         memo.ov <- a;
         a
 
-let loss_rate_of_occupancy t ~buffer ~occupancy_probs =
-  let n = Array.length occupancy_probs in
-  if n < 1 then invalid_arg "Workload.loss_rate_of_occupancy: empty pmf";
-  let step = if n = 1 then 0.0 else buffer /. float_of_int (n - 1) in
-  let acc = Lrd_numerics.Summation.create () in
-  Array.iteri
-    (fun i q ->
-      if q > 0.0 then
-        Lrd_numerics.Summation.add acc
-          (q
-          *. expected_overflow t ~buffer ~occupancy:(float_of_int i *. step)))
-    occupancy_probs;
-  Lrd_numerics.Summation.total acc
-  /. (t.mean_rate *. t.law.Lrd_dist.Interarrival.mean)
-
 let zero_buffer_loss t =
   let acc = Lrd_numerics.Summation.create () in
   Array.iteri

@@ -66,12 +66,6 @@ val overflow_table : t -> buffer:float -> bins:int -> float array
     returned array may be the cache's own: callers only read it.
     @raise Invalid_argument unless buffer and bins are positive. *)
 
-val loss_rate_of_occupancy :
-  t -> buffer:float -> occupancy_probs:float array -> float
-(** Eq. 23: [sum_i q(i) E[W_l | Q = i d] / (mean_rate E[T])] for an
-    occupancy pmf on the uniform grid [i d = i buffer / (n - 1)],
-    [i = 0 .. n-1]. *)
-
 val zero_buffer_loss : t -> float
 (** Closed form for [B = 0]: [E[(lambda - c)^+] / mean_rate] — a test
     oracle independent of the iteration. *)

@@ -5,7 +5,9 @@
    this ablation deliberately ignores the context's domain pool: the
    per-variant timings would be polluted by contending domains.  Each
    solve still steps its two chains on two domains, as every one-shot
-   solve does. *)
+   solve does.  The table prints only deterministic columns; each
+   variant's wall seconds go to the gauge
+   [experiment/abl-solver/<variant>/seconds] ([--metrics]). *)
 
 let id = "abl-solver"
 let title = "Ablation: solver warm restart and convolution strategy"
@@ -28,8 +30,8 @@ let run ctx fmt =
     ]
   in
   Table.heading fmt title;
-  Format.fprintf fmt "%12s %12s %10s %8s %8s %10s@." "variant" "loss"
-    "iterations" "bins" "refines" "seconds";
+  Format.fprintf fmt "%12s %12s %10s %8s %8s@." "variant" "loss"
+    "iterations" "bins" "refines";
   List.iter
     (fun (name, params) ->
       let t0 = Unix.gettimeofday () in
@@ -37,11 +39,14 @@ let run ctx fmt =
         Lrd_core.Solver.solve_utilization ~params model ~utilization
           ~buffer_seconds
       in
-      let dt = Unix.gettimeofday () -. t0 in
-      Format.fprintf fmt "%12s %12s %10d %8d %8d %10.3f@." name
+      if Lrd_obs.Obs.enabled () then
+        Lrd_obs.Obs.Gauge.set
+          (Lrd_obs.Obs.Gauge.make ("experiment/" ^ id ^ "/" ^ name ^ "/seconds"))
+          (Unix.gettimeofday () -. t0);
+      Format.fprintf fmt "%12s %12s %10d %8d %8d@." name
         (Table.cell_value r.Lrd_core.Solver.loss)
         r.Lrd_core.Solver.iterations r.Lrd_core.Solver.bins
-        r.Lrd_core.Solver.refinements dt)
+        r.Lrd_core.Solver.refinements)
     variants;
   Format.fprintf fmt
     "(all variants must agree on the loss; warm restart and FFT pay in \

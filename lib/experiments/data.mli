@@ -43,7 +43,7 @@ val jobs : t -> int
 
 val pool : t -> Lrd_parallel.Pool.t option
 (** The context's domain pool, if any; figure runners pass this to
-    {!Sweep.surface} and friends. *)
+    {!Sweep.psurface} and friends. *)
 
 val gap_policy : t -> Sweep.gap_policy
 (** The error-budget policy for this context's scheduled sweeps

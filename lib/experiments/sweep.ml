@@ -62,9 +62,6 @@ let psurface ?pool ~xs ~ys ~f () =
   | None -> Array.map (fun y -> Array.map (fun x -> f x y) xs) ys
   | Some p -> Lrd_parallel.Pool.map2_grid p ~xs ~ys ~f
 
-let surface ?pool ~xs ~ys ~f () =
-  psurface ?pool ~xs ~ys ~f:(fun x y -> f ~x ~y) ()
-
 let cell_key x = Printf.sprintf "%h" x
 
 (* ------------------------------------------------------------------ *)
@@ -350,22 +347,6 @@ let manifest_fields ~quick () =
     ("scalings", floats (scalings ~quick ()));
     ("stream_counts", ints (stream_counts ~quick ()));
   ]
-
-let shuffled_loss rng trace ~utilization ~buffer_seconds ~block =
-  let shuffled =
-    match block with
-    | None -> trace
-    | Some b -> Lrd_trace.Shuffle.external_shuffle rng trace ~block:b
-  in
-  let c =
-    Lrd_trace.Trace.service_rate_for_utilization trace ~utilization
-  in
-  let sim =
-    Lrd_fluidsim.Queue_sim.make ~service_rate:c
-      ~buffer:(buffer_seconds *. c) ()
-  in
-  Lrd_fluidsim.Queue_sim.loss_rate
-    (Lrd_fluidsim.Queue_sim.run_trace sim shuffled)
 
 let shuffle_blocks_of_cutoffs trace cutoffs =
   let slot = trace.Lrd_trace.Trace.slot in

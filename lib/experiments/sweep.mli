@@ -35,15 +35,6 @@ val map :
 (** [Array.map], optionally spread across the pool; results are in index
     order either way. *)
 
-val surface :
-  ?pool:Lrd_parallel.Pool.t ->
-  xs:float array ->
-  ys:float array ->
-  f:(x:float -> y:float -> float) ->
-  unit ->
-  float array array
-(** [cells.(row).(col) = f ~x:xs.(col) ~y:ys.(row)]. *)
-
 val psurface :
   ?pool:Lrd_parallel.Pool.t ->
   xs:'a array ->
@@ -51,9 +42,8 @@ val psurface :
   f:('a -> 'b -> 'c) ->
   unit ->
   'c array array
-(** Polymorphic [surface] for grids whose axes are not floats (shuffled
-    traces, interarrival laws, ...): [cells.(row).(col) = f xs.(col)
-    ys.(row)]. *)
+(** [cells.(row).(col) = f xs.(col) ys.(row)], for axes of any type
+    (buffers, shuffled traces, interarrival laws, ...). *)
 
 val cell_key : float -> string
 (** Hex-exact cache key for a float grid coordinate
@@ -146,18 +136,6 @@ val manifest_fields : quick:bool -> unit -> (string * Lrd_obs.Json.t) list
 (** The shared parameter grids above, for a run's provenance manifest:
     [buffers_seconds], [cutoffs_seconds] (infinity as the string
     ["inf"]), [hursts], [scalings], [stream_counts]. *)
-
-val shuffled_loss :
-  Lrd_rng.Rng.t ->
-  Lrd_trace.Trace.t ->
-  utilization:float ->
-  buffer_seconds:float ->
-  block:int option ->
-  float
-(** Trace-driven loss rate: externally shuffles the trace with the given
-    block size ([None] leaves it unshuffled), feeds it to the exact fluid
-    queue with [c = mean / utilization] and [B = buffer_seconds * c],
-    and returns the measured loss rate. *)
 
 val shuffle_blocks_of_cutoffs :
   Lrd_trace.Trace.t -> float array -> (float * int option) array

@@ -1,7 +1,7 @@
 type stage = { service_rate : float; buffer : float }
 
 let run_epochs ~stages epochs =
-  if stages = [] then invalid_arg "Tandem.run_epochs: no stages";
+  if stages = [] then invalid_arg "Tandem.run_trace: no stages";
   let states =
     List.map
       (fun s -> Queue_sim.make ~service_rate:s.service_rate ~buffer:s.buffer ())

@@ -15,18 +15,12 @@ type stage = {
   buffer : float;
 }
 
-val run_epochs :
-  stages:stage list ->
-  (float * float) Seq.t ->
-  Queue_sim.stats list
-(** Feeds the [(rate, duration)] epochs through the stages in order and
-    returns per-stage statistics.  @raise Invalid_argument if no stage
-    is given or a stage has a nonpositive service rate / negative
-    buffer. *)
-
 val run_trace :
   stages:stage list -> Lrd_trace.Trace.t -> Queue_sim.stats list
-(** Each trace slot is one input epoch. *)
+(** Feeds the trace through the stages in order, each slot one
+    [(rate, slot)] input epoch, and returns per-stage statistics.
+    @raise Invalid_argument if no stage is given or a stage has a
+    nonpositive service rate / negative buffer. *)
 
 val end_to_end_loss : Queue_sim.stats list -> float
 (** Total work lost anywhere in the tandem divided by the work offered

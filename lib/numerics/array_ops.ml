@@ -49,7 +49,3 @@ let normalize a =
     a.(i) <- a.(i) /. s
   done
 
-let fold_lefti f init a =
-  let acc = ref init in
-  Array.iteri (fun i x -> acc := f !acc i x) a;
-  !acc

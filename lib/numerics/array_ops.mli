@@ -24,6 +24,3 @@ val max_element : float array -> float
 val normalize : float array -> unit
 (** Scales the array in place so it sums to 1.
     @raise Invalid_argument if the sum is not positive. *)
-
-val fold_lefti : ('a -> int -> float -> 'a) -> 'a -> float array -> 'a
-(** Left fold with the element index. *)

@@ -13,23 +13,6 @@ let direct a b =
     out
   end
 
-let direct_into a b ~dst =
-  let na = Array.length a and nb = Array.length b in
-  if na = 0 || nb = 0 then invalid_arg "Convolution.direct_into: empty input";
-  let out_len = na + nb - 1 in
-  if Array.length dst < out_len then
-    invalid_arg "Convolution.direct_into: dst too short";
-  Array.fill dst 0 out_len 0.0;
-  for i = 0 to na - 1 do
-    let ai = Array.unsafe_get a i in
-    if ai <> 0.0 then
-      for j = 0 to nb - 1 do
-        let k = i + j in
-        Array.unsafe_set dst k
-          (Array.unsafe_get dst k +. (ai *. Array.unsafe_get b j))
-      done
-  done
-
 (* The smallest even fast size >= want whose half is also fast — what a
    real-input transform of a linear convolution needs.  Every even fast
    size is twice a fast size, so this is exact, and consecutive fast
@@ -37,26 +20,7 @@ let direct_into a b ~dst =
    paying the 2x power-of-two padding penalty. *)
 let real_transform_size_for want = 2 * Fft.good_size ((want + 1) / 2)
 
-let fft a b =
-  let na = Array.length a and nb = Array.length b in
-  if na = 0 || nb = 0 then [||]
-  else begin
-    let out_len = na + nb - 1 in
-    let n = real_transform_size_for out_len in
-    let rp = Fft.Real.cached_plan n in
-    let bins = Fft.Real.spectrum_length rp in
-    let bre = Array.make bins 0.0 and bim = Array.make bins 0.0 in
-    Fft.Real.forward_ip rp ~signal:b ~len:nb ~spec_re:bre ~spec_im:bim;
-    let out = Array.make out_len 0.0 in
-    Fft.Real.convolve rp Fft.Real.Floats ~kernel_re:bre ~kernel_im:bim
-      ~spec_re:(Array.make bins 0.0) ~spec_im:(Array.make bins 0.0) ~signal:a
-      ~len:na ~dst:out ~dst_len:out_len;
-    out
-  end
-
-(* The single crossover heuristic shared by [auto] and the solver
-   (previously the two used different thresholds: 4096 here, an
-   unrelated bin-count cutoff of 64 there).  Measured at solver shapes
+(* The solver's FFT/direct crossover.  Measured at solver shapes
    (signal m+1 against kernel 2m+1): the schoolbook loop wins clearly
    below a length product of ~1.5k, the FFT wins clearly above ~4k, and
    the band between is within noise of even, so the conservative end of
@@ -89,12 +53,6 @@ let prefer_fft_fixed ~transform_size ~direct_ops =
   > float_of_int fft_product_threshold /. (2.0 *. 128.0 *. 7.0)
     *. transform_point_bits
 
-let auto a b =
-  let na = Array.length a and nb = Array.length b in
-  if na = 0 || nb = 0 then [||]
-  else if prefer_fft ~na ~nb then fft a b
-  else direct a b
-
 (* ------------------------------------------------------------------ *)
 (* Planned real convolution against a fixed kernel.
 
@@ -109,15 +67,13 @@ let auto a b =
    chain, which steps on a helper domain while the floor chain steps
    on the caller — carries the second, so the helper builds no tables
    and allocates nothing.  Either way an execution performs no heap
-   allocation: both entry points run {!Fft.Real.convolve} — pack the
-   (zero-extended) signal straight into the half-size transform, one
-   pass over the n/2 + 1 independent bins (conjugate symmetry makes the
-   upper half free), and the inverse interleaved directly into [dst].
+   allocation: it runs {!Fft.Real.convolve} — pack the (zero-extended)
+   signal straight into the half-size transform, one pass over the
+   n/2 + 1 independent bins (conjugate symmetry makes the upper half
+   free), and the inverse interleaved directly into [dst].
 
-   A plan built with an explicit [size] smaller than the full linear
-   length computes CIRCULAR convolutions: the kernel is wrapped mod
-   [size] at build time, which is what the solver's aliased Lindley
-   step wants.  Such a plan refuses the linear [execute]. *)
+   Every plan is CIRCULAR mod its size, with a kernel longer than the
+   size wrapped at build time: the solver's aliased Lindley step. *)
 
 type scratch = { rfft : Fft.Real.t; sre : float array; sim : float array }
 
@@ -140,10 +96,8 @@ let scratch_for_size n =
       s
 
 type real_plan = {
-  kernel_len : int;
   max_signal : int;
   n : int;  (* transform size *)
-  linear : bool;  (* n covers na + nk - 1: [execute] output is linear *)
   tables : Fft.Real.t;  (* the building domain's cached plan *)
   kre : float array;  (* kernel half-spectrum, length n/2 + 1 *)
   kim : float array;
@@ -159,17 +113,15 @@ let make_scratch plan = scratch_of (Fft.Real.clone plan.tables)
 let wrap_buffer : float array ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [||])
 
-let make_real_plan ?size ~kernel ~max_signal () =
+let make_real_plan ~size:n ~kernel ~max_signal =
   let nk = Array.length kernel in
   if nk = 0 then invalid_arg "Convolution.make_real_plan: empty kernel";
   if max_signal < 1 then
     invalid_arg "Convolution.make_real_plan: max_signal < 1";
-  let full = nk + max_signal - 1 in
-  let n =
-    match size with Some s -> s | None -> real_transform_size_for full
-  in
-  if n < max_signal then
-    invalid_arg "Convolution.make_real_plan: size smaller than max_signal";
+  if n < 2 * (max_signal - 1) || n > 3 * (max_signal - 1) then
+    invalid_arg
+      "Convolution.make_real_plan: size outside [2 (max_signal - 1), 3 \
+       (max_signal - 1)]";
   let rfft = (scratch_for_size n).rfft in
   let bins = Fft.Real.spectrum_length rfft in
   let kre = Array.make bins 0.0 and kim = Array.make bins 0.0 in
@@ -187,33 +139,16 @@ let make_real_plan ?size ~kernel ~max_signal () =
     done;
     Fft.Real.forward_ip rfft ~signal:wrapped ~len:n ~spec_re:kre ~spec_im:kim
   end;
-  { kernel_len = nk; max_signal; n; linear = n >= full; tables = rfft; kre; kim }
-
-let real_transform_size plan = plan.n
-
-let execute plan a ~dst =
-  let na = Array.length a in
-  if na = 0 then invalid_arg "Convolution.execute: empty signal";
-  if na > plan.max_signal then
-    invalid_arg "Convolution.execute: signal longer than plan";
-  if not plan.linear then
-    invalid_arg "Convolution.execute: circular plan cannot produce linear output";
-  let out_len = na + plan.kernel_len - 1 in
-  if Array.length dst < out_len then
-    invalid_arg "Convolution.execute: dst too short";
-  let s = local_scratch plan in
-  Fft.Real.convolve s.rfft Fft.Real.Floats ~kernel_re:plan.kre
-    ~kernel_im:plan.kim ~spec_re:s.sre ~spec_im:s.sim ~signal:a ~len:na ~dst
-    ~dst_len:out_len
+  { max_signal; n; tables = rfft; kre; kim }
 
 let execute_real_circular plan scratch ~signal ~len ~dst =
-  if len < 1 || len > plan.max_signal || len > plan.n then
+  if len < 1 || len > plan.max_signal then
     invalid_arg "Convolution.execute_real_circular: bad signal length";
   if Bigarray.Array1.dim dst < plan.n then
     invalid_arg "Convolution.execute_real_circular: dst shorter than size";
   if Fft.Real.size scratch.rfft <> plan.n then
     invalid_arg "Convolution.execute_real_circular: scratch of another size";
-  Fft.Real.convolve scratch.rfft Fft.Real.Vec ~kernel_re:plan.kre
+  Fft.Real.convolve scratch.rfft ~kernel_re:plan.kre
     ~kernel_im:plan.kim ~spec_re:scratch.sre ~spec_im:scratch.sim ~signal ~len
     ~dst ~dst_len:plan.n
 

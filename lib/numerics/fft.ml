@@ -669,27 +669,18 @@ module Real = struct
       Array.unsafe_set spec_im p (fac *. (ei +. our))
     end
 
-  type _ buffer = Floats : float array buffer | Vec : vec buffer
-
-  let convolve (type a) t (kind : a buffer) ~kernel_re ~kernel_im ~spec_re
-      ~spec_im ~(signal : a) ~len ~(dst : a) ~dst_len =
-    let short =
-      match kind with
-      | Floats -> Array.length signal < len || Array.length dst < dst_len
-      | Vec ->
-          Bigarray.Array1.dim signal < len || Bigarray.Array1.dim dst < dst_len
-    in
-    if len < 0 || len > t.n || dst_len < 0 || dst_len > t.n || short then
-      invalid_arg "Fft.Real.convolve: bad signal or dst length";
+  let convolve t ~kernel_re ~kernel_im ~spec_re ~spec_im ~(signal : vec) ~len
+      ~(dst : vec) ~dst_len =
+    if
+      len < 0 || len > t.n || dst_len < 0 || dst_len > t.n
+      || Bigarray.Array1.dim signal < len
+      || Bigarray.Array1.dim dst < dst_len
+    then invalid_arg "Fft.Real.convolve: bad signal or dst length";
     check_spec t ~spec_re:kernel_re ~spec_im:kernel_im;
     check_spec t ~spec_re ~spec_im;
-    (match kind with
-    | Floats -> pack_float t signal len
-    | Vec -> pack_big t signal len);
+    pack_big t signal len;
     transform t.sub ~conjugate:false t.pre t.pim 0;
     spectral_pass t ~kernel_re ~kernel_im ~spec_re ~spec_im;
     transform t.sub ~conjugate:true spec_re spec_im 0;
-    match kind with
-    | Floats -> unpack_float ~re:spec_re ~im:spec_im dst dst_len
-    | Vec -> unpack_big ~re:spec_re ~im:spec_im dst dst_len
+    unpack_big ~re:spec_re ~im:spec_im dst dst_len
 end

@@ -106,23 +106,18 @@ module Real : sig
       given by its half [X_0 .. X_{n/2}] — the Davies–Harte synthesis
       step — writing the first [len] samples. *)
 
-  (** The signal buffers {!convolve} reads and writes: float arrays or
-      Bigarray vectors. *)
-  type _ buffer = Floats : float array buffer | Vec : vec buffer
-
   val convolve :
     t ->
-    'a buffer ->
     kernel_re:float array ->
     kernel_im:float array ->
     spec_re:float array ->
     spec_im:float array ->
-    signal:'a ->
+    signal:vec ->
     len:int ->
-    dst:'a ->
+    dst:vec ->
     dst_len:int ->
     unit
-  (** [convolve t kind ~kernel_re ~kernel_im ~spec_re ~spec_im ~signal
+  (** [convolve t ~kernel_re ~kernel_im ~spec_re ~spec_im ~signal
       ~len ~dst ~dst_len] writes the first [dst_len] samples of the
       CIRCULAR convolution (mod the plan size) of [signal.(0 .. len - 1)],
       zero-extended, with the kernel whose half-spectrum is

@@ -34,29 +34,4 @@ let poissonize rng trace ~packet_size =
   in
   Seq.concat_map slot_packets (Seq.init (Array.length rates) Fun.id)
 
-let paced trace ~packet_size =
-  check_size packet_size;
-  let slot = trace.Lrd_trace.Trace.slot in
-  let rates = trace.Lrd_trace.Trace.rates in
-  (* Carry the fractional packet budget across slots so low-rate slots
-     still contribute. *)
-  let slot_packets (carry, i) =
-    if i >= Array.length rates then None
-    else begin
-      let budget = carry +. (rates.(i) *. slot /. packet_size) in
-      let n = int_of_float budget in
-      let t0 = float_of_int i *. slot in
-      let spacing = slot /. float_of_int (max n 1) in
-      let packets =
-        Seq.init n (fun k ->
-            {
-              time = t0 +. ((float_of_int k +. 0.5) *. spacing);
-              size = packet_size;
-            })
-      in
-      Some (packets, (budget -. float_of_int n, i + 1))
-    end
-  in
-  Seq.concat (Seq.unfold slot_packets (0.0, 0))
-
 let count s = Seq.fold_left (fun acc _ -> acc + 1) 0 s

@@ -22,12 +22,5 @@ val poissonize :
     instants within the slot, sorted.  The sequence is produced lazily
     slot by slot.  @raise Invalid_argument if [packet_size <= 0]. *)
 
-val paced :
-  Lrd_trace.Trace.t -> packet_size:float -> packet Seq.t
-(** Deterministic pacing: slot [i] emits its expected packet count
-    (accumulated across slots so fractional packets are not lost),
-    evenly spaced.  The smoothest packetization — isolates the effect of
-    packet granularity from Poisson jitter. *)
-
 val count : packet Seq.t -> int
 (** Consumes the sequence. *)

@@ -12,11 +12,6 @@ type stats = {
 let loss_rate s =
   if s.offered_work > 0.0 then s.dropped_work /. s.offered_work else 0.0
 
-let packet_loss_rate s =
-  if s.offered_packets > 0 then
-    float_of_int s.dropped_packets /. float_of_int s.offered_packets
-  else 0.0
-
 let run ~service_rate ~buffer arrivals =
   if not (service_rate > 0.0) then
     invalid_arg "Packet_queue.run: service rate must be positive";

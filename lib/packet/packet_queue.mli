@@ -24,10 +24,6 @@ type stats = {
 val loss_rate : stats -> float
 (** Dropped work / offered work. *)
 
-val packet_loss_rate : stats -> float
-(** Dropped packets / offered packets (equal to {!loss_rate} for fixed
-    packet sizes). *)
-
 val run :
   service_rate:float ->
   buffer:float ->

@@ -46,7 +46,7 @@ val map2_grid :
 (** [map2_grid pool ~xs ~ys ~f] returns [cells] with
     [cells.(iy).(ix) = f xs.(ix) ys.(iy)], evaluating the row-major flattened
     grid across the pool.  Matches the orientation of
-    [Lrd_experiments.Sweep.surface]. *)
+    [Lrd_experiments.Sweep.psurface]. *)
 
 val iter : t -> (int -> unit) -> int -> unit
 (** [iter pool task n] runs [task i] for [i = 0 .. n - 1] across the pool.

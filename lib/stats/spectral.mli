@@ -1,9 +1,8 @@
 (** Spectral estimation.
 
-    The raw periodogram is an inconsistent spectrum estimator (its
-    variance does not shrink with the sample size); Welch's method —
-    averaging modified periodograms of overlapping windowed segments —
-    trades frequency resolution for consistency.  Alongside, the
+    The raw periodogram (an inconsistent spectrum estimator: its
+    variance does not shrink with the sample size, which is why GPH
+    and local Whittle regress over many bins), and alongside it the
     closed-form spectral densities of fGn (Paxson's approximation) and
     FARIMA(0, d, 0) for comparing estimates against theory. *)
 
@@ -29,13 +28,6 @@ val half_spectrum :
     FFT autocovariance and the phase-randomized surrogate.
     @raise Invalid_argument unless [size] is a valid real plan size
     [>= Array.length x] and the buffers hold [size/2 + 1] bins. *)
-
-val welch :
-  ?segment:int -> ?overlap:float -> float array -> estimate
-(** Welch estimate with Hann-windowed segments of length [segment]
-    (default [n / 8] rounded to a power of two, at least 64) and
-    fractional [overlap] (default 0.5).  @raise Invalid_argument for
-    series shorter than one segment or overlap outside [0, 1). *)
 
 val fgn_spectrum : hurst:float -> float -> float
 (** Approximate spectral density of unit-variance fGn at angular

@@ -2,11 +2,6 @@ let check_d d =
   if not (d >= 0.0 && d < 0.5) then
     invalid_arg "Farima: d must lie in [0, 0.5)"
 
-let memory_of_hurst h =
-  if not (h > 0.5 && h < 1.0) then
-    invalid_arg "Farima.memory_of_hurst: H must lie in (0.5, 1)";
-  h -. 0.5
-
 (* rho(k) = prod_{i=1..k} (i - 1 + d) / (i - d). *)
 let autocorrelation ~d k =
   check_d d;

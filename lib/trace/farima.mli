@@ -12,9 +12,6 @@
     autocovariance — the same Davies-Harte machinery as {!Fgn}, and the
     same reusable {!Plan} on top of it. *)
 
-val memory_of_hurst : float -> float
-(** [d = H - 1/2].  @raise Invalid_argument unless [0.5 < H < 1]. *)
-
 val autocorrelation : d:float -> int -> float
 (** Closed-form [rho(k)], [rho(0) = 1].
     @raise Invalid_argument unless [0 <= d < 0.5]. *)

@@ -55,7 +55,3 @@ let internal_shuffle rng trace ~block =
   done;
   Trace.create ~rates ~slot:trace.Trace.slot
 
-let full_shuffle rng trace =
-  let rates = Array.copy trace.Trace.rates in
-  shuffle_range rng rates 0 (Array.length rates);
-  Trace.create ~rates ~slot:trace.Trace.slot

@@ -25,8 +25,3 @@ val internal_shuffle :
   Lrd_rng.Rng.t -> Trace.t -> block:int -> Trace.t
 (** Permutes samples uniformly within each block, preserving block order.
     The trailing partial block is shuffled in place as well. *)
-
-val full_shuffle : Lrd_rng.Rng.t -> Trace.t -> Trace.t
-(** Uniform permutation of all samples: destroys all correlation while
-    preserving the marginal exactly (the [block = 1] limit of external
-    shuffling). *)

@@ -65,28 +65,6 @@ let test_chain_validation () =
       ignore
         (Markov_chain.create ~rates:[| 1.0 |] ~transition:[| [| 1.0 |]; [| 1.0 |] |]))
 
-let test_chain_of_dar_stationary () =
-  let chain = Markov_chain.of_dar ~marginal ~rho:0.4 in
-  let pi = Markov_chain.stationary chain in
-  let probs = Lrd_dist.Marginal.probs marginal in
-  Array.iteri
-    (fun i p -> check_close ~eps:1e-9 (Printf.sprintf "pi %d" i) probs.(i) p)
-    pi;
-  check_close ~eps:1e-9 "mean rate" (Lrd_dist.Marginal.mean marginal)
-    (Markov_chain.mean_rate chain);
-  check_close ~eps:1e-9 "variance" (Lrd_dist.Marginal.variance marginal)
-    (Markov_chain.rate_variance chain)
-
-let test_chain_of_dar_acf_geometric () =
-  let chain = Markov_chain.of_dar ~marginal ~rho:0.4 in
-  List.iter
-    (fun k ->
-      check_close ~eps:1e-9
-        (Printf.sprintf "lag %d" k)
-        (0.4 ** float_of_int k)
-        (Markov_chain.autocorrelation chain ~lag:k))
-    [ 0; 1; 2; 5 ]
-
 let test_chain_two_state_exact () =
   (* Symmetric two-state chain: eigenvalue 2s - 1. *)
   let chain =
@@ -128,7 +106,11 @@ let test_chain_fit_handles_terminal_state () =
     p
 
 let test_chain_generation_stationary () =
-  let chain = Markov_chain.of_dar ~marginal ~rho:0.5 in
+  (* Every row is the marginal: i.i.d. draws from it. *)
+  let chain =
+    Markov_chain.create ~rates:(Lrd_dist.Marginal.rates marginal)
+      ~transition:(Array.make 3 (Lrd_dist.Marginal.probs marginal))
+  in
   let t = Markov_chain.generate chain (rng ()) ~slots:100_000 ~slot:1.0 in
   check_close ~eps:0.03 "mean" (Lrd_dist.Marginal.mean marginal)
     (Lrd_trace.Trace.mean t)
@@ -454,10 +436,6 @@ let () =
       ( "markov-chain",
         [
           Alcotest.test_case "validation" `Quick test_chain_validation;
-          Alcotest.test_case "DAR stationary distribution" `Quick
-            test_chain_of_dar_stationary;
-          Alcotest.test_case "DAR chain acf" `Quick
-            test_chain_of_dar_acf_geometric;
           Alcotest.test_case "two-state exact" `Quick test_chain_two_state_exact;
           Alcotest.test_case "fit from trace" `Slow test_chain_fit_from_trace;
           Alcotest.test_case "fit handles terminal state" `Quick

@@ -536,8 +536,77 @@ let test_workspace_step_does_not_allocate () =
               "steady-state step allocated %.0f minor words at m = %d"
               allocated bins
       | Sys.Bytecode | Sys.Other _ -> ())
-    (* Both parities of log2 m, a radix-3 grid, a large grid. *)
-    [ (`Fft, 128); (`Fft, 256); (`Fft, 96); (`Fft, 4096); (`Direct, 128) ]
+    (* Both parities of log2 m, a radix-3 grid, a large grid, and a
+       non-fast grid (m = 100 wraps on 256 points) on both engines. *)
+    [
+      (`Fft, 128);
+      (`Fft, 256);
+      (`Fft, 96);
+      (`Fft, 4096);
+      (`Fft, 100);
+      (`Direct, 128);
+      (`Direct, 100);
+    ]
+
+(* One Lindley step (eqs. 19-20) the slow way: the exact linear product
+   of the pmf with the kernel, mass at or below 0 into the empty state,
+   mass at or above B into the full state, renormalized as the solver's
+   fold does. *)
+let exact_step pmf kernel =
+  let m = Array.length pmf - 1 in
+  let u = Lrd_numerics.Convolution.direct pmf kernel in
+  let sum a b = Lrd_numerics.Array_ops.sum (Array.sub u a (b - a + 1)) in
+  let q =
+    Array.init (m + 1) (fun j ->
+        if j = 0 then sum 0 m else if j = m then sum (2 * m) (3 * m)
+        else u.(m + j))
+  in
+  let total = Lrd_numerics.Array_ops.sum q in
+  Array.map (fun v -> v /. total) q
+
+let prop_wrapped_step_matches_exact =
+  QCheck.Test.make ~count:16
+    ~name:"non-fast grid step matches the exact linear fold"
+    (QCheck.make
+       ~print:(fun (points, m, u) ->
+         Printf.sprintf "m=%d u=%g atoms=[%s]" m u
+           (String.concat "; "
+              (List.map (fun (x, p) -> Printf.sprintf "%g,%g" x p) points)))
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 2 5)
+              (pair (float_range 0.0 10.0) (float_range 0.05 1.0)))
+           (int_range 45 4000) (float_range 0.3 0.95)))
+    (fun (points, m, utilization) ->
+      let rec non_fast m =
+        if Lrd_numerics.Fft.is_fast_size m then non_fast (m + 1) else m
+      in
+      let m = non_fast m in
+      let marginal = Lrd_dist.Marginal.of_points points in
+      let model = pareto_model ~marginal ~theta:0.2 ~alpha:1.4 ~cutoff:5.0 () in
+      let service_rate = Model.service_rate_for_utilization model ~utilization in
+      let workload = Workload.create model ~service_rate in
+      let buffer = 0.5 *. service_rate in
+      let bins = Workload.discretize workload ~buffer ~bins:m in
+      List.for_all
+        (fun conv ->
+          let ws = Solver.Workspace.make ~convolution:conv workload ~buffer ~m in
+          (* Two steps first, so the compared step starts from spread pmfs. *)
+          Solver.Workspace.step ws;
+          Solver.Workspace.step ws;
+          let lower = Solver.Workspace.lower_pmf ws
+          and upper = Solver.Workspace.upper_pmf ws in
+          Solver.Workspace.step ws;
+          let close expect got =
+            Array.for_all2
+              (fun e g -> Float.abs (e -. g) <= 1e-13)
+              expect got
+          in
+          close (exact_step lower bins.Workload.lower)
+            (Solver.Workspace.lower_pmf ws)
+          && close (exact_step upper bins.Workload.upper)
+               (Solver.Workspace.upper_pmf ws))
+        [ `Fft; `Direct ])
 
 (* ------------------------------------------------------------------ *)
 (* Chain pair: a one-shot solve outside a pool task steps its floor
@@ -571,8 +640,9 @@ let test_chain_pair_bitwise () =
   let cases =
     [
       ("circular engine", p, 1.25, 8.0, refined);
-      (* 100 * 2^k is never a fast size: linear convolution throughout. *)
-      ( "linear engine",
+      (* 100 * 2^k is never a fast size: every level wraps on the next
+         real-transform grid above 2m. *)
+      ( "non-fast grid",
         { p with initial_bins = 100 },
         1.25,
         8.0,
@@ -1312,8 +1382,8 @@ let prop_covariance_nonnegative_decreasing =
 (* Transform-domain superposition *)
 
 (* The repeated-squaring kernel against the brute N-fold convolution
-   chain the solver engine already trusts: same pmf convolved with
-   itself n - 1 times through a planned Convolution.execute. *)
+   chain: the same pmf convolved with itself n - 1 times through the
+   schoolbook oracle [Convolution.direct]. *)
 let prop_self_convolve_matches_brute =
   QCheck.Test.make ~name:"self_convolve matches brute N-fold convolution"
     ~count:60
@@ -1327,17 +1397,10 @@ let prop_self_convolve_matches_brute =
       let pmf = Array.of_list (List.map (fun w -> w +. 0.01) weights) in
       let total = Array.fold_left ( +. ) 0.0 pmf in
       Array.iteri (fun i w -> pmf.(i) <- w /. total) pmf;
-      let len = Array.length pmf in
-      let out_len = (n * (len - 1)) + 1 in
-      let plan =
-        Lrd_numerics.Convolution.make_real_plan ~kernel:pmf
-          ~max_signal:(out_len - len + 1) ()
-      in
-      let brute = ref (Array.copy pmf) in
-      let dst = Array.make out_len 0.0 in
+      let out_len = (n * (Array.length pmf - 1)) + 1 in
+      let brute = ref pmf in
       for _ = 2 to n do
-        Lrd_numerics.Convolution.execute plan !brute ~dst;
-        brute := Array.sub dst 0 (Array.length !brute + len - 1)
+        brute := Lrd_numerics.Convolution.direct !brute pmf
       done;
       let fast = Superpose.self_convolve ~pmf ~n in
       Array.length fast = out_len
@@ -1516,6 +1579,7 @@ let () =
           Alcotest.test_case "chain pair matches sequential bitwise" `Quick
             test_chain_pair_bitwise;
           QCheck_alcotest.to_alcotest prop_chain_pair_bitwise;
+          QCheck_alcotest.to_alcotest prop_wrapped_step_matches_exact;
         ] );
       ( "state",
         [

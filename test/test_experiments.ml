@@ -355,8 +355,8 @@ let test_sweep_blocks_of_cutoffs () =
 
 let test_sweep_surface_layout () =
   let cells =
-    Sweep.surface ~xs:[| 1.0; 2.0; 3.0 |] ~ys:[| 10.0; 20.0 |]
-      ~f:(fun ~x ~y -> x +. y)
+    Sweep.psurface ~xs:[| 1.0; 2.0; 3.0 |] ~ys:[| 10.0; 20.0 |]
+      ~f:(fun x y -> x +. y)
       ()
   in
   Alcotest.(check int) "rows" 2 (Array.length cells);

@@ -285,8 +285,10 @@ let test_tandem_end_to_end_loss () =
 
 let test_tandem_rejects_empty () =
   Alcotest.check_raises "no stages"
-    (Invalid_argument "Tandem.run_epochs: no stages") (fun () ->
-      ignore (Tandem.run_epochs ~stages:[] Seq.empty))
+    (Invalid_argument "Tandem.run_trace: no stages") (fun () ->
+      ignore
+        (Tandem.run_trace ~stages:[]
+           (Lrd_trace.Trace.create ~rates:[| 1.0 |] ~slot:1.0)))
 
 (* ------------------------------------------------------------------ *)
 (* Priority multiplexer *)

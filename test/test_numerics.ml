@@ -186,7 +186,7 @@ let test_fft_rejects_bad_input () =
         ~signal:(Array.make 16 0.0) ~len:16);
   let bad_length = Invalid_argument "Fft.Real.convolve: bad signal or dst length" in
   let convolve ?(kernel = spec ()) signal ~len dst ~dst_len =
-    Fft.Real.convolve plan Fft.Real.Vec ~kernel_re:kernel ~kernel_im:(spec ())
+    Fft.Real.convolve plan ~kernel_re:kernel ~kernel_im:(spec ())
       ~spec_re:(spec ()) ~spec_im:(spec ()) ~signal ~len ~dst ~dst_len
   in
   Alcotest.check_raises "convolve short signal" bad_length (fun () ->
@@ -224,84 +224,144 @@ let test_convolution_small_exact () =
   check_close "c2" 13.0 c.(2);
   check_close "c3" 10.0 c.(3)
 
+let big_of a =
+  let v = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (Array.length a) in
+  Array.iteri (fun i x -> Bigarray.Array1.set v i x) a;
+  v
+
+(* Planned circular convolution of [signal] with the plan's kernel: the
+   plan's [n] wrapped values as an array. *)
+let run_circular plan ~n signal =
+  let dst = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+  Convolution.execute_real_circular plan (Convolution.local_scratch plan)
+    ~signal:(big_of signal) ~len:(Array.length signal) ~dst;
+  Array.init n (Bigarray.Array1.get dst)
+
+(* The oracle for a circular plan: the linear product folded mod n. *)
+let wrapped_direct a b n =
+  let out = Array.make n 0.0 in
+  Array.iteri (fun i v -> out.(i mod n) <- out.(i mod n) +. v) (Convolution.direct a b);
+  out
+
 let test_convolution_fft_matches_direct () =
+  (* 37 + 101 - 1 = 137 linear values wrap onto 96. *)
   let a = Array.init 37 (fun _ -> next_float () -. 0.3) in
   let b = Array.init 101 (fun _ -> next_float () -. 0.6) in
-  let d = Convolution.direct a b and f = Convolution.fft a b in
-  Alcotest.(check int) "length" (Array.length d) (Array.length f);
-  Array.iteri (fun i v -> check_close ~eps:1e-10 "cell" v f.(i)) d
+  let plan = Convolution.make_real_plan ~size:96 ~kernel:b ~max_signal:37 in
+  let f = run_circular plan ~n:96 a in
+  Array.iteri (fun i v -> check_close ~eps:1e-10 "cell" v f.(i)) (wrapped_direct a b 96)
 
 let test_convolution_identity () =
   let a = Array.init 20 (fun _ -> next_float ()) in
-  let c = Convolution.fft a [| 1.0 |] in
-  Array.iteri (fun i v -> check_close "identity" a.(i) v) c
+  let plan = Convolution.make_real_plan ~size:40 ~kernel:[| 1.0 |] ~max_signal:20 in
+  let c = run_circular plan ~n:40 a in
+  Array.iteri
+    (fun i v -> check_close "identity" (if i < 20 then a.(i) else 0.0) v)
+    c
 
 let test_convolution_commutative () =
-  let a = Array.init 13 (fun _ -> next_float ()) in
-  let b = Array.init 29 (fun _ -> next_float ()) in
-  let ab = Convolution.auto a b and ba = Convolution.auto b a in
+  (* Both orders wrap mod 48, inside both plans' ranges. *)
+  let a = Array.init 17 (fun _ -> next_float ()) in
+  let b = Array.init 25 (fun _ -> next_float ()) in
+  let ab =
+    run_circular (Convolution.make_real_plan ~size:48 ~kernel:b ~max_signal:17) ~n:48 a
+  and ba =
+    run_circular (Convolution.make_real_plan ~size:48 ~kernel:a ~max_signal:25) ~n:48 b
+  in
   Array.iteri (fun i v -> check_close ~eps:1e-10 "commute" v ba.(i)) ab
 
 let test_convolution_preserves_mass () =
-  (* Convolution of pmfs is a pmf. *)
+  (* Convolution of pmfs is a pmf, and wrapping keeps the mass. *)
   let a = Array.init 50 (fun _ -> next_float ()) in
   let b = Array.init 64 (fun _ -> next_float ()) in
   Array_ops.normalize a;
   Array_ops.normalize b;
-  let c = Convolution.fft a b in
-  check_close ~eps:1e-10 "mass" 1.0 (Array_ops.sum c)
+  let plan = Convolution.make_real_plan ~size:120 ~kernel:b ~max_signal:50 in
+  check_close ~eps:1e-10 "mass" 1.0 (Array_ops.sum (run_circular plan ~n:120 a))
 
 let test_convolution_plan_matches () =
-  let kernel = Array.init 201 (fun _ -> next_float ()) in
-  let plan = Convolution.make_real_plan ~kernel ~max_signal:100 () in
+  (* The solver's shape on a non-fast grid: m = 100 bins, a 2m + 1
+     kernel, wrapped on the next real grid above 2m. *)
+  let m = 100 in
+  let n = Convolution.real_transform_size_for (2 * m) in
+  let kernel = Array.init ((2 * m) + 1) (fun _ -> next_float ()) in
+  let plan = Convolution.make_real_plan ~size:n ~kernel ~max_signal:(m + 1) in
   let signal = Array.init 77 (fun _ -> next_float ()) in
-  let expected = Convolution.direct signal kernel in
-  let got = Array.make (Array.length expected) nan in
-  Convolution.execute plan signal ~dst:got;
-  Alcotest.(check int) "length" (Array.length expected) (Array.length got);
-  Array.iteri (fun i v -> check_close ~eps:1e-10 "plan cell" v got.(i)) expected
+  let got = run_circular plan ~n signal in
+  Array.iteri
+    (fun i v -> check_close ~eps:1e-10 "plan cell" v got.(i))
+    (wrapped_direct signal kernel n)
 
 let test_convolution_plan_rejects_long_signal () =
-  let plan = Convolution.make_real_plan ~kernel:[| 1.0 |] ~max_signal:4 () in
-  Alcotest.check_raises "too long"
-    (Invalid_argument "Convolution.execute: signal longer than plan")
-    (fun () ->
-      Convolution.execute plan (Array.make 5 0.0) ~dst:(Array.make 8 0.0));
-  let circ = Convolution.make_real_plan ~size:16 ~kernel:[| 1.0 |] ~max_signal:4 () in
+  let plan = Convolution.make_real_plan ~size:8 ~kernel:[| 1.0 |] ~max_signal:4 in
   let v n = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
+  Alcotest.check_raises "too long"
+    (Invalid_argument "Convolution.execute_real_circular: bad signal length")
+    (fun () ->
+      Convolution.execute_real_circular plan (Convolution.local_scratch plan)
+        ~signal:(v 8) ~len:5 ~dst:(v 8));
+  let other = Convolution.make_real_plan ~size:16 ~kernel:[| 1.0 |] ~max_signal:9 in
   Alcotest.check_raises "scratch of another size"
     (Invalid_argument "Convolution.execute_real_circular: scratch of another size")
     (fun () ->
-      Convolution.execute_real_circular circ (Convolution.local_scratch plan)
+      Convolution.execute_real_circular other (Convolution.local_scratch plan)
         ~signal:(v 16) ~len:4 ~dst:(v 16))
+
+let test_convolution_plan_rejects_size () =
+  (* max_signal 65 admits sizes 128 .. 192; fast sizes either side are
+     refused, and so is an unsupported size inside the range. *)
+  let kernel = Array.make 129 1.0 in
+  List.iter
+    (fun size ->
+      ignore (Convolution.make_real_plan ~size ~kernel ~max_signal:65))
+    [ 128; 160; 192 ];
+  List.iter
+    (fun size ->
+      Alcotest.check_raises (string_of_int size)
+        (Invalid_argument
+           "Convolution.make_real_plan: size outside [2 (max_signal - 1), 3 \
+            (max_signal - 1)]")
+        (fun () ->
+          ignore (Convolution.make_real_plan ~size ~kernel ~max_signal:65)))
+    [ 120; 256 ];
+  Alcotest.(check bool) "unsupported size" true
+    (match Convolution.make_real_plan ~size:140 ~kernel ~max_signal:65 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_convolution_direct_into_matches () =
   let a = Array.init 33 (fun _ -> next_float () -. 0.4) in
   let b = Array.init 65 (fun _ -> next_float () -. 0.2) in
   let expected = Convolution.direct a b in
   (* An oversized, dirty destination: only the prefix is the result. *)
-  let dst = Array.make 128 Float.nan in
-  Convolution.direct_into a b ~dst;
+  let dst = big_of (Array.make 128 Float.nan) in
+  Convolution.direct_into_big (big_of a) ~len:33 ~kernel:b ~dst;
   Array.iteri
-    (fun i v -> check_close ~eps:1e-12 "direct_into cell" v dst.(i))
+    (fun i v -> check_close ~eps:1e-12 "direct_into cell" v dst.{i})
     expected;
   Alcotest.check_raises "dst too short"
-    (Invalid_argument "Convolution.direct_into: dst too short") (fun () ->
-      Convolution.direct_into a b ~dst:(Array.make 10 0.0))
+    (Invalid_argument "Convolution.direct_into_big: dst too short") (fun () ->
+      Convolution.direct_into_big (big_of a) ~len:33 ~kernel:b
+        ~dst:(big_of (Array.make 10 0.0)))
 
 let test_convolution_execute_into_matches () =
-  let kernel = Array.init 129 (fun _ -> next_float ()) in
-  let plan = Convolution.make_real_plan ~kernel ~max_signal:64 () in
-  let signal = Array.init 64 (fun _ -> next_float ()) in
-  let expected = Convolution.direct signal kernel in
-  let dst = Array.make (Array.length expected) 0.0 in
-  Convolution.execute plan signal ~dst;
+  let m = 64 in
+  let kernel = Array.init ((2 * m) + 1) (fun _ -> next_float ()) in
+  let plan = Convolution.make_real_plan ~size:(2 * m) ~kernel ~max_signal:(m + 1) in
+  let signal = Array.init (m + 1) (fun _ -> next_float ()) in
+  (* An oversized, dirty destination: the prefix is the result. *)
+  let dst = big_of (Array.make (3 * m) Float.nan) in
+  Convolution.execute_real_circular plan (Convolution.local_scratch plan)
+    ~signal:(big_of signal) ~len:(m + 1) ~dst;
   Array.iteri
-    (fun i v -> check_close ~eps:1e-10 "execute cell" v dst.(i))
-    expected;
+    (fun i v -> check_close ~eps:1e-10 "execute cell" v dst.{i})
+    (wrapped_direct signal kernel (2 * m));
   Alcotest.check_raises "dst too short"
-    (Invalid_argument "Convolution.execute: dst too short") (fun () ->
-      Convolution.execute plan signal ~dst:(Array.make 10 0.0))
+    (Invalid_argument "Convolution.execute_real_circular: dst shorter than size")
+    (fun () ->
+      Convolution.execute_real_circular plan (Convolution.local_scratch plan)
+        ~signal:(big_of signal) ~len:(m + 1)
+        ~dst:(big_of (Array.make 10 0.0)))
 
 (* ------------------------------------------------------------------ *)
 (* Special functions *)
@@ -720,9 +780,7 @@ let test_execute_real_circular_matches_wrapped_direct () =
   let n = 2 * m in
   let kernel = Array.init ((2 * m) + 1) (fun _ -> next_float ()) in
   let signal = Array.init (m + 1) (fun _ -> next_float ()) in
-  let plan =
-    Convolution.make_real_plan ~size:n ~kernel ~max_signal:(m + 1) ()
-  in
+  let plan = Convolution.make_real_plan ~size:n ~kernel ~max_signal:(m + 1) in
   let src = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
   let dst = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
   Bigarray.Array1.fill src 0.0;
@@ -742,36 +800,35 @@ let test_execute_real_circular_matches_wrapped_direct () =
   done
 
 let test_real_convolution_no_allocation () =
-  (* The steady-state entry points must not touch the OCaml heap: one
-     real linear convolution and one circular one per solver grid size,
-     measured after a warmup round.  The sizes cover both parities of
-     log2 (the butterflies pair stages, with one lone radix-2 pass when
-     the count is odd), the radix-3 and radix-15 Split towers, and the
-     smallest and a large solver grid.  Bytecode boxes floats
-     everywhere, so the pin only holds on native builds. *)
+  (* The steady-state entry point must not touch the OCaml heap: two
+     circular plans per solver grid size, one on the domain's scratch
+     and one on scratch of its own, measured after a warmup round.  The
+     sizes cover both parities of log2 (the butterflies pair stages,
+     with one lone radix-2 pass when the count is odd), the radix-3 and
+     radix-15 Split towers, the smallest and a large solver grid, and
+     two non-fast grids that wrap on the next real grid above 2m.
+     Bytecode boxes floats everywhere, so the pin only holds on native
+     builds. *)
   if Sys.backend_type = Sys.Native then
     List.iter
       (fun m ->
+        let n =
+          if Fft.is_fast_size m then 2 * m
+          else Convolution.real_transform_size_for (2 * m)
+        in
         let kernel = Array.init ((2 * m) + 1) (fun _ -> next_float ()) in
         let signal = Array.init (m + 1) (fun _ -> next_float ()) in
-        let lin = Convolution.make_real_plan ~kernel ~max_signal:(m + 1) () in
-        let out = Array.make ((3 * m) + 1) 0.0 in
-        let circ =
-          Convolution.make_real_plan ~size:(2 * m) ~kernel ~max_signal:(m + 1) ()
-        in
+        let circ = Convolution.make_real_plan ~size:n ~kernel ~max_signal:(m + 1) in
         let second =
-          Convolution.make_real_plan ~size:(2 * m) ~kernel:signal
-            ~max_signal:(m + 1) ()
+          Convolution.make_real_plan ~size:n ~kernel:signal ~max_signal:(m + 1)
         in
         let local = Convolution.local_scratch circ
         and own = Convolution.make_scratch second in
-        let n = 2 * m in
         let src = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
         let dst = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
         Bigarray.Array1.fill src 0.0;
         Array.iteri (fun i v -> Bigarray.Array1.set src i v) signal;
         let run () =
-          Convolution.execute lin signal ~dst:out;
           Convolution.execute_real_circular circ local ~signal:src
             ~len:(m + 1) ~dst;
           Convolution.execute_real_circular second own ~signal:src
@@ -784,7 +841,7 @@ let test_real_convolution_no_allocation () =
         Alcotest.(check (float 0.0))
           (Printf.sprintf "minor words allocated at m = %d" m)
           0.0 (after -. before))
-      [ 16; 32; 24; 120; 128; 2048; 4096 ]
+      [ 16; 32; 24; 120; 128; 2048; 4096; 100; 750 ]
 
 (* ------------------------------------------------------------------ *)
 (* Bitwise oracle: the radix-2 transform and unfused convolution
@@ -1196,11 +1253,6 @@ let oracle_signal rs shape len =
           | 1 -> -0.0
           | _ -> Random.State.float rs 2.0 -. 1.0)
 
-let big_of a =
-  let v = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout (Array.length a) in
-  Array.iteri (fun i x -> Bigarray.Array1.set v i x) a;
-  v
-
 let array_of_big v = Array.init (Bigarray.Array1.dim v) (Bigarray.Array1.get v)
 
 let prop_fused_matches_oracle =
@@ -1233,17 +1285,14 @@ let prop_fused_matches_oracle =
       same_bits "inverse" (Oracle.inverse o (ore, oim) n) back;
       Fft.Real.synthesize_ip plan ~spec_re:ore ~spec_im:oim ~signal:back ~len:n;
       same_bits "synthesize" (Oracle.synthesize o (ore, oim) n) back;
-      (* Linear execute: len + nk - 1 < n. *)
-      let lin = Convolution.make_real_plan ~size:n ~kernel ~max_signal:len () in
-      let out_len = len + nk - 1 in
-      let dst = Array.make out_len nan in
-      Convolution.execute lin signal ~dst;
       let kspec = Oracle.kernel_spectrum o kernel in
-      same_bits "execute" (Oracle.convolve o kspec signal ~len ~dst_len:out_len) dst;
+      (* Every [len] up to n / 2 fits a plan of max_signal n / 2 + 1,
+         whose size range [n, 3n/2] admits n. *)
+      let max_signal = (n / 2) + 1 in
       (* Circular execute, the kernel wrapped when longer than n, and a
          second plan of the same size on scratch of its own. *)
       let circ =
-        Convolution.make_real_plan ~size:n ~kernel:kernel_circ ~max_signal:len ()
+        Convolution.make_real_plan ~size:n ~kernel:kernel_circ ~max_signal
       in
       let src = big_of signal and bdst = big_of (Array.make n nan) in
       Convolution.execute_real_circular circ (Convolution.local_scratch circ)
@@ -1252,21 +1301,12 @@ let prop_fused_matches_oracle =
         (Oracle.convolve o (Oracle.kernel_spectrum o kernel_circ) signal ~len
            ~dst_len:n)
         (array_of_big bdst);
-      let second =
-        Convolution.make_real_plan ~size:n ~kernel ~max_signal:len ()
-      in
+      let second = Convolution.make_real_plan ~size:n ~kernel ~max_signal in
       Convolution.execute_real_circular second (Convolution.make_scratch circ)
         ~signal:src ~len ~dst:bdst;
       same_bits "same-size plan, own scratch"
         (Oracle.convolve o kspec signal ~len ~dst_len:n)
         (array_of_big bdst);
-      (* One-shot convolution on its own grid. *)
-      let o1 = Oracle.make_real (Convolution.real_transform_size_for out_len) in
-      same_bits "one-shot fft"
-        (Oracle.convolve o1
-           (Oracle.forward o1 kernel nk)
-           signal ~len ~dst_len:out_len)
-        (Convolution.fft signal kernel);
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -1449,6 +1489,8 @@ let () =
             test_convolution_plan_matches;
           Alcotest.test_case "plan rejects long signal" `Quick
             test_convolution_plan_rejects_long_signal;
+          Alcotest.test_case "plan rejects size outside range" `Quick
+            test_convolution_plan_rejects_size;
           Alcotest.test_case "direct_into matches direct" `Quick
             test_convolution_direct_into_matches;
           Alcotest.test_case "execute into dst matches" `Quick

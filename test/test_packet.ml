@@ -31,20 +31,6 @@ let test_poissonize_time_ordered () =
       if p.Arrivals.size <> 0.01 then Alcotest.fail "wrong size")
     packets
 
-let test_paced_exact_count () =
-  (* Deterministic pacing: exactly work / size packets (up to the final
-     fractional carry). *)
-  let trace = constant_trace ~rate:8.0 ~slots:1_000 ~slot:0.01 in
-  let n = Arrivals.count (Arrivals.paced trace ~packet_size:0.02) in
-  Alcotest.(check int) "exact" 4000 n
-
-let test_paced_carries_fractions () =
-  (* 0.25 expected packets per slot (exactly representable): 10 slots
-     must yield 2 packets, not 0. *)
-  let trace = constant_trace ~rate:0.25 ~slots:10 ~slot:1.0 in
-  let n = Arrivals.count (Arrivals.paced trace ~packet_size:1.0) in
-  Alcotest.(check int) "carried" 2 n
-
 let test_arrivals_reject_bad_size () =
   let trace = constant_trace ~rate:1.0 ~slots:10 ~slot:1.0 in
   Alcotest.check_raises "zero size"
@@ -97,7 +83,7 @@ let test_queue_loss_rates () =
       (packets_of_list [ (0.0, 1.0); (0.0, 1.0); (0.0, 1.0); (0.0, 1.0) ])
   in
   check_close "work loss" 0.75 (Packet_queue.loss_rate stats);
-  check_close "packet loss" 0.75 (Packet_queue.packet_loss_rate stats)
+  Alcotest.(check int) "dropped packets" 3 stats.Packet_queue.dropped_packets
 
 let test_queue_rejects_disorder () =
   Alcotest.check_raises "time travel"
@@ -129,12 +115,12 @@ let test_small_packets_approach_fluid () =
     Lrd_fluidsim.Queue_sim.loss_rate
       (Lrd_fluidsim.Queue_sim.run_trace sim trace)
   in
-  (* Deterministic pacing with tiny packets: the closest packet system
-     to the fluid one. *)
+  (* Poisson packetization with tiny packets: as the packet size
+     shrinks, the packet queue converges to the fluid one. *)
   let packet =
     Packet_queue.loss_rate
       (Packet_queue.run ~service_rate:c ~buffer
-         (Arrivals.paced trace ~packet_size:0.002))
+         (Arrivals.poissonize r trace ~packet_size:0.002))
   in
   check_close ~eps:0.08 "fluid limit" fluid packet
 
@@ -191,9 +177,6 @@ let () =
           Alcotest.test_case "poisson count" `Quick test_poissonize_count;
           Alcotest.test_case "time ordered" `Quick
             test_poissonize_time_ordered;
-          Alcotest.test_case "paced exact count" `Quick test_paced_exact_count;
-          Alcotest.test_case "paced carries fractions" `Quick
-            test_paced_carries_fractions;
           Alcotest.test_case "rejects bad size" `Quick
             test_arrivals_reject_bad_size;
         ] );

@@ -363,7 +363,7 @@ let test_estimators_deterministic_across_domains () =
   in
   let estimate x =
     ( (Lrd_stats.Hurst.gph x).Lrd_stats.Hurst.hurst,
-      (Lrd_stats.Spectral.welch x).Lrd_stats.Spectral.power,
+      (Lrd_stats.Spectral.periodogram x).Lrd_stats.Spectral.power,
       Lrd_stats.Autocorr.autocorrelation x ~max_lag:(Array.length x / 2),
       Lrd_stats.Whittle.local_whittle x )
   in

@@ -291,39 +291,6 @@ let test_periodogram_white_noise_level () =
     (1.0 /. (2.0 *. Float.pi))
     (Lrd_numerics.Array_ops.mean p.Spectral.power)
 
-let test_welch_white_noise_level () =
-  let xs = white_noise 65_536 in
-  let est = Spectral.welch ~segment:1024 xs in
-  Alcotest.(check bool) "many segments" true (est.Spectral.segments > 50);
-  check_close ~eps:0.03 "level"
-    (1.0 /. (2.0 *. Float.pi))
-    (Lrd_numerics.Array_ops.mean est.Spectral.power);
-  (* Welch variance per bin is far below the raw periodogram's. *)
-  let p = Spectral.periodogram xs in
-  let rel_spread e =
-    Lrd_numerics.Array_ops.variance e
-    /. (Lrd_numerics.Array_ops.mean e ** 2.0)
-  in
-  Alcotest.(check bool) "variance reduced" true
-    (rel_spread est.Spectral.power < rel_spread p.Spectral.power /. 4.0)
-
-let test_welch_tracks_farima_spectrum () =
-  let d = 0.3 in
-  let xs = Lrd_trace.Farima.generate (rng ()) ~d ~n:262_144 in
-  let est = Spectral.welch ~segment:2048 xs in
-  (* Geometric-mean ratio to theory near one across low/mid bins. *)
-  let acc = ref 0.0 and count = ref 0 in
-  Array.iteri
-    (fun j w ->
-      if j < 200 then begin
-        acc := !acc +. log (est.Spectral.power.(j) /. Spectral.farima_spectrum ~d w);
-        incr count
-      end)
-    est.Spectral.frequencies;
-  let ratio = exp (!acc /. float_of_int !count) in
-  if ratio < 0.8 || ratio > 1.25 then
-    Alcotest.failf "welch/theory ratio %.3f" ratio
-
 let test_fgn_spectrum_integrates_to_variance () =
   (* Unit-variance fGn: 2 int_0^pi f(w) dw ~ 1. *)
   let m = 5_000 in
@@ -606,10 +573,6 @@ let () =
         [
           Alcotest.test_case "periodogram white noise" `Slow
             test_periodogram_white_noise_level;
-          Alcotest.test_case "welch white noise" `Slow
-            test_welch_white_noise_level;
-          Alcotest.test_case "welch tracks FARIMA theory" `Slow
-            test_welch_tracks_farima_spectrum;
           Alcotest.test_case "fGn spectrum integrates to variance" `Quick
             test_fgn_spectrum_integrates_to_variance;
           Alcotest.test_case "rejects bad input" `Quick

@@ -312,12 +312,6 @@ let test_internal_shuffle_preserves_block_order () =
       (sorted_copy orig = sorted_copy shuf)
   done
 
-let test_full_shuffle_preserves_marginal () =
-  let t = Trace.create ~rates:(Array.init 512 float_of_int) ~slot:1.0 in
-  let s = Shuffle.full_shuffle (rng ()) t in
-  Alcotest.(check bool) "same multiset" true
-    (sorted_copy s.Trace.rates = sorted_copy t.Trace.rates)
-
 (* ------------------------------------------------------------------ *)
 (* Histogram, epochs *)
 
@@ -635,8 +629,6 @@ let () =
             test_external_shuffle_kills_long_correlation;
           Alcotest.test_case "internal preserves block order" `Quick
             test_internal_shuffle_preserves_block_order;
-          Alcotest.test_case "full shuffle preserves marginal" `Quick
-            test_full_shuffle_preserves_marginal;
         ] );
       ( "histogram-epochs",
         [
