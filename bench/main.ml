@@ -222,10 +222,8 @@ let micro_tests ctx =
       ~marginal:(Lrd_dist.Marginal.of_points [ (0.0, 0.5); (2.0, 0.5) ])
       ~interarrival:(Lrd_dist.Interarrival.exponential ~mean:1.0)
   in
-  (* Real-engine counterparts: the half-spectrum transform alone, the
-     solver-shaped circular execute over Bigarray state (m = 1024), and
-     a non-fast grid (m = 750) whose 2m wrap runs on the next real
-     grid, 1536 points. *)
+  (* Real-engine counterparts: the half-spectrum transform alone and the
+     solver-shaped circular execute over Bigarray state (m = 1024). *)
   let rfft_plan = Lrd_numerics.Fft.Real.make_plan 4096 in
   let rfft_spec_re = Array.make 2049 0.0 in
   let rfft_spec_im = Array.make 2049 0.0 in
@@ -236,13 +234,6 @@ let micro_tests ctx =
   in
   let conv_big_signal = big_of 1025 (fun i -> float_of_int (i mod 5)) in
   let conv_big_dst = big_of 2048 (fun _ -> 0.0) in
-  let n1500 = Lrd_numerics.Convolution.real_transform_size_for 1500 in
-  let plan1500 =
-    Lrd_numerics.Convolution.make_real_plan ~size:n1500
-      ~kernel:(Array.init 1501 (fun i -> float_of_int (i mod 7)))
-      ~max_signal:751
-  in
-  let conv_dst1500 = big_of n1500 (fun _ -> 0.0) in
   (* One Lindley step of both chains on a warm MTV workspace. *)
   let step m =
     let w = Lrd_core.Workload.create mtv_model ~service_rate:mtv_c in
@@ -260,10 +251,6 @@ let micro_tests ctx =
           Lrd_numerics.Convolution.execute_real_circular plan
             (Lrd_numerics.Convolution.local_scratch plan)
             ~signal:conv_big_signal ~len:1025 ~dst:conv_big_dst);
-      mk "kernel/conv-real-1500" (fun () ->
-          Lrd_numerics.Convolution.execute_real_circular plan1500
-            (Lrd_numerics.Convolution.local_scratch plan1500)
-            ~signal:conv_big_signal ~len:751 ~dst:conv_dst1500);
       (* The grid most one-shot solves finish on, and a deep-buffer one. *)
       mk "kernel/step-m128" (step 128);
       mk "kernel/step-m2048" (step 2048);

@@ -88,29 +88,3 @@ let generate t rng ~slots ~slot =
         !rate)
   in
   Lrd_trace.Trace.create ~rates ~slot
-
-let to_markov_chain t =
-  let n_layers = Array.length t.layers in
-  if n_layers > 12 then
-    invalid_arg "Multiscale.to_markov_chain: more than 12 layers";
-  let size = 1 lsl n_layers in
-  let rate_of_state s =
-    let rate = ref t.base_rate in
-    for k = 0 to n_layers - 1 do
-      if s land (1 lsl k) <> 0 then rate := !rate +. t.layers.(k).rate
-    done;
-    !rate
-  in
-  let step_prob s s' =
-    let p = ref 1.0 in
-    for k = 0 to n_layers - 1 do
-      let stay = (1.0 +. t.layers.(k).eigenvalue) /. 2.0 in
-      let same = s land (1 lsl k) = s' land (1 lsl k) in
-      p := !p *. (if same then stay else 1.0 -. stay)
-    done;
-    !p
-  in
-  Markov_chain.create
-    ~rates:(Array.init size rate_of_state)
-    ~transition:
-      (Array.init size (fun s -> Array.init size (fun s' -> step_prob s s')))

@@ -55,7 +55,3 @@ val autocorrelation : t -> lag:int -> float
 val generate :
   t -> Lrd_rng.Rng.t -> slots:int -> slot:float -> Lrd_trace.Trace.t
 (** Sample path; each layer starts in a uniform random state. *)
-
-val to_markov_chain : t -> Markov_chain.t
-(** Explicit product chain on the [2^L] joint states (for exact analyses
-    and tests).  @raise Invalid_argument for more than 12 layers. *)

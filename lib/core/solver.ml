@@ -7,7 +7,6 @@ type params = {
   check_every : int;
   stall_factor : float;
   warm_restart : bool;
-  convolution : [ `Auto | `Fft | `Direct ];
 }
 
 let default_params =
@@ -20,7 +19,6 @@ let default_params =
     check_every = 16;
     stall_factor = 0.02;
     warm_restart = true;
-    convolution = `Auto;
   }
 
 type result = {
@@ -60,8 +58,6 @@ let m_iterations = Obs.Counter.make "solver/iterations"
 let m_refinements = Obs.Counter.make "solver/refinements"
 let m_warm_restarts = Obs.Counter.make "solver/warm_restarts"
 let m_budget_exhausted = Obs.Counter.make "solver/budget_exhausted"
-let m_workspaces_fft = Obs.Counter.make "solver/workspaces_fft"
-let m_workspaces_direct = Obs.Counter.make "solver/workspaces_direct"
 let m_gap_trajectory = Obs.Trajectory.make "solver/bound_gap_rel"
 let m_last_gap = Obs.Gauge.make "solver/last_bound_gap_rel"
 let m_solve_span = Obs.Span.make "solver/solve_seconds"
@@ -72,8 +68,8 @@ let m_solve_alloc = Resource.Alloc.make "solver/solve_minor_words"
 
    One resolution level owns everything a Lindley step touches: per
    chain the occupancy pmf, the convolution plan for its discretized
-   increment kernel (or the raw kernel on the direct path) and the
-   convolution output buffer; and the per-bin expected-overflow table.
+   increment kernel and the convolution output buffer; and the per-bin
+   expected-overflow table.
    All of it is allocated when the level is built — [step] then
    advances both chains with zero heap allocation, which is what makes
    the 200k-iteration sweeps FLOP-bound instead of GC-bound. *)
@@ -83,27 +79,19 @@ module Workspace = struct
 
   (* One Lindley step convolves the pmf (support [0, m]) with the
      kernel (support [0, 2m]); the linear output u lives on [0, 3m], and
-     index s stands for the value (s - m) d.  Every engine produces u
-     WRAPPED modulo a grid of n >= 2m points, u^[t] = u[t] + u[t + n].
-     The wrap-around is controlled aliasing: t + n <= 3m forces
-     t <= 3m - n <= m, so it corrupts only the states the boundary fold
-     collapses into the empty state anyway, and the middle states
-     m+1 .. 2m-1 are alias-free.  The full-state mass sum_{s >= 2m}
+     index s stands for the value (s - m) d.  A circular real-transform
+     plan of n = next_power_of_two (2m) points produces u WRAPPED modulo
+     n, u^[t] = u[t] + u[t + n].  The wrap-around is controlled
+     aliasing: t + n <= 3m forces t <= 3m - n <= m, so it corrupts only
+     the states the boundary fold collapses into the empty state anyway
+     (and when n > 3m nothing wraps), and the middle states m+1 .. 2m-1
+     are alias-free.  The full-state mass sum_{s >= 2m}
      u[s] is recovered EXACTLY by an O(m) correlation of the pmf with
      the kernel's tail cumulative (tail.(j) = sum_{l >= 2m - j} ker.(l)),
      and the empty-state mass by total-mass accounting — more
      accurately than summing FFT output, since the tail masses that
      drive deep-buffer loss are computed from nonnegative products
-     instead of cancelling transform noise.
-
-     [Fft] — a circular real-transform plan of n points: n = 2m when m
-     is a fast size, the next real-transform grid above 2m otherwise.
-
-     [Direct] — the schoolbook linear product, wrapped mod n = 2m by an
-     O(m) pass; for small grids. *)
-  type engine =
-    | Fft of Lrd_numerics.Convolution.real_plan
-    | Direct of float array
+     instead of cancelling transform noise. *)
 
   (* One chain's state.  The two chains of a level share only the
      read-only grid data, so they may step on two domains at once: the
@@ -111,7 +99,7 @@ module Workspace = struct
      borrows that domain's transform scratch; the ceiling chain, which
      may step on the helper domain, owns its scratch. *)
   type chain = {
-    engine : engine;
+    plan : Lrd_numerics.Convolution.real_plan;
     tail : vec;  (* tail.(j) = sum_{l >= 2m-j} ker.(l) *)
     q : vec;  (* occupancy pmf, length m + 1 *)
     conv : vec;  (* wrapped convolution output *)
@@ -158,39 +146,21 @@ module Workspace = struct
     done;
     tail
 
-  let make ?(convolution = `Auto) workload ~buffer ~m =
+  let make workload ~buffer ~m =
     let bins = Workload.discretize workload ~buffer ~bins:m in
-    let use_fft =
-      match convolution with
-      | `Fft -> true
-      | `Direct -> false
-      | `Auto ->
-          (* One centralized crossover for signal (m+1) vs kernel (2m+1). *)
-          Lrd_numerics.Convolution.prefer_fft ~na:(m + 1) ~nb:((2 * m) + 1)
-    in
-    Obs.Counter.incr (if use_fft then m_workspaces_fft else m_workspaces_direct);
-    let n =
-      if (not use_fft) || Lrd_numerics.Fft.is_fast_size m then 2 * m
-      else Lrd_numerics.Convolution.real_transform_size_for (2 * m)
-    in
+    let n = Lrd_numerics.Fft.next_power_of_two (2 * m) in
     let chain kernel ~start ~owns_scratch =
-      let engine =
-        if use_fft then
-          Fft
-            (Lrd_numerics.Convolution.make_real_plan ~size:n ~kernel
-               ~max_signal:(m + 1))
-        else Direct kernel
+      let plan =
+        Lrd_numerics.Convolution.make_real_plan ~size:n ~kernel
+          ~max_signal:(m + 1)
       in
       let own =
-        match engine with
-        | Fft plan when owns_scratch ->
-            Some (Lrd_numerics.Convolution.make_scratch plan)
-        | _ -> None
+        if owns_scratch then Some (Lrd_numerics.Convolution.make_scratch plan)
+        else None
       in
       let q = vec_make (m + 1) in
       Bigarray.Array1.set q start 1.0;
-      let conv = vec_make (if use_fft then n else (3 * m) + 1) in
-      { engine; tail = tail_cumulative kernel ~m; q; conv; own }
+      { plan; tail = tail_cumulative kernel ~m; q; conv = vec_make n; own }
     in
     let lower = chain bins.Workload.lower ~start:0 ~owns_scratch:false in
     let upper = chain bins.Workload.upper ~start:m ~owns_scratch:true in
@@ -270,28 +240,16 @@ module Workspace = struct
         Bigarray.Array1.unsafe_set q j (Bigarray.Array1.unsafe_get q j /. total)
       done
 
-  let scratch c plan =
-    match c.own with
-    | Some s -> s
-    | None -> Lrd_numerics.Convolution.local_scratch plan
-
   (* One Lindley step of one chain: the convolution wrapped mod n,
      then the boundary fold.  Zero heap allocation. *)
   let step_chain t c =
-    let len = t.m + 1 in
-    (match c.engine with
-    | Fft plan ->
-        Lrd_numerics.Convolution.execute_real_circular plan (scratch c plan)
-          ~signal:c.q ~len ~dst:c.conv
-    | Direct kernel ->
-        Lrd_numerics.Convolution.direct_into_big c.q ~len ~kernel ~dst:c.conv;
-        (* Wrap mod n = 2m: u[t + 2m] into u[t] for t <= m. *)
-        let u = c.conv in
-        for i = 0 to t.m do
-          Bigarray.Array1.unsafe_set u i
-            (Bigarray.Array1.unsafe_get u i
-            +. Bigarray.Array1.unsafe_get u (i + t.n))
-        done);
+    let scratch =
+      match c.own with
+      | Some s -> s
+      | None -> Lrd_numerics.Convolution.local_scratch c.plan
+    in
+    Lrd_numerics.Convolution.execute_real_circular c.plan scratch ~signal:c.q
+      ~len:(t.m + 1) ~dst:c.conv;
     fold t c.conv c.q c.tail
 
   let step t =
@@ -561,8 +519,7 @@ module State = struct
     | Some ws -> ws
     | None ->
         let ws =
-          Workspace.make ~convolution:t.params.convolution t.workload
-            ~buffer:t.buffer ~m:t.params.initial_bins
+          Workspace.make t.workload ~buffer:t.buffer ~m:t.params.initial_bins
         in
         (* Trace granularity mirrors the metric granularity: one slice
            per resolution level plus refinement instants — never per
@@ -647,10 +604,7 @@ module State = struct
         let m = Workspace.bins ws in
         if m * 2 <= t.params.max_bins then begin
           Log.debug (fun f -> f "refining grid to m=%d" (m * 2));
-          let next =
-            Workspace.make ~convolution:t.params.convolution t.workload
-              ~buffer:t.buffer ~m:(m * 2)
-          in
+          let next = Workspace.make t.workload ~buffer:t.buffer ~m:(m * 2) in
           Obs.Counter.incr m_refinements;
           if Obs.Trace.enabled () then begin
             if t.trace_levels then Obs.Trace.end_ ~arg:m "solver/level";
@@ -774,9 +728,7 @@ module State = struct
         let ws =
           match t.ws with
           | Some w when Workspace.bins w = m -> w
-          | _ ->
-              Workspace.make ~convolution:t.params.convolution t.workload
-                ~buffer:t.buffer ~m
+          | _ -> Workspace.make t.workload ~buffer:t.buffer ~m
         in
         Bigarray.Array1.blit sws.Workspace.lower.q ws.Workspace.lower.q;
         Bigarray.Array1.blit sws.Workspace.upper.q ws.Workspace.upper.q;

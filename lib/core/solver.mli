@@ -13,8 +13,9 @@
     Each iteration is one convolution of the occupancy pmf with the
     discretized increment pmf (eq. 19) followed by folding the
     spill-over mass into the boundary states (eq. 20); the convolution
-    is computed wrapped on a cached-kernel circular FFT plan,
-    O(m log m) per step (see {!Workspace}).
+    is computed wrapped on a cached-kernel circular FFT plan of
+    [next_power_of_two (2 m)] points, O(m log m) per step (see
+    {!Workspace}).  That plan is the solver's only convolution engine.
 
     The stopping protocol follows the paper: stop when the bounds come
     within [tolerance] (default 20%) of their midpoint, report zero when
@@ -46,10 +47,6 @@ type params = {
       (** Keep the current occupancy vectors across grid refinements
           (footnote 3; default true).  [false] restarts the chains from
           empty/full on every refinement — the ablation baseline. *)
-  convolution : [ `Auto | `Fft | `Direct ];
-      (** Convolution strategy: [`Auto] (default) uses the FFT from 64
-          bins upward, the explicit choices force one implementation
-          (the FFT-vs-direct ablation). *)
 }
 
 val default_params : params
@@ -71,33 +68,24 @@ val pp_result : Format.formatter -> result -> unit
 module Workspace : sig
   type t
   (** A mutable per-resolution-level workspace: the occupancy pmfs of
-      both chains as unboxed Bigarray vectors, one convolution engine
-      per chain, the convolution output buffers, and the
-      expected-overflow table (built in one batch by
-      {!Workload.overflow_table}).  Every engine computes the Lindley
-      convolution WRAPPED modulo a grid of [n >= 2 m] points, and one
-      boundary fold (eqs. 19-20) maps it back onto the grid: the wrap
-      lands only on states the fold collapses into the empty state, and
-      the full-state mass comes exactly from a precomputed kernel-tail
-      correlation.  The FFT engine is a circular real-transform plan
-      ({!Lrd_numerics.Convolution.make_real_plan}) of [n = 2 m] points
-      when [m] is a fast size and of
-      {!Lrd_numerics.Convolution.real_transform_size_for} [(2 m)]
-      otherwise; the direct engine is the schoolbook product wrapped
-      mod [2 m].  Everything is allocated once when the level is built;
-      {!step} then advances both chains with {e zero heap allocation},
-      so iterating a level is FLOP-bound rather than GC-bound. *)
+      both chains as unboxed Bigarray vectors, one circular
+      real-transform plan per chain
+      ({!Lrd_numerics.Convolution.make_real_plan}, of
+      [n = next_power_of_two (2 m)] points: [2 m] on the solver's
+      doubling ladder from a power of two), the convolution output
+      buffers, and the expected-overflow table (built in one batch by
+      {!Workload.overflow_table}).  The plan computes the Lindley
+      convolution WRAPPED modulo [n], and one boundary fold (eqs. 19-20)
+      maps it back onto the grid: the wrap lands only on states the fold
+      collapses into the empty state, and the full-state mass comes
+      exactly from a precomputed kernel-tail correlation.  Everything is
+      allocated once when the level is built; {!step} then advances both
+      chains with {e zero heap allocation}, so iterating a level is
+      FLOP-bound rather than GC-bound. *)
 
-  val make :
-    ?convolution:[ `Auto | `Fft | `Direct ] ->
-    Workload.t ->
-    buffer:float ->
-    m:int ->
-    t
+  val make : Workload.t -> buffer:float -> m:int -> t
   (** Builds the workspace for an [m]-bin grid with the chains at their
-      initial states (floor chain empty, ceiling chain full).  [`Auto]
-      picks FFT or direct convolution via
-      {!Lrd_numerics.Convolution.prefer_fft}. *)
+      initial states (floor chain empty, ceiling chain full). *)
 
   val bins : t -> int
   (** The grid resolution [m]. *)
@@ -108,9 +96,8 @@ module Workspace : sig
   val step : t -> unit
   (** One Lindley step (eqs. 19-20) for BOTH chains: a real-input FFT
       convolution per chain (each one half-size complex transform in,
-      one out) followed by the boundary folds — aliased circular folds
-      on the fast-size path, exact edge sums otherwise.  Performs no
-      heap allocation. *)
+      one out) followed by the boundary fold.  Performs no heap
+      allocation. *)
 
   val losses : t -> norm:float -> float * float
   (** Current [(lower, upper)] loss-rate bounds (eq. 23). *)

@@ -4,7 +4,6 @@
 
 module Marginal = Lrd_dist.Marginal
 module Fft = Lrd_numerics.Fft
-module Convolution = Lrd_numerics.Convolution
 module Summation = Lrd_numerics.Summation
 module Special = Lrd_numerics.Special
 module Obs = Lrd_obs.Obs
@@ -137,7 +136,7 @@ let self_convolve ~pmf ~n =
   else if len = 1 then [| pmf.(0) ** float_of_int n |]
   else begin
     let out_len = (n * (len - 1)) + 1 in
-    let size = Convolution.real_transform_size_for out_len in
+    let size = Fft.next_power_of_two out_len in
     let plan = Fft.Real.cached_plan size in
     let sl = Fft.Real.spectrum_length plan in
     let base_re = Array.make sl 0.0 and base_im = Array.make sl 0.0 in
@@ -287,7 +286,7 @@ let exact_aggregate ~bins ~source_points ~max_points classes ~total =
           lifted;
         Summation.total acc
       in
-      let size = Convolution.real_transform_size_for out_len in
+      let size = Fft.next_power_of_two out_len in
       let plan = Fft.Real.cached_plan size in
       let sl = Fft.Real.spectrum_length plan in
       let acc_re = Array.make sl 1.0 and acc_im = Array.make sl 0.0 in

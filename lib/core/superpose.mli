@@ -9,7 +9,8 @@
 
     - {b Exact (repeated squaring).}  The single-source histogram is
       lifted onto a uniform grid, sent through one real forward
-      transform ({!Lrd_numerics.Fft.Real}), and its half-spectrum is
+      transform ({!Lrd_numerics.Fft.Real}, padded to the next power of
+      two), and its half-spectrum is
       raised to the N-th power by binary exponentiation — about
       [2 log2 N] fused half-spectrum self-multiplies — then synthesized
       back with a single inverse transform.  A 10^5-source aggregate

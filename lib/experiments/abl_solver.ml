@@ -1,6 +1,5 @@
-(* Ablation: solver engineering choices.  (a) warm restart across grid
-   refinements (paper footnote 3) vs cold restart; (b) FFT vs direct
-   convolution.  Both variants must agree on the loss value; the
+(* Ablation: warm restart across grid refinements (paper footnote 3) vs
+   cold restart.  Both variants must agree on the loss value; the
    interesting output is the iteration count / wall time — which is why
    this ablation deliberately ignores the context's domain pool: the
    per-variant timings would be polluted by contending domains.  Each
@@ -10,14 +9,12 @@
    [experiment/abl-solver/<variant>/seconds] ([--metrics]). *)
 
 let id = "abl-solver"
-let title = "Ablation: solver warm restart and convolution strategy"
+let title = "Ablation: solver warm vs cold restart"
 
 let run ctx fmt =
   let model = Data.mtv_model ctx ~cutoff:10.0 in
   (* A hard instance: high utilization and a deep buffer make the gap
-     stall at coarse grids, so the refinement machinery actually runs
-     (and the direct-convolution variant pays the quadratic price).
-     The bins cap keeps the direct variant from taking minutes. *)
+     stall at coarse grids, so the refinement machinery actually runs. *)
   let utilization = 0.9 in
   let buffer_seconds = if Data.quick ctx then 1.0 else 2.0 in
   let base = { (Data.solver_params ctx) with Lrd_core.Solver.max_bins = 2048 } in
@@ -25,8 +22,6 @@ let run ctx fmt =
     [
       ("warm+auto", base);
       ("cold+auto", { base with Lrd_core.Solver.warm_restart = false });
-      ("warm+fft", { base with Lrd_core.Solver.convolution = `Fft });
-      ("warm+direct", { base with Lrd_core.Solver.convolution = `Direct });
     ]
   in
   Table.heading fmt title;
@@ -49,5 +44,5 @@ let run ctx fmt =
         r.Lrd_core.Solver.refinements)
     variants;
   Format.fprintf fmt
-    "(all variants must agree on the loss; warm restart and FFT pay in \
-     iterations re-used and per-iteration cost)@."
+    "(both variants must agree on the loss; warm restart pays in \
+     iterations re-used)@."

@@ -159,12 +159,6 @@ let manifest_fields t =
           ("check_every", Num (float_of_int p.Lrd_core.Solver.check_every));
           ("stall_factor", Num p.Lrd_core.Solver.stall_factor);
           ("warm_restart", Bool p.Lrd_core.Solver.warm_restart);
-          ( "convolution",
-            Str
-              (match p.Lrd_core.Solver.convolution with
-              | `Auto -> "auto"
-              | `Fft -> "fft"
-              | `Direct -> "direct") );
         ] );
   ]
   @ Sweep.manifest_fields ~quick:t.quick ()

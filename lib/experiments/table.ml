@@ -1,10 +1,3 @@
-type series = {
-  title : string;
-  xlabel : string;
-  ylabel : string;
-  points : (float * float) array;
-}
-
 type surface = {
   title : string;
   xlabel : string;
@@ -35,18 +28,6 @@ let pad width s =
   else String.make (width - String.length s) ' ' ^ s
 
 let column_width = 11
-
-let print_series fmt (s : series) =
-  heading fmt s.title;
-  Format.fprintf fmt "%s %s@."
-    (pad column_width s.xlabel)
-    (pad column_width s.ylabel);
-  Array.iter
-    (fun (x, y) ->
-      Format.fprintf fmt "%s %s@."
-        (pad column_width (axis_value x))
-        (pad column_width (cell_value y)))
-    s.points
 
 let print_surface fmt (s : surface) =
   heading fmt s.title;

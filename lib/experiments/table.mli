@@ -5,13 +5,6 @@
     as aligned tables so the bench harness regenerates every figure as
     rows on stdout. *)
 
-type series = {
-  title : string;
-  xlabel : string;
-  ylabel : string;
-  points : (float * float) array;
-}
-
 type surface = {
   title : string;
   xlabel : string;  (** Column parameter. *)
@@ -32,7 +25,6 @@ val cell_value : float -> string
 (** Loss-rate rendering: scientific with 3 significant digits, "0" for
     exact zero. *)
 
-val print_series : Format.formatter -> series -> unit
 val print_surface : Format.formatter -> surface -> unit
 
 val print_multi_series :

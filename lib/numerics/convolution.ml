@@ -13,21 +13,11 @@ let direct a b =
     out
   end
 
-(* The smallest even fast size >= want whose half is also fast — what a
-   real-input transform of a linear convolution needs.  Every even fast
-   size is twice a fast size, so this is exact, and consecutive fast
-   sizes are within 25% of each other: near-power-of-two grids stop
-   paying the 2x power-of-two padding penalty. *)
-let real_transform_size_for want = 2 * Fft.good_size ((want + 1) / 2)
-
-(* The solver's FFT/direct crossover.  Measured at solver shapes
-   (signal m+1 against kernel 2m+1): the schoolbook loop wins clearly
-   below a length product of ~1.5k, the FFT wins clearly above ~4k, and
+(* The measured FFT/direct crossover as a length product: the schoolbook
+   loop wins clearly below ~1.5k, the FFT wins clearly above ~4k, and
    the band between is within noise of even, so the conservative end of
    the measured band is kept. *)
 let fft_product_threshold = 4096
-
-let prefer_fft ~na ~nb = na * nb > fft_product_threshold
 
 (* Crossover for kernels whose transform size is FIXED regardless of how
    little direct work the call needs — the autocovariance estimator
@@ -40,7 +30,7 @@ let prefer_fft_fixed ~transform_size ~direct_ops =
   if transform_size <= 0 then
     invalid_arg "Convolution.prefer_fft_fixed: size must be positive";
   let bits =
-    (* ceil log2: fast sizes sit between powers of two, so round up. *)
+    (* ceil log2, so a size between powers of two rounds up. *)
     let b = ref 0 and v = ref 1 in
     while !v < transform_size do
       incr b;
@@ -118,10 +108,8 @@ let make_real_plan ~size:n ~kernel ~max_signal =
   if nk = 0 then invalid_arg "Convolution.make_real_plan: empty kernel";
   if max_signal < 1 then
     invalid_arg "Convolution.make_real_plan: max_signal < 1";
-  if n < 2 * (max_signal - 1) || n > 3 * (max_signal - 1) then
-    invalid_arg
-      "Convolution.make_real_plan: size outside [2 (max_signal - 1), 3 \
-       (max_signal - 1)]";
+  if n < 2 * (max_signal - 1) then
+    invalid_arg "Convolution.make_real_plan: size below 2 (max_signal - 1)";
   let rfft = (scratch_for_size n).rfft in
   let bins = Fft.Real.spectrum_length rfft in
   let kre = Array.make bins 0.0 and kim = Array.make bins 0.0 in
@@ -151,25 +139,3 @@ let execute_real_circular plan scratch ~signal ~len ~dst =
   Fft.Real.convolve scratch.rfft ~kernel_re:plan.kre
     ~kernel_im:plan.kim ~spec_re:scratch.sre ~spec_im:scratch.sim ~signal ~len
     ~dst ~dst_len:plan.n
-
-(* Schoolbook convolution reading the signal from / writing into
-   Bigarray vectors — the solver's direct path over its unboxed state.
-   Allocation-free. *)
-let direct_into_big (signal : Fft.vec) ~len ~kernel ~(dst : Fft.vec) =
-  let nb = Array.length kernel in
-  if len = 0 || nb = 0 then invalid_arg "Convolution.direct_into_big: empty input";
-  let out_len = len + nb - 1 in
-  if Bigarray.Array1.dim dst < out_len then
-    invalid_arg "Convolution.direct_into_big: dst too short";
-  for i = 0 to out_len - 1 do
-    Bigarray.Array1.unsafe_set dst i 0.0
-  done;
-  for i = 0 to len - 1 do
-    let ai = Bigarray.Array1.unsafe_get signal i in
-    if ai <> 0.0 then
-      for j = 0 to nb - 1 do
-        let k = i + j in
-        Bigarray.Array1.unsafe_set dst k
-          (Bigarray.Array1.unsafe_get dst k +. (ai *. Array.unsafe_get kernel j))
-      done
-  done

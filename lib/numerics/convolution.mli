@@ -8,9 +8,9 @@
 
     The solver's repeated convolutions against a fixed kernel run on a
     {!real_plan}: the kernel's half-spectrum on the real-input engine
-    {!Fft.Real}, cached once.  Plans are CIRCULAR only — the output is
-    the linear convolution wrapped modulo the plan size, which the
-    solver's boundary fold absorbs.  {!execute_real_circular} writes
+    {!Fft.Real}, cached once.  Plans are power-of-two sized and
+    CIRCULAR only — the output is the linear convolution wrapped modulo
+    the plan size, which the solver's boundary fold absorbs.  {!execute_real_circular} writes
     into a caller-owned buffer and works in a reused {!scratch}, so the
     steady state of an iterated solve performs zero heap allocation.
     {!direct} is the exact linear oracle the tests compare against. *)
@@ -19,25 +19,14 @@ val direct : float array -> float array -> float array
 (** O(na * nb) schoolbook linear convolution.  Exact up to rounding;
     the oracle for the planned and solver paths. *)
 
-val real_transform_size_for : int -> int
-(** The smallest even fast size at least the given length whose half
-    is also fast ([2 * Fft.good_size ((want + 1) / 2)]): the real
-    transform grid for a linear product of that length, or for the
-    solver's wrap of a [2 m]-point grid when [m] is not a fast size. *)
-
-val prefer_fft : na:int -> nb:int -> bool
-(** The single measured FFT/direct crossover used by the solver's
-    grid-level construction: true when the length product [na * nb] is
-    large enough for the FFT to win. *)
-
 val prefer_fft_fixed : transform_size:int -> direct_ops:int -> bool
 (** Crossover for computations whose FFT cost is fixed by
     [transform_size] (a forward/inverse pair at that power-of-two size)
     while the direct path costs [direct_ops] multiply-adds — e.g. the
     autocovariance estimator, whose transform size [next_pow2 (2 n)]
-    does not shrink with [max_lag].  Derived from the same centralized
-    calibration as {!prefer_fft}; any positive transform size is
-    accepted (fast sizes cost their ceil-log2).
+    does not shrink with [max_lag].  Derived from one measured
+    FFT/direct crossover; any positive transform size is accepted (a
+    size between powers of two costs its ceil-log2).
     @raise Invalid_argument unless [transform_size] is positive. *)
 
 type real_plan
@@ -60,15 +49,16 @@ val make_real_plan :
 (** [make_real_plan ~size ~kernel ~max_signal] precomputes the kernel
     half-spectrum for convolutions mod [size] with signals of length
     [<= max_signal]; a kernel longer than [size] is wrapped mod [size]
-    at build time.  [size] must be an even fast size in
-    [[2 (max_signal - 1), 3 (max_signal - 1)]]: for the solver's pmf of
-    [m + 1] bins against a [2 m + 1]-bin kernel, that range wraps the
-    linear output only onto states [t <= m], which its boundary fold
-    collapses.  The transform tables come from the calling domain's
+    at build time.  [size] must be a power of two of at least
+    [2 (max_signal - 1)]: for the solver's pmf of [m + 1] bins against a
+    [2 m + 1]-bin kernel, such a size wraps the linear output only onto
+    states [t <= 3 m - size <= m], which its boundary fold collapses,
+    and above [3 (max_signal - 1)] the product does not wrap at all.
+    The transform tables come from the calling domain's
     {!Fft.Real.cached_plan}.
     @raise Invalid_argument on an empty kernel, a nonpositive
-    [max_signal], or a [size] that is outside that range or not a
-    supported transform size. *)
+    [max_signal], or a [size] below [2 (max_signal - 1)] or not a power
+    of two. *)
 
 val local_scratch : real_plan -> scratch
 (** The calling domain's scratch for the plan's size: one per domain
@@ -93,11 +83,3 @@ val execute_real_circular :
     not depend on which scratch of the plan's size it ran in.
     @raise Invalid_argument on a [len] outside [[1, max_signal]], a
     [dst] shorter than the plan size, or a scratch of another size. *)
-
-val direct_into_big :
-  Fft.vec -> len:int -> kernel:float array -> dst:Fft.vec -> unit
-(** Schoolbook linear convolution over Bigarray vectors: convolves the
-    first [len] entries of the signal with [kernel] into the prefix of
-    [dst] ([len + Array.length kernel - 1] values), allocation-free —
-    the solver's direct engine.  @raise Invalid_argument on empty
-    inputs or a too-short [dst]. *)

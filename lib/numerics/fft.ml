@@ -8,46 +8,28 @@ type vec =
   (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* ------------------------------------------------------------------ *)
-(* Complex transforms at fast sizes — the private core of {!Real}.
+(* Power-of-two complex transforms — the private core of {!Real}.
 
-   Plans hold only immutable tables.  A transform runs in place on a
-   block of the caller's buffers, which must already hold the input in
-   the plan's input order ([input_order]): the reordering is folded into
-   whichever pass loads the data, so the transform itself is butterfly
-   stages only.
+   Plans hold only immutable tables.  A transform runs in place on the
+   caller's buffers, which must already hold the input in bit-reversed
+   order ([input_order]): the reordering is folded into whichever pass
+   loads the data, so the transform itself is butterfly stages only.
 
-   A power-of-two plan keeps one flat twiddle-factor table shared by
-   every butterfly stage: stage [len = 2^s] reads its [half = len/2]
-   factors at offset [half - 1] (the halves of the earlier stages sum to
-   exactly that), so the table holds [n - 1] factors total.  Each factor
-   is computed by a direct cos/sin call rather than a repeated-
-   multiplication recurrence, which both removes the O(len) error
-   accumulation within a stage and moves all trigonometry out of the
-   transform itself. *)
+   A plan keeps one flat twiddle-factor table shared by every butterfly
+   stage: stage [len = 2^s] reads its [half = len/2] factors at offset
+   [half - 1] (the halves of the earlier stages sum to exactly that), so
+   the table holds [n - 1] factors total.  Each factor is computed by a
+   direct cos/sin call rather than a repeated-multiplication recurrence,
+   which both removes the O(len) error accumulation within a stage and
+   moves all trigonometry out of the transform itself. *)
 
-type pow2_plan = {
+type plan = {
   p2_size : int;
   wre : float array;  (* cos of the forward angle -2 pi k / len. *)
   wim : float array;  (* sin of the forward angle (<= 0 half-plane). *)
 }
 
-(* Sizes beyond powers of two: [Split] peels one odd radix r in {3, 5}
-   off the top with a decimation-in-time step over r interleaved
-   sub-transforms; nesting two Splits reaches 15 * 2^k.  The input
-   order puts sub-transform s on the s-th contiguous block, so the
-   sub-transforms and the radix butterfly that recombines them all run
-   in place. *)
-type plan =
-  | Pow2 of pow2_plan
-  | Split of {
-      s_size : int;
-      radix : int;  (* 3 or 5 *)
-      sub : plan;  (* size s_size / radix *)
-      twre : float array;  (* cos (-2 pi j / n), j = 0 .. n - 1 *)
-      twim : float array;
-    }
-
-let make_pow2_plan n =
+let complex_plan n =
   let wre = Array.make (max 1 (n - 1)) 1.0 in
   let wim = Array.make (max 1 (n - 1)) 0.0 in
   let len = ref 2 in
@@ -63,51 +45,9 @@ let make_pow2_plan n =
   done;
   { p2_size = n; wre; wim }
 
-(* Supported fast sizes are 2^a * f with f in {1, 3, 5, 15}: one Split
-   per odd radix on top of a power-of-two core. *)
-let odd_part n =
-  let rec go m = if m land 1 = 0 then go (m lsr 1) else m in
-  go n
-
-let is_fast_size n =
-  n > 0 && (match odd_part n with 1 | 3 | 5 | 15 -> true | _ -> false)
-
-(* Cost-aware: the smallest candidate per odd factor, then the cheapest
-   by measured per-point weight (the split stages of the odd radices add
-   ~6-12% per layer over the power-of-two butterflies, so e.g. 1920 is a
-   smaller grid than 2048 but a slower transform).  Ties break toward
-   the smaller size. *)
-let good_size n =
-  let n = max 1 n in
-  let best = ref 0 and best_cost = ref infinity in
-  List.iter
-    (fun (f, weight) ->
-      let s = ref f in
-      while !s < n do s := !s * 2 done;
-      let cost = float_of_int !s *. weight in
-      if
-        cost < !best_cost
-        || (cost = !best_cost && (!best = 0 || !s < !best))
-      then begin
-        best := !s;
-        best_cost := cost
-      end)
-    [ (1, 1.0); (3, 1.06); (5, 1.12); (15, 1.19) ];
-  !best
-
-let forward_twiddles n =
-  let twre = Array.make n 1.0 and twim = Array.make n 0.0 in
-  for j = 0 to n - 1 do
-    let ang = -2.0 *. Float.pi *. float_of_int j /. float_of_int n in
-    twre.(j) <- cos ang;
-    twim.(j) <- sin ang
-  done;
-  (twre, twim)
-
-(* The in-place power-of-two butterflies over [off, off + n), input in
-   bit-reversed order.  [conjugate = false] is the forward transform;
-   [true] runs the inverse (without the 1/n scaling) by negating the
-   table's sine.  Stages run two per pass (radix 2^2): for each group
+(* The in-place butterflies over [0, n), input in bit-reversed order.
+   [conjugate = false] is the forward transform; [true] runs the
+   inverse (without the 1/n scaling) by negating the table's sine.  Stages run two per pass (radix 2^2): for each group
    a, b = a + q, c = a + 2q, d = c + q of a block of 4q, the pass does
    stage 2q's butterflies (a, b) and (c, d), then stage 4q's (a, c) and
    (b, d), with exactly the twiddles and operations the stage-at-a-time
@@ -118,18 +58,17 @@ let forward_twiddles n =
    Performs no heap allocation. *)
 let chunk = 1024
 
-let butterflies p ~conjugate re im off =
+let transform p ~conjugate re im =
   let n = p.p2_size in
   let wre = p.wre and wim = p.wim in
   let sign = if conjugate then -1.0 else 1.0 in
-  let stop = off + n in
   let stages = ref 0 in
   while 1 lsl !stages < n do incr stages done;
   let q = ref 1 in
   if !stages land 1 = 1 then begin
     let cr = Array.unsafe_get wre 0 and ci = sign *. Array.unsafe_get wim 0 in
-    let a = ref off in
-    while !a < stop do
+    let a = ref 0 in
+    while !a < n do
       let b = !a + 1 in
       let rb = Array.unsafe_get re b and ib = Array.unsafe_get im b in
       let tr = (rb *. cr) -. (ib *. ci) and ti = (rb *. ci) +. (ib *. cr) in
@@ -146,8 +85,8 @@ let butterflies p ~conjugate re im off =
     let q1 = !q in
     let q2 = 2 * q1 in
     let span = min n (max (2 * q2) chunk) in
-    let base = ref off in
-    while !base < stop do
+    let base = ref 0 in
+    while !base < n do
       let span_stop = !base + span in
       for k = 0 to q1 - 1 do
         let w1r = Array.unsafe_get wre (q1 - 1 + k)
@@ -195,136 +134,15 @@ let butterflies p ~conjugate re im off =
     q := 2 * q2
   done
 
-let rec transform plan ~conjugate re im off =
-  match plan with
-  | Pow2 p -> butterflies p ~conjugate re im off
-  | Split { s_size = n; radix = r; sub; twre; twim } ->
-      let m = n / r in
-      (* Block s holds sub-transform s, of x_{r l + s}. *)
-      for s = 0 to r - 1 do
-        transform sub ~conjugate re im (off + (s * m))
-      done;
-      (* Recombine X_{k + s' m} = sum_s w_n^{(k + s' m) s} Z_s[k] with a
-         dedicated radix butterfly: the twiddles t_s = Z_s[k] w_n^{s k}
-         cost (r - 1) complex multiplies per k, and the cross-output
-         combination uses the real constants of the r-point DFT instead
-         of r more table multiplies per output — this is what makes the
-         mixed-radix grids competitive with power-of-two padding.  Each
-         k reads Z_s[k] at off + s m + k and writes X at the same r
-         slots, so the recombination runs in place. *)
-      let sign = if conjugate then -1.0 else 1.0 in
-      if r = 3 then begin
-        (* omega_3 = -1/2 - i sign sqrt(3)/2. *)
-        let s3 = sign *. 0.8660254037844386 in
-        for k = off to off + m - 1 do
-          let j = k - off in
-          let w1r = Array.unsafe_get twre j
-          and w1i = sign *. Array.unsafe_get twim j in
-          let w2r = Array.unsafe_get twre (2 * j)
-          and w2i = sign *. Array.unsafe_get twim (2 * j) in
-          let a1r = Array.unsafe_get re (k + m)
-          and a1i = Array.unsafe_get im (k + m) in
-          let a2r = Array.unsafe_get re (k + (2 * m))
-          and a2i = Array.unsafe_get im (k + (2 * m)) in
-          let t1r = (a1r *. w1r) -. (a1i *. w1i)
-          and t1i = (a1r *. w1i) +. (a1i *. w1r) in
-          let t2r = (a2r *. w2r) -. (a2i *. w2i)
-          and t2i = (a2r *. w2i) +. (a2i *. w2r) in
-          let ur = t1r +. t2r and ui = t1i +. t2i in
-          let vr = t1r -. t2r and vi = t1i -. t2i in
-          let br = Array.unsafe_get re k and bi = Array.unsafe_get im k in
-          Array.unsafe_set re k (br +. ur);
-          Array.unsafe_set im k (bi +. ui);
-          let wr = br -. (0.5 *. ur) and wi = bi -. (0.5 *. ui) in
-          Array.unsafe_set re (k + m) (wr +. (s3 *. vi));
-          Array.unsafe_set im (k + m) (wi -. (s3 *. vr));
-          Array.unsafe_set re (k + (2 * m)) (wr -. (s3 *. vi));
-          Array.unsafe_set im (k + (2 * m)) (wi +. (s3 *. vr))
-        done
-      end
-      else begin
-        (* Radix 5.  omega_5^b = cb - i sign sb. *)
-        let c1 = 0.30901699437494745 and c2 = -0.8090169943749473 in
-        let s1 = sign *. 0.9510565162951535
-        and s2 = sign *. 0.5877852522924731 in
-        for k = off to off + m - 1 do
-          let j = k - off in
-          let w1r = Array.unsafe_get twre j
-          and w1i = sign *. Array.unsafe_get twim j in
-          let w2r = Array.unsafe_get twre (2 * j)
-          and w2i = sign *. Array.unsafe_get twim (2 * j) in
-          let w3r = Array.unsafe_get twre (3 * j)
-          and w3i = sign *. Array.unsafe_get twim (3 * j) in
-          let w4r = Array.unsafe_get twre (4 * j)
-          and w4i = sign *. Array.unsafe_get twim (4 * j) in
-          let a1r = Array.unsafe_get re (k + m)
-          and a1i = Array.unsafe_get im (k + m) in
-          let a2r = Array.unsafe_get re (k + (2 * m))
-          and a2i = Array.unsafe_get im (k + (2 * m)) in
-          let a3r = Array.unsafe_get re (k + (3 * m))
-          and a3i = Array.unsafe_get im (k + (3 * m)) in
-          let a4r = Array.unsafe_get re (k + (4 * m))
-          and a4i = Array.unsafe_get im (k + (4 * m)) in
-          let t1r = (a1r *. w1r) -. (a1i *. w1i)
-          and t1i = (a1r *. w1i) +. (a1i *. w1r) in
-          let t2r = (a2r *. w2r) -. (a2i *. w2i)
-          and t2i = (a2r *. w2i) +. (a2i *. w2r) in
-          let t3r = (a3r *. w3r) -. (a3i *. w3i)
-          and t3i = (a3r *. w3i) +. (a3i *. w3r) in
-          let t4r = (a4r *. w4r) -. (a4i *. w4i)
-          and t4i = (a4r *. w4i) +. (a4i *. w4r) in
-          let u1r = t1r +. t4r and u1i = t1i +. t4i in
-          let v1r = t1r -. t4r and v1i = t1i -. t4i in
-          let u2r = t2r +. t3r and u2i = t2i +. t3i in
-          let v2r = t2r -. t3r and v2i = t2i -. t3i in
-          let br = Array.unsafe_get re k and bi = Array.unsafe_get im k in
-          Array.unsafe_set re k (br +. u1r +. u2r);
-          Array.unsafe_set im k (bi +. u1i +. u2i);
-          let p1r = br +. (c1 *. u1r) +. (c2 *. u2r)
-          and p1i = bi +. (c1 *. u1i) +. (c2 *. u2i) in
-          let q1r = (s1 *. v1r) +. (s2 *. v2r)
-          and q1i = (s1 *. v1i) +. (s2 *. v2i) in
-          Array.unsafe_set re (k + m) (p1r +. q1i);
-          Array.unsafe_set im (k + m) (p1i -. q1r);
-          Array.unsafe_set re (k + (4 * m)) (p1r -. q1i);
-          Array.unsafe_set im (k + (4 * m)) (p1i +. q1r);
-          let p2r = br +. (c2 *. u1r) +. (c1 *. u2r)
-          and p2i = bi +. (c2 *. u1i) +. (c1 *. u2i) in
-          let q2r = (s2 *. v1r) -. (s1 *. v2r)
-          and q2i = (s2 *. v1i) -. (s1 *. v2i) in
-          Array.unsafe_set re (k + (2 * m)) (p2r +. q2i);
-          Array.unsafe_set im (k + (2 * m)) (p2i -. q2r);
-          Array.unsafe_set re (k + (3 * m)) (p2r -. q2i);
-          Array.unsafe_set im (k + (3 * m)) (p2i +. q2r)
-        done
-      end
-
-(* The plan for a fast size [n]: pow2 at the core, one Split per odd
-   radix on top (radix 3 first, so 15 * 2^k splits 3 then 5). *)
-let rec complex_plan n =
-  if is_power_of_two n then Pow2 (make_pow2_plan n)
-  else begin
-    let radix = if n mod 3 = 0 then 3 else 5 in
-    let twre, twim = forward_twiddles n in
-    Split { s_size = n; radix; sub = complex_plan (n / radix); twre; twim }
-  end
-
 (* [input_order plan] maps each input index to its slot in the buffer
-   [transform] expects: the bit reversal for a power of two, and for a
-   Split x_{r l + s} at slot s m + (sub order of l), the decimation into
-   blocks composed with the blocks' own order. *)
-let rec input_order = function
-  | Pow2 { p2_size = n; _ } ->
-      let rev = Array.make n 0 in
-      for i = 1 to n - 1 do
-        (* Shift the previous reversal right and bring in the new low bit. *)
-        rev.(i) <- (rev.(i lsr 1) lsr 1) lor (if i land 1 = 0 then 0 else n lsr 1)
-      done;
-      rev
-  | Split { s_size = n; radix = r; sub; _ } ->
-      let m = n / r in
-      let inner = input_order sub in
-      Array.init n (fun j -> ((j mod r) * m) + inner.(j / r))
+   [transform] expects: the bit reversal of [n]. *)
+let input_order { p2_size = n; _ } =
+  let rev = Array.make n 0 in
+  for i = 1 to n - 1 do
+    (* Shift the previous reversal right and bring in the new low bit. *)
+    rev.(i) <- (rev.(i lsr 1) lsr 1) lor (if i land 1 = 0 then 0 else n lsr 1)
+  done;
+  rev
 
 let dft_naive ~re ~im =
   let n = Array.length re in
@@ -382,10 +200,8 @@ module Real = struct
   let m_real_plans_built = Lrd_obs.Obs.Counter.make "fft/real_plans_built"
 
   let make_plan n =
-    if n < 2 || n land 1 = 1 || not (is_fast_size (n / 2)) then
-      invalid_arg
-        "Fft.Real.make_plan: size must be even with n/2 of the form \
-         2^a*{1,3,5,15}";
+    if n < 2 || not (is_power_of_two n) then
+      invalid_arg "Fft.Real.make_plan: size must be a power of two >= 2";
     Lrd_obs.Obs.Counter.incr m_real_plans_built;
     if Lrd_obs.Obs.Trace.enabled () then
       Lrd_obs.Obs.Trace.instant ~arg:n "fft/real_plan_build";
@@ -481,7 +297,7 @@ module Real = struct
     end
     else pack_zeros t pairs
 
-  (* Split the packed spectrum Z into the real half-spectrum.  The
+  (* The split pass: the packed spectrum Z into the real half-spectrum.  The
      (k, h-k) pair shares one twiddle read: with P = t_k O_k,
      X_{h-k} = conj (E_k - P). *)
   let split_forward t ~spec_re ~spec_im =
@@ -522,7 +338,7 @@ module Real = struct
       invalid_arg "Fft.Real.forward_ip: signal shorter than len";
     check_spec t ~spec_re ~spec_im;
     pack_float t signal len;
-    transform t.sub ~conjugate:false t.pre t.pim 0;
+    transform t.sub ~conjugate:false t.pre t.pim;
     split_forward t ~spec_re ~spec_im
 
   (* Load W_k = fac * (E2_k + i (D2_k conj t_k)) into pre/pim (input
@@ -577,7 +393,7 @@ module Real = struct
       invalid_arg "Fft.Real.inverse_ip: signal shorter than len";
     check_spec t ~spec_re ~spec_im;
     load_w t ~spec_re ~spec_im ~conj:false ~fac:t.ifac;
-    transform t.sub ~conjugate:true t.pre t.pim 0;
+    transform t.sub ~conjugate:true t.pre t.pim;
     unpack_float ~re:t.pre ~im:t.pim signal len
 
   let synthesize_ip t ~spec_re ~spec_im ~signal ~len =
@@ -586,7 +402,7 @@ module Real = struct
       invalid_arg "Fft.Real.synthesize_ip: signal shorter than len";
     check_spec t ~spec_re ~spec_im;
     load_w t ~spec_re ~spec_im ~conj:true ~fac:1.0;
-    transform t.sub ~conjugate:true t.pre t.pim 0;
+    transform t.sub ~conjugate:true t.pre t.pim;
     unpack_float ~re:t.pre ~im:t.pim signal len
 
   (* The spectral pass of a convolution: for each bin pair (k, h-k) of
@@ -619,7 +435,7 @@ module Real = struct
     while 2 * !k < h do
       let kk = !k in
       let j = h - kk in
-      (* Split. *)
+      (* The split. *)
       let zrk = Array.unsafe_get pre kk and zik = Array.unsafe_get pim kk in
       let zrj = Array.unsafe_get pre j and zij = Array.unsafe_get pim j in
       let er = 0.5 *. (zrk +. zrj) and ei = 0.5 *. (zik -. zij) in
@@ -679,8 +495,8 @@ module Real = struct
     check_spec t ~spec_re:kernel_re ~spec_im:kernel_im;
     check_spec t ~spec_re ~spec_im;
     pack_big t signal len;
-    transform t.sub ~conjugate:false t.pre t.pim 0;
+    transform t.sub ~conjugate:false t.pre t.pim;
     spectral_pass t ~kernel_re ~kernel_im ~spec_re ~spec_im;
-    transform t.sub ~conjugate:true spec_re spec_im 0;
+    transform t.sub ~conjugate:true spec_re spec_im;
     unpack_big ~re:spec_re ~im:spec_im dst dst_len
 end

@@ -3,14 +3,16 @@
     Every signal the library transforms is real: the solver's occupancy
     vectors, the Davies–Harte spectra and the estimators' series.  So
     the one public engine is {!Real}, which transforms a real signal of
-    even fast length [n] through a single half-size complex transform
+    power-of-two length [n] through a single half-size complex transform
     and produces the half-spectrum [X_0 .. X_{n/2}] that conjugate
     symmetry completes.  The forward transform computes
     [X_k = sum_j x_j exp(-2 i pi k j / n)]; the inverse includes the
-    [1/n] normalization.  The complex mixed-radix core (power-of-two
-    butterflies plus radix-3 and radix-5 splits) is private to this
-    module; plans precompute every twiddle factor, and a planned
-    transform performs no heap allocation.  {!Real.convolve} is the one
+    [1/n] normalization.  Powers of two are the only transform size:
+    the solver's grids double from [M] bins (paper footnote 3), and
+    every other caller pads to {!next_power_of_two}.  The complex
+    radix-2 core is private to this module; plans precompute every
+    twiddle factor, and a planned transform performs no heap
+    allocation.  {!Real.convolve} is the one
     fused path every planned convolution runs. *)
 
 val is_power_of_two : int -> bool
@@ -18,18 +20,6 @@ val is_power_of_two : int -> bool
 
 val next_power_of_two : int -> int
 (** [next_power_of_two n] is the smallest power of two [>= max 1 n]. *)
-
-val is_fast_size : int -> bool
-(** True iff [n] is of the form [2^a * f] with [f] in [{1, 3, 5, 15}] —
-    the sizes the mixed-radix engine serves. *)
-
-val good_size : int -> int
-(** [good_size n] is the cheapest fast size [>= max 1 n] under a
-    measured per-point cost model (odd-radix split stages cost a few
-    percent per point over the pure power-of-two butterflies, so a
-    slightly larger power of two can beat e.g. a [15 * 2^k] grid).
-    Consecutive fast sizes are within 25% of each other, so
-    near-power-of-two grids stop paying the 2x padding penalty. *)
 
 type vec =
   (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -41,7 +31,7 @@ val dft_naive : re:float array -> im:float array -> float array * float array
     oracle for {!Real}. *)
 
 (** Real-input transforms via the pack-real trick: a real signal of
-    even fast length [n] is transformed by one complex FFT of size
+    power-of-two length [n] is transformed by one complex FFT of size
     [n/2] plus an O(n) split pass, about half the work of a padded
     complex transform.  Only the half-spectrum [X_0 .. X_{n/2}] is
     produced/consumed; the upper half is its conjugate mirror.  Plans
@@ -51,8 +41,7 @@ module Real : sig
 
   val make_plan : int -> t
   (** [make_plan n] plans real transforms of size [n].
-      @raise Invalid_argument unless [n] is even and [n/2] satisfies
-      {!is_fast_size}. *)
+      @raise Invalid_argument unless [n] is a power of two [>= 2]. *)
 
   val cached_plan : int -> t
   (** Per-domain memoized {!make_plan}: real plans hold mutable

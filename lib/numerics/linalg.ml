@@ -8,14 +8,11 @@ let check_square a =
   n
 
 (* LU factorization with partial pivoting, in place on a copy.
-   Returns (lu, permutation, sign); raises on singularity when
-   [exn_on_singular]. *)
-let lu_factor ~exn_on_singular a =
+   Returns (lu, permutation); raises on singularity. *)
+let lu_factor a =
   let n = check_square a in
   let lu = Array.map Array.copy a in
   let perm = Array.init n (fun i -> i) in
-  let sign = ref 1.0 in
-  let singular = ref false in
   for col = 0 to n - 1 do
     (* Pivot: largest magnitude in this column at or below the diagonal. *)
     let pivot = ref col in
@@ -29,29 +26,24 @@ let lu_factor ~exn_on_singular a =
       lu.(!pivot) <- tmp;
       let tmp = perm.(col) in
       perm.(col) <- perm.(!pivot);
-      perm.(!pivot) <- tmp;
-      sign := -. !sign
+      perm.(!pivot) <- tmp
     end;
     let diag = lu.(col).(col) in
-    if Float.abs diag < 1e-300 then begin
-      if exn_on_singular then failwith "Linalg: singular matrix";
-      singular := true
-    end
-    else
-      for row = col + 1 to n - 1 do
-        let factor = lu.(row).(col) /. diag in
-        lu.(row).(col) <- factor;
-        for k = col + 1 to n - 1 do
-          lu.(row).(k) <- lu.(row).(k) -. (factor *. lu.(col).(k))
-        done
+    if Float.abs diag < 1e-300 then failwith "Linalg: singular matrix";
+    for row = col + 1 to n - 1 do
+      let factor = lu.(row).(col) /. diag in
+      lu.(row).(col) <- factor;
+      for k = col + 1 to n - 1 do
+        lu.(row).(k) <- lu.(row).(k) -. (factor *. lu.(col).(k))
       done
+    done
   done;
-  (lu, perm, !sign, !singular)
+  (lu, perm)
 
 let solve a b =
   let n = check_square a in
   if Array.length b <> n then invalid_arg "Linalg.solve: size mismatch";
-  let lu, perm, _, _ = lu_factor ~exn_on_singular:true a in
+  let lu, perm = lu_factor a in
   (* Forward substitution on the permuted right-hand side. *)
   let y = Array.init n (fun i -> b.(perm.(i))) in
   for i = 1 to n - 1 do
@@ -68,18 +60,6 @@ let solve a b =
     x.(i) <- x.(i) /. lu.(i).(i)
   done;
   x
-
-let determinant a =
-  let n = check_square a in
-  let lu, _, sign, singular = lu_factor ~exn_on_singular:false a in
-  if singular then 0.0
-  else begin
-    let det = ref sign in
-    for i = 0 to n - 1 do
-      det := !det *. lu.(i).(i)
-    done;
-    !det
-  end
 
 let mat_vec a x =
   Array.map

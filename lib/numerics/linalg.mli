@@ -9,9 +9,6 @@ val solve : float array array -> float array -> float array
     non-square or mismatched inputs; @raise Failure on a (numerically)
     singular matrix. *)
 
-val determinant : float array array -> float
-(** Determinant via LU.  Returns 0 for (numerically) singular input. *)
-
 val mat_vec : float array array -> float array -> float array
 (** Matrix-vector product. *)
 

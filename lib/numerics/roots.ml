@@ -21,32 +21,3 @@ let bisection ~f ~lo ~hi ?(eps = 1e-12) () =
     in
     go lo hi flo 200
   end
-
-let newton_bracketed ~f ~df ~lo ~hi ?(eps = 1e-12) () =
-  let flo = f lo and fhi = f hi in
-  check_bracket "Roots.newton_bracketed" flo fhi;
-  if flo = 0.0 then lo
-  else if fhi = 0.0 then hi
-  else begin
-    (* Keep the invariant that [lo, hi] brackets; sign_lo is sign of f lo. *)
-    let sign_lo = flo > 0.0 in
-    let rec go x lo hi iterations =
-      if iterations = 0 then x
-      else begin
-        let fx = f x in
-        if Float.abs fx = 0.0 then x
-        else begin
-          let lo, hi = if (fx > 0.0) = sign_lo then (x, hi) else (lo, x) in
-          let dfx = df x in
-          let step_ok x' = x' > lo && x' < hi in
-          let x' =
-            if dfx <> 0.0 && step_ok (x -. (fx /. dfx)) then x -. (fx /. dfx)
-            else (lo +. hi) /. 2.0
-          in
-          if Float.abs (x' -. x) <= eps *. (1.0 +. Float.abs x') then x'
-          else go x' lo hi (iterations - 1)
-        end
-      end
-    in
-    go ((lo +. hi) /. 2.0) lo hi 200
-  end

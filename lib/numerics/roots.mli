@@ -6,15 +6,3 @@ val bisection :
   f:(float -> float) -> lo:float -> hi:float -> ?eps:float -> unit -> float
 (** Root of [f] on a bracketing interval ([f lo] and [f hi] of opposite
     signs).  @raise Invalid_argument if the interval does not bracket. *)
-
-val newton_bracketed :
-  f:(float -> float) ->
-  df:(float -> float) ->
-  lo:float ->
-  hi:float ->
-  ?eps:float ->
-  unit ->
-  float
-(** Newton iteration safeguarded by a bisection bracket: steps that leave
-    the bracket fall back to bisection.  Same bracketing requirement as
-    {!bisection}. *)

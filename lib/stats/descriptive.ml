@@ -9,20 +9,6 @@ let sample_variance a =
   if n < 2 then invalid_arg "Descriptive.sample_variance: need >= 2 points";
   variance a *. float_of_int n /. float_of_int (n - 1)
 
-let central_moment a k =
-  let m = mean a in
-  let acc = Summation.create () in
-  Array.iter (fun x -> Summation.add acc ((x -. m) ** float_of_int k)) a;
-  Summation.total acc /. float_of_int (Array.length a)
-
-let skewness a =
-  let s = std a in
-  if s = 0.0 then 0.0 else central_moment a 3 /. (s *. s *. s)
-
-let excess_kurtosis a =
-  let v = variance a in
-  if v = 0.0 then 0.0 else (central_moment a 4 /. (v *. v)) -. 3.0
-
 let quantile a ~p =
   if Array.length a = 0 then invalid_arg "Descriptive.quantile: empty data";
   if not (p >= 0.0 && p <= 1.0) then
@@ -37,8 +23,6 @@ let quantile a ~p =
     let frac = pos -. float_of_int i in
     sorted.(i) +. (frac *. (sorted.(i + 1) -. sorted.(i)))
   end
-
-let median a = quantile a ~p:0.5
 
 let weighted_linear_regression ~x ~y ~w =
   let n = Array.length x in

@@ -9,14 +9,10 @@ val sample_variance : float array -> float
     @raise Invalid_argument if the array has fewer than two elements. *)
 
 val std : float array -> float
-val skewness : float array -> float
-val excess_kurtosis : float array -> float
 
 val quantile : float array -> p:float -> float
 (** Linear-interpolation quantile of the sorted data, [p] in [0, 1].
     Does not modify the input. *)
-
-val median : float array -> float
 
 val linear_regression : x:float array -> y:float array -> float * float
 (** Ordinary least squares [(slope, intercept)] of [y] on [x].

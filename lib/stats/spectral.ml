@@ -1,7 +1,6 @@
 type estimate = {
   frequencies : float array;
   power : float array;
-  segments : int;
 }
 
 let half_spectrum ~size data ~re ~im =
@@ -30,7 +29,6 @@ let periodogram data =
       Array.init half (fun j ->
           let k = j + 1 in
           ((re.(k) *. re.(k)) +. (im.(k) *. im.(k))) /. norm);
-    segments = 1;
   }
 
 (* Paxson's approximation: the fGn spectrum is

@@ -9,7 +9,6 @@
 type estimate = {
   frequencies : float array;  (** Angular frequencies in (0, pi]. *)
   power : float array;  (** Spectral density estimates. *)
-  segments : int;  (** Number of averaged segments. *)
 }
 
 val periodogram : float array -> estimate

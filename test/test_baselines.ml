@@ -187,29 +187,6 @@ let test_multiscale_generation_moments () =
   check_close ~eps:0.05 "mean" 5.0 (Lrd_trace.Trace.mean t);
   check_close ~eps:0.15 "variance" 1.0 (Lrd_trace.Trace.variance t)
 
-let test_multiscale_to_markov_chain_consistent () =
-  let m =
-    Multiscale.create ~base_rate:0.5
-      ~layers:
-        [|
-          { Multiscale.rate = 1.0; eigenvalue = 0.6 };
-          { Multiscale.rate = 2.0; eigenvalue = 0.2 };
-        |]
-  in
-  let chain = Multiscale.to_markov_chain m in
-  Alcotest.(check int) "4 states" 4 (Markov_chain.size chain);
-  check_close ~eps:1e-9 "mean" (Multiscale.mean_rate m)
-    (Markov_chain.mean_rate chain);
-  check_close ~eps:1e-9 "variance" (Multiscale.rate_variance m)
-    (Markov_chain.rate_variance chain);
-  List.iter
-    (fun lag ->
-      check_close ~eps:1e-9
-        (Printf.sprintf "acf %d" lag)
-        (Multiscale.autocorrelation m ~lag)
-        (Markov_chain.autocorrelation chain ~lag))
-    [ 1; 2; 4 ]
-
 (* ------------------------------------------------------------------ *)
 (* Anick-Mitra-Sondhi *)
 
@@ -456,8 +433,6 @@ let () =
             test_multiscale_fit_rejects_excess_variance;
           Alcotest.test_case "generation moments" `Slow
             test_multiscale_generation_moments;
-          Alcotest.test_case "explicit chain consistent" `Quick
-            test_multiscale_to_markov_chain_consistent;
         ] );
       ( "ams",
         [

@@ -423,16 +423,6 @@ let test_solver_respects_max_iterations () =
   let r = Solver.solve ~params m ~service_rate:1.25 ~buffer:2.0 in
   Alcotest.(check bool) "iterations bounded" true (r.Solver.iterations <= 4)
 
-let test_solver_direct_matches_fft () =
-  let m = pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:2.0 () in
-  let solve conv =
-    (Solver.solve
-       ~params:{ Solver.default_params with convolution = conv }
-       m ~service_rate:1.25 ~buffer:1.0)
-      .Solver.loss
-  in
-  check_close ~eps:1e-6 "direct vs fft" (solve `Direct) (solve `Fft)
-
 let test_solver_cold_restart_same_answer () =
   let m = pareto_model ~theta:0.05 ~alpha:1.4 ~cutoff:0.5 () in
   let warm = Solver.solve m ~service_rate:1.25 ~buffer:2.0 in
@@ -517,10 +507,8 @@ let test_workspace_step_does_not_allocate () =
   let m = pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:5.0 () in
   let workload = Workload.create m ~service_rate:1.25 in
   List.iter
-    (fun (conv, bins) ->
-      let ws =
-        Solver.Workspace.make ~convolution:conv workload ~buffer:2.0 ~m:bins
-      in
+    (fun bins ->
+      let ws = Solver.Workspace.make workload ~buffer:2.0 ~m:bins in
       for _ = 1 to 16 do
         Solver.Workspace.step ws
       done;
@@ -536,17 +524,10 @@ let test_workspace_step_does_not_allocate () =
               "steady-state step allocated %.0f minor words at m = %d"
               allocated bins
       | Sys.Bytecode | Sys.Other _ -> ())
-    (* Both parities of log2 m, a radix-3 grid, a large grid, and a
-       non-fast grid (m = 100 wraps on 256 points) on both engines. *)
-    [
-      (`Fft, 128);
-      (`Fft, 256);
-      (`Fft, 96);
-      (`Fft, 4096);
-      (`Fft, 100);
-      (`Direct, 128);
-      (`Direct, 100);
-    ]
+    (* Both parities of log2 m, a large grid, and grids off the
+       doubling ladder: m = 80 and m = 100 both step on 256 points, 80
+       without wrap-around. *)
+    [ 128; 256; 4096; 80; 100 ]
 
 (* One Lindley step (eqs. 19-20) the slow way: the exact linear product
    of the pmf with the kernel, mass at or below 0 into the empty state,
@@ -564,9 +545,20 @@ let exact_step pmf kernel =
   let total = Lrd_numerics.Array_ops.sum q in
   Array.map (fun v -> v /. total) q
 
+(* A grid of m bins whose plan of n = next_power_of_two (2m) points
+   either wraps the 3m + 1 linear values (n <= 3m, as on the doubling
+   ladder m = n / 2) or holds them all (n > 3m, e.g. m = 130 on 512
+   points), half the draws each. *)
+let grid_gen =
+  QCheck.Gen.(
+    pair (int_range 7 13) bool >>= fun (k, wraps) ->
+    let n = 1 lsl k in
+    if wraps then int_range ((n + 2) / 3) (n / 2)
+    else int_range ((n / 4) + 1) ((n - 1) / 3))
+
 let prop_wrapped_step_matches_exact =
   QCheck.Test.make ~count:16
-    ~name:"non-fast grid step matches the exact linear fold"
+    ~name:"grid step matches the exact linear fold"
     (QCheck.make
        ~print:(fun (points, m, u) ->
          Printf.sprintf "m=%d u=%g atoms=[%s]" m u
@@ -576,37 +568,27 @@ let prop_wrapped_step_matches_exact =
          triple
            (list_size (int_range 2 5)
               (pair (float_range 0.0 10.0) (float_range 0.05 1.0)))
-           (int_range 45 4000) (float_range 0.3 0.95)))
+           grid_gen (float_range 0.3 0.95)))
     (fun (points, m, utilization) ->
-      let rec non_fast m =
-        if Lrd_numerics.Fft.is_fast_size m then non_fast (m + 1) else m
-      in
-      let m = non_fast m in
       let marginal = Lrd_dist.Marginal.of_points points in
       let model = pareto_model ~marginal ~theta:0.2 ~alpha:1.4 ~cutoff:5.0 () in
       let service_rate = Model.service_rate_for_utilization model ~utilization in
       let workload = Workload.create model ~service_rate in
       let buffer = 0.5 *. service_rate in
       let bins = Workload.discretize workload ~buffer ~bins:m in
-      List.for_all
-        (fun conv ->
-          let ws = Solver.Workspace.make ~convolution:conv workload ~buffer ~m in
-          (* Two steps first, so the compared step starts from spread pmfs. *)
-          Solver.Workspace.step ws;
-          Solver.Workspace.step ws;
-          let lower = Solver.Workspace.lower_pmf ws
-          and upper = Solver.Workspace.upper_pmf ws in
-          Solver.Workspace.step ws;
-          let close expect got =
-            Array.for_all2
-              (fun e g -> Float.abs (e -. g) <= 1e-13)
-              expect got
-          in
-          close (exact_step lower bins.Workload.lower)
-            (Solver.Workspace.lower_pmf ws)
-          && close (exact_step upper bins.Workload.upper)
-               (Solver.Workspace.upper_pmf ws))
-        [ `Fft; `Direct ])
+      let ws = Solver.Workspace.make workload ~buffer ~m in
+      (* Two steps first, so the compared step starts from spread pmfs. *)
+      Solver.Workspace.step ws;
+      Solver.Workspace.step ws;
+      let lower = Solver.Workspace.lower_pmf ws
+      and upper = Solver.Workspace.upper_pmf ws in
+      Solver.Workspace.step ws;
+      let close expect got =
+        Array.for_all2 (fun e g -> Float.abs (e -. g) <= 1e-13) expect got
+      in
+      close (exact_step lower bins.Workload.lower) (Solver.Workspace.lower_pmf ws)
+      && close (exact_step upper bins.Workload.upper)
+           (Solver.Workspace.upper_pmf ws))
 
 (* ------------------------------------------------------------------ *)
 (* Chain pair: a one-shot solve outside a pool task steps its floor
@@ -640,18 +622,13 @@ let test_chain_pair_bitwise () =
   let cases =
     [
       ("circular engine", p, 1.25, 8.0, refined);
-      (* 100 * 2^k is never a fast size: every level wraps on the next
-         real-transform grid above 2m. *)
-      ( "non-fast grid",
+      (* 100 * 2^k is never a power of two: every level steps on a plan
+         of next_power_of_two (2m) > 2m points. *)
+      ( "grid off the doubling ladder",
         { p with initial_bins = 100 },
         1.25,
         8.0,
         fun r -> refined r && r.Solver.bins mod 25 = 0 );
-      ( "direct engine",
-        { p with convolution = `Direct; tolerance = 0.05 },
-        1.25,
-        2.0,
-        refined );
       ("cold restarts", { p with warm_restart = false }, 1.25, 8.0, refined);
       ( "refinement ladder",
         { p with tolerance = 0.05 },
@@ -1564,8 +1541,6 @@ let () =
             test_solver_loss_increasing_in_utilization;
           Alcotest.test_case "respects max iterations" `Quick
             test_solver_respects_max_iterations;
-          Alcotest.test_case "direct matches fft" `Quick
-            test_solver_direct_matches_fft;
           Alcotest.test_case "cold restart consistent" `Quick
             test_solver_cold_restart_same_answer;
           Alcotest.test_case "negligible loss reports zero" `Quick

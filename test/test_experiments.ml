@@ -35,19 +35,6 @@ let test_table_cell_value () =
   Alcotest.(check string) "zero" "0" (Table.cell_value 0.0);
   Alcotest.(check string) "sci" "1.230e-04" (Table.cell_value 1.23e-4)
 
-let test_table_series_renders () =
-  let s =
-    {
-      Table.title = "test series";
-      xlabel = "x";
-      ylabel = "y";
-      points = [| (1.0, 0.5); (2.0, 0.25) |];
-    }
-  in
-  let out = render (fun fmt -> Table.print_series fmt s) in
-  Alcotest.(check bool) "has title" true (contains out "test series");
-  Alcotest.(check bool) "has value" true (contains out "2.500e-01")
-
 let test_table_surface_renders () =
   let s =
     {
@@ -711,7 +698,6 @@ let () =
         [
           Alcotest.test_case "axis values" `Quick test_table_axis_value;
           Alcotest.test_case "cell values" `Quick test_table_cell_value;
-          Alcotest.test_case "series renders" `Quick test_table_series_renders;
           Alcotest.test_case "surface renders" `Quick
             test_table_surface_renders;
         ] );

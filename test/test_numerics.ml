@@ -14,15 +14,11 @@ let next_float () =
 (* ------------------------------------------------------------------ *)
 (* FFT: the real-input engine against the O(n^2) complex oracle *)
 
-(* Real plan sizes are [2 h] with [h] any fast size, so this list walks
-   every split shape: pure powers of two and the radix-3 / radix-5 /
-   radix-15 decimation towers. *)
-let real_sizes = [ 2; 4; 6; 8; 10; 12; 20; 24; 30; 48; 96; 120; 240; 480 ]
+(* Real plan sizes are powers of two [>= 2]; the short list keeps the
+   naive-DFT checks on zero-extended signals cheap. *)
+let real_sizes = [ 2; 4; 8; 16; 32; 64; 128; 256; 512 ]
 
-let pow2_sizes = [ 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 2048 ]
-
-(* [2 h] for h = 3, 5 and 15 times powers of two. *)
-let radix_sizes = [ 6; 10; 12; 30; 60; 96; 120; 160; 240; 480; 960; 1920 ]
+let pow2_sizes = real_sizes @ [ 1024; 2048 ]
 
 let random_signal n =
   Array.init n (fun _ -> (20.0 *. next_float ()) -. 10.0)
@@ -37,8 +33,9 @@ let real_forward plan x =
 (* The half-spectrum of [x], zero-extended to [n], against [dft_naive].
    The oracle carries its own rounding, so the tolerance scales with the
    signal mass rather than the bin value.  Returns the spectrum. *)
-let check_against_naive ?(what = "") n x =
-  let sre, sim = real_forward (Fft.Real.make_plan n) x in
+let check_against_naive ?(what = "") ?plan n x =
+  let plan = match plan with Some p -> p | None -> Fft.Real.make_plan n in
+  let sre, sim = real_forward plan x in
   let padded = Array.make n 0.0 in
   Array.blit x 0 padded 0 (Array.length x);
   let fre, fim = Fft.dft_naive ~re:padded ~im:(Array.make n 0.0) in
@@ -67,9 +64,16 @@ let test_fft_matches_naive_dft () =
     pow2_sizes
 
 let test_fft_plan_matches_naive_dft () =
+  (* A clone of the domain's cached plan, on zero-extended signals of
+     both parities. *)
   List.iter
-    (fun n -> ignore (check_against_naive ~what:"random" n (random_signal n)))
-    radix_sizes
+    (fun n ->
+      let plan = Fft.Real.clone (Fft.Real.cached_plan n) in
+      List.iter
+        (fun len ->
+          ignore (check_against_naive ~what:"clone" ~plan n (random_signal len)))
+        [ n; max 1 ((n / 2) - 1) ])
+    pow2_sizes
 
 let test_fft_impulse () =
   (* A unit impulse at 0 transforms to all ones; one at j to the
@@ -85,7 +89,7 @@ let test_fft_impulse () =
       let x = Array.make n 0.0 in
       x.(j) <- 1.0;
       ignore (check_against_naive ~what:"shifted impulse" n x))
-    (pow2_sizes @ radix_sizes)
+    pow2_sizes
 
 let test_fft_constant () =
   (* A constant puts all its energy in bin 0; a +-1 alternation all in
@@ -103,7 +107,7 @@ let test_fft_constant () =
       let alt = Array.init n (fun i -> if i land 1 = 0 then 1.0 else -1.0) in
       let sre, _ = check_against_naive ~what:"alternating" n alt in
       check_close "nyquist" (float_of_int n) sre.(n / 2))
-    (pow2_sizes @ radix_sizes)
+    pow2_sizes
 
 let test_fft_parseval () =
   (* Over the half-spectrum: sum x^2 = (|X_0|^2 + 2 sum_{0<k<h} |X_k|^2
@@ -121,7 +125,7 @@ let test_fft_parseval () =
       let time = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 x in
       check_close ~eps:1e-11 (Printf.sprintf "parseval n=%d" n) time
         (!freq /. float_of_int n))
-    (pow2_sizes @ radix_sizes)
+    pow2_sizes
 
 let test_fft_roundtrip () =
   (* Zero-padded signals (len < n, odd and even) come back as the
@@ -143,7 +147,7 @@ let test_fft_roundtrip () =
               back.(j)
           done)
         [ n; (n / 2) + 1; max 1 ((n / 3) - 1) ])
-    (pow2_sizes @ radix_sizes)
+    pow2_sizes
 
 let test_fft_plan_roundtrip () =
   (* The per-domain memo hands back one plan per size, and its scratch
@@ -161,7 +165,7 @@ let test_fft_plan_roundtrip () =
       Alcotest.(check bool)
         "bitwise after reuse" true
         (fresh = real_forward plan x))
-    (pow2_sizes @ radix_sizes)
+    pow2_sizes
 
 let test_fft_rejects_bad_input () =
   let plan = Fft.Real.make_plan 16 in
@@ -201,17 +205,19 @@ let test_fft_rejects_bad_input () =
       convolve ~kernel:(Array.make 4 0.0) (big 16) ~len:16 (big 16)
         ~dst_len:16)
 
+(* Sizes a real plan refuses: below 2, odd, and even but not a power of
+   two. *)
+let bad_plan_sizes = [ 0; -2; 1; 7; 6; 14; 1500; 1536; 1920 ]
+
+let bad_plan_size = "Fft.Real.make_plan: size must be a power of two >= 2"
+
 let test_fft_plan_rejects_bad_input () =
   (* The memoized constructor refuses exactly what make_plan refuses. *)
-  let bad =
-    "Fft.Real.make_plan: size must be even with n/2 of the form \
-     2^a*{1,3,5,15}"
-  in
   List.iter
     (fun n ->
-      Alcotest.check_raises (string_of_int n) (Invalid_argument bad) (fun () ->
-          ignore (Fft.Real.cached_plan n)))
-    [ 0; -2; 7; 14; 1500 ]
+      Alcotest.check_raises (string_of_int n) (Invalid_argument bad_plan_size)
+        (fun () -> ignore (Fft.Real.cached_plan n)))
+    bad_plan_sizes
 
 (* ------------------------------------------------------------------ *)
 (* Convolution *)
@@ -244,29 +250,31 @@ let wrapped_direct a b n =
   out
 
 let test_convolution_fft_matches_direct () =
-  (* 37 + 101 - 1 = 137 linear values wrap onto 96. *)
+  (* 37 + 101 - 1 = 137 linear values wrap onto 128. *)
   let a = Array.init 37 (fun _ -> next_float () -. 0.3) in
   let b = Array.init 101 (fun _ -> next_float () -. 0.6) in
-  let plan = Convolution.make_real_plan ~size:96 ~kernel:b ~max_signal:37 in
-  let f = run_circular plan ~n:96 a in
-  Array.iteri (fun i v -> check_close ~eps:1e-10 "cell" v f.(i)) (wrapped_direct a b 96)
+  let plan = Convolution.make_real_plan ~size:128 ~kernel:b ~max_signal:37 in
+  let f = run_circular plan ~n:128 a in
+  Array.iteri
+    (fun i v -> check_close ~eps:1e-10 "cell" v f.(i))
+    (wrapped_direct a b 128)
 
 let test_convolution_identity () =
   let a = Array.init 20 (fun _ -> next_float ()) in
-  let plan = Convolution.make_real_plan ~size:40 ~kernel:[| 1.0 |] ~max_signal:20 in
-  let c = run_circular plan ~n:40 a in
+  let plan = Convolution.make_real_plan ~size:64 ~kernel:[| 1.0 |] ~max_signal:20 in
+  let c = run_circular plan ~n:64 a in
   Array.iteri
     (fun i v -> check_close "identity" (if i < 20 then a.(i) else 0.0) v)
     c
 
 let test_convolution_commutative () =
-  (* Both orders wrap mod 48, inside both plans' ranges. *)
+  (* Both orders on 64 points, the smallest size both plans admit. *)
   let a = Array.init 17 (fun _ -> next_float ()) in
   let b = Array.init 25 (fun _ -> next_float ()) in
   let ab =
-    run_circular (Convolution.make_real_plan ~size:48 ~kernel:b ~max_signal:17) ~n:48 a
+    run_circular (Convolution.make_real_plan ~size:64 ~kernel:b ~max_signal:17) ~n:64 a
   and ba =
-    run_circular (Convolution.make_real_plan ~size:48 ~kernel:a ~max_signal:25) ~n:48 b
+    run_circular (Convolution.make_real_plan ~size:64 ~kernel:a ~max_signal:25) ~n:64 b
   in
   Array.iteri (fun i v -> check_close ~eps:1e-10 "commute" v ba.(i)) ab
 
@@ -276,14 +284,14 @@ let test_convolution_preserves_mass () =
   let b = Array.init 64 (fun _ -> next_float ()) in
   Array_ops.normalize a;
   Array_ops.normalize b;
-  let plan = Convolution.make_real_plan ~size:120 ~kernel:b ~max_signal:50 in
-  check_close ~eps:1e-10 "mass" 1.0 (Array_ops.sum (run_circular plan ~n:120 a))
+  let plan = Convolution.make_real_plan ~size:128 ~kernel:b ~max_signal:50 in
+  check_close ~eps:1e-10 "mass" 1.0 (Array_ops.sum (run_circular plan ~n:128 a))
 
 let test_convolution_plan_matches () =
-  (* The solver's shape on a non-fast grid: m = 100 bins, a 2m + 1
-     kernel, wrapped on the next real grid above 2m. *)
+  (* The solver's shape off the doubling ladder: m = 100 bins, a 2m + 1
+     kernel, wrapped on the next power of two above 2m. *)
   let m = 100 in
-  let n = Convolution.real_transform_size_for (2 * m) in
+  let n = Fft.next_power_of_two (2 * m) in
   let kernel = Array.init ((2 * m) + 1) (fun _ -> next_float ()) in
   let plan = Convolution.make_real_plan ~size:n ~kernel ~max_signal:(m + 1) in
   let signal = Array.init 77 (fun _ -> next_float ()) in
@@ -308,41 +316,29 @@ let test_convolution_plan_rejects_long_signal () =
         ~signal:(v 16) ~len:4 ~dst:(v 16))
 
 let test_convolution_plan_rejects_size () =
-  (* max_signal 65 admits sizes 128 .. 192; fast sizes either side are
-     refused, and so is an unsupported size inside the range. *)
+  (* max_signal 65 admits every power of two from 2 (65 - 1) = 128 on:
+     128 wraps onto the states the solver's fold collapses, 256 and 512
+     hold the whole linear product.  Smaller sizes are refused, and so
+     are sizes in range that are not powers of two. *)
   let kernel = Array.make 129 1.0 in
   List.iter
     (fun size ->
       ignore (Convolution.make_real_plan ~size ~kernel ~max_signal:65))
-    [ 128; 160; 192 ];
+    [ 128; 256; 512 ];
   List.iter
     (fun size ->
       Alcotest.check_raises (string_of_int size)
         (Invalid_argument
-           "Convolution.make_real_plan: size outside [2 (max_signal - 1), 3 \
-            (max_signal - 1)]")
+           "Convolution.make_real_plan: size below 2 (max_signal - 1)")
         (fun () ->
           ignore (Convolution.make_real_plan ~size ~kernel ~max_signal:65)))
-    [ 120; 256 ];
-  Alcotest.(check bool) "unsupported size" true
-    (match Convolution.make_real_plan ~size:140 ~kernel ~max_signal:65 with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let test_convolution_direct_into_matches () =
-  let a = Array.init 33 (fun _ -> next_float () -. 0.4) in
-  let b = Array.init 65 (fun _ -> next_float () -. 0.2) in
-  let expected = Convolution.direct a b in
-  (* An oversized, dirty destination: only the prefix is the result. *)
-  let dst = big_of (Array.make 128 Float.nan) in
-  Convolution.direct_into_big (big_of a) ~len:33 ~kernel:b ~dst;
-  Array.iteri
-    (fun i v -> check_close ~eps:1e-12 "direct_into cell" v dst.{i})
-    expected;
-  Alcotest.check_raises "dst too short"
-    (Invalid_argument "Convolution.direct_into_big: dst too short") (fun () ->
-      Convolution.direct_into_big (big_of a) ~len:33 ~kernel:b
-        ~dst:(big_of (Array.make 10 0.0)))
+    [ 64; 120; 126 ];
+  List.iter
+    (fun size ->
+      Alcotest.check_raises (string_of_int size) (Invalid_argument bad_plan_size)
+        (fun () ->
+          ignore (Convolution.make_real_plan ~size ~kernel ~max_signal:65)))
+    [ 140; 192 ]
 
 let test_convolution_execute_into_matches () =
   let m = 64 in
@@ -505,19 +501,6 @@ let test_bisection_rejects_non_bracket () =
     (Invalid_argument "Roots.bisection: interval does not bracket a root")
     (fun () -> ignore (Roots.bisection ~f:(fun x -> x +. 10.0) ~lo:0.0 ~hi:1.0 ()))
 
-let test_newton_bracketed () =
-  let f x = cos x -. x in
-  let df x = -.sin x -. 1.0 in
-  let root = Roots.newton_bracketed ~f ~df ~lo:0.0 ~hi:1.0 () in
-  check_close ~eps:1e-10 "dottie" 0.7390851332151607 root
-
-let test_newton_with_bad_derivative_falls_back () =
-  (* Zero derivative everywhere: must still converge by bisection. *)
-  let f x = x -. 0.25 in
-  let df _ = 0.0 in
-  let root = Roots.newton_bracketed ~f ~df ~lo:0.0 ~hi:1.0 () in
-  check_close ~eps:1e-9 "fallback" 0.25 root
-
 (* ------------------------------------------------------------------ *)
 (* Array_ops *)
 
@@ -642,14 +625,6 @@ let test_linalg_random_roundtrip () =
     (fun i v -> check_close ~eps:1e-8 (Printf.sprintf "x%d" i) x_true.(i) v)
     x
 
-let test_linalg_determinant () =
-  check_close "2x2" (-2.0)
-    (Linalg.determinant [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |]);
-  check_close "identity" 1.0
-    (Linalg.determinant [| [| 1.0; 0.0 |]; [| 0.0; 1.0 |] |]);
-  check_close "singular" 0.0
-    (Linalg.determinant [| [| 1.0; 2.0 |]; [| 2.0; 4.0 |] |])
-
 let test_linalg_rejects_singular () =
   Alcotest.check_raises "singular" (Failure "Linalg: singular matrix")
     (fun () ->
@@ -661,41 +636,10 @@ let test_linalg_rejects_bad_shapes () =
       ignore (Linalg.solve [| [| 1.0; 2.0 |] |] [| 1.0 |]))
 
 (* ------------------------------------------------------------------ *)
-(* Real-input transforms and mixed-radix plan sizes *)
-
-let test_fast_size_helpers () =
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (string_of_int n) true (Fft.is_fast_size n))
-    [ 1; 2; 3; 4; 5; 6; 8; 15; 48; 60; 240; 960; 1536; 1920; 4096 ];
-  List.iter
-    (fun n ->
-      Alcotest.(check bool) (string_of_int n) false (Fft.is_fast_size n))
-    [ 0; -4; 7; 9; 11; 14; 21; 25; 45; 100 ];
-  List.iter
-    (fun n ->
-      let g = Fft.good_size n in
-      Alcotest.(check bool) "good_size is fast" true (Fft.is_fast_size g);
-      Alcotest.(check bool) "good_size >= n" true (g >= n))
-    [ 1; 2; 17; 100; 1000; 1025; 1537; 3000 ];
-  (* Cost-aware selection: just above 3 * 2^k the radix-3 grid wins, but
-     just above 15 * 2^(k-1) the next power of two beats the slower
-     15-smooth transform. *)
-  Alcotest.(check int) "good_size 1500" 1536 (Fft.good_size 1500);
-  Alcotest.(check int) "good_size 1025" 1280 (Fft.good_size 1025);
-  Alcotest.(check int) "good_size 1537" 2048 (Fft.good_size 1537)
-
-let test_any_plan_matches_naive () =
-  (* Every fast half-size up to 64 — each mixed-radix shape the engine
-     builds at small scale. *)
-  List.iter
-    (fun h ->
-      if Fft.is_fast_size h then
-        ignore (check_against_naive (2 * h) (random_signal (2 * h))))
-    (List.init 64 (fun i -> i + 1))
+(* Real-input transforms *)
 
 let test_real_forward_matches_naive () =
-  (* Full-length signals at every split shape, and the zero-extended
+  (* Full-length signals at every plan size, and the zero-extended
      short signals ([len < n], odd and even) the estimators transform. *)
   List.iter
     (fun n ->
@@ -725,7 +669,7 @@ let test_real_roundtrip_exact_sizes () =
     real_sizes
 
 let test_real_synthesize_matches_hermitian_sum () =
-  let n = 24 in
+  let n = 32 in
   let h = n / 2 in
   let sre = Array.init (h + 1) (fun _ -> next_float ()) in
   let sim = Array.init (h + 1) (fun _ -> next_float ()) in
@@ -755,15 +699,11 @@ let test_real_synthesize_matches_hermitian_sum () =
     expect
 
 let test_real_plan_rejects_bad_input () =
-  let bad =
-    "Fft.Real.make_plan: size must be even with n/2 of the form \
-     2^a*{1,3,5,15}"
-  in
   List.iter
     (fun n ->
-      Alcotest.check_raises (string_of_int n) (Invalid_argument bad) (fun () ->
-          ignore (Fft.Real.make_plan n)))
-    [ 0; -2; 7; 14; 1500 ];
+      Alcotest.check_raises (string_of_int n) (Invalid_argument bad_plan_size)
+        (fun () -> ignore (Fft.Real.make_plan n)))
+    bad_plan_sizes;
   let plan = Fft.Real.make_plan 16 in
   Alcotest.check_raises "short spectrum"
     (Invalid_argument "Fft.Real: spectrum buffers shorter than n/2 + 1")
@@ -804,18 +744,14 @@ let test_real_convolution_no_allocation () =
      circular plans per solver grid size, one on the domain's scratch
      and one on scratch of its own, measured after a warmup round.  The
      sizes cover both parities of log2 (the butterflies pair stages,
-     with one lone radix-2 pass when the count is odd), the radix-3 and
-     radix-15 Split towers, the smallest and a large solver grid, and
-     two non-fast grids that wrap on the next real grid above 2m.
-     Bytecode boxes floats everywhere, so the pin only holds on native
-     builds. *)
+     with one lone radix-2 pass when the count is odd), the smallest and
+     a large solver grid, and grids off the doubling ladder whose plan
+     is the next power of two above 2m.  Bytecode boxes floats
+     everywhere, so the pin only holds on native builds. *)
   if Sys.backend_type = Sys.Native then
     List.iter
       (fun m ->
-        let n =
-          if Fft.is_fast_size m then 2 * m
-          else Convolution.real_transform_size_for (2 * m)
-        in
+        let n = Fft.next_power_of_two (2 * m) in
         let kernel = Array.init ((2 * m) + 1) (fun _ -> next_float ()) in
         let signal = Array.init (m + 1) (fun _ -> next_float ()) in
         let circ = Convolution.make_real_plan ~size:n ~kernel ~max_signal:(m + 1) in
@@ -849,28 +785,12 @@ let test_real_convolution_no_allocation () =
    fused kernel must reproduce every output bit of it. *)
 
 module Oracle = struct
-  type pow2_plan = {
+  type plan = {
     p2_size : int;
     bitrev : int array;  (* bitrev.(i) is i with log2 n bits reversed. *)
     wre : float array;  (* cos of the forward angle -2 pi k / len. *)
     wim : float array;  (* sin of the forward angle (<= 0 half-plane). *)
   }
-
-  (* Sizes beyond powers of two: [Split] peels one odd radix r in {3, 5}
-     off the top with a decimation-in-time step over r interleaved
-     sub-transforms; nesting two Splits reaches 15 * 2^k.  Splits own
-     scratch, as does the {!Real} plan holding them. *)
-  type plan =
-    | Pow2 of pow2_plan
-    | Split of {
-        s_size : int;
-        radix : int;  (* 3 or 5 *)
-        sub : plan;  (* size s_size / radix *)
-        twre : float array;  (* cos (-2 pi j / n), j = 0 .. n - 1 *)
-        twim : float array;
-        sre : float array array;  (* radix scratch rows of length n/radix *)
-        sim : float array array;
-      }
 
   let make_pow2_plan n =
     let bitrev = Array.make n 0 in
@@ -892,15 +812,6 @@ module Oracle = struct
       len := !len * 2
     done;
     { p2_size = n; bitrev; wre; wim }
-
-  let forward_twiddles n =
-    let twre = Array.make n 1.0 and twim = Array.make n 0.0 in
-    for j = 0 to n - 1 do
-      let ang = -2.0 *. Float.pi *. float_of_int j /. float_of_int n in
-      twre.(j) <- cos ang;
-      twim.(j) <- sin ang
-    done;
-    (twre, twim)
 
   (* The in-place power-of-two butterflies.  [conjugate = false] is the
      forward transform; [true] runs the inverse (without the 1/n scaling)
@@ -944,141 +855,6 @@ module Oracle = struct
       len := !len * 2
     done
 
-  let rec transform_any plan ~conjugate re im =
-    match plan with
-    | Pow2 p -> transform_pow2 p ~conjugate re im
-    | Split { s_size = n; radix = r; sub; twre; twim; sre; sim } ->
-        let m = n / r in
-        (* Decimate: row s holds x_{r l + s}. *)
-        for s = 0 to r - 1 do
-          let rs = Array.unsafe_get sre s and is_ = Array.unsafe_get sim s in
-          for l = 0 to m - 1 do
-            let src = (r * l) + s in
-            Array.unsafe_set rs l (Array.unsafe_get re src);
-            Array.unsafe_set is_ l (Array.unsafe_get im src)
-          done;
-          transform_any sub ~conjugate rs is_
-        done;
-        (* Recombine X_{k + s' m} = sum_s w_n^{(k + s' m) s} Z_s[k] with a
-           dedicated radix butterfly: the twiddles t_s = Z_s[k] w_n^{s k}
-           cost (r - 1) complex multiplies per k, and the cross-output
-           combination uses the real constants of the r-point DFT instead
-           of r more table multiplies per output — this is what makes the
-           mixed-radix grids competitive with power-of-two padding. *)
-        let sign = if conjugate then -1.0 else 1.0 in
-        if r = 3 then begin
-          let z0r = Array.unsafe_get sre 0 and z0i = Array.unsafe_get sim 0 in
-          let z1r = Array.unsafe_get sre 1 and z1i = Array.unsafe_get sim 1 in
-          let z2r = Array.unsafe_get sre 2 and z2i = Array.unsafe_get sim 2 in
-          (* omega_3 = -1/2 - i sign sqrt(3)/2. *)
-          let s3 = sign *. 0.8660254037844386 in
-          for k = 0 to m - 1 do
-            let w1r = Array.unsafe_get twre k
-            and w1i = sign *. Array.unsafe_get twim k in
-            let w2r = Array.unsafe_get twre (2 * k)
-            and w2i = sign *. Array.unsafe_get twim (2 * k) in
-            let a1r = Array.unsafe_get z1r k
-            and a1i = Array.unsafe_get z1i k in
-            let a2r = Array.unsafe_get z2r k
-            and a2i = Array.unsafe_get z2i k in
-            let t1r = (a1r *. w1r) -. (a1i *. w1i)
-            and t1i = (a1r *. w1i) +. (a1i *. w1r) in
-            let t2r = (a2r *. w2r) -. (a2i *. w2i)
-            and t2i = (a2r *. w2i) +. (a2i *. w2r) in
-            let ur = t1r +. t2r and ui = t1i +. t2i in
-            let vr = t1r -. t2r and vi = t1i -. t2i in
-            let br = Array.unsafe_get z0r k and bi = Array.unsafe_get z0i k in
-            Array.unsafe_set re k (br +. ur);
-            Array.unsafe_set im k (bi +. ui);
-            let wr = br -. (0.5 *. ur) and wi = bi -. (0.5 *. ui) in
-            Array.unsafe_set re (k + m) (wr +. (s3 *. vi));
-            Array.unsafe_set im (k + m) (wi -. (s3 *. vr));
-            Array.unsafe_set re (k + (2 * m)) (wr -. (s3 *. vi));
-            Array.unsafe_set im (k + (2 * m)) (wi +. (s3 *. vr))
-          done
-        end
-        else begin
-          (* Radix 5. *)
-          let z0r = Array.unsafe_get sre 0 and z0i = Array.unsafe_get sim 0 in
-          let z1r = Array.unsafe_get sre 1 and z1i = Array.unsafe_get sim 1 in
-          let z2r = Array.unsafe_get sre 2 and z2i = Array.unsafe_get sim 2 in
-          let z3r = Array.unsafe_get sre 3 and z3i = Array.unsafe_get sim 3 in
-          let z4r = Array.unsafe_get sre 4 and z4i = Array.unsafe_get sim 4 in
-          (* omega_5^b = cb - i sign sb. *)
-          let c1 = 0.30901699437494745 and c2 = -0.8090169943749473 in
-          let s1 = sign *. 0.9510565162951535
-          and s2 = sign *. 0.5877852522924731 in
-          for k = 0 to m - 1 do
-            let w1r = Array.unsafe_get twre k
-            and w1i = sign *. Array.unsafe_get twim k in
-            let w2r = Array.unsafe_get twre (2 * k)
-            and w2i = sign *. Array.unsafe_get twim (2 * k) in
-            let w3r = Array.unsafe_get twre (3 * k)
-            and w3i = sign *. Array.unsafe_get twim (3 * k) in
-            let w4r = Array.unsafe_get twre (4 * k)
-            and w4i = sign *. Array.unsafe_get twim (4 * k) in
-            let a1r = Array.unsafe_get z1r k
-            and a1i = Array.unsafe_get z1i k in
-            let a2r = Array.unsafe_get z2r k
-            and a2i = Array.unsafe_get z2i k in
-            let a3r = Array.unsafe_get z3r k
-            and a3i = Array.unsafe_get z3i k in
-            let a4r = Array.unsafe_get z4r k
-            and a4i = Array.unsafe_get z4i k in
-            let t1r = (a1r *. w1r) -. (a1i *. w1i)
-            and t1i = (a1r *. w1i) +. (a1i *. w1r) in
-            let t2r = (a2r *. w2r) -. (a2i *. w2i)
-            and t2i = (a2r *. w2i) +. (a2i *. w2r) in
-            let t3r = (a3r *. w3r) -. (a3i *. w3i)
-            and t3i = (a3r *. w3i) +. (a3i *. w3r) in
-            let t4r = (a4r *. w4r) -. (a4i *. w4i)
-            and t4i = (a4r *. w4i) +. (a4i *. w4r) in
-            let u1r = t1r +. t4r and u1i = t1i +. t4i in
-            let v1r = t1r -. t4r and v1i = t1i -. t4i in
-            let u2r = t2r +. t3r and u2i = t2i +. t3i in
-            let v2r = t2r -. t3r and v2i = t2i -. t3i in
-            let br = Array.unsafe_get z0r k and bi = Array.unsafe_get z0i k in
-            Array.unsafe_set re k (br +. u1r +. u2r);
-            Array.unsafe_set im k (bi +. u1i +. u2i);
-            let p1r = br +. (c1 *. u1r) +. (c2 *. u2r)
-            and p1i = bi +. (c1 *. u1i) +. (c2 *. u2i) in
-            let q1r = (s1 *. v1r) +. (s2 *. v2r)
-            and q1i = (s1 *. v1i) +. (s2 *. v2i) in
-            Array.unsafe_set re (k + m) (p1r +. q1i);
-            Array.unsafe_set im (k + m) (p1i -. q1r);
-            Array.unsafe_set re (k + (4 * m)) (p1r -. q1i);
-            Array.unsafe_set im (k + (4 * m)) (p1i +. q1r);
-            let p2r = br +. (c2 *. u1r) +. (c1 *. u2r)
-            and p2i = bi +. (c2 *. u1i) +. (c1 *. u2i) in
-            let q2r = (s2 *. v1r) -. (s1 *. v2r)
-            and q2i = (s2 *. v1i) -. (s1 *. v2i) in
-            Array.unsafe_set re (k + (2 * m)) (p2r +. q2i);
-            Array.unsafe_set im (k + (2 * m)) (p2i -. q2r);
-            Array.unsafe_set re (k + (3 * m)) (p2r -. q2i);
-            Array.unsafe_set im (k + (3 * m)) (p2i +. q2r)
-          done
-        end
-
-  (* The plan for a fast size [n]: pow2 at the core, one Split per odd
-     radix on top (radix 3 first, so 15 * 2^k splits 3 then 5). *)
-  let rec complex_plan n =
-    if Fft.is_power_of_two n then Pow2 (make_pow2_plan n)
-    else begin
-      let radix = if n mod 3 = 0 then 3 else 5 in
-      let m = n / radix in
-      let twre, twim = forward_twiddles n in
-      Split
-        {
-          s_size = n;
-          radix;
-          sub = complex_plan m;
-          twre;
-          twim;
-          sre = Array.init radix (fun _ -> Array.make m 0.0);
-          sim = Array.init radix (fun _ -> Array.make m 0.0);
-        }
-    end
-
   (* The parent's real-input layer on float arrays: pack in natural
      order, the complex transform above (which bit-reverses in place),
      then the split / load passes, one pass each. *)
@@ -1104,7 +880,7 @@ module Oracle = struct
     {
       n;
       h;
-      sub = complex_plan h;
+      sub = make_pow2_plan h;
       ifac = 0.5 /. float_of_int h;
       tre;
       tim;
@@ -1133,7 +909,7 @@ module Oracle = struct
     let h = t.h in
     let spec_re = Array.make (h + 1) 0.0 and spec_im = Array.make (h + 1) 0.0 in
     pack t signal len;
-    transform_any t.sub ~conjugate:false t.pre t.pim;
+    transform_pow2 t.sub ~conjugate:false t.pre t.pim;
     let pre = t.pre and pim = t.pim in
     let zr0 = pre.(0) and zi0 = pim.(0) in
     spec_re.(0) <- zr0 +. zi0;
@@ -1181,7 +957,7 @@ module Oracle = struct
       t.pre.(k) <- fac *. (er -. oui);
       t.pim.(k) <- fac *. (ei +. our)
     done;
-    transform_any t.sub ~conjugate:true t.pre t.pim;
+    transform_pow2 t.sub ~conjugate:true t.pre t.pim;
     Array.init len (fun i -> if i land 1 = 0 then t.pre.(i / 2) else t.pim.(i / 2))
 
   let inverse t spec len = backward t spec ~conj:false ~fac:t.ifac len
@@ -1213,12 +989,10 @@ end
 
 (* Every real-transform entry point and both planned convolutions
    against the oracle, bit for bit (Int64.bits_of_float, so signed zeros
-   count).  Sizes walk every power of two up to 2^15 and the radix-3/5/15
-   towers; signals include the solver's point-mass initial states and
-   exact zeros, kernels are pmfs with exact-zero bins. *)
-let oracle_sizes =
-  List.init 15 (fun e -> 1 lsl (e + 1))
-  @ [ 6; 10; 12; 30; 60; 96; 120; 160; 240; 480; 960; 1920; 7680; 15360; 30720 ]
+   count).  Sizes walk every power of two up to 2^15; signals include
+   the solver's point-mass initial states and exact zeros, kernels are
+   pmfs with exact-zero bins. *)
+let oracle_sizes = List.init 15 (fun e -> 1 lsl (e + 1))
 
 let same_bits what expect got =
   if Array.length expect <> Array.length got then
@@ -1287,7 +1061,7 @@ let prop_fused_matches_oracle =
       same_bits "synthesize" (Oracle.synthesize o (ore, oim) n) back;
       let kspec = Oracle.kernel_spectrum o kernel in
       (* Every [len] up to n / 2 fits a plan of max_signal n / 2 + 1,
-         whose size range [n, 3n/2] admits n. *)
+         whose smallest admitted size is n. *)
       let max_signal = (n / 2) + 1 in
       (* Circular execute, the kernel wrapped when longer than n, and a
          second plan of the same size on scratch of its own. *)
@@ -1390,13 +1164,13 @@ let prop_kahan_close_to_sorted_sum =
 
 (* Random real signals at a random plan size: the real engine must
    round-trip and agree with the complex DFT oracle to near machine
-   precision across every split shape (pure pow2, radix-3/5/15). *)
+   precision at every plan size. *)
 let rfft_size_gen = QCheck.oneofl real_sizes
 
 let prop_rfft_roundtrip =
   QCheck.Test.make ~name:"real fft inverse . forward = id" ~count:60
     QCheck.(
-      pair rfft_size_gen (list_of_size (Gen.return 480) (float_range (-100.0) 100.0)))
+      pair rfft_size_gen (list_of_size (Gen.return 512) (float_range (-100.0) 100.0)))
     (fun (n, xs) ->
       let data = Array.of_list xs in
       let x = Array.sub data 0 n in
@@ -1414,7 +1188,7 @@ let prop_rfft_matches_complex =
   QCheck.Test.make ~name:"real fft matches complex fft on real input"
     ~count:60
     QCheck.(
-      pair rfft_size_gen (list_of_size (Gen.return 480) (float_range (-50.0) 50.0)))
+      pair rfft_size_gen (list_of_size (Gen.return 512) (float_range (-50.0) 50.0)))
     (fun (n, xs) ->
       let data = Array.of_list xs in
       let x = Array.sub data 0 n in
@@ -1458,13 +1232,9 @@ let () =
         ] );
       ( "real fft",
         [
-          Alcotest.test_case "fast-size helpers" `Quick
-            test_fast_size_helpers;
-          Alcotest.test_case "any-size plan matches naive DFT" `Quick
-            test_any_plan_matches_naive;
           Alcotest.test_case "real forward matches naive DFT" `Quick
             test_real_forward_matches_naive;
-          Alcotest.test_case "real roundtrip across split shapes" `Quick
+          Alcotest.test_case "real roundtrip across plan sizes" `Quick
             test_real_roundtrip_exact_sizes;
           Alcotest.test_case "synthesize matches Hermitian sum" `Quick
             test_real_synthesize_matches_hermitian_sum;
@@ -1491,8 +1261,6 @@ let () =
             test_convolution_plan_rejects_long_signal;
           Alcotest.test_case "plan rejects size outside range" `Quick
             test_convolution_plan_rejects_size;
-          Alcotest.test_case "direct_into matches direct" `Quick
-            test_convolution_direct_into_matches;
           Alcotest.test_case "execute into dst matches" `Quick
             test_convolution_execute_into_matches;
         ] );
@@ -1535,10 +1303,6 @@ let () =
           Alcotest.test_case "bisection sqrt2" `Quick test_bisection_sqrt2;
           Alcotest.test_case "bisection needs bracket" `Quick
             test_bisection_rejects_non_bracket;
-          Alcotest.test_case "newton dottie number" `Quick
-            test_newton_bracketed;
-          Alcotest.test_case "newton falls back to bisection" `Quick
-            test_newton_with_bad_derivative_falls_back;
         ] );
       ( "array_ops",
         [
@@ -1567,7 +1331,6 @@ let () =
           Alcotest.test_case "pivoting" `Quick test_linalg_solve_needs_pivoting;
           Alcotest.test_case "random roundtrip" `Quick
             test_linalg_random_roundtrip;
-          Alcotest.test_case "determinant" `Quick test_linalg_determinant;
           Alcotest.test_case "rejects singular" `Quick
             test_linalg_rejects_singular;
           Alcotest.test_case "rejects bad shapes" `Quick

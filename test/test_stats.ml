@@ -22,19 +22,12 @@ let test_descriptive_basics () =
 
 let test_descriptive_quantiles () =
   let a = [| 3.0; 1.0; 2.0; 4.0; 5.0 |] in
-  check_close "median" 3.0 (Descriptive.median a);
+  check_close "median" 3.0 (Descriptive.quantile a ~p:0.5);
   check_close "min" 1.0 (Descriptive.quantile a ~p:0.0);
   check_close "max" 5.0 (Descriptive.quantile a ~p:1.0);
   check_close "interpolated" 1.5 (Descriptive.quantile a ~p:0.125);
   (* Input not modified. *)
   Alcotest.(check bool) "unsorted input intact" true (a.(0) = 3.0)
-
-let test_descriptive_skew_kurtosis () =
-  (* Symmetric data: zero skewness; two-point data has kurtosis -2. *)
-  let sym = [| -2.0; -1.0; 0.0; 1.0; 2.0 |] in
-  check_close "skew" 0.0 (Descriptive.skewness sym);
-  let two = [| -1.0; 1.0; -1.0; 1.0 |] in
-  check_close "kurtosis" (-2.0) (Descriptive.excess_kurtosis two)
 
 let test_linear_regression_exact () =
   let x = [| 0.0; 1.0; 2.0; 3.0 |] in
@@ -285,7 +278,6 @@ let test_estimators_reject_short_series () =
 let test_periodogram_white_noise_level () =
   let xs = white_noise 32_768 in
   let p = Spectral.periodogram xs in
-  Alcotest.(check int) "single segment" 1 p.Spectral.segments;
   (* Mean level = variance / (2 pi). *)
   check_close ~eps:0.05 "level"
     (1.0 /. (2.0 *. Float.pi))
@@ -512,8 +504,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_descriptive_basics;
           Alcotest.test_case "quantiles" `Quick test_descriptive_quantiles;
-          Alcotest.test_case "skew and kurtosis" `Quick
-            test_descriptive_skew_kurtosis;
           Alcotest.test_case "regression exact" `Quick
             test_linear_regression_exact;
           Alcotest.test_case "regression rejects degenerate" `Quick
