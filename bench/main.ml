@@ -1,54 +1,49 @@
-(* Benchmark harness.
+(* Benchmark harness: timings that only this harness takes.  The
+   paper's figures are regenerated by `lrd experiment`, and a run is
+   compared against a baseline by `lrd metrics diff`.
 
-   Default mode regenerates the paper's entire evaluation — every figure
-   (2 through 14) plus the ablations — printing each as an ASCII table;
-   this is the output recorded in bench_output.txt and compared against
-   the paper in EXPERIMENTS.md.
-
-   [--micro] instead runs Bechamel micro-benchmarks: one Test.make per
-   figure (timing that figure's representative computation cell) and a
-   set of kernel benchmarks (FFT, convolution, solver, generators), so
-   the paper's "runtime below a second on a workstation" claim is
+   [--micro] runs Bechamel micro-benchmarks: one Test.make per figure
+   (timing that figure's representative computation cell) and a set of
+   kernel benchmarks (FFT, convolution, solver, generators), so the
+   paper's "runtime below a second on a workstation" claim is
    checkable.
 
    [--scaling] times full figure sweeps (fig12 by default; --only picks
-   from fig4/fig12/fig13) sequentially and on domain pools of
-   increasing size, reporting wall-clock seconds and speedup relative
-   to the sequential run; [--json FILE] writes the rows (the
-   BENCH_scaling.json trajectory).  The heap is compacted before every
-   timed cell so one pool size's GC debt never lands in another's
+   from fig4/fig12/fig13/fig11_scale) sequentially and on domain pools
+   of increasing size, reporting wall-clock seconds and speedup relative
+   to the sequential run.  The heap is compacted before every timed
+   cell so one pool size's GC debt never lands in another's
    measurement.
 
    Options:
      --quick       small traces and coarse grids (used by CI); in micro
                    mode also shrinks the Bechamel quota for smoke runs
-     --only IDS    comma-separated experiment ids (e.g. fig4,fig7)
-     --jobs N      parallelism of the figure sweeps (1 sequential,
-                   0 auto, N >= 2 domains); figures mode only
-     --micro       run the Bechamel suite instead of the figures
-     --scaling     run the domain-scaling benchmark instead
-     --json FILE   in micro/scaling mode, also write results as JSON
-                   (the BENCH_micro.json / BENCH_scaling.json perf
-                   trajectories compared across PRs) *)
+     --only IDS    comma-separated substring filter over benchmark
+                   names (micro) or scaling figures
+     --micro       run the Bechamel suite
+     --scaling     run the domain-scaling benchmark
+     --json FILE   also write results as JSON (the BENCH_micro.json /
+                   BENCH_scaling.json perf trajectories compared across
+                   PRs)
+     --metrics FILE, --trace FILE
+                   write the run's Obs snapshot / Chrome trace journal
+
+   With neither --micro nor --scaling, the usage is printed and the exit
+   code is 2. *)
 
 open Lrd_experiments
 
 let quick = ref false
 let only = ref []
-let jobs = ref 1
 let micro = ref false
 let scaling = ref false
 let json_file = ref ""
-let check_file = ref ""
 let metrics_file = ref ""
-let metrics_interval = ref 0.0
 let trace_file = ref ""
-let manifest_file = ref ""
 
 let usage =
-  "main.exe [--quick] [--only fig4,fig7] [--jobs N] [--micro] [--scaling] \
-   [--json FILE] [--check FILE] [--metrics FILE] [--trace FILE] \
-   [--manifest FILE]"
+  "main.exe (--micro | --scaling) [--quick] [--only IDS] [--json FILE] \
+   [--metrics FILE] [--trace FILE]"
 
 let spec =
   [
@@ -67,44 +62,23 @@ let spec =
               (String.split_on_char ',' s)
           in
           only := !only @ ids),
-      "IDS comma-separated experiment ids (micro mode: substring filter); \
-       may be repeated" );
-    ( "--jobs",
-      Arg.Set_int jobs,
-      "N parallelism of the figure sweeps (1 = sequential, 0 = auto)" );
+      "IDS comma-separated substring filter over benchmark names or \
+       scaling figures; may be repeated" );
     ("--micro", Arg.Set micro, " run Bechamel micro-benchmarks");
     ("--scaling", Arg.Set scaling, " run the domain-scaling benchmark");
     ( "--json",
       Arg.Set_string json_file,
       "FILE write micro/scaling results as JSON" );
-    ( "--check",
-      Arg.Set_string check_file,
-      "FILE in micro mode, compare against a committed BENCH_micro.json; \
-       warnings go to stderr and the exit code is 3 when any benchmark \
-       regressed >2x (0 when clean)" );
     ( "--metrics",
       Arg.Set_string metrics_file,
       "FILE enable the Obs telemetry layer for the whole run and write \
        its JSON snapshot (solver iteration counts, pool scheduling, \
        cache traffic) to FILE at exit" );
-    ( "--metrics-interval",
-      Arg.Set_float metrics_interval,
-      "SECS enable telemetry and stream a timestamped snapshot line \
-       (JSONL) every SECS seconds to a ticker file (--metrics FILE minus \
-       extension + .ticker.jsonl, else bench-metrics.ticker.jsonl); one \
-       line is also written at start and at exit" );
     ( "--trace",
       Arg.Set_string trace_file,
       "FILE enable timeline tracing and write the merged event journal \
        as Chrome trace-event JSON (open in Perfetto or chrome://tracing) \
        to FILE; independent of --metrics, both can be given" );
-    ( "--trace-out",
-      Arg.Set_string trace_file,
-      "FILE alias for --trace (the CLI's spelling of the same flag)" );
-    ( "--manifest",
-      Arg.Set_string manifest_file,
-      "FILE write a run provenance manifest (parameters, seed, git rev, \
-       OCaml version, wall time, final metrics snapshot) to FILE" );
   ]
 
 (* When several modes run in one invocation (e.g. --micro --scaling),
@@ -416,77 +390,6 @@ let emit_json oc rows =
   output_string oc "]\n";
   close_out oc
 
-(* Parse a committed BENCH_micro.json (our own emit_json format: one
-   object per line).  Lines that do not match are skipped, so a
-   hand-edited or truncated baseline degrades to fewer comparisons
-   instead of a crash. *)
-let read_baseline file =
-  let ic = open_in file in
-  let rows = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       match
-         try
-           Some
-             (Scanf.sscanf line " {\"name\": %S, \"ns_per_run\": %f"
-                (fun name ns -> (name, ns)))
-         with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
-       with
-       | Some row -> rows := row :: !rows
-       | None -> ()
-     done
-   with End_of_file -> close_in ic);
-  List.rev !rows
-
-(* Soft regression gate: CI runners (often 1 core, noisy neighbours)
-   are far too unstable for a hard perf failure, so the diagnostics go
-   to stderr (keeping stdout parseable) and the caller exits with the
-   distinct code 3 instead of a generic failure.  CI treats 3 as
-   "annotate, don't fail"; the 2x threshold is wide enough that only a
-   real algorithmic regression (or a new unplanned allocation hotspot)
-   trips it.  Returns the number of regressed benchmarks.  An empty or
-   malformed baseline (zero parseable rows) is an error: a silently
-   vacuous comparison would let CI report success while checking
-   nothing. *)
-let check_against_baseline ~file rows =
-  let baseline = read_baseline file in
-  if baseline = [] then begin
-    Printf.eprintf
-      "check: ERROR no parseable baseline rows in %s (malformed or empty \
-       JSON?)\n%!"
-      file;
-    exit 2
-  end;
-  let tolerance = 2.0 in
-  let regressions = ref 0 in
-  List.iter
-    (fun (name, ns, _) ->
-      match List.assoc_opt name baseline with
-      | None ->
-          Printf.eprintf "check: %s has no baseline in %s (new benchmark)\n%!"
-            name file
-      | Some base_ns ->
-          if Float.is_nan ns then
-            Printf.eprintf "check: %s produced no estimate this run\n%!" name
-          else if base_ns > 0.0 && ns > tolerance *. base_ns then begin
-            incr regressions;
-            Printf.eprintf
-              "check: WARNING %s regressed %.1fx (%.0f ns/run vs %.0f \
-               baseline)\n%!"
-              name (ns /. base_ns) ns base_ns
-          end)
-    rows;
-  if !regressions = 0 then
-    Printf.eprintf "check: no >%.0fx regressions against %s (%d baselines)\n%!"
-      tolerance file (List.length baseline)
-  else
-    Printf.eprintf
-      "check: %d benchmark(s) above the %.0fx threshold (exit code 3; rerun \
-       on an idle machine before trusting the numbers)\n%!"
-      !regressions tolerance;
-  !regressions
-
 (* --only filters the micro suite and the scaling figure list
    (substring match, so "--only kernel/conv" selects the convolution
    kernels and "--only fig13" picks the Bellcore surface). *)
@@ -601,12 +504,7 @@ let run_micro ~json ctx =
            care\n%!"
           name samples min_samples)
     rows;
-  let regressions =
-    if !check_file <> "" then check_against_baseline ~file:!check_file rows
-    else 0
-  in
-  (match json_oc with Some oc -> emit_json oc rows | None -> ());
-  regressions
+  match json_oc with Some oc -> emit_json oc rows | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Domain-scaling benchmark: one full figure sweep per pool size.
@@ -761,60 +659,20 @@ let write_trace file =
     close_out oc
   end
 
-(* Manifest for the micro/scaling modes, which have no experiment
-   context: the bench flag set is the full parameter set.  The figures
-   mode instead routes through [Registry.run ?manifest], whose manifest
-   carries the context's seed, solver parameters and sweep grids. *)
-let write_bench_manifest ~tool file =
-  if file <> "" then begin
-    let metrics =
-      if Lrd_obs.Obs.enabled () then
-        match
-          Lrd_obs.Json.parse (Lrd_obs.Obs.to_json (Lrd_obs.Obs.snapshot ()))
-        with
-        | Ok v -> Some v
-        | Error _ -> None
-      else None
-    in
-    let parameters =
-      [
-        ("quick", Lrd_obs.Json.Bool !quick);
-        ("jobs", Lrd_obs.Json.Num (float_of_int !jobs));
-        ( "only",
-          Lrd_obs.Json.List (List.map (fun s -> Lrd_obs.Json.Str s) !only) );
-      ]
-    in
-    Lrd_obs.Manifest.write file
-      (Lrd_obs.Manifest.make ~parameters ?metrics ~tool ())
-  end
-
 let () =
   Arg.parse (Arg.align spec) (fun s -> raise (Arg.Bad ("unexpected " ^ s))) usage;
-  if !metrics_file <> "" || !metrics_interval > 0.0 then
-    Lrd_obs.Obs.set_enabled true;
-  if !trace_file <> "" then Lrd_obs.Obs.Trace.set_enabled true;
-  if !metrics_interval > 0.0 then begin
-    let path =
-      if !metrics_file <> "" then
-        Filename.remove_extension !metrics_file ^ ".ticker.jsonl"
-      else "bench-metrics.ticker.jsonl"
-    in
-    match Lrd_obs.Export.start_ticker ~interval:!metrics_interval ~path with
-    | Ok () -> ()
-    | Error e ->
-        Printf.eprintf "bench: --metrics-interval: %s\n%!" e;
-        exit 2
+  if not (!micro || !scaling) then begin
+    prerr_string (Arg.usage_string (Arg.align spec) usage);
+    exit 2
   end;
-  at_exit Lrd_obs.Export.stop_ticker;
+  if !metrics_file <> "" then Lrd_obs.Obs.set_enabled true;
+  if !trace_file <> "" then Lrd_obs.Obs.Trace.set_enabled true;
   (* Modes compose: --scaling and --micro can run in one invocation (in
-     that order); the figure regeneration runs when neither is given. *)
+     that order). *)
   let modes =
-    (if !scaling then [ `Scaling ] else [])
-    @ (if !micro then [ `Micro ] else [])
-    @ if (not !scaling) && not !micro then [ `Figures ] else []
+    (if !scaling then [ `Scaling ] else []) @ if !micro then [ `Micro ] else []
   in
   let multi = List.length modes > 1 in
-  let exit_code = ref 0 in
   List.iteri
     (fun i mode ->
       if i > 0 then begin
@@ -823,43 +681,14 @@ let () =
         Lrd_obs.Obs.reset ();
         Lrd_obs.Obs.Trace.reset ()
       end;
-      match mode with
-      | `Scaling ->
-          let out f = mode_file ~multi "scaling" f in
-          run_scaling ~json:(out !json_file) ();
-          write_metrics (out !metrics_file);
-          write_trace (out !trace_file);
-          write_bench_manifest ~tool:"bench --scaling" (out !manifest_file)
-      | `Micro ->
-          let out f = mode_file ~multi "micro" f in
-          let regressions =
-            run_micro ~json:(out !json_file) (Data.create ~quick:!quick ())
-          in
-          write_metrics (out !metrics_file);
-          write_trace (out !trace_file);
-          write_bench_manifest ~tool:"bench --micro" (out !manifest_file);
-          if regressions > 0 then exit_code := 3
-      | `Figures ->
-          let out f = mode_file ~multi "figures" f in
-          let ctx = Data.create ~jobs:!jobs ~quick:!quick () in
-          Fun.protect
-            ~finally:(fun () -> Data.teardown ctx)
-            (fun () ->
-              let fmt = Format.std_formatter in
-              Format.fprintf fmt
-                "Reproduction of Grossglauser & Bolot, 'On the Relevance of \
-                 Long-Range Dependence in Network Traffic' (SIGCOMM '96)@.";
-              Format.fprintf fmt "mode: %s, jobs: %d@."
-                (if !quick then "quick (small traces, coarse grids)"
-                 else "full (paper-scale traces)")
-                (Data.jobs ctx);
-              let manifest =
-                match out !manifest_file with "" -> None | f -> Some f
-              in
-              (match !only with
-              | [] -> Registry.run ?manifest ctx fmt
-              | ids -> Registry.run ~only:ids ?manifest ctx fmt);
-              write_metrics (out !metrics_file);
-              write_trace (out !trace_file)))
-    modes;
-  if !exit_code <> 0 then exit !exit_code
+      let name, run =
+        match mode with
+        | `Scaling -> ("scaling", fun json -> run_scaling ~json ())
+        | `Micro ->
+            ("micro", fun json -> run_micro ~json (Data.create ~quick:!quick ()))
+      in
+      let out f = mode_file ~multi name f in
+      run (out !json_file);
+      write_metrics (out !metrics_file);
+      write_trace (out !trace_file))
+    modes

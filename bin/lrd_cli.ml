@@ -443,8 +443,8 @@ let trace_cmd =
     in
     let doc =
       "analyze a timeline trace: per-phase aggregates, per-domain \
-       utilization, steal ratios, slowest cells and the sweep critical \
-       path"
+       utilization, pool task count, slowest cells and the sweep \
+       critical path"
     in
     Cmd.v (Cmd.info "report" ~doc)
       Term.(ret (const run $ file_arg $ json_arg $ top_arg $ compare_arg))

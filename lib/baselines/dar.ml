@@ -10,11 +10,6 @@ let rho t = t.rho
 let marginal t = t.marginal
 let autocorrelation t ~lag = t.rho ** float_of_int (abs lag)
 
-let correlation_time t ~epsilon =
-  if not (epsilon > 0.0 && epsilon < 1.0) then
-    invalid_arg "Dar.correlation_time: epsilon must lie in (0, 1)";
-  if t.rho = 0.0 then 0.0 else log epsilon /. log t.rho
-
 let generate t rng ~slots ~slot =
   if slots <= 0 then invalid_arg "Dar.generate: slots must be positive";
   let draw = Lrd_dist.Marginal.sampler t.marginal in

@@ -25,10 +25,6 @@ val marginal : t -> Lrd_dist.Marginal.t
 val autocorrelation : t -> lag:int -> float
 (** Exact: [rho^lag]. *)
 
-val correlation_time : t -> epsilon:float -> float
-(** Number of slots after which the autocorrelation drops below
-    [epsilon]: [log epsilon / log rho] ([infinity] when [rho = 0] is
-    never needed: returns 0). *)
 
 val generate : t -> Lrd_rng.Rng.t -> slots:int -> slot:float -> Lrd_trace.Trace.t
 (** Sample path binned at the given slot length. *)

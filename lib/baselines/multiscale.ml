@@ -16,12 +16,6 @@ let create ~base_rate ~layers =
 
 let layers t = Array.copy t.layers
 
-let mean_rate t =
-  Array.fold_left (fun acc l -> acc +. (l.rate /. 2.0)) t.base_rate t.layers
-
-let rate_variance t =
-  Array.fold_left (fun acc l -> acc +. (l.rate *. l.rate /. 4.0)) 0.0 t.layers
-
 let autocorrelation t ~lag =
   if lag < 0 then invalid_arg "Multiscale.autocorrelation: negative lag";
   let num = ref 0.0 and den = ref 0.0 in

@@ -43,12 +43,6 @@ val fit_power_law :
     [hurst] outside (0.5, 1), or [horizon < 2]. *)
 
 val layers : t -> layer array
-val mean_rate : t -> float
-(** [base + sum rate_k / 2] (each symmetric layer is ON half the time). *)
-
-val rate_variance : t -> float
-(** [sum rate_k^2 / 4]. *)
-
 val autocorrelation : t -> lag:int -> float
 (** Exact: [sum v_k e_k^lag / sum v_k]. *)
 

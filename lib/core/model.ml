@@ -9,8 +9,6 @@ let cutoff_pareto ~marginal ~theta ~alpha ~cutoff =
   create ~marginal
     ~interarrival:(Lrd_dist.Interarrival.truncated_pareto ~theta ~alpha ~cutoff)
 
-let hurst_of_alpha alpha = (3.0 -. alpha) /. 2.0
-
 let alpha_of_hurst hurst =
   if not (hurst > 0.5 && hurst < 1.0) then
     invalid_arg "Model.alpha_of_hurst: hurst must lie in (0.5, 1)";

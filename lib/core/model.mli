@@ -42,9 +42,6 @@ val of_hurst :
 (** Same, parameterized by the Hurst exponent: [alpha = 3 - 2 H].
     @raise Invalid_argument unless [0.5 < hurst < 1]. *)
 
-val hurst_of_alpha : float -> float
-(** [H = (3 - alpha) / 2]. *)
-
 val alpha_of_hurst : float -> float
 (** [alpha = 3 - 2 H].  @raise Invalid_argument unless [0.5 < H < 1]
     (the LRD regime, [1 < alpha < 2]). *)

@@ -56,9 +56,6 @@ let create ?(memoize = false) model ~service_rate =
   in
   if memoize then with_memo t else t
 
-let mean t =
-  t.law.Lrd_dist.Interarrival.mean *. (t.mean_rate -. t.service_rate)
-
 (* ------------------------------------------------------------------ *)
 (* Batch kernels.
 

@@ -33,9 +33,6 @@ val with_memo : t -> t
     workload from one domain at a time, as a solver state does (each
     [Solver.State] attaches its own). *)
 
-val mean : t -> float
-(** E[W] = E[T] (mean_rate - c). *)
-
 val survival_ge : t -> float -> float
 (** [Pr{W >= x}]; bitwise equal to the corresponding grid value behind
     [discretize] (the same kernel on one point). *)

@@ -73,8 +73,3 @@ let gamma_of_mean_cv ~mean ~cv =
   let shape = 1.0 /. (cv *. cv) in
   gamma ~shape ~scale:(mean /. shape)
 
-let lognormal_of_mean_cv ~mean ~cv =
-  if not (mean > 0.0 && cv > 0.0) then
-    invalid_arg "Continuous.lognormal_of_mean_cv: parameters must be positive";
-  let sigma2 = log (1.0 +. (cv *. cv)) in
-  lognormal ~mu:(log mean -. (sigma2 /. 2.0)) ~sigma:(sqrt sigma2)

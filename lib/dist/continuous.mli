@@ -26,6 +26,3 @@ val normal : mean:float -> std:float -> t
 val gamma_of_mean_cv : mean:float -> cv:float -> t
 (** Gamma parameterized by mean and coefficient of variation
     ([std/mean]); convenient for matching trace statistics. *)
-
-val lognormal_of_mean_cv : mean:float -> cv:float -> t
-(** Lognormal matched to a target mean and coefficient of variation. *)

@@ -73,19 +73,6 @@ let cdf t x =
     t.probs;
   Float.min 1.0 (Lrd_numerics.Summation.total acc)
 
-let quantile t p =
-  if not (p > 0.0 && p <= 1.0) then
-    invalid_arg "Marginal.quantile: p must lie in (0, 1]";
-  let n = Array.length t.rates in
-  let rec go i cumulative =
-    if i >= n - 1 then t.rates.(n - 1)
-    else begin
-      let cumulative = cumulative +. t.probs.(i) in
-      if cumulative >= p -. 1e-15 then t.rates.(i) else go (i + 1) cumulative
-    end
-  in
-  go 0 0.0
-
 let peak_to_mean t =
   let _, peak = support t in
   peak /. mean t
@@ -146,8 +133,6 @@ let convolve_pair a b ~bins =
     done
   done;
   rebin (create ~rates ~probs) ~bins
-
-let add ?(bins = 256) a b = convolve_pair a b ~bins
 
 let superpose ?(bins = 256) t ~n =
   if n < 1 then invalid_arg "Marginal.superpose: n must be at least 1";

@@ -45,10 +45,6 @@ val support : t -> float * float
 val cdf : t -> float -> float
 (** [cdf t x] is [Pr{rate <= x}]. *)
 
-val quantile : t -> float -> float
-(** Generalized inverse cdf: smallest rate with [cdf >= p], for
-    [p] in (0, 1].  @raise Invalid_argument outside (0, 1]. *)
-
 val peak_to_mean : t -> float
 (** Largest rate divided by the mean (burstiness indicator). *)
 
@@ -70,13 +66,6 @@ val superpose : ?bins:int -> t -> n:int -> t
     atoms after each convolution step; re-binning preserves total
     probability and the overall mean exactly (each bin keeps its
     conditional mean rate).  @raise Invalid_argument if [n < 1]. *)
-
-val add : ?bins:int -> t -> t -> t
-(** Marginal of the superposition of two {e different} independent
-    streams: the convolution of the two distributions (no
-    renormalization), re-binned to at most [bins] (default 256) atoms.
-    Heterogeneous multiplexing: [add video ethernet] is the rate
-    distribution a shared link sees. *)
 
 val rebin : t -> bins:int -> t
 (** Aggregates onto at most [bins] uniform-width bins over the support;

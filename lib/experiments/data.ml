@@ -74,7 +74,6 @@ let create ?(seed = 20260705L) ?jobs ?(gap_policy = Sweep.uniform_policy)
 
 let quick t = t.quick
 let seed t = t.seed
-let jobs t = t.jobs
 let gap_policy t = t.gap_policy
 let superpose_method t = t.superpose
 let pool t = t.pool

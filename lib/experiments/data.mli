@@ -37,10 +37,6 @@ val create :
 val quick : t -> bool
 val seed : t -> int64
 
-val jobs : t -> int
-(** Effective parallelism: 1 when sequential, otherwise the pool's
-    worker count + 1. *)
-
 val pool : t -> Lrd_parallel.Pool.t option
 (** The context's domain pool, if any; figure runners pass this to
     {!Sweep.psurface} and friends. *)

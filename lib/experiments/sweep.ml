@@ -212,13 +212,13 @@ let scheduled_surface (type a b) ?pool ?(policy = uniform_policy)
   in
   let active () = List.filter (fun r -> r.ix < nx) (Array.to_list rows) in
   (* One epoch: every unfinished row runs once, in a task of its own.
-     Tasks claim rows from a shared counter, last row first: the
-     deepest-buffer and highest-H rows are the longest chains. *)
+     The pool claims tasks in index order and task k runs the k-th row
+     from the end, so the deepest-buffer and highest-H rows, the
+     longest chains, start first. *)
   let epoch ~allowance =
     let act = Array.of_list (active ()) in
     let n = Array.length act in
-    let next = Atomic.make 0 in
-    let task _ = run_row act.(n - 1 - Atomic.fetch_and_add next 1) ~allowance in
+    let task k = run_row act.(n - 1 - k) ~allowance in
     Obs.Counter.incr m_rounds;
     match pool with
     | Some p when n > 1 -> Lrd_parallel.Pool.iter p task n

@@ -108,7 +108,7 @@ val scheduled_surface :
     along a row — mean-preserving marginal transforms leave the service
     rate fixed up to zero-clamping — so the coincidence holds by
     construction there; the check falls back to a cold start
-    otherwise.  Tasks claim rows last row first (the deepest-buffer and
+    otherwise.  Rows start last row first (the deepest-buffer and
     highest-H rows are the longest chains); a row holds only the cell in
     progress and the neighbour that seeds it, a finished cell only its
     result.

@@ -34,7 +34,7 @@ type domain_util = {
   utilization : float;
 }
 
-type pool_stats = { tasks : int; steals : int; steal_ratio : float }
+type pool_stats = { tasks : int }
 
 type cell = { index : int; slices : int; seconds : float }
 
@@ -127,7 +127,7 @@ let analyze events =
   let cell_slices : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let warm : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let unmatched = ref 0 in
-  let tasks = ref 0 and steals = ref 0 in
+  let tasks = ref 0 in
   let get tbl key mk =
     match Hashtbl.find_opt tbl key with
     | Some v -> v
@@ -186,7 +186,6 @@ let analyze events =
                 end
               end)
       | _ ->
-          if e.name = "pool/steal" then incr steals;
           if e.name = "sweep/warm_start" then
             Option.iter (fun i -> Hashtbl.replace warm i ()) e.arg)
     events;
@@ -231,15 +230,7 @@ let analyze events =
              utilization = (if extent > 0.0 then busy /. extent else 0.0);
            })
   in
-  let pool =
-    {
-      tasks = !tasks;
-      steals = !steals;
-      steal_ratio =
-        (if !tasks > 0 then float_of_int !steals /. float_of_int !tasks
-         else 0.0);
-    }
-  in
+  let pool = { tasks = !tasks } in
   let cells =
     Hashtbl.fold
       (fun index seconds acc ->
@@ -353,13 +344,7 @@ let to_json ?(top = default_top) t =
                    ("utilization", num d.utilization);
                  ])
              t.domains) );
-      ( "pool",
-        Json.Obj
-          [
-            ("tasks", inum t.pool.tasks);
-            ("steals", inum t.pool.steals);
-            ("steal_ratio", num t.pool.steal_ratio);
-          ] );
+      ("pool", Json.Obj [ ("tasks", inum t.pool.tasks) ]);
       ( "slowest_cells",
         Json.List
           (List.map
@@ -409,8 +394,7 @@ let render ?(top = default_top) t =
     pf "\n"
   end;
   if t.pool.tasks > 0 then
-    pf "pool: %d tasks, %d steals (steal ratio %.3f)\n\n" t.pool.tasks
-      t.pool.steals t.pool.steal_ratio;
+    pf "pool: %d tasks\n\n" t.pool.tasks;
   (match top_cells ~top t with
   | [] -> ()
   | cells ->
@@ -466,5 +450,4 @@ let render_compare ~base ~current =
   headline "journal extent (s)" (fun r -> r.extent);
   headline "critical path (s)" (fun r ->
       match r.critical with Some cp -> cp.path_seconds | None -> 0.0);
-  headline "pool steal ratio" (fun r -> r.pool.steal_ratio);
   Buffer.contents b

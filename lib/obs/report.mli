@@ -21,11 +21,7 @@ type domain_util = {
   utilization : float;  (** busy / extent, 0 when the journal is empty *)
 }
 
-type pool_stats = {
-  tasks : int;  (** [pool/task] begin events *)
-  steals : int;  (** [pool/steal] instants *)
-  steal_ratio : float;  (** steals / tasks, 0 when no tasks *)
-}
+type pool_stats = { tasks : int  (** [pool/task] begin events *) }
 
 type cell = {
   index : int;  (** flat sweep index [iy * nx + ix] *)

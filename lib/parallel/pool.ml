@@ -1,83 +1,32 @@
-(* Work-stealing domain pool.  See the .mli for the scheduling and
-   determinism contract.
+(* Domain pool with one shared claim counter.  See the .mli for the
+   scheduling and determinism contract.
 
    Synchronization structure: one mutex guards the pool's job slot and
    epoch counter; workers sleep on [work] until the epoch advances, the
    caller sleeps on [finished] until the job's pending-task count drains
-   to zero.  Task completion is counted with an [Atomic] so participants
-   never take the pool mutex on the fast path — only the decrement that
-   reaches zero takes it, to wake the caller without a lost-wakeup race. *)
-
-(* ------------------------------------------------------------------ *)
-(* Per-participant deque of task indices.
-
-   Contiguous index blocks are loaded once at job start; the owner pops
-   from the tail (so it walks its block in order), thieves take from the
-   head (so they grab the work farthest from the owner's cursor).  A
-   plain mutex per deque is enough here: tasks are solver/simulator
-   cells costing milliseconds, so queue operations are nowhere near the
-   contention regime that would justify a lock-free Chase-Lev deque. *)
-
-module Deque = struct
-  type t = {
-    lock : Mutex.t;
-    items : int array;
-    mutable head : int;  (* next index a thief takes *)
-    mutable tail : int;  (* one past the next index the owner takes *)
-  }
-
-  let of_block ~lo ~hi =
-    {
-      lock = Mutex.create ();
-      items = Array.init (hi - lo) (fun i -> lo + i);
-      head = 0;
-      tail = hi - lo;
-    }
-
-  let pop t =
-    Mutex.lock t.lock;
-    let r =
-      if t.tail > t.head then begin
-        t.tail <- t.tail - 1;
-        Some t.items.(t.tail)
-      end
-      else None
-    in
-    Mutex.unlock t.lock;
-    r
-
-  let steal t =
-    Mutex.lock t.lock;
-    let r =
-      if t.tail > t.head then begin
-        let i = t.items.(t.head) in
-        t.head <- t.head + 1;
-        Some i
-      end
-      else None
-    in
-    Mutex.unlock t.lock;
-    r
-end
+   to zero.  Participants claim task indices with one [Atomic] counter
+   and count completions with another, so they never take the pool
+   mutex on the fast path — only the decrement that reaches zero takes
+   it, to wake the caller without a lost-wakeup race.  Tasks are
+   solver/simulator cells costing milliseconds, so one counter balances
+   load without per-participant queues. *)
 
 module Obs = Lrd_obs.Obs
 
 (* Scheduler telemetry: counters are per-domain cells, so the worker
    hot path records lock-free; everything is a no-op (one branch, no
-   allocation) while Obs is disabled.  "Stolen" counts land on the
-   thief's domain; "run" counts on whichever domain executed, so
-   run-per-domain is the load-balance picture and stolen-per-domain the
-   imbalance repair traffic. *)
+   allocation) while Obs is disabled.  "Run" counts land on whichever
+   domain executed, so run-per-domain is the load-balance picture. *)
 let m_jobs = Obs.Counter.make "pool/jobs"
 let m_tasks_run = Obs.Counter.make "pool/tasks_run"
-let m_tasks_stolen = Obs.Counter.make "pool/tasks_stolen"
 let m_task_run = Obs.Span.make "pool/task_run_seconds"
 let m_queue_wait = Obs.Histogram.make "pool/queue_wait_seconds"
 let m_idle = Obs.Span.make "pool/idle_seconds"
 
 type job = {
   run_task : int -> unit;
-  deques : Deque.t array;  (* one per participant *)
+  tasks : int;
+  next : int Atomic.t;  (* next unclaimed task index *)
   pending : int Atomic.t;  (* tasks not yet completed *)
   failure : (exn * Printexc.raw_backtrace) option Atomic.t;
   submitted : float;  (* Obs.Span.start at job creation; neg_infinity
@@ -125,41 +74,22 @@ let execute job i =
    end);
   Atomic.fetch_and_add job.pending (-1) = 1
 
-let drain pool job ~me =
-  let parts = Array.length job.deques in
-  let finished_now = ref false in
-  (* Own block first, then round-robin stealing sweeps. *)
-  let rec own () =
-    match Deque.pop job.deques.(me) with
-    | Some i ->
-        if execute job i then finished_now := true;
-        own ()
-    | None -> steal_sweep ()
-  and steal_sweep () =
-    let progressed = ref false in
-    for k = 1 to parts - 1 do
-      let victim = (me + k) mod parts in
-      match Deque.steal job.deques.(victim) with
-      | Some i ->
-          progressed := true;
-          Obs.Counter.incr m_tasks_stolen;
-          if Obs.Trace.enabled () then Obs.Trace.instant ~arg:i "pool/steal";
-          if execute job i then finished_now := true
-      | None -> ()
-    done;
-    if !progressed then own ()
-  in
-  own ();
-  (* Whoever completed the last task wakes the caller; the broadcast is
-     taken under the pool lock so the caller cannot miss it between its
-     predicate check and its wait. *)
-  if !finished_now then begin
-    Mutex.lock pool.lock;
-    Condition.broadcast pool.finished;
-    Mutex.unlock pool.lock
+(* Claim and run tasks until the indices run out. *)
+let rec drain pool job =
+  let i = Atomic.fetch_and_add job.next 1 in
+  if i < job.tasks then begin
+    (* Whoever completed the last task wakes the caller; the broadcast
+       is taken under the pool lock so the caller cannot miss it
+       between its predicate check and its wait. *)
+    if execute job i then begin
+      Mutex.lock pool.lock;
+      Condition.broadcast pool.finished;
+      Mutex.unlock pool.lock
+    end;
+    drain pool job
   end
 
-let rec worker_loop pool ~me ~last_epoch =
+let rec worker_loop pool ~last_epoch =
   Mutex.lock pool.lock;
   (* Idle accounting covers exactly the epochs-behind wait: per-domain
      idle_seconds plus a pool/idle trace slice, so Report can split each
@@ -178,8 +108,8 @@ let rec worker_loop pool ~me ~last_epoch =
   let epoch = pool.epoch and job = pool.job and stopping = pool.stopping in
   Mutex.unlock pool.lock;
   if not stopping then begin
-    (match job with Some j -> drain pool j ~me | None -> ());
-    worker_loop pool ~me ~last_epoch:epoch
+    (match job with Some j -> drain pool j | None -> ());
+    worker_loop pool ~last_epoch:epoch
   end
 
 let create ?workers () =
@@ -203,8 +133,8 @@ let create ?workers () =
     }
   in
   pool.workers <-
-    Array.init workers (fun me ->
-        Domain.spawn (fun () -> worker_loop pool ~me ~last_epoch:0));
+    Array.init workers (fun _ ->
+        Domain.spawn (fun () -> worker_loop pool ~last_epoch:0));
   pool
 
 let shutdown t =
@@ -223,17 +153,13 @@ let with_pool ?workers f =
 let iter t run_task n =
   if n < 0 then invalid_arg "Pool.iter: negative task count";
   if n > 0 then begin
-    let parts = parallelism t in
-    let deques =
-      Array.init parts (fun p ->
-          Deque.of_block ~lo:(p * n / parts) ~hi:((p + 1) * n / parts))
-    in
     Obs.Counter.incr m_jobs;
     if Obs.Trace.enabled () then Obs.Trace.instant ~arg:n "pool/job";
     let job =
       {
         run_task;
-        deques;
+        tasks = n;
+        next = Atomic.make 0;
         pending = Atomic.make n;
         failure = Atomic.make None;
         submitted = Obs.Span.start ();
@@ -252,8 +178,8 @@ let iter t run_task n =
     t.epoch <- t.epoch + 1;
     Condition.broadcast t.work;
     Mutex.unlock t.lock;
-    (* The caller is the last participant. *)
-    drain t job ~me:(parts - 1);
+    (* The caller claims tasks too. *)
+    drain t job;
     Mutex.lock t.lock;
     while Atomic.get job.pending > 0 do
       Condition.wait t.finished t.lock

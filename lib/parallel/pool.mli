@@ -1,4 +1,4 @@
-(** A fixed pool of worker domains with a work-stealing scheduler for
+(** A fixed pool of worker domains that share one claim counter, for
     embarrassingly parallel index-tagged task sets.
 
     The experiment layer evaluates grids of independent solver / simulator
@@ -9,11 +9,12 @@
     scheduling order.  Only the OCaml standard library is used ([Domain],
     [Mutex], [Condition], [Atomic]) — no domainslib dependency.
 
-    Scheduling: the task indices are split into contiguous per-participant
-    chunks, each held in a double-ended queue.  A participant pops from the
-    tail of its own deque (preserving chunk locality) and, when empty, steals
-    from the head of the other deques, so an unbalanced grid (e.g. deep-buffer
-    solver cells next to trivial ones) still keeps every domain busy.
+    Scheduling: every participant, workers and caller alike, claims the
+    next task index from one shared atomic counter until the indices run
+    out, so tasks start in ascending index order and an unbalanced grid
+    (e.g. deep-buffer solver cells next to trivial ones) still keeps every
+    domain busy.  Tasks are cells costing milliseconds, so the counter is
+    nowhere near contention.
 
     Determinism contract: tasks must not share mutable state except through
     domain-safe structures, and any randomness must be derived from the task

@@ -70,8 +70,6 @@ let make ~name ~acv ~tol ~n =
     aim = Array.make (half + 1) 0.0;
   }
 
-let length t = t.n
-
 let draw t rng ~dst =
   if Array.length dst < t.n then invalid_arg "Circulant.draw: dst too short";
   let are = t.are and aim = t.aim and scale = t.scale in

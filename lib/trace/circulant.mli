@@ -38,13 +38,10 @@ val make : name:string -> acv:(int -> float) -> tol:float -> n:int -> t
     generators always did.
     @raise Invalid_argument if [n <= 0]. *)
 
-val length : t -> int
-(** The sample count [n] the plan draws. *)
-
 val draw : t -> Lrd_rng.Rng.t -> dst:float array -> unit
-(** [draw t rng ~dst] writes [length t] fresh samples into the prefix of
-    [dst] using one FFT and no array allocation.
-    @raise Invalid_argument if [dst] is shorter than [length t]. *)
+(** [draw t rng ~dst] writes the plan's [n] fresh samples into the prefix
+    of [dst] using one FFT and no array allocation.
+    @raise Invalid_argument if [dst] is shorter than [n]. *)
 
 val generate : t -> Lrd_rng.Rng.t -> float array
-(** {!draw} into a fresh array of [length t] samples. *)
+(** {!draw} into a fresh array of [n] samples. *)

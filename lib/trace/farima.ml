@@ -38,7 +38,6 @@ module Plan = struct
       ~acv:(fun k -> acv.(k))
       ~tol:(1e-8 *. sigma2) ~n
 
-  let length = Circulant.length
   let draw = Circulant.draw
   let generate = Circulant.generate
 end

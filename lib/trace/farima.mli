@@ -30,7 +30,6 @@ module Plan : sig
   val make : d:float -> n:int -> t
   (** @raise Invalid_argument unless [0 <= d < 0.5] and [n > 0]. *)
 
-  val length : t -> int
   val draw : t -> Lrd_rng.Rng.t -> dst:float array -> unit
   val generate : t -> Lrd_rng.Rng.t -> float array
 end

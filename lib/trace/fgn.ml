@@ -18,7 +18,6 @@ module Plan = struct
       ~acv:(fun k -> autocovariance ~hurst k)
       ~tol:1e-8 ~n
 
-  let length = Circulant.length
   let draw = Circulant.draw
   let generate = Circulant.generate
 end

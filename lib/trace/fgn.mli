@@ -30,11 +30,8 @@ module Plan : sig
   val make : hurst:float -> n:int -> t
   (** @raise Invalid_argument unless [0 < hurst < 1] and [n > 0]. *)
 
-  val length : t -> int
-  (** The sample count [n] the plan draws. *)
-
   val draw : t -> Lrd_rng.Rng.t -> dst:float array -> unit
-  (** Writes [length t] fresh samples into the prefix of [dst] without
+  (** Writes the plan's [n] fresh samples into the prefix of [dst] without
       allocating.  @raise Invalid_argument if [dst] is too short. *)
 
   val generate : t -> Lrd_rng.Rng.t -> float array

@@ -264,16 +264,12 @@ let test_marginal_normalizes () =
   check_close "p0" 0.25 probs.(0);
   check_close "p1" 0.75 probs.(1)
 
-let test_marginal_cdf_quantile () =
+let test_marginal_cdf () =
   let m = Marginal.of_points [ (1.0, 0.2); (2.0, 0.3); (4.0, 0.5) ] in
   check_close "cdf below" 0.0 (Marginal.cdf m 0.5);
   check_close "cdf 1" 0.2 (Marginal.cdf m 1.0);
   check_close "cdf 3" 0.5 (Marginal.cdf m 3.0);
-  check_close "cdf top" 1.0 (Marginal.cdf m 4.0);
-  check_close "quantile 0.1" 1.0 (Marginal.quantile m 0.1);
-  check_close "quantile 0.5" 2.0 (Marginal.quantile m 0.5);
-  check_close "quantile 0.51" 4.0 (Marginal.quantile m 0.51);
-  check_close "quantile 1" 4.0 (Marginal.quantile m 1.0)
+  check_close "cdf top" 1.0 (Marginal.cdf m 4.0)
 
 let test_marginal_scale_preserves_mean () =
   let m = Marginal.of_points [ (2.0, 0.25); (6.0, 0.5); (10.0, 0.25) ] in
@@ -310,21 +306,6 @@ let test_marginal_superpose_two_point_exact () =
   check_close "p 0" 0.25 probs.(0);
   check_close "p mid" 0.5 probs.(1);
   check_close "p top" 0.25 probs.(2)
-
-let test_marginal_add_heterogeneous () =
-  let a = Marginal.of_points [ (0.0, 0.5); (2.0, 0.5) ] in
-  let b = Marginal.of_points [ (1.0, 0.25); (3.0, 0.75) ] in
-  let s = Marginal.add a b in
-  (* Means add; variances add (independence). *)
-  check_close ~eps:1e-9 "mean" (Marginal.mean a +. Marginal.mean b)
-    (Marginal.mean s);
-  check_close ~eps:1e-9 "variance"
-    (Marginal.variance a +. Marginal.variance b)
-    (Marginal.variance s);
-  (* Exact atoms for this small case: 1, 3, 3, 5 with probs
-     .125, .375, .125, .375 -> merged 3 has .5. *)
-  Alcotest.(check int) "atoms" 3 (Marginal.size s);
-  check_close "p(3)" 0.5 (Marginal.probs s).(1)
 
 let test_marginal_rebin_preserves_mean () =
   let rng = Lrd_rng.Rng.create ~seed:3L in
@@ -375,11 +356,6 @@ let test_gamma_of_mean_cv () =
   check_close ~eps:1e-10 "mean" 9.5 g.Continuous.mean;
   check_close ~eps:1e-10 "cv" 0.18 (sqrt g.Continuous.variance /. 9.5)
 
-let test_lognormal_of_mean_cv () =
-  let l = Continuous.lognormal_of_mean_cv ~mean:2.0 ~cv:1.5 in
-  check_close ~eps:1e-10 "mean" 2.0 l.Continuous.mean;
-  check_close ~eps:1e-10 "cv" 1.5 (sqrt l.Continuous.variance /. 2.0)
-
 let test_normal_continuous () =
   let n = Continuous.normal ~mean:1.0 ~std:2.0 in
   check_close ~eps:1e-10 "median" 1.0 (n.Continuous.quantile 0.5);
@@ -412,14 +388,6 @@ let prop_superpose_shrinks_variance =
       (* Re-binning introduces a small aggregation error. *)
       Float.abs (Marginal.variance s -. expected)
       <= 0.05 *. (expected +. 1e-9))
-
-let prop_quantile_inverts_cdf =
-  QCheck.Test.make ~name:"quantile is a generalized inverse of cdf" ~count:100
-    (QCheck.make QCheck.Gen.(pair marginal_gen (float_range 0.01 1.0)))
-    (fun (points, p) ->
-      let m = Marginal.of_points points in
-      let q = Marginal.quantile m p in
-      Marginal.cdf m q >= p -. 1e-9)
 
 let prop_tp_survival_monotone =
   QCheck.Test.make ~name:"truncated pareto survival is nonincreasing"
@@ -578,8 +546,7 @@ let () =
           Alcotest.test_case "drops zero weights" `Quick
             test_marginal_drops_zero_weight;
           Alcotest.test_case "normalizes" `Quick test_marginal_normalizes;
-          Alcotest.test_case "cdf and quantile" `Quick
-            test_marginal_cdf_quantile;
+          Alcotest.test_case "cdf" `Quick test_marginal_cdf;
           Alcotest.test_case "scale preserves mean" `Quick
             test_marginal_scale_preserves_mean;
           Alcotest.test_case "scale clamping" `Quick test_marginal_scale_clamp;
@@ -587,8 +554,6 @@ let () =
             `Quick test_marginal_superpose_mean_preserved;
           Alcotest.test_case "superpose two-point exact" `Quick
             test_marginal_superpose_two_point_exact;
-          Alcotest.test_case "heterogeneous add" `Quick
-            test_marginal_add_heterogeneous;
           Alcotest.test_case "rebin preserves mean" `Quick
             test_marginal_rebin_preserves_mean;
           Alcotest.test_case "sampler matches" `Quick
@@ -601,8 +566,6 @@ let () =
           Alcotest.test_case "gamma quantile roundtrip" `Quick
             test_gamma_cdf_quantile_roundtrip;
           Alcotest.test_case "gamma of mean/cv" `Quick test_gamma_of_mean_cv;
-          Alcotest.test_case "lognormal of mean/cv" `Quick
-            test_lognormal_of_mean_cv;
           Alcotest.test_case "normal" `Quick test_normal_continuous;
         ] );
       ( "properties",
@@ -610,7 +573,6 @@ let () =
           [
             prop_scale_preserves_mean;
             prop_superpose_shrinks_variance;
-            prop_quantile_inverts_cdf;
             prop_tp_survival_monotone;
           ] );
       ("batch-kernels", qcheck kernel_props);

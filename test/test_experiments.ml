@@ -653,6 +653,24 @@ let test_scheduled_rejects_nonpositive_budget () =
                ())))
     [ 0; -5 ]
 
+let test_scheduled_opens_rows_last_first () =
+  (* Without a pool, row tasks run in index order and task k runs the
+     k-th row from the end, so the deepest-buffer row opens first and
+     each row opens all its cells before the next row starts. *)
+  let ctx = Lazy.force ctx in
+  let xs = [| 0.5; 1.0 |] and ys = [| 0.05; 0.1; 0.2 |] in
+  let opened = ref [] in
+  ignore
+    (Sweep.scheduled_surface ~xs ~ys
+       ~state:(fun a b ->
+         opened := b :: !opened;
+         fig12_cell ctx a ~buffer_seconds:b)
+       ());
+  Alcotest.(check (list (float 0.0)))
+    "ys in opening order"
+    [ 0.2; 0.2; 0.1; 0.1; 0.05; 0.05 ]
+    (List.rev !opened)
+
 (* ------------------------------------------------------------------ *)
 (* fig11_scale: superposition at production scale *)
 
@@ -769,6 +787,8 @@ let () =
             test_scheduled_policies_identical_across_pools;
           Alcotest.test_case "rejects nonpositive budget" `Quick
             test_scheduled_rejects_nonpositive_budget;
+          Alcotest.test_case "opens rows last first" `Quick
+            test_scheduled_opens_rows_last_first;
         ] );
       ( "fig11_scale",
         [

@@ -787,7 +787,7 @@ let report_of_events events =
 
 (* Two domains: tid 0 runs a warm-start chain of three slices (1, 2 and
    3 ms, cells 0 -> 1 -> 2), tid 1 runs one lone 10 ms slice (cell 7).
-   One steal against four pool tasks.  Every aggregate is checkable by
+   Four pool tasks, two per domain.  Every aggregate is checkable by
    hand. *)
 let synthetic_sweep =
   [
@@ -810,7 +810,6 @@ let synthetic_sweep =
     ev ~ph:"E" ~ts:0.0 ~tid:1 ~arg:2 "pool/task";
     ev ~ph:"B" ~ts:0.0 ~tid:1 ~arg:3 "pool/task";
     ev ~ph:"E" ~ts:0.0 ~tid:1 ~arg:3 "pool/task";
-    ev ~ph:"i" ~ts:0.0 ~tid:1 ~arg:2 "pool/steal";
   ]
 
 let feq = Alcotest.(check (float 1e-9))
@@ -822,7 +821,7 @@ let has_sub ~sub s =
 
 let test_report_phase_aggregates () =
   let r = report_of_events synthetic_sweep in
-  Alcotest.(check int) "events (metadata dropped)" 19 r.Report.events;
+  Alcotest.(check int) "events (metadata dropped)" 18 r.Report.events;
   Alcotest.(check int) "no unmatched halves" 0 r.Report.dropped_unmatched;
   feq "extent" 0.010 r.Report.extent;
   let slice =
@@ -849,9 +848,7 @@ let test_report_domains_and_pool () =
       feq "d1 busy" 0.010 d1.Report.busy;
       feq "d1 idle" 0.0 d1.Report.idle
   | ds -> Alcotest.failf "expected 2 domains, got %d" (List.length ds));
-  Alcotest.(check int) "tasks" 4 r.Report.pool.Report.tasks;
-  Alcotest.(check int) "steals" 1 r.Report.pool.Report.steals;
-  feq "steal ratio" 0.25 r.Report.pool.Report.steal_ratio
+  Alcotest.(check int) "tasks" 4 r.Report.pool.Report.tasks
 
 let test_report_critical_path () =
   (* The lone 10 ms cell beats the 6 ms warm chain... *)

@@ -75,6 +75,51 @@ let test_shutdown_idempotent_and_final () =
     (Invalid_argument "Pool.iter: pool has been shut down") (fun () ->
       ignore (Pool.map pool (fun i -> i) [| 1 |]))
 
+(* Every participant claims indices from one shared counter: each index
+   runs exactly once, and a caller without workers runs them in order. *)
+let test_iter_claims_every_index_once () =
+  let n = 10_000 in
+  List.iter
+    (fun workers ->
+      Pool.with_pool ~workers (fun pool ->
+          let counts = Array.init n (fun _ -> Atomic.make 0) in
+          let order = ref [] in
+          Pool.iter pool
+            (fun i ->
+              Atomic.incr counts.(i);
+              if workers = 0 then order := i :: !order)
+            n;
+          Array.iteri
+            (fun i c ->
+              if Atomic.get c <> 1 then
+                Alcotest.failf "%d workers: index %d ran %d times" workers i
+                  (Atomic.get c))
+            counts;
+          if workers = 0 then
+            Alcotest.(check (list int))
+              "0 workers: index order" (List.init n Fun.id) (List.rev !order)))
+    [ 0; 1; 3 ]
+
+(* A task that waits for the others must not keep them from running:
+   the other participant goes on claiming while it waits. *)
+let test_waiting_task_does_not_strand_the_rest () =
+  let n = 64 in
+  let completed = Atomic.make 0 in
+  Pool.with_pool ~workers:1 (fun pool ->
+      Pool.iter pool
+        (fun i ->
+          if i = 0 then begin
+            let t0 = Unix.gettimeofday () in
+            while Atomic.get completed < n - 1 do
+              if Unix.gettimeofday () -. t0 > 5.0 then
+                Alcotest.failf "task 0 waited 5 s; %d of %d others ran"
+                  (Atomic.get completed) (n - 1);
+              Domain.cpu_relax ()
+            done
+          end
+          else Atomic.incr completed)
+        n)
+
 (* ------------------------------------------------------------------ *)
 (* Pool.both: two-party fork-join on the helper domain *)
 
@@ -497,6 +542,10 @@ let () =
             test_map2_grid_orientation;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagates_and_pool_survives;
+          Alcotest.test_case "iter claims every index once" `Quick
+            test_iter_claims_every_index_once;
+          Alcotest.test_case "a waiting task does not strand the rest" `Quick
+            test_waiting_task_does_not_strand_the_rest;
           Alcotest.test_case "shutdown" `Quick
             test_shutdown_idempotent_and_final;
         ] );

@@ -154,7 +154,6 @@ let test_fgn_plan_bit_identical () =
   let hurst = 0.8 and n = 1000 in
   let reference = Fgn.davies_harte (rng ()) ~hurst ~n in
   let plan = Fgn.Plan.make ~hurst ~n in
-  Alcotest.(check int) "plan length" n (Fgn.Plan.length plan);
   Alcotest.(check bool) "generate bitwise" true
     (reference = Fgn.Plan.generate plan (rng ()));
   let dst = Array.make n Float.nan in
