@@ -839,34 +839,6 @@ let experiment_cmd =
                cores.  Results are identical for every value." in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
-  let gap_policy_arg =
-    let doc =
-      "Error-budget policy for the scheduled figure sweeps: \
-       $(b,uniform) converges every grid cell to the solver's own 20% \
-       gap target; $(b,contrast:D) stops refining a cell once its \
-       certified upper bound sits D decades below the largest lower \
-       bound on the surface, where it can no longer change the plotted \
-       contrast.  Bare $(b,contrast) derives D from the figure's own \
-       loss axis: one decade below the smallest plotted value (floored \
-       at 2 decades).  Either way every reported bound stays certified."
-    in
-    Arg.(
-      value
-      & opt string "uniform"
-      & info [ "gap-policy" ] ~docv:"POLICY" ~doc)
-  in
-  let iteration_budget_arg =
-    let doc =
-      "Hard cap on the total chain iterations each figure surface may \
-       spend; when it runs out, remaining cells report their latest \
-       certified (possibly loose) bounds.  $(docv) must be at least 1.  \
-       Composes with $(b,--gap-policy)."
-    in
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "iteration-budget" ] ~docv:"N" ~doc)
-  in
   let manifest_arg =
     let doc =
       "Write a run provenance manifest to $(docv): the figure ids run, \
@@ -877,33 +849,6 @@ let experiment_cmd =
        the generated_at_unix / wall_seconds lines."
     in
     Arg.(value & opt (some string) None & info [ "manifest" ] ~docv:"FILE" ~doc)
-  in
-  let parse_gap_policy s iteration_budget =
-    let contrast c =
-      Ok { Lrd_experiments.Sweep.contrast = Some c; iteration_budget }
-    in
-    match (iteration_budget, String.lowercase_ascii s) with
-    | Some n, _ when n < 1 -> Error "--iteration-budget needs a positive N"
-    | _, "uniform" ->
-        Ok { Lrd_experiments.Sweep.contrast = None; iteration_budget }
-    | _, "contrast" -> contrast Lrd_experiments.Sweep.From_axis
-    | _, other -> (
-        match String.index_opt other ':' with
-        | Some i when String.sub other 0 i = "contrast" -> (
-            let rest = String.sub other (i + 1) (String.length other - i - 1) in
-            match float_of_string_opt rest with
-            | Some d when d > 0.0 && Float.is_finite d ->
-                contrast (Lrd_experiments.Sweep.Decades d)
-            | _ ->
-                Error
-                  (Printf.sprintf
-                     "--gap-policy contrast:D needs a positive finite D, got \
-                      %S" rest))
-        | _ ->
-            Error
-              (Printf.sprintf
-                 "unknown --gap-policy %S (expected uniform, contrast or \
-                  contrast:D)" s))
   in
   let superpose_arg =
     let doc =
@@ -925,17 +870,13 @@ let experiment_cmd =
           Lrd_core.Superpose.Auto
       & info [ "superpose" ] ~docv:"METHOD" ~doc)
   in
-  let run quick seed jobs gap_policy iteration_budget superpose metrics
-      metrics_out metrics_interval trace_out manifest ids =
+  let run quick seed jobs superpose metrics metrics_out metrics_interval
+      trace_out manifest ids =
     with_telemetry ?metrics_interval ?trace_out metrics metrics_out
     @@ fun () ->
     match
-      Result.bind (parse_gap_policy gap_policy iteration_budget) (fun policy ->
-          try
-            Ok
-              (Lrd_experiments.Data.create ~seed ~jobs ~gap_policy:policy
-                 ~superpose ~quick ())
-          with Invalid_argument msg -> Error msg)
+      try Ok (Lrd_experiments.Data.create ~seed ~jobs ~superpose ~quick ())
+      with Invalid_argument msg -> Error msg
     with
     | Error msg -> `Error (false, msg)
     | Ok ctx ->
@@ -964,10 +905,9 @@ let experiment_cmd =
   Cmd.v (Cmd.info "experiment" ~doc)
     Term.(
       ret
-        (const run $ quick_arg $ seed_arg $ jobs_arg $ gap_policy_arg
-       $ iteration_budget_arg $ superpose_arg $ metrics_format_arg
-       $ metrics_out_arg $ metrics_interval_arg $ trace_out_arg $ manifest_arg
-       $ ids_arg))
+        (const run $ quick_arg $ seed_arg $ jobs_arg $ superpose_arg
+       $ metrics_format_arg $ metrics_out_arg $ metrics_interval_arg
+       $ trace_out_arg $ manifest_arg $ ids_arg))
 
 (* ------------------------------------------------------------------ *)
 (* metrics diff *)

@@ -344,10 +344,10 @@ let mean_virtual_delay occ ~service_rate =
 
    [State] is the solve loop turned inside out: the same iterate /
    check / refine sequence as the classic [solve], but driven by
-   [advance ~iterations] slices so a sweep scheduler can suspend a
-   partially-converged cell and resume it later — on any domain —
-   bitwise-identically to an uninterrupted run.  The invariant that
-   makes slicing exact: bounds are evaluated after every
+   [advance ~iterations] slices, so a caller can create a cell, seed it
+   from a neighbour ([seed_from]) and then run it, and a suspended cell
+   resumes bitwise-identically to an uninterrupted run.  The invariant
+   that makes slicing exact: bounds are evaluated after every
    [check_every]-th chain step (or at the iteration budget), regardless
    of how the steps were grouped into [advance] calls, so the sequence
    of (step, check, refine) events is a function of the total iteration
@@ -360,11 +360,6 @@ module State = struct
     workload : Workload.t;
     norm : float;
     buffer : float;
-    trace_levels : bool;
-        (* Emit solver/level begin/end slices (balanced B/E pairs).
-           Only safe when every advance of this state runs on one
-           domain — true for [solve], false for scheduled sweeps whose
-           slices migrate between pool workers. *)
     trivial : (result * occupancy) option;
     mutable ws : Workspace.t option;  (* built lazily on first advance *)
     mutable iterations : int;
@@ -377,9 +372,6 @@ module State = struct
     mutable finished : bool;
     mutable converged : bool;
     mutable warm_started : bool;
-    mutable certified : bool;
-        (* [lower]/[upper] bound the true loss: always for a cold chain
-           once checked, for a warm one only at a settled check. *)
     mutable batch : int;  (* steps of the current run between checks *)
     floor_run : unit -> unit;  (* [batch] steps of one chain; built once *)
     ceiling_run : unit -> unit;  (* so a check period allocates nothing *)
@@ -394,8 +386,7 @@ module State = struct
         done
     | None -> ()
 
-  let create ?(params = default_params) ?cache ?(trace_levels = false) model
-      ~service_rate ~buffer =
+  let create ?(params = default_params) ?cache model ~service_rate ~buffer =
     if not (service_rate > 0.0) then
       invalid_arg "Solver.solve: service rate must be positive";
     if not (buffer >= 0.0) then
@@ -453,7 +444,6 @@ module State = struct
         workload;
         norm;
         buffer;
-        trace_levels;
         trivial;
         ws = None;
       iterations = 0;
@@ -466,7 +456,6 @@ module State = struct
       finished = trivial <> None;
       converged = trivial <> None;
       warm_started = false;
-      certified = trivial <> None;
       batch = 0;
       floor_run = (fun () -> run_chain t (fun ws -> ws.Workspace.lower));
       ceiling_run = (fun () -> run_chain t (fun ws -> ws.Workspace.upper));
@@ -474,10 +463,9 @@ module State = struct
     in
     t
 
-  let create_utilization ?params ?cache ?trace_levels model ~utilization
-      ~buffer_seconds =
+  let create_utilization ?params ?cache model ~utilization ~buffer_seconds =
     let c = Model.service_rate_for_utilization model ~utilization in
-    create ?params ?cache ?trace_levels model ~service_rate:c
+    create ?params ?cache model ~service_rate:c
       ~buffer:(buffer_seconds *. c)
 
   let finished t = t.finished
@@ -485,7 +473,6 @@ module State = struct
   let iterations t = t.iterations
   let refinements t = t.refinements
   let warm_started t = t.warm_started
-  let certified t = t.certified
 
   let bins t =
     match t.trivial with
@@ -494,25 +481,6 @@ module State = struct
         match t.ws with
         | Some ws -> Workspace.bins ws
         | None -> t.params.initial_bins)
-
-  let bounds t =
-    match t.trivial with
-    | Some (r, _) -> (r.lower_bound, r.upper_bound)
-    | None -> (t.lower, t.upper)
-
-  (* Relative bound gap at the latest check — the scheduler's priority.
-     Infinite before the first check, so fresh cells are always
-     scheduled; 0 once the loss is known negligible. *)
-  let gap_rel t =
-    match t.trivial with
-    | Some _ -> 0.0
-    | None ->
-        if Float.is_nan t.lower then Float.infinity
-        else if t.upper < t.params.negligible_loss then 0.0
-        else begin
-          let mid = (t.lower +. t.upper) /. 2.0 in
-          if mid > 0.0 then (t.upper -. t.lower) /. mid else 0.0
-        end
 
   let ensure_ws t =
     match t.ws with
@@ -525,24 +493,23 @@ module State = struct
            per resolution level plus refinement instants — never per
            check period, which would flood the ring on 200k-iteration
            solves. *)
-        if t.trace_levels && Obs.Trace.enabled () then
+        if Obs.Trace.enabled () then
           Obs.Trace.begin_ ~arg:t.params.initial_bins "solver/level";
         t.ws <- Some ws;
         ws
 
   let finish t ~converged ~lo ~hi =
-    if t.trace_levels && Obs.Trace.enabled () then
+    if Obs.Trace.enabled () then
       Obs.Trace.end_ ~arg:(bins t) "solver/level";
     if not converged then Obs.Counter.incr m_budget_exhausted;
     t.lower <- lo;
     t.upper <- hi;
     t.finished <- true;
-    t.converged <- converged;
-    t.certified <- true
+    t.converged <- converged
 
   (* The losses of an empty and of a full buffer: the cold chains'
      starting points, certified bounds on any cell.  What a warm start
-     reports when it is stopped before its own bounds are certified. *)
+     reports when it exhausts its budget without a settled check. *)
   let cold_extremes t ws =
     let ov = ws.Workspace.overflow in
     ( Bigarray.Array1.get ov 0 /. t.norm,
@@ -582,7 +549,6 @@ module State = struct
     in
     t.lower <- lo;
     t.upper <- hi;
-    t.certified <- settled;
     if hi < t.params.negligible_loss && settled then
       finish t ~converged:true ~lo ~hi
     else if gap <= t.params.tolerance *. mid && settled then
@@ -607,7 +573,7 @@ module State = struct
           let next = Workspace.make t.workload ~buffer:t.buffer ~m:(m * 2) in
           Obs.Counter.incr m_refinements;
           if Obs.Trace.enabled () then begin
-            if t.trace_levels then Obs.Trace.end_ ~arg:m "solver/level";
+            Obs.Trace.end_ ~arg:m "solver/level";
             Obs.Trace.instant ~arg:(m * 2) "solver/refine"
           end;
           if t.params.warm_restart then begin
@@ -616,7 +582,7 @@ module State = struct
               Obs.Trace.instant ~arg:(m * 2) "solver/warm_restart";
             Workspace.refine_from ~src:ws next
           end;
-          if t.trace_levels && Obs.Trace.enabled () then
+          if Obs.Trace.enabled () then
             Obs.Trace.begin_ ~arg:(m * 2) "solver/level";
           t.ws <- Some next;
           t.refinements <- t.refinements + 1;
@@ -671,31 +637,6 @@ module State = struct
       advance t ~iterations:t.params.check_every
     done
 
-  (* Flush the partial check period's iteration count so sweep counters
-     stay exact, then make the bounds certified: a cold chain that never
-     reached a check reports its current losses (every cold iterate
-     brackets the loss), a warm one without a settled check the cold
-     extremes — its seed's losses bound nothing. *)
-  let stop t =
-    if not t.finished then begin
-      if Obs.enabled () && t.since_check > 0 then
-        Obs.Counter.add m_iterations t.since_check;
-      t.since_check <- 0;
-      if not t.certified then begin
-        let ws = ensure_ws t in
-        let lo, hi =
-          if t.warm_started then cold_extremes t ws
-          else Workspace.losses ws ~norm:t.norm
-        in
-        t.lower <- lo;
-        t.upper <- hi
-      end;
-      if t.trace_levels && Obs.Trace.enabled () then
-        Obs.Trace.end_ ~arg:(bins t) "solver/level";
-      t.finished <- true;
-      t.certified <- true
-    end
-
   (* A seed is accepted when the neighbour's buffer agrees within this
      relative tolerance.  The pmfs are only an initial condition — the
      plateau guard in [check] provides certification for ANY starting
@@ -728,7 +669,18 @@ module State = struct
         let ws =
           match t.ws with
           | Some w when Workspace.bins w = m -> w
-          | _ -> Workspace.make t.workload ~buffer:t.buffer ~m
+          | opened ->
+              (* The seeded level opens its [solver/level] slice here,
+                 as [ensure_ws] would, closing one an empty [advance]
+                 may have opened. *)
+              if Obs.Trace.enabled () then begin
+                Option.iter
+                  (fun w ->
+                    Obs.Trace.end_ ~arg:(Workspace.bins w) "solver/level")
+                  opened;
+                Obs.Trace.begin_ ~arg:m "solver/level"
+              end;
+              Workspace.make t.workload ~buffer:t.buffer ~m
         in
         Bigarray.Array1.blit sws.Workspace.lower.q ws.Workspace.lower.q;
         Bigarray.Array1.blit sws.Workspace.upper.q ws.Workspace.upper.q;
@@ -782,8 +734,7 @@ end
 
 let solve_detailed_impl ?params ?cache model ~service_rate ~buffer =
   let st =
-    State.create ?params ?cache ~trace_levels:true model ~service_rate ~buffer
-  in
+    State.create ?params ?cache model ~service_rate ~buffer in
   State.run st;
   State.detailed st
 

@@ -157,21 +157,20 @@ module State : sig
       {!solve} itself runs on a [State], so an uninterrupted state
       reproduces it by construction.
 
-      A state is single-threaded (advance it from one domain at a
-      time), but successive slices may run on {e different} domains —
-      what a sweep scheduler needs.  Within a slice, each run of steps
-      between two bound checks goes to {!Lrd_parallel.Pool.both}: the
-      floor chain steps on the advancing domain and the ceiling chain
-      on the helper domain, unless the state advances inside a pool
-      task (or the helper is busy, or the machine has one core), when
-      the chains step in turn.  Either way every chain does the same
-      float operations in the same order, so no computed bit depends
-      on where the chains ran. *)
+      A state is single-threaded: advance it from one domain, whose
+      trace track then holds its balanced [solver/level] slices.
+      Within a slice, each run of steps between two bound checks goes
+      to {!Lrd_parallel.Pool.both}: the floor chain steps on the
+      advancing domain and the ceiling chain on the helper domain,
+      unless the state advances inside a pool task (or the helper is
+      busy, or the machine has one core), when the chains step in
+      turn.  Either way every chain does the same float operations in
+      the same order, so no computed bit depends on where the chains
+      ran. *)
 
   val create :
     ?params:params ->
     ?cache:Workload.Cache.t * string ->
-    ?trace_levels:bool ->
     Model.t ->
     service_rate:float ->
     buffer:float ->
@@ -183,17 +182,15 @@ module State : sig
       [cache].
       Trivial cells — zero buffer, or a workload that can never exceed
       the service rate — are born {!finished} with their closed-form
-      result.  [trace_levels] (default [false]) emits the
-      [solver/level] begin/end timeline slices; leave it off unless
-      every slice of this state runs on one domain (Chrome B/E events
-      must balance per track).  [cache] as in {!solve}.
+      result.  With tracing on, each resolution level of the state is
+      one [solver/level] begin/end timeline slice.  [cache] as in
+      {!solve}.
       @raise Invalid_argument on nonpositive service rate or negative
       buffer (same messages as {!solve}). *)
 
   val create_utilization :
     ?params:params ->
     ?cache:Workload.Cache.t * string ->
-    ?trace_levels:bool ->
     Model.t ->
     utilization:float ->
     buffer_seconds:float ->
@@ -212,8 +209,8 @@ module State : sig
   (** Advance until finished — the uninterrupted solve. *)
 
   val finished : t -> bool
-  (** No further work: converged, budget exhausted, stalled at
-      [max_bins], or {!stop}ped. *)
+  (** No further work: converged, budget exhausted, or stalled at
+      [max_bins]. *)
 
   val converged : t -> bool
   (** The tolerance or negligible-loss criterion was met. *)
@@ -223,16 +220,6 @@ module State : sig
 
   val bins : t -> int
   (** Current grid resolution. *)
-
-  val bounds : t -> float * float
-  (** [(lower, upper)] loss bounds at the latest check — [(nan, nan)]
-      before the first check of a non-trivial state. *)
-
-  val gap_rel : t -> float
-  (** Relative bound gap [(upper - lower) / midpoint] at the latest
-      check: the paper's stopping ratio, and a scheduler's priority.
-      [infinity] before the first check (fresh cells sort first), [0]
-      once the loss is known negligible. *)
 
   val warm_started : t -> bool
   (** Whether {!seed_from} succeeded on this state. *)
@@ -256,23 +243,8 @@ module State : sig
       stationary values, which bound the true loss regardless of the
       initial state.  Cold states are unaffected bit for bit.  A warm
       state that exhausts [max_iterations] without such a settled check
-      reports the cold extremes instead (see {!stop}). *)
-
-  val certified : t -> bool
-  (** Whether {!bounds} currently bracket the true loss: for a cold
-      state from its first check on, for a warm-started one only at a
-      check where both chains had plateaued, and for every finished
-      state.  A sweep policy that compares cells reads only certified
-      bounds. *)
-
-  val stop : t -> unit
-  (** Finish the state now with certified bounds: its latest ones when
-      {!certified}; otherwise, for a cold state that never reached a
-      check, its current losses, and for a warm-started state the cold
-      extremes — the losses of an empty and of a full buffer — since
-      its seed's losses bound nothing.  The result reports
-      [converged = false]: the cell was cut off by policy, not by its
-      own criterion.  Idempotent. *)
+      reports the cold extremes instead: the losses of an empty and of
+      a full buffer, since its seed's losses bound nothing. *)
 
   val result : t -> result
   (** The result so far; meaningful once {!finished} (before the first
@@ -282,9 +254,9 @@ module State : sig
   (** {!result} plus the current occupancy bounds, as
       {!solve_detailed}. *)
 end
-(** The resumable core of {!solve}, exposed for sweep schedulers
-    ({!Lrd_experiments.Sweep.scheduled_surface}) that interleave many
-    cells, warm-start neighbours and allocate iterations globally. *)
+(** The resumable core of {!solve}, exposed for the row sweep
+    ({!Lrd_experiments.Sweep.scheduled_surface}), which warm-starts each
+    cell from its left neighbour. *)
 
 val solve :
   ?params:params ->

@@ -2,7 +2,6 @@ type t = {
   quick : bool;
   seed : int64;
   jobs : int;
-  gap_policy : Sweep.gap_policy;
   superpose : Lrd_core.Superpose.method_;
   pool : Lrd_parallel.Pool.t option;
   lock : Mutex.t;
@@ -34,8 +33,8 @@ let pool_of_jobs jobs =
       else if j = 1 then None
       else Some (Lrd_parallel.Pool.create ~workers:(j - 1) ())
 
-let create ?(seed = 20260705L) ?jobs ?(gap_policy = Sweep.uniform_policy)
-    ?(superpose = Lrd_core.Superpose.Auto) ~quick () =
+let create ?(seed = 20260705L) ?jobs ?(superpose = Lrd_core.Superpose.Auto)
+    ~quick () =
   let pool = pool_of_jobs jobs in
   let rng = Lrd_rng.Rng.create ~seed in
   let mtv_rng = Lrd_rng.Rng.split rng in
@@ -60,7 +59,6 @@ let create ?(seed = 20260705L) ?jobs ?(gap_policy = Sweep.uniform_policy)
     quick;
     seed;
     jobs = (match pool with None -> 1 | Some p -> Lrd_parallel.Pool.parallelism p);
-    gap_policy;
     superpose;
     pool;
     lock = Mutex.create ();
@@ -74,7 +72,7 @@ let create ?(seed = 20260705L) ?jobs ?(gap_policy = Sweep.uniform_policy)
 
 let quick t = t.quick
 let seed t = t.seed
-let gap_policy t = t.gap_policy
+let gap_policy _ = Sweep.Uniform
 let superpose_method t = t.superpose
 let pool t = t.pool
 
@@ -124,19 +122,6 @@ let manifest_fields t =
     ("seed", Str (Int64.to_string t.seed));
     ("quick", Bool t.quick);
     ("jobs", Num (float_of_int t.jobs));
-    ( "gap_policy",
-      Obj
-        [
-          ( "contrast_decades",
-            match t.gap_policy.Sweep.contrast with
-            | None -> Null
-            | Some (Sweep.Decades d) -> Num d
-            | Some Sweep.From_axis -> Str "from-axis" );
-          ( "iteration_budget",
-            match t.gap_policy.Sweep.iteration_budget with
-            | None -> Null
-            | Some b -> Num (float_of_int b) );
-        ] );
     ( "superpose",
       Str
         (match t.superpose with

@@ -16,7 +16,6 @@ type t
 val create :
   ?seed:int64 ->
   ?jobs:int ->
-  ?gap_policy:Sweep.gap_policy ->
   ?superpose:Lrd_core.Superpose.method_ ->
   quick:bool ->
   unit ->
@@ -27,11 +26,9 @@ val create :
     ([Domain.recommended_domain_count]), and [j >= 2] runs grids on a
     pool of [j - 1] worker domains plus the calling domain.  Call
     {!teardown} when done with a context whose [jobs <> 1].
-    [gap_policy] (default {!Sweep.uniform_policy}) is the error-budget
-    policy the scheduled figure sweeps run under.  [superpose] (default
-    [Auto]) selects the aggregate-marginal construction the
-    superposition experiments use ({!Lrd_core.Superpose.method_} — the
-    CLI's [--superpose] lever).
+    [superpose] (default [Auto]) selects the aggregate-marginal
+    construction the superposition experiments use
+    ({!Lrd_core.Superpose.method_} — the CLI's [--superpose] lever).
     @raise Invalid_argument when [jobs] is negative. *)
 
 val quick : t -> bool
@@ -42,8 +39,8 @@ val pool : t -> Lrd_parallel.Pool.t option
     {!Sweep.psurface} and friends. *)
 
 val gap_policy : t -> Sweep.gap_policy
-(** The error-budget policy for this context's scheduled sweeps
-    (uniform unless overridden at {!create}). *)
+(** Always {!Sweep.Uniform}.  It stays only for the benchmark harness,
+    which still passes it to {!Sweep.scheduled_surface}. *)
 
 val superpose_method : t -> Lrd_core.Superpose.method_
 (** The aggregate-marginal construction for superposition experiments

@@ -18,8 +18,7 @@ let surface ctx ~model_of ~utilization =
      along each warm-start chain of the scheduled sweep. *)
   let cache = Lrd_core.Workload.Cache.create () in
   let cells =
-    Sweep.scheduled_surface ?pool:(Data.pool ctx)
-      ~policy:(Data.gap_policy ctx) ~xs:cutoffs ~ys:buffers
+    Sweep.scheduled_surface ?pool:(Data.pool ctx) ~xs:cutoffs ~ys:buffers
       ~state:(fun cutoff buffer ->
         let key = Sweep.cell_key cutoff in
         let model =

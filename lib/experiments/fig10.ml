@@ -24,8 +24,7 @@ let surface ctx ~base_marginal ~theta ~utilization ~title
        the x axis: [Marginal.scale] and [superpose] are mean-preserving,
        so the service rate — and with it the occupancy grid — is
        bitwise constant along each Hurst row. *)
-    Sweep.scheduled_surface ?pool:(Data.pool ctx)
-      ~policy:(Data.gap_policy ctx) ~xs ~ys:hursts
+    Sweep.scheduled_surface ?pool:(Data.pool ctx) ~xs ~ys:hursts
       ~state:(fun x hurst ->
         let marginal = transform base_marginal x in
         let model =

@@ -88,8 +88,7 @@ let compute ctx =
     ns;
   let params = Data.solver_params ctx in
   let cells =
-    Sweep.scheduled_surface ?pool:(Data.pool ctx)
-      ~policy:(Data.gap_policy ctx) ~xs:ns ~ys:hursts
+    Sweep.scheduled_surface ?pool:(Data.pool ctx) ~xs:ns ~ys:hursts
       ~state:(fun nf hurst ->
         let marginal = Hashtbl.find marginals (int_of_float nf) in
         let model =

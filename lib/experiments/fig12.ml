@@ -21,8 +21,7 @@ let surface ctx ~base_marginal ~theta ~hurst ~utilization ~title =
      the scaling axis. *)
   let cache = Lrd_core.Workload.Cache.create () in
   let cells =
-    Sweep.scheduled_surface ?pool:(Data.pool ctx)
-      ~policy:(Data.gap_policy ctx) ~xs:scalings ~ys:buffers
+    Sweep.scheduled_surface ?pool:(Data.pool ctx) ~xs:scalings ~ys:buffers
       ~state:(fun a buffer_seconds ->
         let key = Sweep.cell_key a in
         let model =

@@ -741,48 +741,37 @@ let test_state_seed_from_neighbour () =
   Alcotest.(check bool) "rejected state stays cold" false
     (Solver.State.warm_started other)
 
-let test_state_stop_reports_certified_bounds () =
-  let m = pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:2.0 () in
-  let st = Solver.State.create m ~service_rate:1.25 ~buffer:2.0 in
-  Solver.State.advance st ~iterations:32;
-  Solver.State.stop st;
-  Alcotest.(check bool) "finished" true (Solver.State.finished st);
-  Alcotest.(check bool) "not converged" false (Solver.State.converged st);
-  let r = Solver.State.result st in
-  Alcotest.(check bool) "bounds still certified" true
-    (r.Solver.lower_bound <= r.Solver.upper_bound);
-  let full = Solver.solve m ~service_rate:1.25 ~buffer:2.0 in
-  Alcotest.(check bool) "early interval contains converged interval" true
-    (r.Solver.lower_bound <= full.Solver.lower_bound +. 1e-12
-    && full.Solver.upper_bound <= r.Solver.upper_bound +. 1e-12)
-
-let test_state_warm_stop_reports_cold_extremes () =
-  (* A warm start stopped before any check has nothing certified of its
-     own: it must report the cold extremes — the losses of an empty and
-     a full buffer, which is what a cold state stopped at step zero
-     reports — not its seed's losses. *)
+let test_state_warm_budget_reports_cold_extremes () =
+  (* A warm start whose iteration budget runs out before a settled
+     check has no certified bounds of its own: it must report the cold
+     extremes, the losses of an empty and of a full buffer (a cold
+     chain's step-0 bounds on the same grid), not its seed's losses. *)
   let model theta = pareto_model ~theta ~alpha:1.4 ~cutoff:2.0 () in
   let src = Solver.State.create (model 0.2) ~service_rate:1.25 ~buffer:2.0 in
   Solver.State.run src;
-  let warm = Solver.State.create (model 0.3) ~service_rate:1.25 ~buffer:2.0 in
+  let params =
+    {
+      Solver.default_params with
+      max_iterations = Solver.default_params.Solver.check_every;
+    }
+  in
+  let warm =
+    Solver.State.create ~params (model 0.3) ~service_rate:1.25 ~buffer:2.0
+  in
   Alcotest.(check bool) "seeding accepted" true
     (Solver.State.seed_from ~src warm);
-  Alcotest.(check bool) "seed not certified" false
-    (Solver.State.certified warm);
-  Solver.State.stop warm;
-  Alcotest.(check bool) "stopped state certified" true
-    (Solver.State.certified warm);
-  let cold = Solver.State.create (model 0.3) ~service_rate:1.25 ~buffer:2.0 in
-  Solver.State.stop cold;
-  let w = Solver.State.result warm and c = Solver.State.result cold in
-  check_close "lower is the empty-buffer loss" c.Solver.lower_bound
+  Solver.State.run warm;
+  let w = Solver.State.result warm in
+  Alcotest.(check bool) "budget exhausted" false w.Solver.converged;
+  let s0 =
+    List.hd
+      (Solver.iterate_snapshots (model 0.3) ~service_rate:1.25 ~buffer:2.0
+         ~bins:w.Solver.bins ~at:[ 0 ])
+  in
+  check_close "lower is the empty-buffer loss" s0.Solver.lower_loss
     w.Solver.lower_bound;
-  check_close "upper is the full-buffer loss" c.Solver.upper_bound
-    w.Solver.upper_bound;
-  let full = Solver.solve (model 0.3) ~service_rate:1.25 ~buffer:2.0 in
-  Alcotest.(check bool) "contains the converged interval" true
-    (w.Solver.lower_bound <= full.Solver.lower_bound
-    && full.Solver.upper_bound <= w.Solver.upper_bound)
+  check_close "upper is the full-buffer loss" s0.Solver.upper_loss
+    w.Solver.upper_bound
 
 (* Each state quantizes through its own grid memo: a 128 -> 256 doubling
    reuses every coarse point even after another cell of the same cached
@@ -1552,10 +1541,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_state_slicing_bitwise;
           Alcotest.test_case "seed from neighbour" `Quick
             test_state_seed_from_neighbour;
-          Alcotest.test_case "stop keeps certified bounds" `Quick
-            test_state_stop_reports_certified_bounds;
-          Alcotest.test_case "warm stop reports cold extremes" `Quick
-            test_state_warm_stop_reports_cold_extremes;
+          Alcotest.test_case "warm budget stop reports cold extremes" `Quick
+            test_state_warm_budget_reports_cold_extremes;
           Alcotest.test_case "grid memo per cell" `Quick
             test_state_grid_memo_per_cell;
         ] );

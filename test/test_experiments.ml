@@ -385,43 +385,6 @@ let fig4_state ctx =
 let quick_fig12_axes () =
   (Sweep.scalings ~quick:true (), Sweep.buffers ~quick:true ~max_seconds:5.0 ())
 
-(* Every quick fig12 cell solved cold to convergence, one state each. *)
-let fig12_cold =
-  lazy
-    (let ctx = Lazy.force ctx in
-     let scalings, buffers = quick_fig12_axes () in
-     Array.map
-       (fun b ->
-         Array.map
-           (fun a ->
-             let st = fig12_cell ctx a ~buffer_seconds:b in
-             Lrd_core.Solver.State.run st;
-             Lrd_core.Solver.State.result st)
-           scalings)
-       buffers)
-
-(* Two certified intervals of one cell both contain its true loss, so
-   they must meet. *)
-let check_meets_cold cells =
-  let module S = Lrd_core.Solver in
-  Array.iteri
-    (fun iy row ->
-      Array.iteri
-        (fun ix (w : S.result) ->
-          let c = (Lazy.force fig12_cold).(iy).(ix) in
-          if
-            not
-              (w.S.lower_bound <= c.S.upper_bound +. 1e-12
-              && c.S.lower_bound <= w.S.upper_bound +. 1e-12)
-          then
-            Alcotest.failf
-              "cell [%d][%d]: [%.6g, %.6g] misses its cold interval [%.6g, \
-               %.6g]"
-              iy ix w.S.lower_bound w.S.upper_bound c.S.lower_bound
-              c.S.upper_bound)
-        row)
-    cells
-
 (* Pools of 1, 2 and 3 domains, shut down after [f]. *)
 let with_pools f =
   let pools = List.map (fun w -> Lrd_parallel.Pool.create ~workers:w ()) [ 0; 1; 2 ] in
@@ -481,27 +444,6 @@ let test_scheduled_row_certified_and_contains_cold () =
         && c.S.loss <= w.S.upper_bound +. slack))
     cold
 
-let test_scheduled_budget_stops_everywhere_certified () =
-  let module S = Lrd_core.Solver in
-  let ctx = Lazy.force ctx in
-  let scalings, buffers = quick_fig12_axes () in
-  let policy = { Sweep.contrast = None; iteration_budget = Some 200 } in
-  let cells =
-    Sweep.scheduled_surface ~policy ~slice:64 ~xs:scalings ~ys:buffers
-      ~state:(fun a b -> fig12_cell ctx a ~buffer_seconds:b)
-      ()
-  in
-  Array.iter
-    (Array.iter (fun (r : S.result) ->
-         Alcotest.(check bool) "budget-stopped cell still certified" true
-           (r.S.lower_bound <= r.S.upper_bound
-           && r.S.lower_bound >= 0.0
-           && Float.is_finite r.S.upper_bound)))
-    cells;
-  (* A warm start stopped before its chains settled must not report its
-     seed's losses. *)
-  check_meets_cold cells
-
 let test_scheduled_matches_uniform_sweep_losses () =
   (* The scheduler under the uniform policy must land inside the same
      certified tolerance band as the classic cold sweep: compare the
@@ -527,32 +469,6 @@ let test_scheduled_matches_uniform_sweep_losses () =
             && c.S.lower_bound <= w.S.upper_bound +. 1e-12))
         row)
     scheduled
-
-let test_scheduled_from_axis_certified () =
-  (* The axis-derived contrast policy (bare `--gap-policy contrast`)
-     must leave every cell certified: the cut can widen intervals below
-     the window but never invalidate them, and cells inside the window
-     still converge to the uniform target. *)
-  let module S = Lrd_core.Solver in
-  let ctx = Lazy.force ctx in
-  let scalings, buffers = quick_fig12_axes () in
-  let policy = { Sweep.contrast = Some Sweep.From_axis; iteration_budget = None } in
-  let cells =
-    Sweep.scheduled_surface ~policy ~xs:scalings ~ys:buffers
-      ~state:(fun a b -> fig12_cell ctx a ~buffer_seconds:b)
-      ()
-  in
-  let converged = ref 0 in
-  Array.iter
-    (Array.iter (fun (r : S.result) ->
-         if r.S.converged then incr converged;
-         Alcotest.(check bool) "from-axis cell certified" true
-           (r.S.lower_bound <= r.S.upper_bound
-           && r.S.lower_bound >= 0.0
-           && Float.is_finite r.S.upper_bound)))
-    cells;
-  check_meets_cold cells;
-  Alcotest.(check bool) "some cells converge" true (!converged > 0)
 
 (* Under the uniform policy a surface is its rows' warm-start chains:
    each cell seeded from its finished left neighbour, then run to the
@@ -597,62 +513,6 @@ let test_scheduled_uniform_matches_reference () =
                ~state:(fig4_state ctx) ()))
         (None :: List.map Option.some pools))
 
-(* The epoch policies couple cells only between epochs, on the calling
-   domain, so every pool size gives the same bits. *)
-let test_scheduled_policies_identical_across_pools () =
-  let ctx = Lazy.force ctx in
-  let scalings, buffers = quick_fig12_axes () in
-  let run ?pool policy =
-    Sweep.scheduled_surface ?pool ~policy ~slice:64 ~xs:scalings ~ys:buffers
-      ~state:(fun a b -> fig12_cell ctx a ~buffer_seconds:b)
-      ()
-  in
-  (* The budgets bind after a few epochs, so the drain path runs too. *)
-  let policies =
-    [
-      ("budget", { Sweep.contrast = None; iteration_budget = Some 300 });
-      ("from-axis", { Sweep.contrast = Some Sweep.From_axis; iteration_budget = None });
-      ( "decades + budget",
-        { Sweep.contrast = Some (Sweep.Decades 1.0); iteration_budget = Some 500 }
-      );
-    ]
-  in
-  let stopped =
-    Array.exists (Array.exists (fun r -> not r.Lrd_core.Solver.converged))
-  in
-  with_pools (fun pools ->
-      List.iter
-        (fun (name, policy) ->
-          let sequential = run policy in
-          if policy.Sweep.iteration_budget <> None then
-            Alcotest.(check bool) (name ^ " binds") true (stopped sequential);
-          List.iter
-            (fun pool ->
-              check_same_surface
-                (Printf.sprintf "%s, pool of %d" name
-                   (Lrd_parallel.Pool.parallelism pool))
-                sequential (run ~pool policy))
-            pools)
-        policies)
-
-(* A budget of zero or fewer iterations is refused before any cell is
-   created: it would stop every cell at its cold initial bounds. *)
-let test_scheduled_rejects_nonpositive_budget () =
-  List.iter
-    (fun n ->
-      Alcotest.check_raises
-        (Printf.sprintf "budget %d" n)
-        (Invalid_argument
-           "Sweep.scheduled_surface: iteration budget must be positive")
-        (fun () ->
-          ignore
-            (Sweep.scheduled_surface
-               ~policy:{ Sweep.contrast = None; iteration_budget = Some n }
-               ~xs:[| 1.0 |] ~ys:[| 1.0 |]
-               ~state:(fun _ _ -> Alcotest.fail "state must not run")
-               ())))
-    [ 0; -5 ]
-
 let test_scheduled_opens_rows_last_first () =
   (* Without a pool, row tasks run in index order and task k runs the
      k-th row from the end, so the deepest-buffer row opens first and
@@ -670,6 +530,54 @@ let test_scheduled_opens_rows_last_first () =
     "ys in opening order"
     [ 0.2; 0.2; 0.1; 0.1; 0.05; 0.05 ]
     (List.rev !opened)
+
+(* Every cell now runs inside one row task, so each solver state opens
+   and closes its [solver/level] slices on one domain's track, warm
+   cells included.  [Obs.Report] tolerates an unmatched end, so only
+   the per-track counts catch one. *)
+let test_scheduled_trace_levels_balance () =
+  let module Trace = Lrd_obs.Obs.Trace in
+  let ctx = Lazy.force ctx in
+  let scalings, buffers = quick_fig12_axes () in
+  let pool = Lrd_parallel.Pool.create ~workers:1 () in
+  Trace.reset ();
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Trace.set_enabled false;
+      Lrd_parallel.Pool.shutdown pool)
+    (fun () ->
+      ignore
+        (Sweep.scheduled_surface ~pool ~xs:scalings ~ys:buffers
+           ~state:(fun a b -> fig12_cell ctx a ~buffer_seconds:b)
+           ()));
+  let events = Trace.events () in
+  Trace.reset ();
+  Alcotest.(check int) "no events dropped" 0 (Trace.dropped ());
+  let count name phase domain =
+    List.length
+      (List.filter
+         (fun (e : Trace.event) ->
+           e.Trace.name = name && e.Trace.phase = phase
+           && e.Trace.domain = domain)
+         events)
+  in
+  let domains =
+    List.sort_uniq compare
+      (List.map (fun (e : Trace.event) -> e.Trace.domain) events)
+  in
+  Alcotest.(check bool) "some cell warm-started" true
+    (List.exists (fun d -> count "sweep/warm_start" Trace.Instant d > 0)
+       domains);
+  Alcotest.(check bool) "levels traced" true
+    (List.exists (fun d -> count "solver/level" Trace.Begin d > 0) domains);
+  List.iter
+    (fun d ->
+      Alcotest.(check int)
+        (Printf.sprintf "solver/level B = E on domain %d" d)
+        (count "solver/level" Trace.Begin d)
+        (count "solver/level" Trace.End d))
+    domains
 
 (* ------------------------------------------------------------------ *)
 (* fig11_scale: superposition at production scale *)
@@ -775,20 +683,14 @@ let () =
         [
           Alcotest.test_case "warm row certified, contains cold" `Slow
             test_scheduled_row_certified_and_contains_cold;
-          Alcotest.test_case "budget stop keeps certification" `Slow
-            test_scheduled_budget_stops_everywhere_certified;
           Alcotest.test_case "matches uniform sweep" `Slow
             test_scheduled_matches_uniform_sweep_losses;
-          Alcotest.test_case "from-axis contrast stays certified" `Slow
-            test_scheduled_from_axis_certified;
           Alcotest.test_case "uniform matches sequential reference" `Slow
             test_scheduled_uniform_matches_reference;
-          Alcotest.test_case "policies identical across pools" `Slow
-            test_scheduled_policies_identical_across_pools;
-          Alcotest.test_case "rejects nonpositive budget" `Quick
-            test_scheduled_rejects_nonpositive_budget;
           Alcotest.test_case "opens rows last first" `Quick
             test_scheduled_opens_rows_last_first;
+          Alcotest.test_case "traced levels balance per domain" `Slow
+            test_scheduled_trace_levels_balance;
         ] );
       ( "fig11_scale",
         [
