@@ -280,6 +280,14 @@ let micro_tests ctx =
             Lrd_core.Workload.create ~memoize:true mtv_model ~service_rate:mtv_c
           in
           ignore (Lrd_core.Workload.overflow_table w ~buffer:mtv_c ~bins:4096));
+      (* One solve's set-up on the grid most one-shot solves finish on:
+         quantization, dealt between the caller and the chain pair's
+         helper domain, plus the plans.  Its time depends on the host's
+         core count, so the row stays outside CI's hard-gated kernel/,
+         sweep/ and superpose/ filters. *)
+      mk "setup/workspace-make-m128" (fun () ->
+          let w = Lrd_core.Workload.create mtv_model ~service_rate:mtv_c in
+          ignore (Lrd_core.Solver.Workspace.make w ~buffer:mtv_c ~m:128));
       mk "kernel/ams-spectrum-n12" (fun () ->
           let sys =
             Lrd_baselines.Ams.create ~sources:12 ~on_rate:1.0 ~lambda:1.0

@@ -31,12 +31,15 @@ type result = {
   converged : bool;
 }
 
+(* An unconverged result stopped at the iteration budget or at the grid
+   cap, and the result does not say which, so it prints what holds for
+   both. *)
 let pp_result fmt r =
   Format.fprintf fmt
     "loss=%.4g in [%.4g, %.4g] (%s after %d iterations, %d bins, %d \
      refinements)"
     r.loss r.lower_bound r.upper_bound
-    (if r.converged then "converged" else "budget exhausted")
+    (if r.converged then "converged" else "gap target not met")
     r.iterations r.bins r.refinements
 
 let log_src = Logs.Src.create "lrd.solver" ~doc:"fluid queue loss solver"

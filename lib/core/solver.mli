@@ -59,8 +59,9 @@ type result = {
   bins : int;  (** Final grid resolution. *)
   refinements : int;  (** Number of grid doublings. *)
   converged : bool;
-      (** True when the tolerance or negligible-loss criterion was met
-          (false only when the iteration budget ran out). *)
+      (** True when the tolerance or negligible-loss criterion was met;
+          false when the solve stopped at the iteration budget or at the
+          grid cap first. *)
 }
 
 val pp_result : Format.formatter -> result -> unit

@@ -3,9 +3,12 @@
    points bitwise (the step [buffer /. m] scales by exact powers of two),
    so the finest grid computed so far answers any coarser level by
    striding and seeds half of the next doubling.  A memo belongs to one
-   solve ({!with_memo}), which runs on one domain at a time, so it needs
-   no lock; quantization is construction-time only, never part of the
-   solver's iteration hot loop. *)
+   solve ({!with_memo}) and only the solve's caller reads or writes it:
+   the helper domain that computes half of a fresh grid (see
+   {!fill_survival}) writes only that grid's array elements, before the
+   caller stores the grid in the memo, so the memo needs no lock.
+   Quantization is construction-time only, never part of the solver's
+   iteration hot loop. *)
 type memo = {
   mutable grid_buffer : float;
   mutable grid_m : int;  (* 0 = empty *)
@@ -65,10 +68,12 @@ let create ?(memoize = false) model ~service_rate =
    arrays.  Every point still adds its atoms in marginal order with the
    same operations as {!Lrd_numerics.Summation}, so a value does not
    depend on the block it was computed in; the scalar API runs the same
-   kernels on one point.  The scratch is fixed-size, so quantizing a grid
-   allocates nothing per point or atom; at 256 points each scratch array
-   still fits the minor heap (Max_young_wosize), so it never reaches the
-   major heap either. *)
+   kernels on one point.  A grid's fresh points are dealt between two
+   parts that may run on two domains (see {!owns}); each part works in
+   its own domain's fixed-size scratch ({!local_scratch}), so quantizing
+   a grid allocates nothing per point or atom, and none at all on a
+   domain that has quantized before.  At 256 points each scratch array
+   fits the minor heap (Max_young_wosize). *)
 
 let block = 256
 
@@ -176,53 +181,83 @@ let overflow_block t s n =
     s.sa.(j) <- s.sa.(j) +. s.ca.(j)
   done
 
-(* Runs [f n] on successive blocks of the indices [0 .. len - 1] that are
-   not multiples of [skip] (all of them when [skip = 0]), each block's
-   indices in [s.idx.(0 .. n - 1)]. *)
-let iter_blocks s ~len ~skip f =
-  let cap = Array.length s.idx in
-  let n = ref 0 in
-  for k = 0 to len - 1 do
-    if skip = 0 || k mod skip <> 0 then begin
-      s.idx.(!n) <- k;
-      incr n;
-      if !n = cap then begin
-        f cap;
-        n := 0
-      end
-    end
-  done;
-  if !n > 0 then f !n
+(* Points are dealt between two parts: of the indices [0 .. len - 1]
+   that are not multiples of [skip] (all of them when [skip = 0]), the
+   fresh points, part 0 owns the even-numbered and part 1 the odd-numbered
+   ones.  Alternating rather than halving the range balances the parts:
+   below the service rate every atom of a point x < 0 pays a [pow], so
+   the lower half of a grid costs more than the upper one. *)
+let owns ~skip ~part k =
+  if skip = 0 then k land 1 = part
+  else
+    (* k - ceil (k / skip) fresh indices lie below a fresh [k]. *)
+    k mod skip <> 0 && (k - ((k + skip - 1) / skip)) land 1 = part
+
+(* Gathers into [s.idx.(n ..)] the next indices from [k] on that [part]
+   owns, until the block is full; returns how many slots are filled. *)
+let rec gather s ~len ~skip ~part k n =
+  if n = Array.length s.idx || k >= len then n
+  else if owns ~skip ~part k then begin
+    s.idx.(n) <- k;
+    gather s ~len ~skip ~part (k + 1) (n + 1)
+  end
+  else gather s ~len ~skip ~part (k + 1) n
+
+(* The calling domain's block scratch: each part runs in its own
+   domain's, so a part allocates nothing once its domain has quantized
+   before. *)
+let local_scratch : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> scratch block)
 
 (* [ge.(k)] = Pr{W >= (k - m) d} and [gt.(k)] = Pr{W > (k - m) d} for
-   every [k] that [skip] does not exclude (see {!iter_blocks}). *)
-let fill_survival t ~m ~d ~skip ge gt =
-  let len = Array.length ge in
-  let s = scratch (min block len) in
-  iter_blocks s ~len ~skip (fun n ->
-      for j = 0 to n - 1 do
-        s.x.(j) <- float_of_int (s.idx.(j) - m) *. d
-      done;
-      survival_block t s n;
-      for j = 0 to n - 1 do
-        ge.(s.idx.(j)) <- s.sa.(j);
-        gt.(s.idx.(j)) <- s.sb.(j)
-      done)
+   the indices from [k] on that [part] owns (see {!owns}). *)
+let rec survival_part t s ~m ~d ~skip ~part ge gt k =
+  let n = gather s ~len:(Array.length ge) ~skip ~part k 0 in
+  if n > 0 then begin
+    for j = 0 to n - 1 do
+      s.x.(j) <- float_of_int (s.idx.(j) - m) *. d
+    done;
+    survival_block t s n;
+    for j = 0 to n - 1 do
+      ge.(s.idx.(j)) <- s.sa.(j);
+      gt.(s.idx.(j)) <- s.sb.(j)
+    done;
+    survival_part t s ~m ~d ~skip ~part ge gt (s.idx.(n - 1) + 1)
+  end
 
 (* [a.(j)] = the expected overflow from occupancy [min buffer (j step)]
-   for every [j] that [skip] does not exclude. *)
+   for the indices from [k] on that [part] owns. *)
+let rec overflow_part t s ~buffer ~step ~skip ~part a k =
+  let n = gather s ~len:(Array.length a) ~skip ~part k 0 in
+  if n > 0 then begin
+    for j = 0 to n - 1 do
+      let occupancy = Float.min buffer (float_of_int s.idx.(j) *. step) in
+      s.x.(j) <- Float.max 0.0 (buffer -. occupancy)
+    done;
+    overflow_block t s n;
+    for j = 0 to n - 1 do
+      a.(s.idx.(j)) <- s.sa.(j)
+    done;
+    overflow_part t s ~buffer ~step ~skip ~part a (s.idx.(n - 1) + 1)
+  end
+
+(* The fills run part 0 on the caller and part 1 on the chain pair's
+   helper domain ({!Lrd_parallel.Pool.both}), which writes disjoint
+   elements of the same arrays; inside a pool task both parts run in
+   turn on the caller.  A point's value does not depend on its block or
+   its part, so the arrays are the same bits either way. *)
+let fill_survival t ~m ~d ~skip ge gt =
+  let part p () =
+    survival_part t (Domain.DLS.get local_scratch) ~m ~d ~skip ~part:p ge gt 0
+  in
+  Lrd_parallel.Pool.both (part 0) (part 1)
+
 let fill_overflow t ~buffer ~step ~skip a =
-  let len = Array.length a in
-  let s = scratch (min block len) in
-  iter_blocks s ~len ~skip (fun n ->
-      for j = 0 to n - 1 do
-        let occupancy = Float.min buffer (float_of_int s.idx.(j) *. step) in
-        s.x.(j) <- Float.max 0.0 (buffer -. occupancy)
-      done;
-      overflow_block t s n;
-      for j = 0 to n - 1 do
-        a.(s.idx.(j)) <- s.sa.(j)
-      done)
+  let part p () =
+    overflow_part t (Domain.DLS.get local_scratch) ~buffer ~step ~skip ~part:p
+      a 0
+  in
+  Lrd_parallel.Pool.both (part 0) (part 1)
 
 let survival_at t x =
   let s = scratch 1 in

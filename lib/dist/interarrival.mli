@@ -15,7 +15,9 @@
       generic expected-overflow term
       [E[(T d - y)^+] = d * survival_integral (y / d)] for [d > 0];
     - batch forms of both over an array of points, which the solver's
-      quantization calls once per marginal atom and block of grid points;
+      quantization calls once per marginal atom and block of grid points.
+      It may call them on two domains at once, each on its own point and
+      output arrays, so a law's kernels must not share mutable state;
     - the mean (eq. 25 for the truncated Pareto) and variance (used by the
       correlation-horizon estimate, eq. 26).
 

@@ -23,6 +23,10 @@ let m_task_run = Obs.Span.make "pool/task_run_seconds"
 let m_queue_wait = Obs.Histogram.make "pool/queue_wait_seconds"
 let m_idle = Obs.Span.make "pool/idle_seconds"
 
+(* [both] calls that found the helper asleep and wrote it the wake-up
+   byte: each one pays a [select] return instead of a spin. *)
+let m_helper_wakeups = Obs.Counter.make "pool/helper_wakeups"
+
 type job = {
   run_task : int -> unit;
   tasks : int;
@@ -239,9 +243,13 @@ let map2_grid t ~xs ~ys ~f =
    - [spin_seconds]: in solve-cold nine in ten gaps between two calls
      are the bound check between two runs of steps (1-10 us); the rest
      are mostly a new solve's set-up (0.1-1 ms) and refinements to a
-     large grid (1-10 ms).  A 2 ms spin slowed ext-ams --quick, whose
-     solves sit between allocation-heavy simulations, from 0.55 to
-     0.85 s; 100 us covers the checks and cost nothing measurable.
+     large grid (1-10 ms).  Quantization now hands half of the fresh
+     grid points of each set-up and refinement to the helper
+     ([Workload]), so those gaps are cut up by [both] calls of their
+     own, and the helper idles in them mostly while plans are built.
+     A 2 ms spin slowed ext-ams --quick, whose solves sit between
+     allocation-heavy simulations, from 0.55 to 0.85 s; 100 us covers
+     the checks and cost nothing measurable.
    - [idle_seconds]: each retirement leaves the helper's heap for
      another domain to adopt, and solve-cold's top heap at 55 s read
      29.4-31.3 MB with 5 ms, which retires the helper in refinement
@@ -361,8 +369,10 @@ let both f g =
   else begin
     job := g;
     Atomic.set phase posted;
-    if Atomic.get sleeping then
-      ignore (Unix.write_substring (snd (Lazy.force wakeup)) "!" 0 1);
+    if Atomic.get sleeping then begin
+      Obs.Counter.incr m_helper_wakeups;
+      ignore (Unix.write_substring (snd (Lazy.force wakeup)) "!" 0 1)
+    end;
     let mine =
       match f () with
       | () -> None

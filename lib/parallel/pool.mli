@@ -64,13 +64,15 @@ val with_pool : ?workers:int -> (t -> 'a) -> 'a
 val both : (unit -> unit) -> (unit -> unit) -> unit
 (** [both f g] runs [f] on the calling domain and [g] on a helper
     domain at the same time, and returns once both are done: two-party
-    fork-join for work that splits into two independent halves, such as
-    the solver's floor and ceiling chains between bound checks.  The
-    helper is one process-wide domain, spawned by the first call that
-    needs it; it spins briefly after each job, then sleeps, and exits
-    after half a second without a job, so a process that stops calling
-    [both] soon stops paying for it.  The next call spawns a fresh helper.  [both] itself
-    allocates nothing once the helper is up.
+    fork-join for work that splits into two independent halves.  It has
+    two callers: the solver's floor and ceiling chains between bound
+    checks, and workload quantization, which deals a grid's points
+    between the two thunks.  The helper is one process-wide domain,
+    spawned by the first call that needs it; it spins briefly after each
+    job, then sleeps, and exits after half a second without a job, so a
+    process that stops calling [both] soon stops paying for it.  The
+    next call spawns a fresh helper.  [both] itself allocates nothing
+    once the helper is up.
 
     [both] runs [f] then [g] on the calling domain instead when the
     machine has one core ([Domain.recommended_domain_count () = 1]),
@@ -81,4 +83,5 @@ val both : (unit -> unit) -> (unit -> unit) -> unit
     Either way both thunks run to completion.  If one raises, its
     exception is re-raised (with its backtrace) once the other has
     finished; if both raise, [f]'s exception wins.  [f] and [g] must not
-    share mutable state. *)
+    share mutable state, except that they may write disjoint elements of
+    one array. *)

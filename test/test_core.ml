@@ -235,6 +235,52 @@ let test_discretize_stochastic_ordering () =
 
 let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
+let random_workload ~memoize points ~theta ~alpha ~cutoff =
+  let marginal = Lrd_dist.Marginal.of_points points in
+  let rates = Lrd_dist.Marginal.rates marginal in
+  let service_rate = rates.(Array.length rates / 2) in
+  Workload.create ~memoize
+    (pareto_model ~marginal ~theta ~alpha ~cutoff ())
+    ~service_rate
+
+(* [discretize] and [overflow_table] at [bins] against eqs. 21-22 rebuilt
+   from survival_ge/survival_gt and the table from expected_overflow,
+   bit for bit. *)
+let grids_match_scalar_api w ~buffer ~bins =
+  let b = Workload.discretize w ~buffer ~bins in
+  let ov = Workload.overflow_table w ~buffer ~bins in
+  let m = bins and d = b.Workload.step in
+  let ge i = Workload.survival_ge w (float_of_int i *. d) in
+  let gt i = Workload.survival_gt w (float_of_int i *. d) in
+  let pos v = if v < 0.0 then 0.0 else v in
+  let lower i =
+    pos
+      (if i = -m then 1.0 -. ge (i + 1)
+       else if i = m then ge i
+       else ge i -. ge (i + 1))
+  in
+  let upper i =
+    pos
+      (if i = -m then 1.0 -. gt i
+       else if i = m then gt (i - 1)
+       else gt (i - 1) -. gt i)
+  in
+  let ok = ref true in
+  for i = -m to m do
+    if
+      not
+        (bits_equal b.Workload.lower.(i + m) (lower i)
+        && bits_equal b.Workload.upper.(i + m) (upper i))
+    then ok := false
+  done;
+  Array.iteri
+    (fun j v ->
+      let occupancy = Float.min buffer (float_of_int j *. d) in
+      if not (bits_equal v (Workload.expected_overflow w ~buffer ~occupancy))
+      then ok := false)
+    ov;
+  !ok
+
 (* The grid builders against the scalar API, bit for bit (eqs. 21-22
    rebuilt from survival_ge/survival_gt, the overflow table from
    expected_overflow), on random K-atom marginals whose service rate is
@@ -253,47 +299,68 @@ let prop_grids_match_scalar_api =
            (float_range 0.01 5.0)
            (pair (int_range 1 700) bool)))
     (fun (points, (theta, alpha, cutoff), buffer, (bins, memoize)) ->
-      let marginal = Lrd_dist.Marginal.of_points points in
-      let rates = Lrd_dist.Marginal.rates marginal in
-      let service_rate = rates.(Array.length rates / 2) in
-      let w =
-        Workload.create ~memoize
-          (pareto_model ~marginal ~theta ~alpha ~cutoff ())
-          ~service_rate
+      let w = random_workload ~memoize points ~theta ~alpha ~cutoff in
+      grids_match_scalar_api w ~buffer ~bins)
+
+(* A memoizing workload quantized up a doubling ladder and strided back
+   down (m, 2m, 4m, m): the doublings fill only the fresh points of each
+   level, the last level is a stride of the finest one, and every level
+   must still equal the scalar API bit for bit.  Each ladder runs once
+   outside any task, where the fresh points are dealt between two
+   domains, and once inside a pool task, where one domain computes
+   them all. *)
+let prop_grid_ladder_matches_scalar_api =
+  QCheck.Test.make ~count:20
+    ~name:"a doubling ladder and its stride equal the scalar API bitwise"
+    (QCheck.make
+       QCheck.Gen.(
+         quad
+           (list_size (int_range 2 8)
+              (pair (float_range 0.1 10.0) (float_range 0.05 1.0)))
+           (triple (float_range 0.01 2.0) (float_range 0.5 2.5)
+              (float_range 0.1 20.0))
+           (float_range 0.01 5.0) (int_range 1 160)))
+    (fun (points, (theta, alpha, cutoff), buffer, m) ->
+      let ladder () =
+        let w = random_workload ~memoize:true points ~theta ~alpha ~cutoff in
+        List.for_all
+          (fun bins -> grids_match_scalar_api w ~buffer ~bins)
+          [ m; 2 * m; 4 * m; m ]
       in
-      let b = Workload.discretize w ~buffer ~bins in
-      let ov = Workload.overflow_table w ~buffer ~bins in
-      let m = bins and d = b.Workload.step in
-      let ge i = Workload.survival_ge w (float_of_int i *. d) in
-      let gt i = Workload.survival_gt w (float_of_int i *. d) in
-      let pos v = if v < 0.0 then 0.0 else v in
-      let lower i =
-        pos
-          (if i = -m then 1.0 -. ge (i + 1)
-           else if i = m then ge i
-           else ge i -. ge (i + 1))
+      let in_task =
+        Lrd_parallel.Pool.with_pool ~workers:0 (fun pool ->
+            (Lrd_parallel.Pool.map pool ladder [| () |]).(0))
       in
-      let upper i =
-        pos
-          (if i = -m then 1.0 -. gt i
-           else if i = m then gt (i - 1)
-           else gt (i - 1) -. gt i)
+      ladder () && in_task)
+
+(* The law's grid kernel sees which domains quantize: outside a task a
+   fresh grid is split between the caller and the chain pair's helper,
+   inside a pool task the caller computes it alone. *)
+let test_quantization_domains () =
+  if Domain.recommended_domain_count () > 1 then begin
+    let domains () =
+      let lock = Mutex.create () and seen = ref [] in
+      let law = Lrd_dist.Interarrival.exponential ~mean:1.0 in
+      let survival_grid ~n q ~ge ~gt =
+        let id = (Domain.self () :> int) in
+        Mutex.protect lock (fun () ->
+            if not (List.mem id !seen) then seen := id :: !seen);
+        law.Lrd_dist.Interarrival.survival_grid ~n q ~ge ~gt
       in
-      let ok = ref true in
-      for i = -m to m do
-        if
-          not
-            (bits_equal b.Workload.lower.(i + m) (lower i)
-            && bits_equal b.Workload.upper.(i + m) (upper i))
-        then ok := false
-      done;
-      Array.iteri
-        (fun j v ->
-          let occupancy = Float.min buffer (float_of_int j *. d) in
-          if not (bits_equal v (Workload.expected_overflow w ~buffer ~occupancy))
-          then ok := false)
-        ov;
-      !ok)
+      let model =
+        Model.create ~marginal:onoff_marginal
+          ~interarrival:{ law with Lrd_dist.Interarrival.survival_grid }
+      in
+      let w = Workload.create model ~service_rate:1.25 in
+      ignore (Workload.discretize w ~buffer:2.0 ~bins:64);
+      List.length !seen
+    in
+    Alcotest.(check int) "outside a task" 2 (domains ());
+    Alcotest.(check int)
+      "inside a task" 1
+      (Lrd_parallel.Pool.with_pool ~workers:0 (fun pool ->
+           (Lrd_parallel.Pool.map pool domains [| () |]).(0)))
+  end
 
 (* Quantizing a grid allocates nothing per point or atom: a fresh
    discretize plus overflow_table on a 50-atom marginal takes the same
@@ -414,6 +481,35 @@ let test_solver_respects_max_iterations () =
   in
   let r = Solver.solve ~params m ~service_rate:1.25 ~buffer:2.0 in
   Alcotest.(check bool) "iterations bounded" true (r.Solver.iterations <= 4)
+
+(* A solve that plateaus at the grid cap stops unconverged well inside
+   its iteration budget, and its printed result must not claim the
+   budget ran out. *)
+let test_solver_grid_cap_result_label () =
+  let m = pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:5.0 () in
+  let params =
+    {
+      Solver.default_params with
+      initial_bins = 16;
+      max_bins = 16;
+      tolerance = 1e-9;
+    }
+  in
+  let r = Solver.solve ~params m ~service_rate:1.25 ~buffer:2.0 in
+  Alcotest.(check bool) "unconverged" false r.Solver.converged;
+  Alcotest.(check bool)
+    "stopped inside the budget" true
+    (r.Solver.iterations < params.Solver.max_iterations);
+  let line = Format.asprintf "%a" Solver.pp_result r in
+  let contains sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length line && (String.sub line i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  Alcotest.(check bool) ("labelled: " ^ line) true
+    (contains "gap target not met" && not (contains "budget"))
 
 let test_solver_cold_restart_same_answer () =
   let m = pareto_model ~theta:0.05 ~alpha:1.4 ~cutoff:0.5 () in
@@ -1501,7 +1597,12 @@ let () =
           Alcotest.test_case "quantization allocation flat in m" `Quick
             test_quantization_allocation_flat;
         ]
-        @ qcheck [ prop_grids_match_scalar_api ] );
+        @ qcheck
+            [ prop_grids_match_scalar_api; prop_grid_ladder_matches_scalar_api ]
+        @ [
+            Alcotest.test_case "quantization domains" `Quick
+              test_quantization_domains;
+          ] );
       ( "solver",
         [
           Alcotest.test_case "zero buffer closed form" `Quick
@@ -1521,6 +1622,8 @@ let () =
             test_solver_loss_increasing_in_utilization;
           Alcotest.test_case "respects max iterations" `Quick
             test_solver_respects_max_iterations;
+          Alcotest.test_case "grid-cap result label" `Quick
+            test_solver_grid_cap_result_label;
           Alcotest.test_case "cold restart consistent" `Quick
             test_solver_cold_restart_same_answer;
           Alcotest.test_case "negligible loss reports zero" `Quick
