@@ -377,9 +377,23 @@ let micro_tests ctx =
                ()));
     ]
   in
+  (* Scheduler bookkeeping: one [both] of two empty thunks, and 64 empty
+     tasks on a one-worker pool.  Their times depend on the host's cores
+     and wake-ups, so the rows stay outside CI's hard-gated kernel/ and
+     sweep/ filters; they run last, so the crew member they leave parked
+     slows no other row. *)
+  let one_worker = Lrd_parallel.Pool.create ~workers:1 () in
+  let pool_tests =
+    [
+      mk "pool/both-handoff" (fun () -> Lrd_parallel.Pool.both ignore ignore);
+      mk "pool/iter-64" (fun () ->
+          Lrd_parallel.Pool.iter one_worker (fun (_ : int) -> ()) 64);
+    ]
+  in
   figure_tests @ kernel_tests
   @ sweep_pair "fig12" sweep_model Data.mtv_utilization
   @ sweep_pair "fig13" sweep_bc_model Data.bc_utilization
+  @ pool_tests
 
 let emit_json oc rows =
   let last = List.length rows - 1 in

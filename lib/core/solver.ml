@@ -100,7 +100,7 @@ module Workspace = struct
      read-only grid data, so they may step on two domains at once: the
      floor chain always steps on the domain advancing the solve and
      borrows that domain's transform scratch; the ceiling chain, which
-     may step on the helper domain, owns its scratch. *)
+     may step on a crew domain, owns its scratch. *)
   type chain = {
     plan : Lrd_numerics.Convolution.real_plan;
     tail : vec;  (* tail.(j) = sum_{l >= 2m-j} ker.(l) *)
@@ -616,8 +616,8 @@ module State = struct
         let to_budget = t.params.max_iterations - t.iterations in
         let steps = min (min to_check to_budget) !remaining in
         (* The chains do not read each other between checks: the floor
-           chain steps here, the ceiling chain on the helper domain
-           when one is free, each in its own order, so the bits do not
+           chain steps here, the ceiling chain on a crew domain when
+           the crew is free, each in its own order, so the bits do not
            depend on where they ran. *)
         t.batch <- steps;
         Lrd_parallel.Pool.both t.floor_run t.ceiling_run;

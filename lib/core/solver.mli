@@ -162,8 +162,8 @@ module State : sig
       trace track then holds its balanced [solver/level] slices.
       Within a slice, each run of steps between two bound checks goes
       to {!Lrd_parallel.Pool.both}: the floor chain steps on the
-      advancing domain and the ceiling chain on the helper domain,
-      unless the state advances inside a pool task (or the helper is
+      advancing domain and the ceiling chain on a crew domain,
+      unless the state advances inside a pool task (or the crew is
       busy, or the machine has one core), when the chains step in
       turn.  Either way every chain does the same float operations in
       the same order, so no computed bit depends on where the chains
@@ -272,7 +272,7 @@ val solve :
 
     Called outside a {!Lrd_parallel.Pool} task on a machine with two or
     more cores, the solve steps its floor and ceiling chains on two
-    domains at once (the caller's and a process-wide helper's, see
+    domains at once (the caller's and a process-wide crew member's, see
     {!Lrd_parallel.Pool.both}); inside a pool task they step in turn.
     The result is bit-identical either way.
 

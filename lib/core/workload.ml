@@ -4,7 +4,7 @@
    so the finest grid computed so far answers any coarser level by
    striding and seeds half of the next doubling.  A memo belongs to one
    solve ({!with_memo}) and only the solve's caller reads or writes it:
-   the helper domain that computes half of a fresh grid (see
+   the crew domain that computes half of a fresh grid (see
    {!fill_survival}) writes only that grid's array elements, before the
    caller stores the grid in the memo, so the memo needs no lock.
    Quantization is construction-time only, never part of the solver's
@@ -242,7 +242,7 @@ let rec overflow_part t s ~buffer ~step ~skip ~part a k =
   end
 
 (* The fills run part 0 on the caller and part 1 on the chain pair's
-   helper domain ({!Lrd_parallel.Pool.both}), which writes disjoint
+   crew domain ({!Lrd_parallel.Pool.both}), which writes disjoint
    elements of the same arrays; inside a pool task both parts run in
    turn on the caller.  A point's value does not depend on its block or
    its part, so the arrays are the same bits either way. *)

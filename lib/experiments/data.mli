@@ -23,9 +23,10 @@ val create :
 (** Default seed 20260705.  [jobs] sets the total parallelism of the
     sweeps run from this context: omitted or [1] means sequential (no
     pool), [0] means auto-size to the machine
-    ([Domain.recommended_domain_count]), and [j >= 2] runs grids on a
-    pool of [j - 1] worker domains plus the calling domain.  Call
-    {!teardown} when done with a context whose [jobs <> 1].
+    ([Domain.recommended_domain_count]), and [j >= 2] runs grids on up
+    to [j - 1] crew domains ({!Lrd_parallel.Pool}) plus the calling
+    domain.  Call {!teardown} when done with a context whose
+    [jobs <> 1].
     [superpose] (default [Auto]) selects the aggregate-marginal
     construction the superposition experiments use
     ({!Lrd_core.Superpose.method_} — the CLI's [--superpose] lever).
@@ -47,9 +48,9 @@ val superpose_method : t -> Lrd_core.Superpose.method_
     ([Auto] unless overridden at {!create}). *)
 
 val teardown : t -> unit
-(** Shuts down the pool's worker domains (idempotent; no-op for
-    sequential contexts).  The context remains usable for sequential
-    work afterwards. *)
+(** Shuts the pool down, retiring the crew members parked at that
+    moment (idempotent; no-op for sequential contexts).  The context
+    remains usable for sequential work afterwards. *)
 
 val mtv : t -> Lrd_trace.Trace.t
 (** Synthetic MTV-like video trace (full: 107 892 frames at 1/30 s). *)

@@ -95,10 +95,13 @@ let run ?only ?manifest ctx fmt =
   match manifest with
   | None -> ()
   | Some path ->
-      (* Shut the pool down first: a parked worker records its last
-         pool/idle_seconds span only when it stops, so a snapshot taken
-         before teardown would differ from the caller's final one. *)
+      (* Retire the crew first: a parked member records its last
+         pool/idle_seconds span when it retires, so a snapshot taken
+         before would differ from the caller's final one.  Without a
+         pool the chain pair's partner is a crew member all the same. *)
       Data.teardown ctx;
+      if Option.is_none (Data.pool ctx) then
+        Lrd_parallel.Pool.(shutdown (create ~workers:0 ()));
       let metrics =
         if Lrd_obs.Obs.enabled () then
           (* Re-parse the canonical exporter's output rather than

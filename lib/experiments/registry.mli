@@ -40,7 +40,8 @@ val run :
     to the given path after the run: the selected figure ids, the
     context's full parameter set ({!Data.manifest_fields}), wall time,
     and — when telemetry is enabled — the final metrics snapshot.  It
-    shuts the context's pool down ({!Data.teardown}) before taking that
-    snapshot, so the snapshot includes every worker's last idle span
+    retires the parked crew members ({!Data.teardown}, or
+    {!Lrd_parallel.Pool.shutdown} without a pool) before taking that
+    snapshot, so the snapshot includes every member's last idle span
     and equals one the caller takes afterwards; the context must not
     run pooled work again. *)

@@ -54,8 +54,8 @@ let prefer_fft_fixed ~transform_size ~direct_ops =
    own that share the building domain's read-only tables.  A plan that
    runs on whichever domain is at hand uses the first; one that must
    run beside another plan of the same size — the solver's ceiling
-   chain, which steps on a helper domain while the floor chain steps
-   on the caller — carries the second, so the helper builds no tables
+   chain, which steps on a crew domain while the floor chain steps
+   on the caller — carries the second, so the member builds no tables
    and allocates nothing.  Either way an execution performs no heap
    allocation: it runs {!Fft.Real.convolve} — pack the (zero-extended)
    signal straight into the half-size transform, one pass over the

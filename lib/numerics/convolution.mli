@@ -70,7 +70,7 @@ val make_scratch : real_plan -> scratch
 (** Fresh scratch for the plan's size that shares the plan's read-only
     transform tables: what a plan carries when it must execute beside
     another plan of its size, or on a domain that should build no
-    tables of its own (the solver's ceiling chain on the helper
+    tables of its own (the solver's ceiling chain on a crew
     domain). *)
 
 val execute_real_circular :

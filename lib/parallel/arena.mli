@@ -8,8 +8,8 @@
     [Domain.DLS]), so the hot path takes no lock and two pool tasks
     running on different domains can never alias one another's scratch.
 
-    Composition with {!Pool}: worker domains live for the whole pool
-    lifetime, so a workspace built by one task is reused by every later
+    Composition with {!Pool}: a crew domain lives until it idles half a
+    second, so a workspace built by one task is reused by every later
     task of the same shape on that domain.  Because a workspace is only
     ever an accelerator (plans and scratch change *where* a value is
     computed, never the value), per-domain caching preserves the pool's

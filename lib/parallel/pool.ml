@@ -1,15 +1,28 @@
-(* Domain pool with one shared claim counter.  See the .mli for the
-   scheduling and determinism contract.
+(* One process-wide crew of worker domains behind [iter] and [both].
+   See the .mli for the scheduling and determinism contract.
 
-   Synchronization structure: one mutex guards the pool's job slot and
-   epoch counter; workers sleep on [work] until the epoch advances, the
-   caller sleeps on [finished] until the job's pending-task count drains
-   to zero.  Participants claim task indices with one [Atomic] counter
-   and count completions with another, so they never take the pool
-   mutex on the fast path — only the decrement that reaches zero takes
-   it, to wake the caller without a lost-wakeup race.  Tasks are
-   solver/simulator cells costing milliseconds, so one counter balances
-   load without per-participant queues. *)
+   One job slot, taken by CAS, admits one job at a time.  Its holder
+   fills the one job record and publishes it by setting the seat count;
+   members take seats by CAS and claim task indices from one [Atomic]
+   counter, so nobody locks on the fast path.  The pending count covers
+   the job's tasks and seats; whoever brings it to zero takes the lock
+   only if the caller has gone to sleep on [finished].
+
+   A member spins [spin_seconds] after a job, then sleeps in [select] on
+   the one wake-up pipe, and retires after [idle_seconds] without a job
+   (retiring takes the slot, so no job is posted to a member that is
+   exiting).  A poster writes one byte per sleeping member it has seats
+   for; a sleeper reads at most one.  Members retire because every minor
+   collection stops every domain, a sleeping one included: a parked
+   domain slowed an allocation-heavy loop 1.3-1.7x, and ext-packet
+   --quick, which never uses the pool, slowed at every -j above 1 while
+   pool workers lived until shutdown (2-core VM, EXPERIMENTS "One worker
+   set").  [spin_seconds] covers the bound checks between a solve's
+   [both] calls (1-10 us); a 2 ms spin slowed ext-ams --quick from 0.55
+   to 0.85 s.  [idle_seconds] outlasts the benchmark's set-up between
+   passes (0.25 s); 5 ms raised solve-cold's top heap from 28.2-30.6 to
+   29.4-31.3 MB, as each retirement leaves a heap for another domain to
+   adopt.  A spawn costs 0.5-4 ms, longer than most solves. *)
 
 module Obs = Lrd_obs.Obs
 
@@ -23,98 +36,219 @@ let m_task_run = Obs.Span.make "pool/task_run_seconds"
 let m_queue_wait = Obs.Histogram.make "pool/queue_wait_seconds"
 let m_idle = Obs.Span.make "pool/idle_seconds"
 
-(* [both] calls that found the helper asleep and wrote it the wake-up
-   byte: each one pays a [select] return instead of a spin. *)
-let m_helper_wakeups = Obs.Counter.make "pool/helper_wakeups"
+(* Bytes written to sleeping members: each costs a [select] return. *)
+let m_wakeups = Obs.Counter.make "pool/wakeups"
+let spin_seconds = 1e-4
+let idle_seconds = 0.5
+let multicore = Domain.recommended_domain_count () > 1
 
-type job = {
-  run_task : int -> unit;
-  tasks : int;
-  next : int Atomic.t;  (* next unclaimed task index *)
-  pending : int Atomic.t;  (* tasks not yet completed *)
-  failure : (exn * Printexc.raw_backtrace) option Atomic.t;
-  submitted : float;  (* Obs.Span.start at job creation; neg_infinity
-                         when telemetry was off *)
-}
+type t = { workers : int; stopped : bool Atomic.t }
 
-type t = {
-  lock : Mutex.t;
-  work : Condition.t;  (* workers: a new epoch (job or shutdown) *)
-  finished : Condition.t;  (* caller: pending reached zero *)
-  mutable epoch : int;
-  mutable job : job option;
-  mutable stopping : bool;
-  mutable joined : bool;
-  mutable workers : unit Domain.t array;
-}
-
-let parallelism t = Array.length t.workers + 1
+let parallelism t = t.workers + 1
 
 (* Set while this domain runs a pool task: [both] then stays
    sequential, so a grid's parallelism is the pool's alone. *)
 let in_task : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
 
+type job = {
+  mutable task : int -> unit;
+  mutable tasks : int;
+  mutable pair : unit -> unit;  (* [both]'s second thunk *)
+  mutable grid : bool;  (* [iter]'s tasks: traced, counted, [in_task] *)
+  mutable submitted : float;  (* Obs.Span.start at posting *)
+  next : int Atomic.t;  (* next unclaimed task index *)
+  pending : int Atomic.t;  (* tasks not completed plus seats not given back *)
+  seats : int Atomic.t;  (* members that may still join *)
+  failure : (exn * Printexc.raw_backtrace) option Atomic.t;
+}
+
+let noop () = ()
+let no_task (_ : int) = ()
+
+let make_job () =
+  { task = no_task; tasks = 0; pair = noop; grid = true;
+    submitted = neg_infinity; next = Atomic.make 0; pending = Atomic.make 0;
+    seats = Atomic.make 0; failure = Atomic.make None }
+
+(* The slot and the one record its holder fills. *)
+let free = 0
+let taken = 1
+let retiring = 2
+let slot = Atomic.make free
+let job = make_job ()
+
+(* A held slot is a job in flight, so the caller runs alone; a retiring
+   member holds it for a few instructions, so that is waited out. *)
+let rec take_slot () =
+  Atomic.compare_and_set slot free taken
+  || (Atomic.get slot = retiring && (Domain.cpu_relax (); take_slot ()))
+
+let release () =
+  job.task <- no_task;
+  job.pair <- noop;
+  Atomic.set job.failure None;
+  Atomic.set slot free
+
+let lock = Mutex.create ()
+let finished = Condition.create ()
+let waiting = Atomic.make false
+
+(* Reading [waiting] after the decrement (and the caller setting it
+   before its last look at the count) means the caller never sleeps
+   through the last give-back. *)
+let give_back job k =
+  if Atomic.fetch_and_add job.pending (-k) = k && Atomic.get waiting then begin
+    Mutex.lock lock;
+    Condition.broadcast finished;
+    Mutex.unlock lock
+  end
+
+(* The caller spins [spin_seconds] at most, then sleeps on [finished]. *)
+let await job =
+  let t0 = Unix.gettimeofday () in
+  while Atomic.get job.pending > 0 && Unix.gettimeofday () -. t0 < spin_seconds do
+    Domain.cpu_relax ()
+  done;
+  if Atomic.get job.pending > 0 then begin
+    Mutex.lock lock;
+    Atomic.set waiting true;
+    while Atomic.get job.pending > 0 do
+      Condition.wait finished lock
+    done;
+    Atomic.set waiting false;
+    Mutex.unlock lock
+  end
+
 (* Execute one task, routing any exception into the job's failure slot;
    once a failure is recorded, later tasks are skipped (but still
-   counted) so the caller unblocks quickly.  Returns true iff this call
-   completed the job's last task. *)
+   counted) so the caller unblocks quickly. *)
 let execute job i =
-  (if Atomic.get job.failure = None then begin
-     let t0 = Obs.Span.start () in
-     if t0 > neg_infinity && job.submitted > neg_infinity then
-       Obs.Histogram.observe m_queue_wait (t0 -. job.submitted);
-     Obs.Counter.incr m_tasks_run;
-     if Obs.Trace.enabled () then Obs.Trace.begin_ ~arg:i "pool/task";
-     let flag = Domain.DLS.get in_task in
-     let outer = !flag in
-     flag := true;
-     (try job.run_task i
-      with e ->
-        let bt = Printexc.get_raw_backtrace () in
-        ignore (Atomic.compare_and_set job.failure None (Some (e, bt))));
-     flag := outer;
-     if Obs.Trace.enabled () then Obs.Trace.end_ ~arg:i "pool/task";
-     Obs.Span.stop m_task_run t0
-   end);
-  Atomic.fetch_and_add job.pending (-1) = 1
+  match Atomic.get job.failure with
+  | Some _ -> ()
+  | None ->
+      let t0 = if job.grid then Obs.Span.start () else neg_infinity in
+      if job.grid then begin
+        if t0 > neg_infinity && job.submitted > neg_infinity then
+          Obs.Histogram.observe m_queue_wait (t0 -. job.submitted);
+        Obs.Counter.incr m_tasks_run;
+        if Obs.Trace.enabled () then Obs.Trace.begin_ ~arg:i "pool/task"
+      end;
+      let flag = Domain.DLS.get in_task in
+      let outer = !flag in
+      flag := job.grid || outer;
+      (try job.task i
+       with e ->
+         let bt = Printexc.get_raw_backtrace () in
+         ignore (Atomic.compare_and_set job.failure None (Some (e, bt))));
+      flag := outer;
+      if job.grid then begin
+        if Obs.Trace.enabled () then Obs.Trace.end_ ~arg:i "pool/task";
+        Obs.Span.stop m_task_run t0
+      end
 
-(* Claim and run tasks until the indices run out. *)
-let rec drain pool job =
+(* Claim and run tasks until the indices run out; returns how many this
+   participant claimed, which it gives back in one decrement. *)
+let rec drain job claimed =
   let i = Atomic.fetch_and_add job.next 1 in
   if i < job.tasks then begin
-    (* Whoever completed the last task wakes the caller; the broadcast
-       is taken under the pool lock so the caller cannot miss it
-       between its predicate check and its wait. *)
-    if execute job i then begin
-      Mutex.lock pool.lock;
-      Condition.broadcast pool.finished;
-      Mutex.unlock pool.lock
-    end;
-    drain pool job
+    execute job i;
+    drain job (claimed + 1)
+  end
+  else claimed
+
+(* ------------------------------------------------------------------ *)
+(* The crew: [live] members, [sleepers] of them in [select]. *)
+
+let wakeup =
+  lazy
+    (let r, w = Unix.pipe ~cloexec:true () in
+     Unix.set_nonblock r;
+     Unix.set_nonblock w;
+     (r, w))
+
+let live = Atomic.make 0
+let sleepers = Atomic.make 0
+
+let rec take_seat () =
+  let s = Atomic.get job.seats in
+  s > 0 && (Atomic.compare_and_set job.seats s (s - 1) || take_seat ())
+
+(* Counting itself among the sleepers before its last look at the seats
+   (and a poster publishing seats before it counts sleepers) means a
+   post is never missed: at worst a stray byte cuts a later sleep short.
+   Another sleeper may read the byte first, hence the nonblocking read;
+   a failing [select] ends the sleep early, and the deadline stands. *)
+let sleep timeout =
+  Atomic.incr sleepers;
+  (if Atomic.get job.seats <= 0 then
+     let r, _ = Lazy.force wakeup in
+     match Unix.select [ r ] [] [] timeout with
+     | [], _, _ -> ()
+     | _ -> ( try ignore (Unix.read r (Bytes.create 1) 0 1) with Unix.Unix_error _ -> ())
+     | exception Unix.Unix_error _ -> ());
+  Atomic.decr sleepers
+
+(* Spin, then sleep, until a seat is taken (true) or [idle_seconds]
+   pass without one (false). *)
+let await_seat () =
+  let deadline = Unix.gettimeofday () +. idle_seconds in
+  let rec go () =
+    let t0 = Unix.gettimeofday () in
+    while Atomic.get job.seats <= 0 && Unix.gettimeofday () -. t0 < spin_seconds do
+      Domain.cpu_relax ()
+    done;
+    take_seat ()
+    ||
+    let left = deadline -. Unix.gettimeofday () in
+    left > 0.0 && (sleep left; go ())
+  in
+  go ()
+
+(* A member idles until it has a seat, or the slot to retire, and runs
+   the job.  A job of no tasks is a shutdown's: its seats retire the
+   members that take them, under the shutdown's hold on the slot.  The
+   idle slice closes before the member retires, so a shutdown that has
+   waited for it sees its last record. *)
+let rec serve () =
+  let t0 = Obs.Span.start () and traced = Obs.Trace.enabled () in
+  if traced then Obs.Trace.begin_ "pool/idle";
+  let rec wait () =
+    await_seat () || ((not (Atomic.compare_and_set slot free retiring)) && wait ())
+  in
+  let seated = wait () in
+  if traced then Obs.Trace.end_ "pool/idle";
+  Obs.Span.stop m_idle t0;
+  if seated && job.tasks > 0 then begin
+    give_back job (drain job 0 + 1);
+    serve ()
+  end
+  else begin
+    Atomic.decr live;
+    if seated then give_back job 1 else Atomic.set slot free
   end
 
-let rec worker_loop pool ~last_epoch =
-  Mutex.lock pool.lock;
-  (* Idle accounting covers exactly the epochs-behind wait: per-domain
-     idle_seconds plus a pool/idle trace slice, so Report can split each
-     domain's timeline into busy vs parked-between-jobs time.  Recording
-     under the pool lock is fine — the instruments are per-domain cells
-     and never take a lock themselves. *)
-  if pool.epoch = last_epoch && not pool.stopping then begin
-    let t0 = Obs.Span.start () in
-    if Obs.Trace.enabled () then Obs.Trace.begin_ "pool/idle";
-    while pool.epoch = last_epoch && not pool.stopping do
-      Condition.wait pool.work pool.lock
-    done;
-    if Obs.Trace.enabled () then Obs.Trace.end_ "pool/idle";
-    Obs.Span.stop m_idle t0
-  end;
-  let epoch = pool.epoch and job = pool.job and stopping = pool.stopping in
-  Mutex.unlock pool.lock;
-  if not stopping then begin
-    (match job with Some j -> drain pool j | None -> ());
-    worker_loop pool ~last_epoch:epoch
-  end
+(* The slot's holder spawns members until [seats] are live (a runtime
+   that refuses a domain leaves fewer), publishes the filled record and
+   writes one byte per sleeping member it has a seat for.  False if no
+   member is live. *)
+let post ~seats =
+  (try
+     while Atomic.get live < seats do
+       ignore (Lazy.force wakeup);
+       ignore (Domain.spawn serve);
+       Atomic.incr live
+     done
+   with _ -> ());
+  let seats = min seats (Atomic.get live) in
+  Atomic.set job.next 0;
+  Atomic.set job.pending (job.tasks + seats);
+  Atomic.set job.seats seats;
+  for _ = 1 to min seats (Atomic.get sleepers) do
+    Obs.Counter.incr m_wakeups;
+    try ignore (Unix.write_substring (snd (Lazy.force wakeup)) "!" 0 1)
+    with Unix.Unix_error _ -> ()
+  done;
+  seats > 0
 
 let create ?workers () =
   let workers =
@@ -124,75 +258,52 @@ let create ?workers () =
         w
     | None -> max 0 (Domain.recommended_domain_count () - 1)
   in
-  let pool =
-    {
-      lock = Mutex.create ();
-      work = Condition.create ();
-      finished = Condition.create ();
-      epoch = 0;
-      job = None;
-      stopping = false;
-      joined = false;
-      workers = [||];
-    }
-  in
-  pool.workers <-
-    Array.init workers (fun _ ->
-        Domain.spawn (fun () -> worker_loop pool ~last_epoch:0));
-  pool
+  { workers; stopped = Atomic.make false }
 
+(* Offer every live member a seat of no tasks and wait until all have
+   retired.  A job in flight (another domain's, or one this domain is
+   inside) keeps its members; they retire once idle. *)
 let shutdown t =
-  Mutex.lock t.lock;
-  t.stopping <- true;
-  Condition.broadcast t.work;
-  let join_now = not t.joined in
-  t.joined <- true;
-  Mutex.unlock t.lock;
-  if join_now then Array.iter Domain.join t.workers
+  if (not (Atomic.exchange t.stopped true)) && take_slot () then begin
+    job.tasks <- 0;
+    ignore (post ~seats:(Atomic.get live));
+    await job;
+    release ()
+  end
 
 let with_pool ?workers f =
   let pool = create ?workers () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
 
-let iter t run_task n =
+let reraise = function
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
+
+(* On the crew when the handle has workers and the slot is free, else
+   on the caller alone, in index order. *)
+let iter t task n =
   if n < 0 then invalid_arg "Pool.iter: negative task count";
   if n > 0 then begin
+    if Atomic.get t.stopped then invalid_arg "Pool.iter: pool has been shut down";
+    if !(Domain.DLS.get in_task) then
+      invalid_arg "Pool.iter: pool already running a task set (nested map?)";
     Obs.Counter.incr m_jobs;
     if Obs.Trace.enabled () then Obs.Trace.instant ~arg:n "pool/job";
-    let job =
-      {
-        run_task;
-        tasks = n;
-        next = Atomic.make 0;
-        pending = Atomic.make n;
-        failure = Atomic.make None;
-        submitted = Obs.Span.start ();
-      }
-    in
-    Mutex.lock t.lock;
-    if t.job <> None then begin
-      Mutex.unlock t.lock;
-      invalid_arg "Pool.iter: pool already running a task set (nested map?)"
+    let shared = t.workers > 0 && take_slot () in
+    let job = if shared then job else make_job () in
+    job.task <- task;
+    job.tasks <- n;
+    job.grid <- true;
+    job.submitted <- Obs.Span.start ();
+    if shared then ignore (post ~seats:t.workers);
+    let claimed = drain job 0 in
+    if shared then begin
+      give_back job (claimed + Atomic.exchange job.seats 0);
+      await job
     end;
-    if t.stopping then begin
-      Mutex.unlock t.lock;
-      invalid_arg "Pool.iter: pool has been shut down"
-    end;
-    t.job <- Some job;
-    t.epoch <- t.epoch + 1;
-    Condition.broadcast t.work;
-    Mutex.unlock t.lock;
-    (* The caller claims tasks too. *)
-    drain t job;
-    Mutex.lock t.lock;
-    while Atomic.get job.pending > 0 do
-      Condition.wait t.finished t.lock
-    done;
-    t.job <- None;
-    Mutex.unlock t.lock;
-    match Atomic.get job.failure with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
+    let failure = Atomic.get job.failure in
+    if shared then release ();
+    reraise failure
   end
 
 let map t f xs =
@@ -218,120 +329,6 @@ let map2_grid t ~xs ~ys ~f =
             | None -> assert false))
   end
 
-(* ------------------------------------------------------------------ *)
-(* Two-party fork-join on one process-wide helper domain.
-
-   Whoever wins the [owned] flag may post to the helper; everyone else
-   runs both thunks itself.  The owner writes [job], raises [phase] to
-   [posted], runs its own thunk and spins until the helper sets [done_]
-   — an atomic handoff on both sides, so each side's writes before it
-   are visible to the other after it.  Nothing on this path allocates:
-   the thunks are the caller's, and an exception is only boxed when one
-   is raised.
-
-   The helper outlives a single call: spawning and joining a domain per
-   one-shot solve raised the solve-cold benchmark's top heap by about a
-   third, and a spawn costs 0.5-4 ms on a 2-core VM, longer than most
-   solves.  But a live idle domain is not free either: every minor
-   collection stops all domains, a sleeping one included, and a
-   spinning one competes for the host core the caller's own work may
-   need.  So the helper spins briefly, then sleeps in [select] on a
-   pipe the owner writes a byte to, and retires when the sleep times
-   out.  Measured on a 2-core VM (noisy: repeated runs spread by
-   10-20%):
-
-   - [spin_seconds]: in solve-cold nine in ten gaps between two calls
-     are the bound check between two runs of steps (1-10 us); the rest
-     are mostly a new solve's set-up (0.1-1 ms) and refinements to a
-     large grid (1-10 ms).  Quantization now hands half of the fresh
-     grid points of each set-up and refinement to the helper
-     ([Workload]), so those gaps are cut up by [both] calls of their
-     own, and the helper idles in them mostly while plans are built.
-     A 2 ms spin slowed ext-ams --quick, whose solves sit between
-     allocation-heavy simulations, from 0.55 to 0.85 s; 100 us covers
-     the checks and cost nothing measurable.
-   - [idle_seconds]: each retirement leaves the helper's heap for
-     another domain to adopt, and solve-cold's top heap at 55 s read
-     29.4-31.3 MB with 5 ms, which retires the helper in refinement
-     gaps and between passes (4 runs, 12-16 passes), against
-     28.2-30.6 MB with 0.5 s (10 runs, 15-19 passes) and 24.9-26.1 MB
-     without a helper.  Half a second outlasts the benchmark's set-up
-     between passes (0.25 s).  The price is a parked helper for up to
-     that long after a process's last solve: ext-ams --quick read
-     0.64 s against 0.55 s without a helper, and solve-cold's set-up
-     0.121 s against 0.113 s.  The next [both] after a retirement
-     joins the retired domain and spawns a fresh one. *)
-
-let spin_seconds = 1e-4
-let idle_seconds = 0.5
-let multicore = Domain.recommended_domain_count () > 1
-let owned = Atomic.make false
-let empty = 0
-let posted = 1
-let done_ = 2
-let phase = Atomic.make empty
-let sleeping = Atomic.make false
-let noop () = ()
-let job = ref noop
-let failure : (exn * Printexc.raw_backtrace) option ref = ref None
-
-(* The owner writes a byte here when it posts to a sleeping helper. *)
-let wakeup = lazy (Unix.pipe ~cloexec:true ())
-
-(* The helper domain, alive or retired and awaiting its join; read and
-   written only by the owner. *)
-let helper : unit Domain.t option ref = ref None
-let helper_alive = ref false
-
-(* Sleep until a byte arrives or [idle_seconds] pass; true on a byte.
-   Setting [sleeping] before the last look at [phase] (and the owner
-   posting before it looks at [sleeping]) means a post is never missed:
-   at worst a stray byte cuts the next sleep short.  A failing [select]
-   (say, a descriptor past its limit) counts as a timeout, so the
-   helper retires rather than leaving an owner waiting on it. *)
-let sleep_for_job () =
-  Atomic.set sleeping true;
-  let woken =
-    Atomic.get phase = posted
-    ||
-    let r, _ = Lazy.force wakeup in
-    match Unix.select [ r ] [] [] idle_seconds with
-    | [], _, _ -> false
-    | _ ->
-        ignore (Unix.read r (Bytes.create 64) 0 64);
-        true
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
-    | exception Unix.Unix_error _ -> false
-  in
-  Atomic.set sleeping false;
-  woken
-
-(* Wait for a posted job; false once the helper has retired.  Retiring
-   takes [owned] first, so no owner can be posting at that moment. *)
-let rec await_job () =
-  let t0 = Unix.gettimeofday () in
-  while
-    Atomic.get phase <> posted && Unix.gettimeofday () -. t0 < spin_seconds
-  do
-    Domain.cpu_relax ()
-  done;
-  if Atomic.get phase = posted then true
-  else if sleep_for_job () then await_job ()
-  else if Atomic.compare_and_set owned false true then begin
-    helper_alive := false;
-    Atomic.set owned false;
-    false
-  end
-  else await_job ()
-
-let rec serve () =
-  if await_job () then begin
-    (try !job ()
-     with e -> failure := Some (e, Printexc.get_raw_backtrace ()));
-    Atomic.set phase done_;
-    serve ()
-  end
-
 let sequentially f g =
   match f () with
   | () -> g ()
@@ -340,53 +337,38 @@ let sequentially f g =
       g ();
       Printexc.raise_with_backtrace e bt
 
-(* Spawn a helper if none is alive; false if the runtime refuses. *)
-let ensure_helper () =
-  !helper_alive
-  ||
-  (Option.iter (fun d -> try Domain.join d with _ -> ()) !helper;
-   helper := None;
-   match
-     ignore (Lazy.force wakeup);
-     Domain.spawn serve
-   with
-   | d ->
-       helper := Some d;
-       helper_alive := true;
-       true
-   | exception _ -> false)
+(* [g] is the one task of a one-seat job and [f] runs on the caller,
+   which keeps the floor chain on the caller's scratch.  Nothing here
+   allocates: the record is reused and [run_pair] is one closure. *)
+let run_pair (_ : int) = job.pair ()
 
 let both f g =
-  if
-    (not multicore)
-    || !(Domain.DLS.get in_task)
-    || not (Atomic.compare_and_set owned false true)
-  then sequentially f g
-  else if not (ensure_helper ()) then begin
-    Atomic.set owned false;
+  if (not multicore) || !(Domain.DLS.get in_task) || not (take_slot ()) then
     sequentially f g
-  end
   else begin
-    job := g;
-    Atomic.set phase posted;
-    if Atomic.get sleeping then begin
-      Obs.Counter.incr m_helper_wakeups;
-      ignore (Unix.write_substring (snd (Lazy.force wakeup)) "!" 0 1)
-    end;
-    let mine =
-      match f () with
-      | () -> None
-      | exception e -> Some (e, Printexc.get_raw_backtrace ())
-    in
-    while Atomic.get phase <> done_ do
-      Domain.cpu_relax ()
-    done;
-    Atomic.set phase empty;
-    let theirs = !failure in
-    failure := None;
-    job := noop;
-    Atomic.set owned false;
-    match (mine, theirs) with
-    | Some (e, bt), _ | None, Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None, None -> ()
+    job.task <- run_pair;
+    job.pair <- g;
+    job.tasks <- 1;
+    job.grid <- false;
+    if not (post ~seats:1) then begin
+      release ();
+      sequentially f g
+    end
+    else begin
+      let mine =
+        match f () with
+        | () -> None
+        | exception e -> Some (e, Printexc.get_raw_backtrace ())
+      in
+      (* Spin, unlike [iter]'s caller: [g] is one half of a split, and
+         waking the caller from [finished] as well as the member from
+         its sleep doubled the p50 of a [both] that found its member
+         asleep (110 to 220 us on a 2-core VM). *)
+      while Atomic.get job.pending > 0 do
+        Domain.cpu_relax ()
+      done;
+      let theirs = Atomic.get job.failure in
+      release ();
+      match mine with None -> reraise theirs | Some _ -> reraise mine
+    end
   end

@@ -1,13 +1,19 @@
-(** A fixed pool of worker domains that share one claim counter, for
-    embarrassingly parallel index-tagged task sets.
+(** Index-tagged task sets and two-party fork-join on one process-wide
+    crew of worker domains.
 
     The experiment layer evaluates grids of independent solver / simulator
-    cells; this pool spreads those cells across [Domain.recommended_domain_count
-    () - 1] worker domains (plus the calling domain, which participates) while
-    keeping the results deterministic: every task writes into a pre-sized
-    result slot identified by its index, so the output never depends on the
-    scheduling order.  Only the OCaml standard library is used ([Domain],
-    [Mutex], [Condition], [Atomic]) — no domainslib dependency.
+    cells; a pool handle spreads those cells across up to [workers] crew
+    domains (plus the calling domain, which participates) while keeping
+    the results deterministic: every task writes into a pre-sized result
+    slot identified by its index, so the output never depends on the
+    scheduling order.  Only the standard library and [Unix] are used — no
+    domainslib dependency.
+
+    The crew serves {!iter} and {!both} alike, one job at a time; a job
+    that finds another in flight runs on its caller alone.  A member is
+    spawned by the first job that needs it, spins briefly after each job,
+    then sleeps, and retires after half a second without one: every minor
+    collection stops idle domains too.
 
     Scheduling: every participant, workers and caller alike, claims the
     next task index from one shared atomic counter until the indices run
@@ -29,18 +35,18 @@
 type t
 
 val create : ?workers:int -> unit -> t
-(** Spawns [workers] worker domains (default
-    [Domain.recommended_domain_count () - 1], at least 0).  With 0 workers the
-    pool is still valid: every task runs in the calling domain, in index
-    order.  @raise Invalid_argument if [workers < 0]. *)
+(** A handle whose task sets use up to [workers] crew members (default
+    [Domain.recommended_domain_count () - 1], at least 0); it spawns
+    nothing.  With 0 workers every task runs in the calling domain, in
+    index order.  @raise Invalid_argument if [workers < 0]. *)
 
 val parallelism : t -> int
 (** Number of participating domains: workers plus the calling domain. *)
 
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map pool f xs] evaluates [f xs.(i)] for every [i] across the pool and
-    returns the results in index order.  Nested use (calling [map] from
-    inside a task of the same pool) raises [Invalid_argument]. *)
+    returns the results in index order.  Calling [map] from inside a task
+    of any pool, or after {!shutdown}, raises [Invalid_argument]. *)
 
 val map2_grid :
   t -> xs:'a array -> ys:'b array -> f:('a -> 'b -> 'c) -> 'c array array
@@ -55,30 +61,29 @@ val iter : t -> (int -> unit) -> int -> unit
     into their own pre-sized buffers. *)
 
 val shutdown : t -> unit
-(** Signals the workers to exit and joins their domains.  Idempotent.  The
-    pool must be idle (no [map] in flight). *)
+(** Retires the crew members parked at that moment and waits until they
+    have, so none records telemetry afterwards; members busy with another
+    job retire once idle.  Idempotent.  The pool must be idle (no [map]
+    in flight). *)
 
 val with_pool : ?workers:int -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] with a fresh pool and always shuts it down. *)
 
 val both : (unit -> unit) -> (unit -> unit) -> unit
-(** [both f g] runs [f] on the calling domain and [g] on a helper
-    domain at the same time, and returns once both are done: two-party
+(** [both f g] runs [f] on the calling domain and [g] on a crew member
+    at the same time, and returns once both are done: two-party
     fork-join for work that splits into two independent halves.  It has
     two callers: the solver's floor and ceiling chains between bound
     checks, and workload quantization, which deals a grid's points
-    between the two thunks.  The helper is one process-wide domain,
-    spawned by the first call that needs it; it spins briefly after each
-    job, then sleeps, and exits after half a second without a job, so a
-    process that stops calling [both] soon stops paying for it.  The
-    next call spawns a fresh helper.  [both] itself allocates nothing
-    once the helper is up.
+    between the two thunks.  [g] runs on a parked crew member, the same
+    members a pool's tasks run on, spawned if none is live.  [both]
+    itself allocates nothing once a member is up.
 
     [both] runs [f] then [g] on the calling domain instead when the
     machine has one core ([Domain.recommended_domain_count () = 1]),
     when the caller is running a pool task (a grid's parallelism is the
-    pool's), or when the helper is busy: a nested [both] from either
-    thunk, or a call from another domain while one is in flight.
+    pool's), or when another job holds the crew: a nested [both] from
+    either thunk, or a call from another domain while a job is in flight.
 
     Either way both thunks run to completion.  If one raises, its
     exception is re-raised (with its backtrace) once the other has

@@ -579,6 +579,57 @@ let test_scheduled_trace_levels_balance () =
         (count "solver/level" Trace.End d))
     domains
 
+(* A traced -j 2 run: every pool/idle slice a crew member opens, it
+   closes, whether the member retires on its own after the idle period
+   or at the context's teardown. *)
+let test_pool_idle_balance () =
+  let module Trace = Lrd_obs.Obs.Trace in
+  let ctx = Lazy.force ctx in
+  let scalings, buffers = quick_fig12_axes () in
+  let run () =
+    let jobs2 = Data.create ~jobs:2 ~quick:true () in
+    Fun.protect
+      ~finally:(fun () -> Data.teardown jobs2)
+      (fun () ->
+        ignore
+          (Sweep.scheduled_surface ?pool:(Data.pool jobs2) ~xs:scalings
+             ~ys:buffers
+             ~state:(fun a b -> fig12_cell ctx a ~buffer_seconds:b)
+             ()))
+  in
+  Trace.reset ();
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Trace.set_enabled false)
+    (fun () ->
+      run ();
+      Lrd_parallel.Pool.both ignore ignore;
+      Unix.sleepf 0.8;
+      run ());
+  let events = Trace.events () in
+  Trace.reset ();
+  Alcotest.(check int) "no events dropped" 0 (Trace.dropped ());
+  let count phase domain =
+    List.length
+      (List.filter
+         (fun (e : Trace.event) ->
+           e.Trace.name = "pool/idle" && e.Trace.phase = phase
+           && e.Trace.domain = domain)
+         events)
+  in
+  let domains =
+    List.sort_uniq compare
+      (List.map (fun (e : Trace.event) -> e.Trace.domain) events)
+  in
+  Alcotest.(check bool) "idle traced" true
+    (List.exists (fun d -> count Trace.Begin d > 0) domains);
+  List.iter
+    (fun d ->
+      Alcotest.(check int)
+        (Printf.sprintf "pool/idle B = E on domain %d" d)
+        (count Trace.Begin d) (count Trace.End d))
+    domains
+
 (* ------------------------------------------------------------------ *)
 (* fig11_scale: superposition at production scale *)
 
@@ -691,6 +742,8 @@ let () =
             test_scheduled_opens_rows_last_first;
           Alcotest.test_case "traced levels balance per domain" `Slow
             test_scheduled_trace_levels_balance;
+          Alcotest.test_case "pool idle slices balance per domain" `Slow
+            test_pool_idle_balance;
         ] );
       ( "fig11_scale",
         [

@@ -121,7 +121,7 @@ let test_waiting_task_does_not_strand_the_rest () =
         n)
 
 (* ------------------------------------------------------------------ *)
-(* Pool.both: two-party fork-join on the helper domain *)
+(* Pool.both: two-party fork-join on a crew member *)
 
 let multicore = Domain.recommended_domain_count () > 1
 let self () = (Domain.self () :> int)
@@ -136,7 +136,7 @@ let test_both_runs_both () =
   let f_on, g_on = both_on () in
   Alcotest.(check int) "f on the caller" (self ()) f_on;
   Alcotest.(check bool)
-    "g on the helper (on the caller with one core)" multicore
+    "g on a crew member (on the caller with one core)" multicore
     (g_on <> self ())
 
 (* Each side's exception surfaces only after the other side finished;
@@ -168,7 +168,7 @@ let test_both_reraises () =
       g_done := true;
       raise (Boom 4))
     ~raised:3 g_done;
-  (* The helper survives its job's exception. *)
+  (* The member survives its job's exception. *)
   let f_on, _ = both_on () in
   Alcotest.(check int) "usable afterwards" (self ()) f_on
 
@@ -190,7 +190,7 @@ let test_both_sequential_cases () =
       helper := self ();
       inner := both_on ());
   check_on "nested in the helper's thunk" !helper !inner;
-  (* From another domain while this one holds the helper. *)
+  (* From another domain while this one holds the crew. *)
   let other = ref (-1, (-1, -1)) in
   Pool.both
     (fun () ->
@@ -198,23 +198,99 @@ let test_both_sequential_cases () =
     ignore;
   check_on "helper busy" (fst !other) (snd !other)
 
-let test_helper_retires_and_respawns () =
+(* The domains other than this one that ran [pool]'s tasks: sixteen
+   tasks of 2 ms, so a member that is up takes some. *)
+let task_domains pool =
+  let ran = Array.make 16 (-1) in
+  Pool.iter pool
+    (fun i ->
+      ran.(i) <- self ();
+      Unix.sleepf 0.002)
+    16;
+  List.filter (fun d -> d <> self ()) (List.sort_uniq compare (Array.to_list ran))
+
+(* Retire every parked member, so the next job spawns the only one. *)
+let retire_crew () = Pool.shutdown (Pool.create ())
+
+(* A host that stalls this domain past the idle period between two jobs
+   retires a member legitimately, so the checks that a member is kept
+   allow a few tries. *)
+let within_tries check = check () || check () || check ()
+
+let test_crew_retires_and_respawns () =
   if multicore then begin
-    (* A host that stalls this domain past the idle period between two
-       calls retires the helper legitimately, so allow a few tries. *)
+    retire_crew ();
+    let pool = Pool.create ~workers:1 () in
     let kept () =
       let _, h1 = both_on () in
       let _, h2 = both_on () in
-      h1 = h2
+      h1 = h2 && task_domains pool = [ h1 ]
     in
-    Alcotest.(check bool) "kept between back-to-back calls" true
-      (kept () || kept () || kept ());
+    Alcotest.(check bool) "kept between jobs of both kinds" true
+      (within_tries kept);
     let _, h1 = both_on () in
-    (* Twice the idle period: the helper has exited. *)
+    (* Twice the idle period: the member has exited. *)
     Unix.sleepf 1.0;
     let _, h3 = both_on () in
-    Alcotest.(check bool) "a fresh helper" true (h3 <> h1 && h3 <> self ())
+    Alcotest.(check bool) "a fresh member for both" true
+      (h3 <> h1 && h3 <> self ());
+    Unix.sleepf 1.0;
+    let fresh () =
+      let ran = task_domains pool in
+      ran <> [] && not (List.mem h3 ran)
+    in
+    Alcotest.(check bool) "a fresh member for iter" true (within_tries fresh);
+    Pool.shutdown pool
   end
+
+(* One crew: [g] runs on the member that ran the pool's tasks, never
+   on a third domain. *)
+let test_both_borrows_a_pool_worker () =
+  if multicore then begin
+    let borrows () =
+      retire_crew ();
+      Pool.with_pool ~workers:1 (fun pool ->
+          let ran = task_domains pool in
+          let _, g_on = both_on () in
+          ran <> [] && List.mem g_on ran)
+    in
+    Alcotest.(check bool) "g on the pool's worker" true (within_tries borrows)
+  end
+
+(* [shutdown] retires the parked members at once: the next job spawns
+   a fresh one instead of finding the old one, well inside the idle
+   period. *)
+let test_shutdown_retires_parked_workers () =
+  if multicore then begin
+    let fresh () =
+      let _, h1 = both_on () in
+      let t0 = Unix.gettimeofday () in
+      Pool.with_pool ~workers:1 ignore;
+      let _, h2 = both_on () in
+      h2 <> h1 && h2 <> self () && Unix.gettimeofday () -. t0 < 0.25
+    in
+    Alcotest.(check bool) "a fresh member after shutdown" true
+      (within_tries fresh)
+  end
+
+(* With the crew held by this domain's own [both], a pool's task set
+   runs on the caller alone, in index order. *)
+let test_taken_slot_runs_iter_alone () =
+  if multicore then
+    Pool.with_pool ~workers:2 (fun pool ->
+        let order = ref [] in
+        Pool.both
+          (fun () ->
+            Pool.iter pool
+              (fun i ->
+                order := (i, self ()) :: !order;
+                Unix.sleepf 0.001)
+              16)
+          ignore;
+        Alcotest.(check (list (pair int int)))
+          "index order on the caller"
+          (List.init 16 (fun i -> (i, self ())))
+          (List.rev !order))
 
 (* The handoff allocates nothing: neither [both] itself nor the
    solver's per-check-period use of it.  A solve held at one grid (no
@@ -548,6 +624,8 @@ let () =
             test_waiting_task_does_not_strand_the_rest;
           Alcotest.test_case "shutdown" `Quick
             test_shutdown_idempotent_and_final;
+          Alcotest.test_case "a taken slot runs iter on its caller in index order"
+            `Quick test_taken_slot_runs_iter_alone;
         ] );
       ( "both",
         [
@@ -556,8 +634,13 @@ let () =
             test_both_reraises;
           Alcotest.test_case "sequential cases" `Quick
             test_both_sequential_cases;
-          Alcotest.test_case "helper retires and respawns" `Quick
-            test_helper_retires_and_respawns;
+          Alcotest.test_case "crew retires and respawns" `Quick
+            test_crew_retires_and_respawns;
+          Alcotest.test_case "both borrows a pool's worker" `Quick
+            test_both_borrows_a_pool_worker;
+          Alcotest.test_case "shutdown retires parked workers" `Quick
+            test_shutdown_retires_parked_workers;
+
           Alcotest.test_case "handoff allocates nothing" `Quick
             test_handoff_allocates_nothing;
         ] );
