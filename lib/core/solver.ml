@@ -4,7 +4,6 @@ type params = {
   tolerance : float;
   negligible_loss : float;
   max_iterations : int;
-  check_every : int;
   stall_factor : float;
   warm_restart : bool;
 }
@@ -16,7 +15,6 @@ let default_params =
     tolerance = 0.2;
     negligible_loss = 1e-10;
     max_iterations = 200_000;
-    check_every = 16;
     stall_factor = 0.02;
     warm_restart = true;
   }
@@ -270,20 +268,24 @@ module Workspace = struct
 
   let losses t ~norm = (loss_of t ~norm t.lower.q, loss_of t ~norm t.upper.q)
 
-  (* Doubling the grid: old point j d sits exactly at new point 2j (d/2),
-     so re-quantization is an exact re-indexing and both chains keep
-     their bound property (Proposition II.1 (v) plus footnote 3). *)
-  let refine_from ~src dst =
-    if dst.m <> 2 * src.m then
-      invalid_arg "Solver.Workspace.refine_from: dst must have twice the bins";
-    Bigarray.Array1.fill dst.lower.q 0.0;
-    Bigarray.Array1.fill dst.upper.q 0.0;
-    for j = 0 to src.m do
-      Bigarray.Array1.set dst.lower.q (2 * j)
-        (Bigarray.Array1.get src.lower.q j);
-      Bigarray.Array1.set dst.upper.q (2 * j)
-        (Bigarray.Array1.get src.upper.q j)
-    done
+  (* Adopt [src]'s chains as [dst]'s initial state.  Old point j d
+     sits exactly at new point (stride j) (d / stride): stride 1 is a
+     seed on the same grid, stride 2 footnote 3's doubling, where the
+     re-indexing keeps both chains' bound property (Proposition II.1
+     (v)).  Both are exact copies. *)
+  let load ~src dst =
+    let stride = dst.m / src.m in
+    if (stride <> 1 && stride <> 2) || dst.m <> stride * src.m then
+      invalid_arg
+        "Solver.Workspace.load: dst must have the same or twice the bins";
+    let copy (s : vec) (d : vec) =
+      Bigarray.Array1.fill d 0.0;
+      for j = 0 to src.m do
+        Bigarray.Array1.set d (stride * j) (Bigarray.Array1.get s j)
+      done
+    in
+    copy src.lower.q dst.lower.q;
+    copy src.upper.q dst.upper.q
 end
 
 type occupancy = {
@@ -343,19 +345,17 @@ let mean_virtual_delay occ ~service_rate =
   (lo /. service_rate, hi /. service_rate)
 
 (* ------------------------------------------------------------------ *)
-(* Resumable solver state.
+(* The solve loop.
 
-   [State] is the solve loop turned inside out: the same iterate /
-   check / refine sequence as the classic [solve], but driven by
-   [advance ~iterations] slices, so a caller can create a cell, seed it
-   from a neighbour ([seed_from]) and then run it, and a suspended cell
-   resumes bitwise-identically to an uninterrupted run.  The invariant
-   that makes slicing exact: bounds are evaluated after every
-   [check_every]-th chain step (or at the iteration budget), regardless
-   of how the steps were grouped into [advance] calls, so the sequence
-   of (step, check, refine) events is a function of the total iteration
-   count only.  [solve] itself is implemented on top of [State], which
-   makes the equivalence hold by construction. *)
+   [State] is Proposition II.1's loop with its variables in a record,
+   so a caller can create a cell, seed it from a neighbour
+   ([seed_from]) and then [run] it: step both chains [check_every]
+   times, check the bounds, refine the grid when both have stalled,
+   until a check finishes the solve.  [solve] is [create] + [run]. *)
+
+(* Bounds are checked after every [check_every]-th chain step and at
+   the iteration budget. *)
+let check_every = 16
 
 module State = struct
   type t = {
@@ -364,18 +364,19 @@ module State = struct
     norm : float;
     buffer : float;
     trivial : (result * occupancy) option;
-    mutable ws : Workspace.t option;  (* built lazily on first advance *)
+    t0 : float;  (* [Obs.Span.start] at create *)
+    w0 : float;  (* [Resource.Alloc.start] at create *)
+    mutable ws : Workspace.t option;  (* the current level, once built *)
     mutable iterations : int;
     mutable refinements : int;
-    mutable since_check : int;  (* chain steps since the last check *)
     mutable prev_lower : float;  (* bounds at the previous check (nan *)
-    mutable prev_upper : float;  (* right after create / refine) *)
+    mutable prev_upper : float;  (* on a fresh level) *)
     mutable lower : float;  (* bounds at the latest check; nan before *)
     mutable upper : float;  (* the first one *)
     mutable finished : bool;
     mutable converged : bool;
     mutable warm_started : bool;
-    mutable batch : int;  (* steps of the current run between checks *)
+    mutable batch : int;  (* steps of the current check period *)
     floor_run : unit -> unit;  (* [batch] steps of one chain; built once *)
     ceiling_run : unit -> unit;  (* so a check period allocates nothing *)
   }
@@ -389,11 +390,24 @@ module State = struct
         done
     | None -> ()
 
+  (* A solve is one [solver/solve] slice and one sample of
+     [solver/solve_seconds] and [solver/solve_minor_words], from
+     [create] to the check that finishes it, so quantization, plan
+     building, seeding and refinement all count; a trivial cell
+     finishes in [create]. *)
+  let close_solve t =
+    if Obs.Trace.enabled () then Obs.Trace.end_ "solver/solve";
+    Obs.Span.stop m_solve_span t.t0;
+    Resource.Alloc.stop m_solve_alloc t.w0
+
   let create ?(params = default_params) ?cache model ~service_rate ~buffer =
     if not (service_rate > 0.0) then
       invalid_arg "Solver.solve: service rate must be positive";
     if not (buffer >= 0.0) then
       invalid_arg "Solver.solve: buffer must be nonnegative";
+    let w0 = Resource.Alloc.start () in
+    let t0 = Obs.Span.start () in
+    if Obs.Trace.enabled () then Obs.Trace.begin_ "solver/solve";
     Obs.Counter.incr m_solves;
     (* The grid memo is this state's own: every grid refinement
        re-evaluates the survival functions on a superset of the coarser
@@ -448,22 +462,24 @@ module State = struct
         norm;
         buffer;
         trivial;
+        t0;
+        w0;
         ws = None;
-      iterations = 0;
-      refinements = 0;
-      since_check = 0;
-      prev_lower = Float.nan;
-      prev_upper = Float.nan;
-      lower = Float.nan;
-      upper = Float.nan;
-      finished = trivial <> None;
-      converged = trivial <> None;
-      warm_started = false;
-      batch = 0;
-      floor_run = (fun () -> run_chain t (fun ws -> ws.Workspace.lower));
-      ceiling_run = (fun () -> run_chain t (fun ws -> ws.Workspace.upper));
-    }
+        iterations = 0;
+        refinements = 0;
+        prev_lower = Float.nan;
+        prev_upper = Float.nan;
+        lower = Float.nan;
+        upper = Float.nan;
+        finished = trivial <> None;
+        converged = trivial <> None;
+        warm_started = false;
+        batch = 0;
+        floor_run = (fun () -> run_chain t (fun ws -> ws.Workspace.lower));
+        ceiling_run = (fun () -> run_chain t (fun ws -> ws.Workspace.upper));
+      }
     in
+    if t.finished then close_solve t;
     t
 
   let create_utilization ?params ?cache model ~utilization ~buffer_seconds =
@@ -471,11 +487,7 @@ module State = struct
     create ?params ?cache model ~service_rate:c
       ~buffer:(buffer_seconds *. c)
 
-  let finished t = t.finished
-  let converged t = t.converged
   let iterations t = t.iterations
-  let refinements t = t.refinements
-  let warm_started t = t.warm_started
 
   let bins t =
     match t.trivial with
@@ -485,30 +497,32 @@ module State = struct
         | Some ws -> Workspace.bins ws
         | None -> t.params.initial_bins)
 
-  let ensure_ws t =
-    match t.ws with
-    | Some ws -> ws
-    | None ->
-        let ws =
-          Workspace.make t.workload ~buffer:t.buffer ~m:t.params.initial_bins
-        in
-        (* Trace granularity mirrors the metric granularity: one slice
-           per resolution level plus refinement instants — never per
-           check period, which would flood the ring on 200k-iteration
-           solves. *)
-        if Obs.Trace.enabled () then
-          Obs.Trace.begin_ ~arg:t.params.initial_bins "solver/level";
-        t.ws <- Some ws;
-        ws
+  (* Every resolution level, the first, a refinement's and a seed's,
+     starts here: close the current level's [solver/level] slice, if
+     any, open [ws]'s, and start its bound history afresh.  Trace
+     granularity mirrors the metric granularity: one slice per level
+     plus refinement instants, never one per check period, which would
+     flood the ring on 200k-iteration solves. *)
+  let enter t ws =
+    if Obs.Trace.enabled () then begin
+      Option.iter
+        (fun w -> Obs.Trace.end_ ~arg:(Workspace.bins w) "solver/level")
+        t.ws;
+      Obs.Trace.begin_ ~arg:(Workspace.bins ws) "solver/level"
+    end;
+    t.ws <- Some ws;
+    t.prev_lower <- Float.nan;
+    t.prev_upper <- Float.nan
 
-  let finish t ~converged ~lo ~hi =
+  let finish t ws ~converged ~lo ~hi =
     if Obs.Trace.enabled () then
-      Obs.Trace.end_ ~arg:(bins t) "solver/level";
+      Obs.Trace.end_ ~arg:(Workspace.bins ws) "solver/level";
     if not converged then Obs.Counter.incr m_budget_exhausted;
     t.lower <- lo;
     t.upper <- hi;
     t.finished <- true;
-    t.converged <- converged
+    t.converged <- converged;
+    close_solve t
 
   (* The losses of an empty and of a full buffer: the cold chains'
      starting points, certified bounds on any cell.  What a warm start
@@ -531,12 +545,11 @@ module State = struct
         f "n=%d m=%d lower=%.4g upper=%.4g" t.iterations (Workspace.bins ws)
           lo hi);
     if Obs.enabled () then begin
-      Obs.Counter.add m_iterations t.since_check;
+      Obs.Counter.add m_iterations t.batch;
       let rel = if mid > 0.0 then gap /. mid else 0.0 in
       Obs.Trajectory.record m_gap_trajectory rel;
       Obs.Gauge.set m_last_gap rel
     end;
-    t.since_check <- 0;
     (* A warm-started chain approaches its stationary value from an
        arbitrary side, so a transiently narrow gap (or transiently tiny
        upper bound) proves nothing.  Accept a convergence criterion only
@@ -553,12 +566,12 @@ module State = struct
     t.lower <- lo;
     t.upper <- hi;
     if hi < t.params.negligible_loss && settled then
-      finish t ~converged:true ~lo ~hi
+      finish t ws ~converged:true ~lo ~hi
     else if gap <= t.params.tolerance *. mid && settled then
-      finish t ~converged:true ~lo ~hi
+      finish t ws ~converged:true ~lo ~hi
     else if t.iterations >= t.params.max_iterations then
       let lo, hi = if settled then (lo, hi) else cold_extremes t ws in
-      finish t ~converged:false ~lo ~hi
+      finish t ws ~converged:false ~lo ~hi
     else begin
       (* Refine only when BOTH chains have individually plateaued:
          while a chain is still mixing toward its stationary value
@@ -575,70 +588,42 @@ module State = struct
           Log.debug (fun f -> f "refining grid to m=%d" (m * 2));
           let next = Workspace.make t.workload ~buffer:t.buffer ~m:(m * 2) in
           Obs.Counter.incr m_refinements;
-          if Obs.Trace.enabled () then begin
-            Obs.Trace.end_ ~arg:m "solver/level";
-            Obs.Trace.instant ~arg:(m * 2) "solver/refine"
-          end;
+          if Obs.Trace.enabled () then
+            Obs.Trace.instant ~arg:(m * 2) "solver/refine";
           if t.params.warm_restart then begin
             Obs.Counter.incr m_warm_restarts;
             if Obs.Trace.enabled () then
               Obs.Trace.instant ~arg:(m * 2) "solver/warm_restart";
-            Workspace.refine_from ~src:ws next
+            Workspace.load ~src:ws next
           end;
-          if Obs.Trace.enabled () then
-            Obs.Trace.begin_ ~arg:(m * 2) "solver/level";
-          t.ws <- Some next;
-          t.refinements <- t.refinements + 1;
-          t.prev_lower <- Float.nan;
-          t.prev_upper <- Float.nan
+          enter t next;
+          t.refinements <- t.refinements + 1
         end
         else
           (* Both chains have plateaued at the finest allowed grid:
              further iteration cannot close the gap.  Return the
              certified (if loose) bounds rather than burning the
              whole iteration budget at the most expensive level. *)
-          finish t ~converged:false ~lo ~hi
+          finish t ws ~converged:false ~lo ~hi
       end
     end
 
-  let advance t ~iterations:n =
-    if n < 0 then
-      invalid_arg "Solver.State.advance: iterations must be nonnegative";
-    if t.trivial = None && not t.finished then begin
-      let ws = ref (ensure_ws t) in
-      let remaining = ref n in
-      while !remaining > 0 && not t.finished do
-        (* Next event boundary: the end of the current check period or
-           the iteration budget, whichever comes first.  Both exceed
-           the current position while the state is unfinished, so
-           [steps >= 1] and the loop always progresses. *)
-        let to_check = t.params.check_every - t.since_check in
-        let to_budget = t.params.max_iterations - t.iterations in
-        let steps = min (min to_check to_budget) !remaining in
+  let run t =
+    if not t.finished then begin
+      if t.ws = None then
+        enter t
+          (Workspace.make t.workload ~buffer:t.buffer ~m:t.params.initial_bins);
+      while not t.finished do
         (* The chains do not read each other between checks: the floor
            chain steps here, the ceiling chain on a crew domain when
            the crew is free, each in its own order, so the bits do not
            depend on where they ran. *)
-        t.batch <- steps;
+        t.batch <- min check_every (t.params.max_iterations - t.iterations);
         Lrd_parallel.Pool.both t.floor_run t.ceiling_run;
-        t.iterations <- t.iterations + steps;
-        t.since_check <- t.since_check + steps;
-        remaining := !remaining - steps;
-        if
-          t.since_check >= t.params.check_every
-          || t.iterations >= t.params.max_iterations
-        then begin
-          check t !ws;
-          (* [check] may have refined onto a new workspace. *)
-          match t.ws with Some w -> ws := w | None -> ()
-        end
+        t.iterations <- t.iterations + t.batch;
+        check t (Option.get t.ws)
       done
     end
-
-  let run t =
-    while not t.finished do
-      advance t ~iterations:t.params.check_every
-    done
 
   (* A seed is accepted when the neighbour's buffer agrees within this
      relative tolerance.  The pmfs are only an initial condition — the
@@ -669,25 +654,9 @@ module State = struct
                  *. Float.max (Float.abs t.buffer) (Float.abs src.buffer)
            && Workspace.bins sws <= t.params.max_bins ->
         let m = Workspace.bins sws in
-        let ws =
-          match t.ws with
-          | Some w when Workspace.bins w = m -> w
-          | opened ->
-              (* The seeded level opens its [solver/level] slice here,
-                 as [ensure_ws] would, closing one an empty [advance]
-                 may have opened. *)
-              if Obs.Trace.enabled () then begin
-                Option.iter
-                  (fun w ->
-                    Obs.Trace.end_ ~arg:(Workspace.bins w) "solver/level")
-                  opened;
-                Obs.Trace.begin_ ~arg:m "solver/level"
-              end;
-              Workspace.make t.workload ~buffer:t.buffer ~m
-        in
-        Bigarray.Array1.blit sws.Workspace.lower.q ws.Workspace.lower.q;
-        Bigarray.Array1.blit sws.Workspace.upper.q ws.Workspace.upper.q;
-        t.ws <- Some ws;
+        let ws = Workspace.make t.workload ~buffer:t.buffer ~m in
+        Workspace.load ~src:sws ws;
+        enter t ws;
         t.warm_started <- true;
         (* Evaluate the seeded pmfs under THIS cell's workload as the
            "previous check": a genuine point of the new chain at step
@@ -735,24 +704,10 @@ module State = struct
         (result t, occ)
 end
 
-let solve_detailed_impl ?params ?cache model ~service_rate ~buffer =
-  let st =
-    State.create ?params ?cache model ~service_rate ~buffer in
+let solve_detailed ?params ?cache model ~service_rate ~buffer =
+  let st = State.create ?params ?cache model ~service_rate ~buffer in
   State.run st;
   State.detailed st
-
-let solve_detailed ?params ?cache model ~service_rate ~buffer =
-  (* Minor-word attribution brackets the whole solve (plan building,
-     state setup, refinement) — the per-step path itself stays
-     allocation-free, so this counter is dominated by setup and is the
-     number `lrd serve` will watch per request. *)
-  let w0 = Resource.Alloc.start () in
-  Fun.protect
-    ~finally:(fun () -> Resource.Alloc.stop m_solve_alloc w0)
-    (fun () ->
-      Obs.Span.time m_solve_span (fun () ->
-          Obs.Trace.with_span "solver/solve" (fun () ->
-              solve_detailed_impl ?params ?cache model ~service_rate ~buffer)))
 
 let solve ?params ?cache model ~service_rate ~buffer =
   fst (solve_detailed ?params ?cache model ~service_rate ~buffer)

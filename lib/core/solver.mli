@@ -34,8 +34,9 @@ type params = {
   negligible_loss : float;
       (** Report zero loss when the upper bound drops below this
           (default 1e-10, the paper's threshold). *)
-  max_iterations : int;  (** Total iteration budget (default 200000). *)
-  check_every : int;  (** Bound evaluation period (default 16). *)
+  max_iterations : int;
+      (** Total iteration budget (default 200000).  The bounds are
+          checked every 16 chain steps and at the budget. *)
   stall_factor : float;
       (** Refine the grid when a check period moves {e both} bounds by
           less than this relative fraction (default 0.02) — i.e. both
@@ -88,32 +89,17 @@ module Workspace : sig
   (** Builds the workspace for an [m]-bin grid with the chains at their
       initial states (floor chain empty, ceiling chain full). *)
 
-  val bins : t -> int
-  (** The grid resolution [m]. *)
-
-  val grid_step : t -> float
-  (** The grid spacing [d = buffer / m]. *)
-
   val step : t -> unit
   (** One Lindley step (eqs. 19-20) for BOTH chains: a real-input FFT
       convolution per chain (each one half-size complex transform in,
       one out) followed by the boundary fold.  Performs no heap
       allocation. *)
 
-  val losses : t -> norm:float -> float * float
-  (** Current [(lower, upper)] loss-rate bounds (eq. 23). *)
-
   val lower_pmf : t -> float array
   (** Copy of the floor-chain occupancy pmf (length [m + 1]). *)
 
   val upper_pmf : t -> float array
   (** Copy of the ceiling-chain occupancy pmf. *)
-
-  val refine_from : src:t -> t -> unit
-  (** [refine_from ~src dst] seeds [dst]'s chains from [src]'s on a
-      doubled grid (footnote 3's warm restart: old point [j d] is new
-      point [2 j (d/2)], an exact re-indexing).
-      @raise Invalid_argument unless [dst] has exactly twice the bins. *)
 end
 (** The solver's engine, exposed for benchmarks and for tests that pin
     the zero-allocation steady-state invariant with [Gc.minor_words]. *)
@@ -149,24 +135,22 @@ val mean_virtual_delay : occupancy -> service_rate:float -> float * float
 
 module State : sig
   type t
-  (** A pausable solve: the classic iterate / check / refine loop of
-      {!solve} driven in caller-controlled slices.  Bounds are checked
-      after every [check_every]-th chain step regardless of how the
-      steps were grouped into {!advance} calls, so the event sequence —
-      and therefore every computed bit — depends only on the total
-      iteration count: suspending and resuming a cell is exact.
-      {!solve} itself runs on a [State], so an uninterrupted state
-      reproduces it by construction.
+  (** One solve, held in a record so that a caller can seed it from a
+      neighbouring cell before running it.  {!run} is the loop of
+      {!solve}: step both chains 16 times, check the bounds, refine the
+      grid when both have plateaued, until a check finishes the solve.
+      {!solve} is {!create} + {!run}, so a cold state reproduces it by
+      construction.
 
-      A state is single-threaded: advance it from one domain, whose
-      trace track then holds its balanced [solver/level] slices.
-      Within a slice, each run of steps between two bound checks goes
-      to {!Lrd_parallel.Pool.both}: the floor chain steps on the
-      advancing domain and the ceiling chain on a crew domain,
-      unless the state advances inside a pool task (or the crew is
-      busy, or the machine has one core), when the chains step in
-      turn.  Either way every chain does the same float operations in
-      the same order, so no computed bit depends on where the chains
+      A state is single-threaded: create and run it on one domain,
+      whose trace track then holds its balanced [solver/solve] slice
+      and, inside it, one [solver/level] slice per resolution level.
+      Each check period goes to {!Lrd_parallel.Pool.both}: the floor
+      chain steps on the running domain and the ceiling chain on a
+      crew domain, unless the state runs inside a pool task (or the
+      crew is busy, or the machine has one core), when the chains step
+      in turn.  Either way every chain does the same float operations
+      in the same order, so no computed bit depends on where the chains
       ran. *)
 
   val create :
@@ -177,15 +161,15 @@ module State : sig
     buffer:float ->
     t
   (** A fresh cold state (floor chain empty, ceiling chain full; the
-      workspace itself is built lazily on the first {!advance}).  The
-      state quantizes through its own grid memo
+      first level is built by {!run}, or by {!seed_from}).  The state
+      quantizes through its own grid memo
       ({!Workload.with_memo}), also when its workload comes from
       [cache].
       Trivial cells — zero buffer, or a workload that can never exceed
-      the service rate — are born {!finished} with their closed-form
-      result.  With tracing on, each resolution level of the state is
-      one [solver/level] begin/end timeline slice.  [cache] as in
-      {!solve}.
+      the service rate — are born finished with their closed-form
+      result.  The solve is timed ([solver/solve_seconds], and its
+      allocation in [solver/solve_minor_words]) from here to the check
+      that finishes it.  [cache] as in {!solve}.
       @raise Invalid_argument on nonpositive service rate or negative
       buffer (same messages as {!solve}). *)
 
@@ -199,31 +183,11 @@ module State : sig
   (** {!create} with the {!solve_utilization} conventions:
       [c = mean_rate / utilization], [buffer = buffer_seconds * c]. *)
 
-  val advance : t -> iterations:int -> unit
-  (** Run up to [iterations] further chain steps, checking bounds (and
-      refining the grid) at exactly the points the uninterrupted solve
-      would.  Stops early when a check finishes the state.  No-op on a
-      finished state.  @raise Invalid_argument when [iterations] is
-      negative. *)
-
   val run : t -> unit
-  (** Advance until finished — the uninterrupted solve. *)
-
-  val finished : t -> bool
-  (** No further work: converged, budget exhausted, or stalled at
-      [max_bins]. *)
-
-  val converged : t -> bool
-  (** The tolerance or negligible-loss criterion was met. *)
+  (** Run the solve until a check finishes it.  No-op on a finished
+      state. *)
 
   val iterations : t -> int
-  val refinements : t -> int
-
-  val bins : t -> int
-  (** Current grid resolution. *)
-
-  val warm_started : t -> bool
-  (** Whether {!seed_from} succeeded on this state. *)
 
   val seed_from : src:t -> t -> bool
   (** [seed_from ~src t] warm-starts [t] from a neighbouring cell:
@@ -234,7 +198,9 @@ module State : sig
       mean-preserving marginal scaling whose zero-clamp nudged the
       service rate still seeds — with [src]'s bins within [t]'s
       [max_bins] and [t] fresh (zero iterations); returns [false] —
-      leaving [t] cold — otherwise, or for trivial cells.
+      leaving [t] cold — otherwise, or for trivial cells.  An accepted
+      seed builds [t]'s first level here, holding an exact copy of
+      [src]'s pmfs, and {!run} starts from it.
 
       Certification: the seed carries no bound semantics (it is just an
       initial distribution), and a warm-started chain may approach its
@@ -248,14 +214,14 @@ module State : sig
       a full buffer, since its seed's losses bound nothing. *)
 
   val result : t -> result
-  (** The result so far; meaningful once {!finished} (before the first
-      check the bounds are [nan]). *)
+  (** The result so far; meaningful once {!run} has returned (before
+      the first check the bounds are [nan]). *)
 
   val detailed : t -> result * occupancy
   (** {!result} plus the current occupancy bounds, as
       {!solve_detailed}. *)
 end
-(** The resumable core of {!solve}, exposed for the row sweep
+(** The loop of {!solve}, exposed for the row sweep
     ({!Lrd_experiments.Sweep.scheduled_surface}), which warm-starts each
     cell from its left neighbour. *)
 

@@ -140,7 +140,6 @@ let manifest_fields t =
           ("negligible_loss", Num p.Lrd_core.Solver.negligible_loss);
           ( "max_iterations",
             Num (float_of_int p.Lrd_core.Solver.max_iterations) );
-          ("check_every", Num (float_of_int p.Lrd_core.Solver.check_every));
           ("stall_factor", Num p.Lrd_core.Solver.stall_factor);
           ("warm_restart", Bool p.Lrd_core.Solver.warm_restart);
         ] );

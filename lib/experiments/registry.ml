@@ -102,6 +102,10 @@ let run ?only ?manifest ctx fmt =
       Data.teardown ctx;
       if Option.is_none (Data.pool ctx) then
         Lrd_parallel.Pool.(shutdown (create ~workers:0 ()));
+      (* Stop the --metrics-interval ticker too: its last tick samples
+         the gc/ gauges, which the caller's final snapshot then holds.
+         Stopping it again later is a no-op. *)
+      Lrd_obs.Export.stop_ticker ();
       let metrics =
         if Lrd_obs.Obs.enabled () then
           (* Re-parse the canonical exporter's output rather than

@@ -41,7 +41,8 @@ val run :
     context's full parameter set ({!Data.manifest_fields}), wall time,
     and — when telemetry is enabled — the final metrics snapshot.  It
     retires the parked crew members ({!Data.teardown}, or
-    {!Lrd_parallel.Pool.shutdown} without a pool) before taking that
-    snapshot, so the snapshot includes every member's last idle span
-    and equals one the caller takes afterwards; the context must not
-    run pooled work again. *)
+    {!Lrd_parallel.Pool.shutdown} without a pool) and stops a running
+    {!Lrd_obs.Export} ticker, whose last tick samples the [gc/] gauges,
+    before taking that snapshot, so the snapshot includes every
+    member's last idle span and equals one the caller takes afterwards;
+    the context must not run pooled work again. *)

@@ -98,30 +98,34 @@ let scheduled_surface (type a b) ?pool ?policy:(_ : gap_policy option)
   Obs.Counter.add m_cells (nx * ny);
   let run_row iy =
     let left = ref None in
+    let cell ix index () =
+      let st = state xs.(ix) ys.(iy) in
+      let seed_iterations =
+        match !left with
+        | Some src when State.seed_from ~src st ->
+            Obs.Counter.incr m_warm_starts;
+            if Obs.Trace.enabled () then
+              Obs.Trace.instant ~arg:index "sweep/warm_start";
+            State.iterations src
+        | _ -> -1
+      in
+      State.run st;
+      (* Source-minus-own iterations: a conservative estimate of what
+         the warm start saved (the true counterfactual would need a
+         cold rerun). *)
+      if seed_iterations >= 0 then
+        Obs.Counter.add m_iterations_saved
+          (max 0 (seed_iterations - State.iterations st));
+      left := Some st;
+      State.result st
+    in
     Array.init nx (fun ix ->
         let index = (iy * nx) + ix in
-        let st = state xs.(ix) ys.(iy) in
-        let seed_iterations =
-          match !left with
-          | Some src when State.seed_from ~src st ->
-              Obs.Counter.incr m_warm_starts;
-              if Obs.Trace.enabled () then
-                Obs.Trace.instant ~arg:index "sweep/warm_start";
-              State.iterations src
-          | _ -> -1
-        in
-        if Obs.Trace.enabled () && not (State.finished st) then
-          Obs.Trace.with_span ~arg:index "sweep/slice" (fun () ->
-              State.run st)
-        else State.run st;
-        (* Source-minus-own iterations: a conservative estimate of what
-           the warm start saved (the true counterfactual would need a
-           cold rerun). *)
-        if seed_iterations >= 0 then
-          Obs.Counter.add m_iterations_saved
-            (max 0 (seed_iterations - State.iterations st));
-        left := Some st;
-        State.result st)
+        (* One slice per cell, from its creation on, so it holds the
+           cell's whole solver/solve slice. *)
+        if Obs.Trace.enabled () then
+          Obs.Trace.with_span ~arg:index "sweep/slice" (cell ix index)
+        else cell ix index ())
   in
   let results = Array.make ny [||] in
   (* The pool claims tasks in index order and task k runs the k-th row

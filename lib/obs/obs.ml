@@ -328,18 +328,6 @@ module Span = struct
     if !enabled_flag && t0 > neg_infinity then
       Histogram.observe t (now () -. t0)
 
-  let time t f =
-    if not !enabled_flag then f ()
-    else begin
-      let t0 = now () in
-      match f () with
-      | r ->
-          Histogram.observe t (now () -. t0);
-          r
-      | exception e ->
-          Histogram.observe t (now () -. t0);
-          raise e
-    end
 end
 
 (* ------------------------------------------------------------------ *)

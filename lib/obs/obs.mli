@@ -156,11 +156,6 @@ module Span : sig
   val stop : t -> float -> unit
   (** [stop t t0] records [now () - t0] if recording was enabled at
       both ends (a [t0] from a disabled {!start} is ignored). *)
-
-  val time : t -> (unit -> 'a) -> 'a
-  (** [time t f] runs [f] and records its duration, also on exception.
-      When disabled this is just [f ()] (the closure the caller built
-      is the only cost). *)
 end
 
 (** {1 Snapshots and export} *)

@@ -474,13 +474,19 @@ let test_solver_loss_increasing_in_utilization () =
   Alcotest.(check bool) "0.5 < 0.7" true (l1 <= l2);
   Alcotest.(check bool) "0.7 < 0.9" true (l2 <= l3)
 
+(* The bounds are checked every 16 steps and at the budget, so a budget
+   inside the first check period and one that cuts the second short
+   both stop the solve exactly there. *)
 let test_solver_respects_max_iterations () =
   let m = pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:5.0 () in
-  let params =
-    { Solver.default_params with max_iterations = 4; check_every = 2 }
-  in
-  let r = Solver.solve ~params m ~service_rate:1.25 ~buffer:2.0 in
-  Alcotest.(check bool) "iterations bounded" true (r.Solver.iterations <= 4)
+  List.iter
+    (fun max_iterations ->
+      let params = { Solver.default_params with max_iterations } in
+      let r = Solver.solve ~params m ~service_rate:1.25 ~buffer:2.0 in
+      Alcotest.(check int) "stopped at the budget" max_iterations
+        r.Solver.iterations;
+      Alcotest.(check bool) "unconverged" false r.Solver.converged)
+    [ 4; 20 ]
 
 (* A solve that plateaus at the grid cap stops unconverged well inside
    its iteration budget, and its printed result must not claim the
@@ -767,34 +773,7 @@ let prop_chain_pair_bitwise =
       detailed_bits paired = detailed_bits sequential)
 
 (* ------------------------------------------------------------------ *)
-(* Resumable solver states *)
-
-(* Any partition of the iteration stream into [State.advance] calls must
-   reproduce the one-shot [solve] bit for bit: bounds are checked after
-   every [check_every]-th step (or at the budget) regardless of how the
-   steps are grouped, so the whole event sequence — checks, refinements,
-   stopping — is a function of the total step count alone. *)
-let prop_state_slicing_bitwise =
-  let m = pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:2.0 () in
-  let reference = lazy (Solver.solve m ~service_rate:1.25 ~buffer:2.0) in
-  QCheck.Test.make ~name:"State.advance slicing reproduces solve bitwise"
-    ~count:40
-    (QCheck.make
-       ~print:QCheck.Print.(list int)
-       QCheck.Gen.(list_size (int_range 0 12) (int_range 1 700)))
-    (fun slices ->
-      let reference = Lazy.force reference in
-      let st = Solver.State.create m ~service_rate:1.25 ~buffer:2.0 in
-      List.iter (fun n -> Solver.State.advance st ~iterations:n) slices;
-      Solver.State.run st;
-      let r = Solver.State.result st in
-      r.Solver.loss = reference.Solver.loss
-      && r.Solver.lower_bound = reference.Solver.lower_bound
-      && r.Solver.upper_bound = reference.Solver.upper_bound
-      && r.Solver.iterations = reference.Solver.iterations
-      && r.Solver.bins = reference.Solver.bins
-      && r.Solver.refinements = reference.Solver.refinements
-      && r.Solver.converged = reference.Solver.converged)
+(* Solver states *)
 
 let test_state_seed_from_neighbour () =
   (* Two models differing only in theta, same service rate and buffer:
@@ -809,8 +788,6 @@ let test_state_seed_from_neighbour () =
   let warm = Solver.State.create (model 0.22) ~service_rate:1.25 ~buffer:2.0 in
   Alcotest.(check bool) "seeding accepted" true
     (Solver.State.seed_from ~src warm);
-  Alcotest.(check bool) "marked warm-started" true
-    (Solver.State.warm_started warm);
   Solver.State.run warm;
   let w = Solver.State.result warm and c = Solver.State.result cold in
   Alcotest.(check bool) "warm interval certified" true
@@ -834,8 +811,10 @@ let test_state_seed_from_neighbour () =
   let other = Solver.State.create (model 0.22) ~service_rate:1.25 ~buffer:1.0 in
   Alcotest.(check bool) "buffer mismatch rejected" false
     (Solver.State.seed_from ~src other);
-  Alcotest.(check bool) "rejected state stays cold" false
-    (Solver.State.warm_started other)
+  Solver.State.run other;
+  Alcotest.(check bool) "rejected state runs cold" true
+    (Solver.State.result other
+    = Solver.solve (model 0.22) ~service_rate:1.25 ~buffer:1.0)
 
 let test_state_warm_budget_reports_cold_extremes () =
   (* A warm start whose iteration budget runs out before a settled
@@ -845,12 +824,8 @@ let test_state_warm_budget_reports_cold_extremes () =
   let model theta = pareto_model ~theta ~alpha:1.4 ~cutoff:2.0 () in
   let src = Solver.State.create (model 0.2) ~service_rate:1.25 ~buffer:2.0 in
   Solver.State.run src;
-  let params =
-    {
-      Solver.default_params with
-      max_iterations = Solver.default_params.Solver.check_every;
-    }
-  in
+  (* One check period. *)
+  let params = { Solver.default_params with max_iterations = 16 } in
   let warm =
     Solver.State.create ~params (model 0.3) ~service_rate:1.25 ~buffer:2.0
   in
@@ -871,12 +846,15 @@ let test_state_warm_budget_reports_cold_extremes () =
 
 (* Each state quantizes through its own grid memo: a 128 -> 256 doubling
    reuses every coarse point even after another cell of the same cached
-   column quantized another buffer in between. *)
+   column quantized another buffer. *)
 let test_state_grid_memo_per_cell () =
   let module Obs = Lrd_obs.Obs in
   let model = pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:2.0 () in
-  (* A gap target no resolution meets, so the first stall refines. *)
-  let params = { Solver.default_params with Solver.tolerance = 1e-12 } in
+  (* A gap target no resolution meets, so the first stall refines and
+     the second, at the cap, ends the solve. *)
+  let params =
+    { Solver.default_params with Solver.tolerance = 1e-12; max_bins = 256 }
+  in
   let cache = Workload.Cache.create () in
   let cell buffer =
     Solver.State.create ~params ~cache:(cache, "column") model
@@ -892,18 +870,19 @@ let test_state_grid_memo_per_cell () =
       Obs.set_enabled false;
       Obs.reset ())
     (fun () ->
-      Solver.State.advance a ~iterations:1;
-      Solver.State.advance b ~iterations:1;
+      Solver.State.run b;
       let f0 = Obs.Counter.value fresh and r0 = Obs.Counter.value reused in
-      while Solver.State.refinements a = 0 && not (Solver.State.finished a) do
-        Solver.State.advance a ~iterations:16
-      done;
-      Alcotest.(check int) "refined once" 1 (Solver.State.refinements a);
-      Alcotest.(check int) "at 256 bins" 256 (Solver.State.bins a);
-      (* Survival grids: 2 m + 1 points, overflow table: m + 1. *)
+      Solver.State.run a;
+      let r = Solver.State.result a in
+      Alcotest.(check int) "refined once" 1 r.Solver.refinements;
+      Alcotest.(check int) "at 256 bins" 256 r.Solver.bins;
+      (* Survival grids: 2 m + 1 points, overflow table: m + 1.  The
+         128-bin level computes all of its points; the doubling reuses
+         them and computes only the new ones. *)
       Alcotest.(check int) "coarse points reused" (257 + 129)
         (Obs.Counter.value reused - r0);
-      Alcotest.(check int) "only new points computed" (256 + 128)
+      Alcotest.(check int) "only new points computed"
+        ((257 + 129) + (256 + 128))
         (Obs.Counter.value fresh - f0))
 
 (* ------------------------------------------------------------------ *)
@@ -1641,7 +1620,6 @@ let () =
         ] );
       ( "state",
         [
-          QCheck_alcotest.to_alcotest prop_state_slicing_bitwise;
           Alcotest.test_case "seed from neighbour" `Quick
             test_state_seed_from_neighbour;
           Alcotest.test_case "warm budget stop reports cold extremes" `Quick

@@ -532,25 +532,45 @@ let test_scheduled_opens_rows_last_first () =
     (List.rev !opened)
 
 (* Every cell now runs inside one row task, so each solver state opens
-   and closes its [solver/level] slices on one domain's track, warm
-   cells included.  [Obs.Report] tolerates an unmatched end, so only
-   the per-track counts catch one. *)
+   and closes its [solver/solve] slice and its [solver/level] slices on
+   one domain's track, warm cells included, and every solve, scheduled
+   or not, is timed once.  [Obs.Report] tolerates an unmatched end, so
+   only the per-track counts catch one. *)
 let test_scheduled_trace_levels_balance () =
-  let module Trace = Lrd_obs.Obs.Trace in
+  let module Obs = Lrd_obs.Obs in
+  let module Trace = Obs.Trace in
   let ctx = Lazy.force ctx in
   let scalings, buffers = quick_fig12_axes () in
   let pool = Lrd_parallel.Pool.create ~workers:1 () in
   Trace.reset ();
   Trace.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.set_enabled false;
-      Lrd_parallel.Pool.shutdown pool)
-    (fun () ->
-      ignore
-        (Sweep.scheduled_surface ~pool ~xs:scalings ~ys:buffers
-           ~state:(fun a b -> fig12_cell ctx a ~buffer_seconds:b)
-           ()));
+  Obs.set_enabled true;
+  Obs.reset ();
+  let snapshot =
+    Fun.protect
+      ~finally:(fun () ->
+        Trace.set_enabled false;
+        Obs.set_enabled false;
+        Obs.reset ();
+        Lrd_parallel.Pool.shutdown pool)
+      (fun () ->
+        ignore
+          (Sweep.scheduled_surface ~pool ~xs:scalings ~ys:buffers
+             ~state:(fun a b -> fig12_cell ctx a ~buffer_seconds:b)
+             ());
+        Obs.snapshot ())
+  in
+  let solves =
+    match Obs.find snapshot "solver/solves" with
+    | Some (Obs.Counter { total; _ }) -> total
+    | _ -> Alcotest.fail "solver/solves missing"
+  and timed =
+    match Obs.find snapshot "solver/solve_seconds" with
+    | Some (Obs.Histogram h) -> h.Obs.count
+    | _ -> Alcotest.fail "solver/solve_seconds missing"
+  in
+  Alcotest.(check bool) "cells solved" true (solves > 0);
+  Alcotest.(check int) "every solve timed" solves timed;
   let events = Trace.events () in
   Trace.reset ();
   Alcotest.(check int) "no events dropped" 0 (Trace.dropped ());
@@ -571,12 +591,16 @@ let test_scheduled_trace_levels_balance () =
        domains);
   Alcotest.(check bool) "levels traced" true
     (List.exists (fun d -> count "solver/level" Trace.Begin d > 0) domains);
+  Alcotest.(check bool) "solves traced" true
+    (List.exists (fun d -> count "solver/solve" Trace.Begin d > 0) domains);
   List.iter
     (fun d ->
-      Alcotest.(check int)
-        (Printf.sprintf "solver/level B = E on domain %d" d)
-        (count "solver/level" Trace.Begin d)
-        (count "solver/level" Trace.End d))
+      List.iter
+        (fun name ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s B = E on domain %d" name d)
+            (count name Trace.Begin d) (count name Trace.End d))
+        [ "solver/solve"; "solver/level" ])
     domains
 
 (* A traced -j 2 run: every pool/idle slice a crew member opens, it
