@@ -8,12 +8,12 @@
    paper's "runtime below a second on a workstation" claim is
    checkable.
 
-   [--scaling] times full figure sweeps (fig12 by default; --only picks
-   from fig4/fig12/fig13/fig11_scale) sequentially and on domain pools
-   of increasing size, reporting wall-clock seconds and speedup relative
-   to the sequential run.  The heap is compacted before every timed
-   cell so one pool size's GC debt never lands in another's
-   measurement.
+   [--scaling] times full figure sweeps (fig12 and fig13 by default;
+   --only picks from fig4/fig12/fig13/fig11_scale) sequentially and on
+   domain pools of increasing size, reporting wall-clock seconds and
+   speedup relative to the sequential run.  The heap is compacted
+   before every timed cell so one pool size's GC debt never lands in
+   another's measurement.
 
    Options:
      --quick       small traces and coarse grids (used by CI); in micro
@@ -539,8 +539,11 @@ let run_micro ~json ctx =
    itself is measured. *)
 
 (* Figures a scaling run can time; --only (substring match) picks a
-   subset, the default is the classic fig12 trajectory so the committed
-   BENCH_scaling.json stays comparable across runs. *)
+   subset.  The default keeps the classic fig12 trajectory, so the
+   committed BENCH_scaling.json stays comparable across runs, and adds
+   fig13, whose one deep-buffer row is most of the figure: its rows
+   time how a long warm-start chain uses the pool once the short rows
+   are done. *)
 let scaling_figures =
   [
     ("fig4", fun ctx -> ignore (Fig04.compute ctx));
@@ -604,7 +607,8 @@ let run_scaling ~json () =
       cores;
   let figures =
     if !only = [] then
-      List.filter (fun (name, _) -> name = "fig12") scaling_figures
+      List.filter (fun (name, _) -> name = "fig12" || name = "fig13")
+        scaling_figures
     else List.filter (fun (name, _) -> selected name) scaling_figures
   in
   (* A warning, not the micro suite's hard error: --only applies to

@@ -64,10 +64,20 @@ let buffer_arg =
   Arg.(
     value
     & opt
-        (checked_float ~expected:"a non-negative buffer size" (fun b ->
-             b >= 0.0))
+        (checked_float ~expected:"a finite non-negative buffer size"
+           (fun b -> b >= 0.0 && Float.is_finite b))
         1.0
     & info [ "b"; "buffer" ] ~docv:"SECONDS" ~doc)
+
+(* A finite [-b] can still overflow at the service rate [c], and the
+   solver refuses an infinite buffer: a grid of step inf certifies
+   nothing. *)
+let with_finite_buffer ~buffer c k =
+  if Float.is_finite (buffer *. c) then k ()
+  else
+    `Error
+      (false, Printf.sprintf "buffer %g s at service rate %g is not finite"
+                buffer c)
 
 let cutoff_conv =
   checked_float ~expected:"a positive cutoff lag" (fun tc -> tc > 0.0)
@@ -265,6 +275,7 @@ let solve_cmd =
         let c =
           Lrd_core.Model.service_rate_for_utilization model ~utilization
         in
+        with_finite_buffer ~buffer c @@ fun () ->
         Format.printf "service rate: %.6g, buffer: %.6g (%g s)@." c
           (buffer *. c) buffer;
         let result =
@@ -573,6 +584,10 @@ let fit_cmd =
     match read_trace path with
     | Error msg -> `Error (false, msg)
     | Ok trace ->
+        let c =
+          Lrd_trace.Trace.service_rate_for_utilization trace ~utilization
+        in
+        with_finite_buffer ~buffer c @@ fun () ->
         let model, cutoff =
           try
             Lrd_core.Fitting.for_buffer ?hurst trace ~utilization
@@ -592,9 +607,6 @@ let fit_cmd =
         in
         Format.printf "  predicted %a@." Lrd_core.Solver.pp_result result;
         (* Cross-check against the trace itself. *)
-        let c =
-          Lrd_trace.Trace.service_rate_for_utilization trace ~utilization
-        in
         let sim =
           Lrd_fluidsim.Queue_sim.make ~service_rate:c ~buffer:(buffer *. c) ()
         in
@@ -833,10 +845,12 @@ let experiment_cmd =
     let doc = "Parallelism of the sweep grids: 1 runs their cells one \
                at a time (the default), 0 auto-sizes to the machine, \
                N >= 2 spreads grid cells over N domains.  Independently \
-               of $(docv), a solve that runs outside the grid pool (a \
-               one-shot solve, or a grid cell at 1) steps its floor and \
-               ceiling chains on two domains when the machine has two \
-               cores.  Results are identical for every value." in
+               of $(docv), a solve steps its floor and ceiling chains \
+               on two domains when the machine has two cores and a \
+               second domain is free: outside a grid pool (a one-shot \
+               solve, or any grid cell at 1), and in a grid pool once \
+               another of its domains has run out of grid cells.  \
+               Results are identical for every value." in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let manifest_arg =

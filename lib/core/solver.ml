@@ -405,6 +405,8 @@ module State = struct
       invalid_arg "Solver.solve: service rate must be positive";
     if not (buffer >= 0.0) then
       invalid_arg "Solver.solve: buffer must be nonnegative";
+    if buffer = Float.infinity then
+      invalid_arg "Solver.solve: buffer must be finite";
     let w0 = Resource.Alloc.start () in
     let t0 = Obs.Span.start () in
     if Obs.Trace.enabled () then Obs.Trace.begin_ "solver/solve";

@@ -146,12 +146,12 @@ module State : sig
       whose trace track then holds its balanced [solver/solve] slice
       and, inside it, one [solver/level] slice per resolution level.
       Each check period goes to {!Lrd_parallel.Pool.both}: the floor
-      chain steps on the running domain and the ceiling chain on a
-      crew domain, unless the state runs inside a pool task (or the
-      crew is busy, or the machine has one core), when the chains step
-      in turn.  Either way every chain does the same float operations
-      in the same order, so no computed bit depends on where the chains
-      ran. *)
+      chain steps on the running domain and the ceiling chain on
+      another: a crew member outside a pool task, a participant that
+      has run out of tasks inside one.  With no such domain free (or
+      on a one-core machine) the chains step in turn.  Either way every
+      chain does the same float operations in the same order, so no
+      computed bit depends on where the chains ran. *)
 
   val create :
     ?params:params ->
@@ -170,8 +170,8 @@ module State : sig
       result.  The solve is timed ([solver/solve_seconds], and its
       allocation in [solver/solve_minor_words]) from here to the check
       that finishes it.  [cache] as in {!solve}.
-      @raise Invalid_argument on nonpositive service rate or negative
-      buffer (same messages as {!solve}). *)
+      @raise Invalid_argument on nonpositive service rate or a negative,
+      nan or infinite buffer (same messages as {!solve}). *)
 
   val create_utilization :
     ?params:params ->
@@ -236,11 +236,12 @@ val solve :
     the model.  [buffer = 0] returns the closed form
     {!Workload.zero_buffer_loss} directly.
 
-    Called outside a {!Lrd_parallel.Pool} task on a machine with two or
-    more cores, the solve steps its floor and ceiling chains on two
-    domains at once (the caller's and a process-wide crew member's, see
-    {!Lrd_parallel.Pool.both}); inside a pool task they step in turn.
-    The result is bit-identical either way.
+    On a machine with two or more cores the solve steps its floor and
+    ceiling chains on two domains at once when a second one is free
+    (outside a {!Lrd_parallel.Pool} task a process-wide crew member,
+    inside one a participant that has run out of tasks, see
+    {!Lrd_parallel.Pool.both}), and in turn otherwise.  The result is
+    bit-identical either way.
 
     [cache] is a {!Workload.Cache} plus a key identifying [model] within
     it: cells of a sweep that pass the same key share one workload
@@ -248,8 +249,8 @@ val solve :
     the models the sweep solves.  Either way the solve memoizes its own
     survival grids, which refinement levels reuse.  Caching never
     changes any computed value.
-    @raise Invalid_argument on nonpositive service rate or negative
-    buffer. *)
+    @raise Invalid_argument on nonpositive service rate or a negative,
+    nan or infinite buffer. *)
 
 val solve_detailed :
   ?params:params ->

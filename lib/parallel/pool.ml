@@ -22,7 +22,14 @@
    to 0.85 s.  [idle_seconds] outlasts the benchmark's set-up between
    passes (0.25 s); 5 ms raised solve-cold's top heap from 28.2-30.6 to
    29.4-31.3 MB, as each retirement leaves a heap for another domain to
-   adopt.  A spawn costs 0.5-4 ms, longer than most solves. *)
+   adopt.  A spawn costs 0.5-4 ms, longer than most solves.
+
+   A participant of a task set that runs out of tasks stays in the job
+   until the job's last task completes and lends itself to the running
+   tasks through the record's lend cell: a task's [both] posts its second
+   thunk there, and a lender takes it.  A lender spins [spin_seconds]
+   after each thunk, then waits on [finished] for a post or the job's
+   end, so an oversubscribed pool never spins for long. *)
 
 module Obs = Lrd_obs.Obs
 
@@ -38,6 +45,9 @@ let m_idle = Obs.Span.make "pool/idle_seconds"
 
 (* Bytes written to sleeping members: each costs a [select] return. *)
 let m_wakeups = Obs.Counter.make "pool/wakeups"
+
+(* [both] thunks a task set's idle participant ran for a running task. *)
+let m_pairs_lent = Obs.Counter.make "pool/pairs_lent"
 let spin_seconds = 1e-4
 let idle_seconds = 0.5
 let multicore = Domain.recommended_domain_count () > 1
@@ -46,32 +56,46 @@ type t = { workers : int; stopped : bool Atomic.t }
 
 let parallelism t = t.workers + 1
 
-(* Set while this domain runs a pool task: [both] then stays
-   sequential, so a grid's parallelism is the pool's alone. *)
-let in_task : bool ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref false)
-
 type job = {
   mutable task : int -> unit;
   mutable tasks : int;
-  mutable pair : unit -> unit;  (* [both]'s second thunk *)
-  mutable grid : bool;  (* [iter]'s tasks: traced, counted, [in_task] *)
+  mutable pair : unit -> unit;  (* [both]'s second thunk, posted or lent *)
+  mutable grid : bool;  (* [iter]'s tasks: traced, counted, [current] *)
   mutable submitted : float;  (* Obs.Span.start at posting *)
   next : int Atomic.t;  (* next unclaimed task index *)
   pending : int Atomic.t;  (* tasks not completed plus seats not given back *)
+  unfinished : int Atomic.t;  (* tasks not counted complete: lenders stay until 0 *)
   seats : int Atomic.t;  (* members that may still join *)
   failure : (exn * Printexc.raw_backtrace) option Atomic.t;
+  lend : int Atomic.t;  (* the lend cell's claim state, below *)
+  mutable pair_failure : (exn * Printexc.raw_backtrace) option;
+      (* a lent [pair]'s exception *)
 }
 
 let noop () = ()
 let no_task (_ : int) = ()
 
+(* The lend cell: [held] while a poster writes [pair] or a lender runs
+   it, [posted] while a lender may take it, [lent] once a taken [pair]
+   has returned (its poster then reads [pair_failure] and frees it). *)
+let free = 0
+let held = 1
+let posted = 2
+let lent = 3
+
 let make_job () =
   { task = no_task; tasks = 0; pair = noop; grid = true;
     submitted = neg_infinity; next = Atomic.make 0; pending = Atomic.make 0;
-    seats = Atomic.make 0; failure = Atomic.make None }
+    unfinished = Atomic.make 0; seats = Atomic.make 0;
+    failure = Atomic.make None; lend = Atomic.make free; pair_failure = None }
 
-(* The slot and the one record its holder fills. *)
-let free = 0
+(* The job whose task this domain runs, if any: [both] lends from a
+   task of the crew's job and runs in turn inside any other. *)
+let current : job option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+(* The slot ([free], [taken] or [retiring]) and the one record its
+   holder fills. *)
 let taken = 1
 let retiring = 2
 let slot = Atomic.make free
@@ -89,35 +113,43 @@ let release () =
   Atomic.set job.failure None;
   Atomic.set slot free
 
+(* A caller waiting for its job's give-backs and lenders waiting for a
+   post or the job's end sleep on [finished]; [waiters] counts them. *)
 let lock = Mutex.create ()
 let finished = Condition.create ()
-let waiting = Atomic.make false
+let waiters = Atomic.make 0
 
-(* Reading [waiting] after the decrement (and the caller setting it
-   before its last look at the count) means the caller never sleeps
-   through the last give-back. *)
-let give_back job k =
-  if Atomic.fetch_and_add job.pending (-k) = k && Atomic.get waiting then begin
+(* Reading [waiters] after the change it announces (and a waiter
+   counting itself before its last look) means no waiter sleeps
+   through it.  A post wakes one: only lenders wait while tasks run. *)
+let wake notify =
+  if Atomic.get waiters > 0 then begin
     Mutex.lock lock;
-    Condition.broadcast finished;
+    notify finished;
     Mutex.unlock lock
   end
 
-(* The caller spins [spin_seconds] at most, then sleeps on [finished]. *)
-let await job =
+let give_back job k =
+  if Atomic.fetch_and_add job.pending (-k) = k then wake Condition.broadcast
+
+(* Spin [spin_seconds] at most while [waiting job], then sleep on
+   [finished] until it is false. *)
+let wait_while waiting job =
   let t0 = Unix.gettimeofday () in
-  while Atomic.get job.pending > 0 && Unix.gettimeofday () -. t0 < spin_seconds do
+  while waiting job && Unix.gettimeofday () -. t0 < spin_seconds do
     Domain.cpu_relax ()
   done;
-  if Atomic.get job.pending > 0 then begin
+  if waiting job then begin
     Mutex.lock lock;
-    Atomic.set waiting true;
-    while Atomic.get job.pending > 0 do
+    Atomic.incr waiters;
+    while waiting job do
       Condition.wait finished lock
     done;
-    Atomic.set waiting false;
+    Atomic.decr waiters;
     Mutex.unlock lock
   end
+
+let await = wait_while (fun job -> Atomic.get job.pending > 0)
 
 (* Execute one task, routing any exception into the job's failure slot;
    once a failure is recorded, later tasks are skipped (but still
@@ -133,28 +165,62 @@ let execute job i =
         Obs.Counter.incr m_tasks_run;
         if Obs.Trace.enabled () then Obs.Trace.begin_ ~arg:i "pool/task"
       end;
-      let flag = Domain.DLS.get in_task in
-      let outer = !flag in
-      flag := job.grid || outer;
+      let cur = Domain.DLS.get current in
+      let outer = !cur in
+      if job.grid then cur := Some job;
       (try job.task i
        with e ->
          let bt = Printexc.get_raw_backtrace () in
          ignore (Atomic.compare_and_set job.failure None (Some (e, bt))));
-      flag := outer;
+      cur := outer;
       if job.grid then begin
         if Obs.Trace.enabled () then Obs.Trace.end_ ~arg:i "pool/task";
         Obs.Span.stop m_task_run t0
       end
 
-(* Claim and run tasks until the indices run out; returns how many this
-   participant claimed, which it gives back in one decrement. *)
-let rec drain job claimed =
+let rec claim job claimed =
   let i = Atomic.fetch_and_add job.next 1 in
   if i < job.tasks then begin
     execute job i;
-    drain job (claimed + 1)
+    claim job (claimed + 1)
   end
   else claimed
+
+(* Claim and run tasks until the indices run out, then count a task
+   set's tasks complete in one decrement, as [give_back] does: two
+   domains that decrement a shared count per task contend on it
+   (EXPERIMENTS "One worker set", pool/iter-64).  [both]'s job has no
+   lenders to tell.  Returns how many this participant claimed. *)
+let drain job =
+  let claimed = claim job 0 in
+  if
+    job.grid && claimed > 0
+    && Atomic.fetch_and_add job.unfinished (-claimed) = claimed
+  then wake Condition.broadcast;
+  claimed
+
+(* Run the posted [pair] the lender has taken, keep its exception for
+   the poster and hand the cell back. *)
+let run_lent job =
+  Obs.Counter.incr m_pairs_lent;
+  let traced = Obs.Trace.enabled () in
+  if traced then Obs.Trace.begin_ "pool/lent";
+  (try job.pair ()
+   with e -> job.pair_failure <- Some (e, Printexc.get_raw_backtrace ()));
+  if traced then Obs.Trace.end_ "pool/lent";
+  Atomic.set job.lend lent
+
+let idle_lender job =
+  Atomic.get job.unfinished > 0 && Atomic.get job.lend <> posted
+
+(* A participant out of tasks takes each post until the last task
+   completes, spinning then sleeping between posts. *)
+let rec lend job =
+  wait_while idle_lender job;
+  if Atomic.get job.unfinished > 0 then begin
+    if Atomic.compare_and_set job.lend posted held then run_lent job;
+    lend job
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The crew: [live] members, [sleepers] of them in [select]. *)
@@ -219,7 +285,9 @@ let rec serve () =
   if traced then Obs.Trace.end_ "pool/idle";
   Obs.Span.stop m_idle t0;
   if seated && job.tasks > 0 then begin
-    give_back job (drain job 0 + 1);
+    let claimed = drain job in
+    if job.grid then lend job;
+    give_back job (claimed + 1);
     serve ()
   end
   else begin
@@ -241,6 +309,7 @@ let post ~seats =
    with _ -> ());
   let seats = min seats (Atomic.get live) in
   Atomic.set job.next 0;
+  Atomic.set job.unfinished job.tasks;
   Atomic.set job.pending (job.tasks + seats);
   Atomic.set job.seats seats;
   for _ = 1 to min seats (Atomic.get sleepers) do
@@ -285,7 +354,7 @@ let iter t task n =
   if n < 0 then invalid_arg "Pool.iter: negative task count";
   if n > 0 then begin
     if Atomic.get t.stopped then invalid_arg "Pool.iter: pool has been shut down";
-    if !(Domain.DLS.get in_task) then
+    if Option.is_some !(Domain.DLS.get current) then
       invalid_arg "Pool.iter: pool already running a task set (nested map?)";
     Obs.Counter.incr m_jobs;
     if Obs.Trace.enabled () then Obs.Trace.instant ~arg:n "pool/job";
@@ -296,9 +365,12 @@ let iter t task n =
     job.grid <- true;
     job.submitted <- Obs.Span.start ();
     if shared then ignore (post ~seats:t.workers);
-    let claimed = drain job 0 in
+    let claimed = drain job in
     if shared then begin
+      (* Seats first: a member that joins now finds no task and only
+         delays the caller. *)
       give_back job (claimed + Atomic.exchange job.seats 0);
+      lend job;
       await job
     end;
     let failure = Atomic.get job.failure in
@@ -329,13 +401,42 @@ let map2_grid t ~xs ~ys ~f =
             | None -> assert false))
   end
 
-let sequentially f g =
+let capture f =
   match f () with
-  | () -> g ()
-  | exception e ->
-      let bt = Printexc.get_raw_backtrace () in
-      g ();
-      Printexc.raise_with_backtrace e bt
+  | () -> None
+  | exception e -> Some (e, Printexc.get_raw_backtrace ())
+
+(* Once both halves have run: [f]'s exception wins. *)
+let settle mine theirs =
+  match mine with None -> reraise theirs | Some _ -> reraise mine
+
+let sequentially f g =
+  let mine = capture f in
+  settle mine (capture g)
+
+(* [both] in a task of the crew's job: post [g] to the lend cell, run
+   [f], then wait for the lender that took [g] or take [g] back.  With
+   the cell held by another task's post, or a nested [both], it runs
+   [f] then [g]. *)
+let lend_pair f g =
+  if not (Atomic.compare_and_set job.lend free held) then sequentially f g
+  else begin
+    job.pair <- g;
+    Atomic.set job.lend posted;
+    wake Condition.signal;
+    let mine = capture f in
+    if Atomic.compare_and_set job.lend posted free then settle mine (capture g)
+    else begin
+      (* Spin: [g] is running, one half of a split. *)
+      while Atomic.get job.lend <> lent do
+        Domain.cpu_relax ()
+      done;
+      let theirs = job.pair_failure in
+      job.pair_failure <- None;
+      Atomic.set job.lend free;
+      settle mine theirs
+    end
+  end
 
 (* [g] is the one task of a one-seat job and [f] runs on the caller,
    which keeps the floor chain on the caller's scratch.  Nothing here
@@ -343,32 +444,30 @@ let sequentially f g =
 let run_pair (_ : int) = job.pair ()
 
 let both f g =
-  if (not multicore) || !(Domain.DLS.get in_task) || not (take_slot ()) then
-    sequentially f g
-  else begin
-    job.task <- run_pair;
-    job.pair <- g;
-    job.tasks <- 1;
-    job.grid <- false;
-    if not (post ~seats:1) then begin
-      release ();
-      sequentially f g
-    end
-    else begin
-      let mine =
-        match f () with
-        | () -> None
-        | exception e -> Some (e, Printexc.get_raw_backtrace ())
-      in
-      (* Spin, unlike [iter]'s caller: [g] is one half of a split, and
-         waking the caller from [finished] as well as the member from
-         its sleep doubled the p50 of a [both] that found its member
-         asleep (110 to 220 us on a 2-core VM). *)
-      while Atomic.get job.pending > 0 do
-        Domain.cpu_relax ()
-      done;
-      let theirs = Atomic.get job.failure in
-      release ();
-      match mine with None -> reraise theirs | Some _ -> reraise mine
-    end
-  end
+  match !(Domain.DLS.get current) with
+  | _ when not multicore -> sequentially f g
+  | Some j when j == job -> lend_pair f g
+  | Some _ -> sequentially f g
+  | None when not (take_slot ()) -> sequentially f g
+  | None ->
+      job.task <- run_pair;
+      job.pair <- g;
+      job.tasks <- 1;
+      job.grid <- false;
+      if not (post ~seats:1) then begin
+        release ();
+        sequentially f g
+      end
+      else begin
+        let mine = capture f in
+        (* Spin, unlike [iter]'s caller: [g] is one half of a split, and
+           waking the caller from [finished] as well as the member from
+           its sleep doubled the p50 of a [both] that found its member
+           asleep (110 to 220 us on a 2-core VM). *)
+        while Atomic.get job.pending > 0 do
+          Domain.cpu_relax ()
+        done;
+        let theirs = Atomic.get job.failure in
+        release ();
+        settle mine theirs
+      end

@@ -20,7 +20,10 @@
     out, so tasks start in ascending index order and an unbalanced grid
     (e.g. deep-buffer solver cells next to trivial ones) still keeps every
     domain busy.  Tasks are cells costing milliseconds, so the counter is
-    nowhere near contention.
+    nowhere near contention.  A participant that runs out of tasks stays
+    until the last one completes and lends itself to the tasks still
+    running: it runs the second thunk of their {!both} calls.  It spins
+    briefly after each, then sleeps until the next or the job's end.
 
     Determinism contract: tasks must not share mutable state except through
     domain-safe structures, and any randomness must be derived from the task
@@ -70,20 +73,26 @@ val with_pool : ?workers:int -> (t -> 'a) -> 'a
 (** [with_pool f] runs [f] with a fresh pool and always shuts it down. *)
 
 val both : (unit -> unit) -> (unit -> unit) -> unit
-(** [both f g] runs [f] on the calling domain and [g] on a crew member
+(** [both f g] runs [f] on the calling domain and [g] on another domain
     at the same time, and returns once both are done: two-party
     fork-join for work that splits into two independent halves.  It has
     two callers: the solver's floor and ceiling chains between bound
     checks, and workload quantization, which deals a grid's points
-    between the two thunks.  [g] runs on a parked crew member, the same
-    members a pool's tasks run on, spawned if none is live.  [both]
-    itself allocates nothing once a member is up.
+    between the two thunks.  Outside a pool task [g] runs on a parked
+    crew member, the same members a pool's tasks run on, spawned if
+    none is live.  Inside a task of a crew-run {!iter}, [g] is offered
+    to the job's participants that have run out of tasks; if none has
+    taken it by the time [f] returns, the caller runs [g] itself.
+    [both] itself allocates nothing once a member is up.
 
     [both] runs [f] then [g] on the calling domain instead when the
     machine has one core ([Domain.recommended_domain_count () = 1]),
-    when the caller is running a pool task (a grid's parallelism is the
-    pool's), or when another job holds the crew: a nested [both] from
-    either thunk, or a call from another domain while a job is in flight.
+    when the caller runs a task of a task set that runs on its caller
+    alone (no workers, or another job held the crew), when its job's one
+    offer is in use by another [both] (another task's, or the enclosing
+    one of a nested call), or when another job holds the crew: a nested
+    [both] from either thunk outside a task, or a call from another
+    domain while a job is in flight.
 
     Either way both thunks run to completion.  If one raises, its
     exception is re-raised (with its backtrace) once the other has

@@ -307,8 +307,8 @@ let prop_grids_match_scalar_api =
    level, the last level is a stride of the finest one, and every level
    must still equal the scalar API bit for bit.  Each ladder runs once
    outside any task, where the fresh points are dealt between two
-   domains, and once inside a pool task, where one domain computes
-   them all. *)
+   domains, and once inside a task of a pool with no workers, where one
+   domain computes them all. *)
 let prop_grid_ladder_matches_scalar_api =
   QCheck.Test.make ~count:20
     ~name:"a doubling ladder and its stride equal the scalar API bitwise"
@@ -335,7 +335,8 @@ let prop_grid_ladder_matches_scalar_api =
 
 (* The law's grid kernel sees which domains quantize: outside a task a
    fresh grid is split between the caller and the chain pair's helper,
-   inside a pool task the caller computes it alone. *)
+   inside a task of a pool with no workers the caller computes it
+   alone. *)
 let test_quantization_domains () =
   if Domain.recommended_domain_count () > 1 then begin
     let domains () =
@@ -544,7 +545,15 @@ let test_solver_rejects_bad_input () =
       ignore (Solver.solve m ~service_rate:0.0 ~buffer:1.0));
   Alcotest.check_raises "buffer"
     (Invalid_argument "Solver.solve: buffer must be nonnegative") (fun () ->
-      ignore (Solver.solve m ~service_rate:1.0 ~buffer:(-1.0)))
+      ignore (Solver.solve m ~service_rate:1.0 ~buffer:(-1.0)));
+  (* A grid over an infinite buffer has step inf: its "converged" zero
+     loss would certify nothing. *)
+  Alcotest.check_raises "infinite buffer"
+    (Invalid_argument "Solver.solve: buffer must be finite") (fun () ->
+      ignore (Solver.solve m ~service_rate:1.0 ~buffer:Float.infinity));
+  Alcotest.check_raises "infinite buffer, state"
+    (Invalid_argument "Solver.solve: buffer must be finite") (fun () ->
+      ignore (Solver.State.create m ~service_rate:1.0 ~buffer:Float.infinity))
 
 let test_solver_golden_matrix () =
   (* Bit-level regression guard for the workspace/dual-channel rewrite:
@@ -687,8 +696,9 @@ let prop_wrapped_step_matches_exact =
 (* ------------------------------------------------------------------ *)
 (* Chain pair: a one-shot solve outside a pool task steps its floor
    chain on the caller and its ceiling chain on the helper domain
-   ({!Lrd_parallel.Pool.both}); inside a pool task both step on one
-   domain.  Where the chains ran must not change a bit. *)
+   ({!Lrd_parallel.Pool.both}); inside a task of a pool with no
+   workers both step on one domain.  Where the chains ran must not
+   change a bit. *)
 
 (* Everything a detailed solve reports, floats as bit patterns. *)
 let detailed_bits ((r : Solver.result), (occ : Solver.occupancy)) =
@@ -698,8 +708,8 @@ let detailed_bits ((r : Solver.result), (occ : Solver.occupancy)) =
     Array.map bits occ.Solver.lower_pmf,
     Array.map bits occ.Solver.upper_pmf )
 
-(* The solve on this domain (chains paired) and inside a pool task
-   (chains in turn). *)
+(* The solve on this domain (chains paired) and inside a task of a
+   pool with no workers (chains in turn). *)
 let paired_and_sequential ?params model ~service_rate ~buffer =
   let solve () = Solver.solve_detailed ?params model ~service_rate ~buffer in
   let paired = solve () in

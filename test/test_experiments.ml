@@ -534,8 +534,10 @@ let test_scheduled_opens_rows_last_first () =
 (* Every cell now runs inside one row task, so each solver state opens
    and closes its [solver/solve] slice and its [solver/level] slices on
    one domain's track, warm cells included, and every solve, scheduled
-   or not, is timed once.  [Obs.Report] tolerates an unmatched end, so
-   only the per-track counts catch one. *)
+   or not, is timed once.  A [both] half that the other participant
+   ran for a row still running is one balanced [pool/lent] slice on
+   its track, one per [pool/pairs_lent].  [Obs.Report] tolerates an
+   unmatched end, so only the per-track counts catch one. *)
 let test_scheduled_trace_levels_balance () =
   let module Obs = Lrd_obs.Obs in
   let module Trace = Obs.Trace in
@@ -571,6 +573,12 @@ let test_scheduled_trace_levels_balance () =
   in
   Alcotest.(check bool) "cells solved" true (solves > 0);
   Alcotest.(check int) "every solve timed" solves timed;
+  let lent =
+    match Obs.find snapshot "pool/pairs_lent" with
+    | Some (Obs.Counter { total; _ }) -> total
+    | None -> 0
+    | Some _ -> Alcotest.fail "pool/pairs_lent is not a counter"
+  in
   let events = Trace.events () in
   Trace.reset ();
   Alcotest.(check int) "no events dropped" 0 (Trace.dropped ());
@@ -600,8 +608,10 @@ let test_scheduled_trace_levels_balance () =
           Alcotest.(check int)
             (Printf.sprintf "%s B = E on domain %d" name d)
             (count name Trace.Begin d) (count name Trace.End d))
-        [ "solver/solve"; "solver/level" ])
-    domains
+        [ "solver/solve"; "solver/level"; "pool/lent" ])
+    domains;
+  Alcotest.(check int) "every lent half traced" lent
+    (List.fold_left (fun n d -> n + count "pool/lent" Trace.Begin d) 0 domains)
 
 (* A traced -j 2 run: every pool/idle slice a crew member opens, it
    closes, whether the member retires on its own after the idle period

@@ -175,12 +175,23 @@ let test_both_reraises () =
 let check_on name domain (f_on, g_on) =
   Alcotest.(check (pair int int)) name (domain, domain) (f_on, g_on)
 
+(* Spin until [ready ()], for five seconds at most; false on timeout. *)
+let spin_until ready =
+  let t0 = Unix.gettimeofday () in
+  let rec go () =
+    ready ()
+    || (Unix.gettimeofday () -. t0 < 5.0 && (Domain.cpu_relax (); go ()))
+  in
+  go ()
+
+(* A two-party barrier: true once the other party has arrived too. *)
+let barrier () =
+  let arrived = Atomic.make 0 in
+  fun () ->
+    Atomic.incr arrived;
+    spin_until (fun () -> Atomic.get arrived >= 2)
+
 let test_both_sequential_cases () =
-  (* Inside pool tasks, on whichever domain runs them. *)
-  Pool.with_pool ~workers:1 (fun pool ->
-      Array.iter
-        (fun (d, on) -> check_on "inside a pool task" d on)
-        (Pool.map pool (fun () -> (self (), both_on ())) (Array.make 4 ())));
   (* Nested, from either side. *)
   let inner = ref (-1, -1) in
   Pool.both (fun () -> inner := both_on ()) ignore;
@@ -197,6 +208,91 @@ let test_both_sequential_cases () =
       other := Domain.join (Domain.spawn (fun () -> (self (), both_on ()))))
     ignore;
   check_on "helper busy" (fst !other) (snd !other)
+
+(* Two tasks held together by barriers around their [both]: neither
+   participant is out of tasks, so nobody takes [g] and each pair runs
+   on its task's domain. *)
+let test_both_in_busy_tasks () =
+  if multicore then
+    Pool.with_pool ~workers:1 (fun pool ->
+        let before = barrier () and after = barrier () in
+        let ran =
+          Pool.map pool
+            (fun () ->
+              let met = before () in
+              let on = both_on () in
+              (met && after (), self (), on))
+            [| (); () |]
+        in
+        Array.iter
+          (fun (met, d, on) ->
+            Alcotest.(check bool) "tasks held together" true met;
+            check_on "partner still in its task" d on)
+          ran)
+
+(* Task 1 of a two-task set, once task 0 is done: its participant, or
+   a member that joined late, lends itself.  [body] runs inside task 1
+   and returns its domain with its own findings. *)
+let in_lone_task body =
+  Pool.with_pool ~workers:1 (fun pool ->
+      match
+        Pool.map pool
+          (fun i -> if i = 1 then Some (body ()) else None)
+          [| 0; 1 |]
+      with
+      | [| None; Some r |] -> r
+      | _ -> assert false)
+
+(* [f] waits until [g] has started: [g] runs on the other domain. *)
+let test_both_lends_to_a_finished_partner () =
+  if multicore then begin
+    let task, (started, g_on) =
+      in_lone_task (fun () ->
+          let g_on = Atomic.make (-1) in
+          let started = ref false in
+          Pool.both
+            (fun () -> started := spin_until (fun () -> Atomic.get g_on >= 0))
+            (fun () -> Atomic.set g_on (self ()));
+          (self (), (!started, Atomic.get g_on)))
+    in
+    Alcotest.(check bool) "g started while f waited" true started;
+    Alcotest.(check bool) "g on the other domain" true (g_on <> task)
+  end
+
+(* A lent [g] that raises: its exception surfaces after [f] finished,
+   and the next lent [both] is clean. *)
+let test_lent_both_reraises () =
+  if multicore then begin
+    let task, (raised, f_done, g_on, again) =
+      in_lone_task (fun () ->
+          let g_on = Atomic.make (-1) and f_done = ref false in
+          let raised =
+            match
+              Pool.both
+                (fun () ->
+                  ignore (spin_until (fun () -> Atomic.get g_on >= 0));
+                  Unix.sleepf 0.01;
+                  f_done := true)
+                (fun () ->
+                  Atomic.set g_on (self ());
+                  raise (Boom 5))
+            with
+            | () -> -1
+            | exception Boom i -> i
+          in
+          let again = Atomic.make false in
+          Pool.both
+            (fun () -> ignore (spin_until (fun () -> Atomic.get again)))
+            (fun () -> Atomic.set again true);
+          (self (), (raised, !f_done, Atomic.get g_on, Atomic.get again)))
+    in
+    Alcotest.(check int) "g's exception" 5 raised;
+    Alcotest.(check bool) "after f finished" true f_done;
+    Alcotest.(check bool)
+      "g on the other domain" true
+      (g_on <> task && g_on >= 0);
+    Alcotest.(check bool) "usable afterwards" true again
+  end
 
 (* The domains other than this one that ran [pool]'s tasks: sixteen
    tasks of 2 ms, so a member that is up takes some. *)
@@ -296,9 +392,10 @@ let test_taken_slot_runs_iter_alone () =
    solver's per-check-period use of it.  A solve held at one grid (no
    refinement, no convergence) to a budget of [n] steps allocates the
    same number of minor words whether its chains step on two domains
-   or, inside a pool task, on one — at any [n].  Respawning a helper
-   does allocate, and a host stall past the idle period forces one, so
-   each measurement keeps the least of three tries.  Bytecode boxes
+   or, inside a task of a pool with no workers, on one — at any [n].
+   Respawning a helper does allocate, and a host stall past the idle
+   period forces one, so each measurement keeps the least of three
+   tries.  Bytecode boxes
    every float, so the pins hold on native builds only. *)
 let least_of_three f = Float.min (f ()) (Float.min (f ()) (f ()))
 
@@ -315,6 +412,35 @@ let test_handoff_allocates_nothing () =
       Gc.minor_words () -. w0
     in
     Alcotest.(check (float 0.0)) "both" 0.0 (least_of_three calls);
+    (* Lent: [f] waits until [g] has started, so each [g] runs on the
+       partner that is out of tasks.  The wait is a bounded spin, and
+       after one that runs out [f] stops waiting. *)
+    if multicore then begin
+      let words, lent =
+        in_lone_task (fun () ->
+            let poster = self () in
+            let started = Atomic.make 0 and posted = ref 0 in
+            let elsewhere = Atomic.make 0 and spins = ref 0 in
+            let g () =
+              if self () <> poster then Atomic.incr elsewhere;
+              Atomic.incr started
+            and f () =
+              incr posted;
+              while Atomic.get started < !posted && !spins < 100_000_000 do
+                Domain.cpu_relax ();
+                incr spins
+              done
+            in
+            Pool.both f g;
+            let w0 = Gc.minor_words () in
+            for _ = 1 to 1000 do
+              Pool.both f g
+            done;
+            (Gc.minor_words () -. w0, Atomic.get elsewhere))
+      in
+      Alcotest.(check int) "every g lent" 1001 lent;
+      Alcotest.(check (float 0.0)) "lent both" 0.0 words
+    end;
     let model =
       Lrd_core.Model.cutoff_pareto
         ~marginal:(Lrd_dist.Marginal.of_points [ (0.0, 0.5); (2.0, 0.5) ])
@@ -634,6 +760,12 @@ let () =
             test_both_reraises;
           Alcotest.test_case "sequential cases" `Quick
             test_both_sequential_cases;
+          Alcotest.test_case "tasks held together keep their pairs" `Quick
+            test_both_in_busy_tasks;
+          Alcotest.test_case "lends to a partner out of tasks" `Quick
+            test_both_lends_to_a_finished_partner;
+          Alcotest.test_case "a lent g's exception after f" `Quick
+            test_lent_both_reraises;
           Alcotest.test_case "crew retires and respawns" `Quick
             test_crew_retires_and_respawns;
           Alcotest.test_case "both borrows a pool's worker" `Quick
