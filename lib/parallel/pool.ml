@@ -121,16 +121,16 @@ let waiters = Atomic.make 0
 
 (* Reading [waiters] after the change it announces (and a waiter
    counting itself before its last look) means no waiter sleeps
-   through it.  A post wakes one: only lenders wait while tasks run. *)
-let wake notify =
+   through it. *)
+let wake () =
   if Atomic.get waiters > 0 then begin
     Mutex.lock lock;
-    notify finished;
+    Condition.broadcast finished;
     Mutex.unlock lock
   end
 
 let give_back job k =
-  if Atomic.fetch_and_add job.pending (-k) = k then wake Condition.broadcast
+  if Atomic.fetch_and_add job.pending (-k) = k then wake ()
 
 (* Spin [spin_seconds] at most while [waiting job], then sleep on
    [finished] until it is false. *)
@@ -196,7 +196,7 @@ let drain job =
   if
     job.grid && claimed > 0
     && Atomic.fetch_and_add job.unfinished (-claimed) = claimed
-  then wake Condition.broadcast;
+  then wake ();
   claimed
 
 (* Run the posted [pair] the lender has taken, keep its exception for
@@ -423,7 +423,7 @@ let lend_pair f g =
   else begin
     job.pair <- g;
     Atomic.set job.lend posted;
-    wake Condition.signal;
+    wake ();
     let mine = capture f in
     if Atomic.compare_and_set job.lend posted free then settle mine (capture g)
     else begin

@@ -697,8 +697,9 @@ let prop_wrapped_step_matches_exact =
 (* Chain pair: a one-shot solve outside a pool task steps its floor
    chain on the caller and its ceiling chain on the helper domain
    ({!Lrd_parallel.Pool.both}); inside a task of a pool with no
-   workers both step on one domain.  Where the chains ran must not
-   change a bit. *)
+   workers both step on one domain; inside the one task of a pool with
+   a worker, the worker, out of tasks, is lent the ceiling chain.
+   Where the chains ran must not change a bit. *)
 
 (* Everything a detailed solve reports, floats as bit patterns. *)
 let detailed_bits ((r : Solver.result), (occ : Solver.occupancy)) =
@@ -708,16 +709,18 @@ let detailed_bits ((r : Solver.result), (occ : Solver.occupancy)) =
     Array.map bits occ.Solver.lower_pmf,
     Array.map bits occ.Solver.upper_pmf )
 
-(* The solve on this domain (chains paired) and inside a task of a
-   pool with no workers (chains in turn). *)
-let paired_and_sequential ?params model ~service_rate ~buffer =
+(* The solve on this domain (chains paired), inside a task of a pool
+   with no workers (chains in turn) and inside the one task of a pool
+   with a worker (ceiling chain lent to the worker). *)
+let paired_sequential_lent ?params model ~service_rate ~buffer =
   let solve () = Solver.solve_detailed ?params model ~service_rate ~buffer in
-  let paired = solve () in
-  let sequential =
-    Lrd_parallel.Pool.with_pool ~workers:1 (fun pool ->
+  let in_task workers =
+    Lrd_parallel.Pool.with_pool ~workers (fun pool ->
         (Lrd_parallel.Pool.map pool solve [| () |]).(0))
   in
-  (paired, sequential)
+  let paired = solve () in
+  let sequential = in_task 0 in
+  (paired, sequential, in_task 1)
 
 let test_chain_pair_bitwise () =
   let m = pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:5.0 () in
@@ -748,14 +751,18 @@ let test_chain_pair_bitwise () =
   in
   List.iter
     (fun (name, params, service_rate, buffer, shape) ->
-      let paired, sequential =
-        paired_and_sequential ~params m ~service_rate ~buffer
+      let paired, sequential, lent =
+        paired_sequential_lent ~params m ~service_rate ~buffer
       in
       Alcotest.(check bool) (name ^ ": case shape") true (shape (fst paired));
       Alcotest.(check bool)
         (name ^ ": identical bits")
         true
-        (detailed_bits paired = detailed_bits sequential))
+        (detailed_bits paired = detailed_bits sequential);
+      Alcotest.(check bool)
+        (name ^ ": identical bits, lent")
+        true
+        (detailed_bits paired = detailed_bits lent))
     cases
 
 let prop_chain_pair_bitwise =
@@ -776,11 +783,12 @@ let prop_chain_pair_bitwise =
       let params =
         { Solver.default_params with max_iterations = 2_000; max_bins = 2048 }
       in
-      let paired, sequential =
-        paired_and_sequential ~params model ~service_rate
+      let paired, sequential, lent =
+        paired_sequential_lent ~params model ~service_rate
           ~buffer:(buffer_seconds *. service_rate)
       in
-      detailed_bits paired = detailed_bits sequential)
+      detailed_bits paired = detailed_bits sequential
+      && detailed_bits paired = detailed_bits lent)
 
 (* ------------------------------------------------------------------ *)
 (* Solver states *)
