@@ -8,8 +8,8 @@
    paper's "runtime below a second on a workstation" claim is
    checkable.
 
-   [--scaling] times full figure sweeps (fig12 and fig13 by default;
-   --only picks from fig4/fig12/fig13/fig11_scale) sequentially and on
+   [--scaling] times full figure sweeps (fig5 and fig13 by default;
+   --only picks from fig4/fig5/fig13/fig11_scale) sequentially and on
    domain pools of increasing size, reporting wall-clock seconds and
    speedup relative to the sequential run.  The heap is compacted
    before every timed cell so one pool size's GC debt never lands in
@@ -322,13 +322,10 @@ let micro_tests ctx =
                (Fig11_scale.population ~n:10_000)));
     ]
   in
-  (* Whole-surface sweep pair: the fig12 grid solved cold cell by cell
-     (the classic sweep) versus through the gap-driven scheduler with
-     neighbour warm-starts, at the same uniform 20% gap target.  CI's
-     perf gate watches this pair — the scheduler must stay well ahead
-     of the uniform baseline (see EXPERIMENTS.md).  Each variant owns
-     its model cache so workload construction amortizes identically on
-     both sides and the timed difference is solver iterations. *)
+  (* Whole-surface sweeps: the fig12 grid (MTV and Bellcore marginals)
+     solved cold cell by cell through [Sweep.psurface], each surface
+     with its own model cache shared by the cells of a column.  CI's
+     hard sweep/ gate watches these rows. *)
   let sweep_quick = Data.quick ctx in
   let sweep_buffers = Sweep.buffers ~quick:sweep_quick ~max_seconds:5.0 () in
   let sweep_scalings = Sweep.scalings ~quick:sweep_quick () in
@@ -353,29 +350,17 @@ let micro_tests ctx =
         Lrd_core.Model.of_hurst ~marginal ~hurst:Data.bc_hurst
           ~theta:sweep_bc_theta ~cutoff:Float.infinity)
   in
-  let sweep_pair name model_of utilization =
-    let uniform_cache = Lrd_core.Workload.Cache.create () in
-    let sched_cache = Lrd_core.Workload.Cache.create () in
-    [
-      mk (Printf.sprintf "sweep/%s-uniform" name) (fun () ->
-          ignore
-            (Sweep.psurface ~xs:sweep_scalings ~ys:sweep_buffers
-               ~f:(fun a buffer_seconds ->
-                 (Lrd_core.Solver.solve_utilization ~params:sweep_params
-                    ~cache:(uniform_cache, Sweep.cell_key a)
-                    (model_of uniform_cache a) ~utilization ~buffer_seconds)
-                   .Lrd_core.Solver.loss)
-               ()));
-      mk (Printf.sprintf "sweep/%s-scheduled" name) (fun () ->
-          ignore
-            (Sweep.scheduled_surface ~xs:sweep_scalings ~ys:sweep_buffers
-               ~state:(fun a buffer_seconds ->
-                 Lrd_core.Solver.State.create_utilization
-                   ~params:sweep_params
-                   ~cache:(sched_cache, Sweep.cell_key a)
-                   (model_of sched_cache a) ~utilization ~buffer_seconds)
-               ()));
-    ]
+  let sweep name model_of utilization =
+    let cache = Lrd_core.Workload.Cache.create () in
+    mk (Printf.sprintf "sweep/%s-uniform" name) (fun () ->
+        ignore
+          (Sweep.psurface ~xs:sweep_scalings ~ys:sweep_buffers
+             ~f:(fun a buffer_seconds ->
+               (Lrd_core.Solver.solve_utilization ~params:sweep_params
+                  ~cache:(cache, Sweep.cell_key a) (model_of cache a)
+                  ~utilization ~buffer_seconds)
+                 .Lrd_core.Solver.loss)
+             ()))
   in
   (* Scheduler bookkeeping: one [both] of two empty thunks, and 64 empty
      tasks on a one-worker pool.  Their times depend on the host's cores
@@ -391,8 +376,10 @@ let micro_tests ctx =
     ]
   in
   figure_tests @ kernel_tests
-  @ sweep_pair "fig12" sweep_model Data.mtv_utilization
-  @ sweep_pair "fig13" sweep_bc_model Data.bc_utilization
+  @ [
+      sweep "fig12" sweep_model Data.mtv_utilization;
+      sweep "fig13" sweep_bc_model Data.bc_utilization;
+    ]
   @ pool_tests
 
 let emit_json oc rows =
@@ -531,23 +518,21 @@ let run_micro ~json ctx =
 (* ------------------------------------------------------------------ *)
 (* Domain-scaling benchmark: one full figure sweep per pool size.
 
-   fig12 is the representative surface (35 solver cells at full scale,
-   deep buffers, cross-cell workload cache): big enough that the pool's
-   scheduling overhead is invisible and every cell is pure CPU.  Each
-   run uses a fresh context at the given parallelism, with the shared
-   trace ingredients forced outside the timed region so only the sweep
-   itself is measured. *)
+   fig5 is the representative surface (77 cold solver cells at full
+   scale, cross-cell workload cache): big enough that the pool's
+   scheduling overhead is small and every cell is pure CPU.  Each run
+   uses a fresh context at the given parallelism, with the shared trace
+   ingredients forced outside the timed region so only the sweep itself
+   is measured. *)
 
 (* Figures a scaling run can time; --only (substring match) picks a
-   subset.  The default keeps the classic fig12 trajectory, so the
-   committed BENCH_scaling.json stays comparable across runs, and adds
-   fig13, whose one deep-buffer row is most of the figure: its rows
-   time how a long warm-start chain uses the pool once the short rows
-   are done. *)
+   subset.  The default is fig5 and fig13: fig13's deep-buffer row
+   holds its slowest cells, so it times how the pool is used once the
+   short cells are done. *)
 let scaling_figures =
   [
     ("fig4", fun ctx -> ignore (Fig04.compute ctx));
-    ("fig12", fun ctx -> ignore (Fig12.compute ctx));
+    ("fig5", fun ctx -> ignore (Fig05.compute ctx));
     ("fig13", fun ctx -> ignore (Fig13.compute ctx));
     ("fig11_scale", fun ctx -> ignore (Fig11_scale.compute ctx));
   ]
@@ -607,7 +592,7 @@ let run_scaling ~json () =
       cores;
   let figures =
     if !only = [] then
-      List.filter (fun (name, _) -> name = "fig12" || name = "fig13")
+      List.filter (fun (name, _) -> name = "fig5" || name = "fig13")
         scaling_figures
     else List.filter (fun (name, _) -> selected name) scaling_figures
   in

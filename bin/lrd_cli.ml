@@ -402,7 +402,7 @@ let trace_cmd =
     let json_arg =
       let doc =
         "Print the full report as deterministic JSON (schema \
-         $(b,lrd-trace-report/1)) instead of the text summary — \
+         $(b,lrd-trace-report/2)) instead of the text summary — \
          byte-identical across reruns of the same journal."
       in
       Arg.(value & flag & info [ "json" ] ~doc)
@@ -454,8 +454,7 @@ let trace_cmd =
     in
     let doc =
       "analyze a timeline trace: per-phase aggregates, per-domain \
-       utilization, pool task count, slowest cells and the sweep \
-       critical path"
+       utilization, pool task count and slowest cells"
     in
     Cmd.v (Cmd.info "report" ~doc)
       Term.(ret (const run $ file_arg $ json_arg $ top_arg $ compare_arg))

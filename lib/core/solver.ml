@@ -268,20 +268,17 @@ module Workspace = struct
 
   let losses t ~norm = (loss_of t ~norm t.lower.q, loss_of t ~norm t.upper.q)
 
-  (* Adopt [src]'s chains as [dst]'s initial state.  Old point j d
-     sits exactly at new point (stride j) (d / stride): stride 1 is a
-     seed on the same grid, stride 2 footnote 3's doubling, where the
-     re-indexing keeps both chains' bound property (Proposition II.1
-     (v)).  Both are exact copies. *)
+  (* Footnote 3's doubling: adopt [src]'s chains as the initial state
+     of [dst], which has twice the bins.  Old point j d sits exactly at
+     new point 2j (d / 2), so the re-indexing is an exact copy that
+     keeps both chains' bound property (Proposition II.1 (v)). *)
   let load ~src dst =
-    let stride = dst.m / src.m in
-    if (stride <> 1 && stride <> 2) || dst.m <> stride * src.m then
-      invalid_arg
-        "Solver.Workspace.load: dst must have the same or twice the bins";
+    if dst.m <> 2 * src.m then
+      invalid_arg "Solver.Workspace.load: dst must have twice the bins";
     let copy (s : vec) (d : vec) =
       Bigarray.Array1.fill d 0.0;
       for j = 0 to src.m do
-        Bigarray.Array1.set d (stride * j) (Bigarray.Array1.get s j)
+        Bigarray.Array1.set d (2 * j) (Bigarray.Array1.get s j)
       done
     in
     copy src.lower.q dst.lower.q;
@@ -348,10 +345,10 @@ let mean_virtual_delay occ ~service_rate =
 (* The solve loop.
 
    [State] is Proposition II.1's loop with its variables in a record,
-   so a caller can create a cell, seed it from a neighbour
-   ([seed_from]) and then [run] it: step both chains [check_every]
-   times, check the bounds, refine the grid when both have stalled,
-   until a check finishes the solve.  [solve] is [create] + [run]. *)
+   so a sweep can create a cell through a callback and then [run] it:
+   step both chains [check_every] times, check the bounds, refine the
+   grid when both have stalled, until a check finishes the solve.
+   [solve] is [create] + [run]. *)
 
 (* Bounds are checked after every [check_every]-th chain step and at
    the iteration budget. *)
@@ -375,7 +372,6 @@ module State = struct
     mutable upper : float;  (* the first one *)
     mutable finished : bool;
     mutable converged : bool;
-    mutable warm_started : bool;
     mutable batch : int;  (* steps of the current check period *)
     floor_run : unit -> unit;  (* [batch] steps of one chain; built once *)
     ceiling_run : unit -> unit;  (* so a check period allocates nothing *)
@@ -393,7 +389,7 @@ module State = struct
   (* A solve is one [solver/solve] slice and one sample of
      [solver/solve_seconds] and [solver/solve_minor_words], from
      [create] to the check that finishes it, so quantization, plan
-     building, seeding and refinement all count; a trivial cell
+     building and refinement all count; a trivial cell
      finishes in [create]. *)
   let close_solve t =
     if Obs.Trace.enabled () then Obs.Trace.end_ "solver/solve";
@@ -475,7 +471,6 @@ module State = struct
         upper = Float.nan;
         finished = trivial <> None;
         converged = trivial <> None;
-        warm_started = false;
         batch = 0;
         floor_run = (fun () -> run_chain t (fun ws -> ws.Workspace.lower));
         ceiling_run = (fun () -> run_chain t (fun ws -> ws.Workspace.upper));
@@ -489,8 +484,6 @@ module State = struct
     create ?params ?cache model ~service_rate:c
       ~buffer:(buffer_seconds *. c)
 
-  let iterations t = t.iterations
-
   let bins t =
     match t.trivial with
     | Some (r, _) -> r.bins
@@ -499,8 +492,8 @@ module State = struct
         | Some ws -> Workspace.bins ws
         | None -> t.params.initial_bins)
 
-  (* Every resolution level, the first, a refinement's and a seed's,
-     starts here: close the current level's [solver/level] slice, if
+  (* Every resolution level, the first and a refinement's, starts
+     here: close the current level's [solver/level] slice, if
      any, open [ws]'s, and start its bound history afresh.  Trace
      granularity mirrors the metric granularity: one slice per level
      plus refinement instants, never one per check period, which would
@@ -526,14 +519,6 @@ module State = struct
     t.converged <- converged;
     close_solve t
 
-  (* The losses of an empty and of a full buffer: the cold chains'
-     starting points, certified bounds on any cell.  What a warm start
-     reports when it exhausts its budget without a settled check. *)
-  let cold_extremes t ws =
-    let ov = ws.Workspace.overflow in
-    ( Bigarray.Array1.get ov 0 /. t.norm,
-      Bigarray.Array1.get ov (Workspace.bins ws) /. t.norm )
-
   let plateaued t previous current =
     Float.is_finite previous
     && Float.abs (previous -. current)
@@ -552,27 +537,12 @@ module State = struct
       Obs.Trajectory.record m_gap_trajectory rel;
       Obs.Gauge.set m_last_gap rel
     end;
-    (* A warm-started chain approaches its stationary value from an
-       arbitrary side, so a transiently narrow gap (or transiently tiny
-       upper bound) proves nothing.  Accept a convergence criterion only
-       once both chains have ALSO plateaued — i.e. they sit at their
-       stationary values to within [stall_factor], where the floor /
-       ceiling losses are certified bounds regardless of the initial
-       state.  Cold chains approach monotonically (Proposition II.1),
-       so [settled] is identically true for them and the classic
-       stopping protocol is unchanged bit for bit. *)
-    let settled =
-      (not t.warm_started)
-      || (plateaued t t.prev_lower lo && plateaued t t.prev_upper hi)
-    in
     t.lower <- lo;
     t.upper <- hi;
-    if hi < t.params.negligible_loss && settled then
-      finish t ws ~converged:true ~lo ~hi
-    else if gap <= t.params.tolerance *. mid && settled then
+    if hi < t.params.negligible_loss then finish t ws ~converged:true ~lo ~hi
+    else if gap <= t.params.tolerance *. mid then
       finish t ws ~converged:true ~lo ~hi
     else if t.iterations >= t.params.max_iterations then
-      let lo, hi = if settled then (lo, hi) else cold_extremes t ws in
       finish t ws ~converged:false ~lo ~hi
     else begin
       (* Refine only when BOTH chains have individually plateaued:
@@ -626,51 +596,6 @@ module State = struct
         check t (Option.get t.ws)
       done
     end
-
-  (* A seed is accepted when the neighbour's buffer agrees within this
-     relative tolerance.  The pmfs are only an initial condition — the
-     plateau guard in [check] provides certification for ANY starting
-     state — so a near-coincident grid (e.g. a mean-preserving marginal
-     scaling whose zero-clamp shifted the service rate a few percent,
-     as Bellcore's fig13 columns do) still yields a useful seed; past a
-     quarter or so the neighbour's occupancy shape is no longer worth
-     adopting over the coarse-to-fine ladder. *)
-  let seed_buffer_rel_tolerance = 0.25
-
-  (* Warm start: adopt a converged neighbour's occupancy pmfs (and its
-     final resolution) as this cell's initial condition, skipping both
-     the refinement ladder and most of the mixing time.  The pmf vector
-     is reinterpreted on [t]'s own grid — the same bin count, a grid
-     step within [seed_buffer_rel_tolerance] — which is safe because
-     the seed carries no bound semantics: the [check]-time plateau
-     guard is what keeps the reported bounds certified despite the
-     foreign initial state.  Returns [false] (leaving the state
-     untouched, cold) whenever the grids are incompatible. *)
-  let seed_from ~src t =
-    match (src.trivial, t.trivial, src.ws) with
-    | None, None, Some sws
-      when (not t.finished)
-           && t.iterations = 0
-           && Float.abs (t.buffer -. src.buffer)
-              <= seed_buffer_rel_tolerance
-                 *. Float.max (Float.abs t.buffer) (Float.abs src.buffer)
-           && Workspace.bins sws <= t.params.max_bins ->
-        let m = Workspace.bins sws in
-        let ws = Workspace.make t.workload ~buffer:t.buffer ~m in
-        Workspace.load ~src:sws ws;
-        enter t ws;
-        t.warm_started <- true;
-        (* Evaluate the seeded pmfs under THIS cell's workload as the
-           "previous check": a genuine point of the new chain at step
-           zero.  If the seed is already near-stationary for this cell,
-           the first real check plateaus against it and can settle
-           after a single check period instead of two. *)
-        let lo0, hi0 = Workspace.losses ws ~norm:t.norm in
-        t.prev_lower <- lo0;
-        t.prev_upper <- hi0;
-        if Obs.Trace.enabled () then Obs.Trace.instant ~arg:m "solver/seed";
-        true
-    | _ -> false
 
   let result t =
     match t.trivial with

@@ -135,12 +135,11 @@ val mean_virtual_delay : occupancy -> service_rate:float -> float * float
 
 module State : sig
   type t
-  (** One solve, held in a record so that a caller can seed it from a
-      neighbouring cell before running it.  {!run} is the loop of
-      {!solve}: step both chains 16 times, check the bounds, refine the
-      grid when both have plateaued, until a check finishes the solve.
-      {!solve} is {!create} + {!run}, so a cold state reproduces it by
-      construction.
+  (** One solve, held in a record so that a sweep can create it through
+      a callback and run it later.  {!run} is the loop of {!solve}: step
+      both chains 16 times, check the bounds, refine the grid when both
+      have plateaued, until a check finishes the solve.  {!solve} is
+      {!create} + {!run}, so a state reproduces it by construction.
 
       A state is single-threaded: create and run it on one domain,
       whose trace track then holds its balanced [solver/solve] slice
@@ -160,8 +159,8 @@ module State : sig
     service_rate:float ->
     buffer:float ->
     t
-  (** A fresh cold state (floor chain empty, ceiling chain full; the
-      first level is built by {!run}, or by {!seed_from}).  The state
+  (** A fresh state (floor chain empty, ceiling chain full; the first
+      level is built by {!run}).  The state
       quantizes through its own grid memo
       ({!Workload.with_memo}), also when its workload comes from
       [cache].
@@ -187,32 +186,6 @@ module State : sig
   (** Run the solve until a check finishes it.  No-op on a finished
       state. *)
 
-  val iterations : t -> int
-
-  val seed_from : src:t -> t -> bool
-  (** [seed_from ~src t] warm-starts [t] from a neighbouring cell:
-      [t] adopts [src]'s current resolution and both of its occupancy
-      pmfs as initial conditions, skipping the refinement ladder and
-      most of the mixing time.  Legal only when the occupancy grids
-      (nearly) coincide — buffers within a 25% relative tolerance, so a
-      mean-preserving marginal scaling whose zero-clamp nudged the
-      service rate still seeds — with [src]'s bins within [t]'s
-      [max_bins] and [t] fresh (zero iterations); returns [false] —
-      leaving [t] cold — otherwise, or for trivial cells.  An accepted
-      seed builds [t]'s first level here, holding an exact copy of
-      [src]'s pmfs, and {!run} starts from it.
-
-      Certification: the seed carries no bound semantics (it is just an
-      initial distribution), and a warm-started chain may approach its
-      stationary value from either side — so a warm-started state only
-      accepts a convergence criterion once both chains have {e also}
-      plateaued (within [stall_factor]), i.e. they sit at their
-      stationary values, which bound the true loss regardless of the
-      initial state.  Cold states are unaffected bit for bit.  A warm
-      state that exhausts [max_iterations] without such a settled check
-      reports the cold extremes instead: the losses of an empty and of
-      a full buffer, since its seed's losses bound nothing. *)
-
   val result : t -> result
   (** The result so far; meaningful once {!run} has returned (before
       the first check the bounds are [nan]). *)
@@ -221,9 +194,9 @@ module State : sig
   (** {!result} plus the current occupancy bounds, as
       {!solve_detailed}. *)
 end
-(** The loop of {!solve}, exposed for the row sweep
-    ({!Lrd_experiments.Sweep.scheduled_surface}), which warm-starts each
-    cell from its left neighbour. *)
+(** The loop of {!solve}, exposed for
+    {!Lrd_experiments.Sweep.scheduled_surface}, whose cells are states
+    made by the caller's callback and run cold on the sweep's pool. *)
 
 val solve :
   ?params:params ->

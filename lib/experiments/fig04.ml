@@ -13,9 +13,7 @@ let surface ctx ~model_of ~utilization =
   let cutoffs = Sweep.cutoffs ~quick () in
   let params = Data.solver_params ctx in
   (* One model + workload per cutoff column, shared across the buffer
-     rows (and across domains when a pool is set).  The cutoff is
-     the x axis, so the buffer — hence the occupancy grid — is constant
-     along each warm-start chain of the scheduled sweep. *)
+     rows (and across domains when a pool is set). *)
   let cache = Lrd_core.Workload.Cache.create () in
   let cells =
     Sweep.scheduled_surface ?pool:(Data.pool ctx) ~xs:cutoffs ~ys:buffers

@@ -20,10 +20,7 @@ let surface ctx ~base_marginal ~theta ~utilization ~title
   let params = Data.solver_params ctx in
   let cells =
     (* No cross-cell cache: the model differs along both axes, so no two
-       cells share a workload here.  Warm-start chains still run along
-       the x axis: [Marginal.scale] and [superpose] are mean-preserving,
-       so the service rate — and with it the occupancy grid — is
-       bitwise constant along each Hurst row. *)
+       cells share a workload here. *)
     Sweep.scheduled_surface ?pool:(Data.pool ctx) ~xs ~ys:hursts
       ~state:(fun x hurst ->
         let marginal = transform base_marginal x in

@@ -9,7 +9,7 @@
    many slow sources, some medium, a few fast bursty ones — in a 6:3:1
    ratio; all grid Ns are multiples of 10, so the per-source mean (and
    with it the service rate at fixed utilization) is identical in every
-   column and warm-start chains run along each Hurst row.
+   column.
 
    The punchline matches the paper's: multiplexing crushes loss far
    faster than any change of H, and past N ~ 10^5 the aggregate is so

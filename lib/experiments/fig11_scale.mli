@@ -6,7 +6,7 @@
     engine ({!Lrd_core.Superpose}): O(log N) half-spectrum multiplies
     on the exact path, the Edgeworth closed form once the cost model
     flips ([--superpose] picks; default [auto]).  Each aggregate feeds
-    the resumable solver states of {!Sweep.scheduled_surface}, so every
+    the cold solver cells of {!Sweep.scheduled_surface}, so every
     reported loss is a certified interval midpoint, exactly like the
     in-paper figures.  The run output ends with an exact-vs-Edgeworth
     agreement block (mean, std, 3-sigma tail) at a reference N. *)

@@ -15,10 +15,7 @@ let surface ctx ~base_marginal ~theta ~hurst ~utilization ~title =
   let scalings = Sweep.scalings ~quick () in
   let params = Data.solver_params ctx in
   (* The model depends only on the scaling column, so the cache shares
-     one model + workload per column across the buffer rows.
-     Scaling is mean-preserving, so the buffer in work units is
-     constant along each buffer row and the warm-start chains run along
-     the scaling axis. *)
+     one model + workload per column across the buffer rows. *)
   let cache = Lrd_core.Workload.Cache.create () in
   let cells =
     Sweep.scheduled_surface ?pool:(Data.pool ctx) ~xs:scalings ~ys:buffers

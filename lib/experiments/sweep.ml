@@ -35,117 +35,48 @@ let stream_counts ~quick () =
    when reading a metrics snapshot of a figure run. *)
 let m_cells = Lrd_obs.Obs.Counter.make "sweep/cells"
 
-(* A traced cell records one timeline slice on whichever domain ran it;
-   pooled cells also get a [pool/task] slice from the scheduler, so the
-   sweep slice nests inside it with the cell work attributed by name. *)
-let traced1 f x =
+(* A traced cell records one [sweep/cell] slice, its arg the row-major
+   cell index, on whichever domain ran it; pooled cells also get a
+   [pool/task] slice from the scheduler, so the sweep slice nests
+   inside it with the cell work attributed by name. *)
+let traced index f =
   if Lrd_obs.Obs.Trace.enabled () then
-    Lrd_obs.Obs.Trace.with_span "sweep/cell" (fun () -> f x)
-  else f x
-
-let traced2 f x y =
-  if Lrd_obs.Obs.Trace.enabled () then
-    Lrd_obs.Obs.Trace.with_span "sweep/cell" (fun () -> f x y)
-  else f x y
+    Lrd_obs.Obs.Trace.with_span ~arg:index "sweep/cell" f
+  else f ()
 
 let map ?pool f xs =
   Lrd_obs.Obs.Counter.add m_cells (Array.length xs);
-  let f = traced1 f in
+  let cell i = traced i (fun () -> f xs.(i)) in
+  let indices = Array.init (Array.length xs) Fun.id in
   match pool with
-  | None -> Array.map f xs
-  | Some p -> Lrd_parallel.Pool.map p f xs
+  | None -> Array.map cell indices
+  | Some p -> Lrd_parallel.Pool.map p cell indices
 
 let psurface ?pool ~xs ~ys ~f () =
-  Lrd_obs.Obs.Counter.add m_cells (Array.length xs * Array.length ys);
-  let f = traced2 f in
+  let nx = Array.length xs and ny = Array.length ys in
+  Lrd_obs.Obs.Counter.add m_cells (nx * ny);
+  let cell ix iy = traced ((iy * nx) + ix) (fun () -> f xs.(ix) ys.(iy)) in
+  let ixs = Array.init nx Fun.id and iys = Array.init ny Fun.id in
   match pool with
-  | None -> Array.map (fun y -> Array.map (fun x -> f x y) xs) ys
-  | Some p -> Lrd_parallel.Pool.map2_grid p ~xs ~ys ~f
+  | None -> Array.map (fun iy -> Array.map (fun ix -> cell ix iy) ixs) iys
+  | Some p -> Lrd_parallel.Pool.map2_grid p ~xs:ixs ~ys:iys ~f:cell
 
 let cell_key x = Printf.sprintf "%h" x
-
-(* ------------------------------------------------------------------ *)
-(* Row-chain sweep.
-
-   [scheduled_surface] evaluates a grid of resumable solver states
-   ([Solver.State]) instead of independent fire-and-forget solves.  The
-   unit of parallel work is a row: its cells run left to right, each
-   created through the figure's [state] callback, warm-started from its
-   finished left neighbour when the grids coincide
-   ([Solver.State.seed_from]) — skipping the refinement ladder and most
-   of the mixing time — and run to the end.  A row is one pool task, so
-   quantization and plan building happen on the domain that steps the
-   chain, and a row holds at most two states: the cell in progress and
-   the finished neighbour that seeds it.  A finished cell keeps only its
-   result.
-
-   Determinism: a row's work depends only on its own cells, so results
-   are byte-identical for every pool size, exactly like [psurface].  The
-   pool only changes which domain runs a row. *)
 
 (* Only the benchmark harness still names a policy. *)
 type gap_policy = Uniform
 
-let m_warm_starts = Lrd_obs.Obs.Counter.make "sweep/warm_starts"
-let m_iterations_saved = Lrd_obs.Obs.Counter.make "sweep/iterations_saved"
-
-let scheduled_surface (type a b) ?pool ?policy:(_ : gap_policy option)
-    ~(xs : a array) ~(ys : b array)
-    ~(state : a -> b -> Lrd_core.Solver.State.t) () =
+(* Every cell is one cold solve of the state the figure's callback
+   made, on its own pool task, so [state] runs on pool domains. *)
+let scheduled_surface ?pool ?policy:(_ : gap_policy option) ~xs ~ys ~state
+    () =
   let module State = Lrd_core.Solver.State in
-  let module Obs = Lrd_obs.Obs in
-  let nx = Array.length xs and ny = Array.length ys in
-  Obs.Counter.add m_cells (nx * ny);
-  let run_row iy =
-    let left = ref None in
-    let cell ix index () =
-      let st = state xs.(ix) ys.(iy) in
-      let seed_iterations =
-        match !left with
-        | Some src when State.seed_from ~src st ->
-            Obs.Counter.incr m_warm_starts;
-            if Obs.Trace.enabled () then
-              Obs.Trace.instant ~arg:index "sweep/warm_start";
-            State.iterations src
-        | _ -> -1
-      in
+  psurface ?pool ~xs ~ys
+    ~f:(fun x y ->
+      let st = state x y in
       State.run st;
-      (* Source-minus-own iterations: a conservative estimate of what
-         the warm start saved (the true counterfactual would need a
-         cold rerun). *)
-      if seed_iterations >= 0 then
-        Obs.Counter.add m_iterations_saved
-          (max 0 (seed_iterations - State.iterations st));
-      left := Some st;
-      State.result st
-    in
-    Array.init nx (fun ix ->
-        let index = (iy * nx) + ix in
-        (* One slice per cell, from its creation on, so it holds the
-           cell's whole solver/solve slice. *)
-        if Obs.Trace.enabled () then
-          Obs.Trace.with_span ~arg:index "sweep/slice" (cell ix index)
-        else cell ix index ())
-  in
-  let results = Array.make ny [||] in
-  (* The pool claims tasks in index order and task k runs the k-th row
-     from the end, so the deepest-buffer and highest-H rows, the longest
-     chains, start first. *)
-  let task k =
-    let iy = ny - 1 - k in
-    results.(iy) <- run_row iy
-  in
-  let rows () =
-    match pool with
-    | Some p when ny > 1 -> Lrd_parallel.Pool.iter p task ny
-    | _ ->
-        for k = 0 to ny - 1 do
-          task k
-        done
-  in
-  if Obs.Trace.enabled () then Obs.Trace.with_span "sweep/scheduled" rows
-  else rows ();
-  results
+      State.result st)
+    ()
 
 (* The shared parameter grids, as manifest JSON.  Infinite cutoffs are
    rendered as the string "inf": JSON has no infinity literal and a

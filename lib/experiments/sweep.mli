@@ -43,7 +43,10 @@ val psurface :
   unit ->
   'c array array
 (** [cells.(row).(col) = f xs.(col) ys.(row)], for axes of any type
-    (buffers, shuffled traces, interarrival laws, ...). *)
+    (buffers, shuffled traces, interarrival laws, ...).  Each cell adds
+    one to the [sweep/cells] counter and, when tracing, records one
+    [sweep/cell] span whose arg is its row-major index
+    [row * Array.length xs + col]. *)
 
 val cell_key : float -> string
 (** Hex-exact cache key for a float grid coordinate
@@ -64,31 +67,15 @@ val scheduled_surface :
   state:('a -> 'b -> Lrd_core.Solver.State.t) ->
   unit ->
   Lrd_core.Solver.result array array
-(** Row-chain grid evaluation over resumable solver states:
-    [cells.(row).(col)] is the result of [state xs.(col) ys.(row)],
-    like {!psurface}.  Each row is a warm-start chain run left to right
-    inside one pool task (when a pool is given): the task creates each
-    cell through [state] — so [state] runs on pool domains and must be
-    domain-safe, like any cell function — seeds it from its finished
-    left neighbour when the occupancy grids (nearly) coincide
-    ({!Lrd_core.Solver.State.seed_from}), skipping the refinement
-    ladder, and runs it to the end.  All six loss surfaces keep the
-    buffer (nearly) constant along a row — mean-preserving marginal
-    transforms leave the service rate fixed up to zero-clamping — so
-    the coincidence holds by construction there; the check falls back
-    to a cold start otherwise.  Rows start last row first (the
-    deepest-buffer and highest-H rows are the longest chains); a row
-    holds only the cell in progress and the neighbour that seeds it, a
-    finished cell only its result.  [policy] is ignored; it stays only
-    for the benchmark harness's call.
-
-    Deterministic for every pool size: a row's work depends only on its
-    own cells.  Counters: [sweep/cells], [sweep/warm_starts],
-    [sweep/iterations_saved] (conservative: source-minus-own iterations
-    per warm-started cell); one [sweep/slice] span per cell that is not
-    finished at creation and a [sweep/warm_start] instant per seeded
-    cell show the work of each cell on a Perfetto timeline, inside one
-    [sweep/scheduled] span. *)
+(** {!psurface} over solver states: [cells.(row).(col)] is the result
+    of running [state xs.(col) ys.(row)] to the end.  Each cell is one
+    cold solve (floor chain empty, ceiling chain full, so its bounds
+    are Proposition II.1's certified ones) on its own pool task, so
+    [state] runs on pool domains and must be domain-safe, like any cell
+    function.  Deterministic for every pool size.  [policy] is ignored;
+    it stays only for the benchmark harness's call.  Counters and trace
+    spans as {!psurface}: [sweep/cells], one [sweep/cell] span per
+    cell. *)
 
 val manifest_fields : quick:bool -> unit -> (string * Lrd_obs.Json.t) list
 (** The shared parameter grids above, for a run's provenance manifest:

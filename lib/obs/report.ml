@@ -6,7 +6,7 @@
    always yields byte-identical report output, which is what makes the
    reports diffable across reruns and CI uploads. *)
 
-let schema = "lrd-trace-report/1"
+let schema = "lrd-trace-report/2"
 
 (* One journal event, timestamps in seconds (the chrome file stores
    microseconds).  Metadata events (ph "M") are dropped at parse time. *)
@@ -38,8 +38,6 @@ type pool_stats = { tasks : int }
 
 type cell = { index : int; slices : int; seconds : float }
 
-type critical_path = { path : int list; path_seconds : float }
-
 type t = {
   events : int;
   dropped_unmatched : int;
@@ -48,7 +46,6 @@ type t = {
   domains : domain_util list;
   pool : pool_stats;
   cells : cell list;  (* slowest first, index ascending on ties *)
-  critical : critical_path option;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -125,7 +122,6 @@ let analyze events =
   let tids = ref [] in
   let cell_time : (int, float) Hashtbl.t = Hashtbl.create 64 in
   let cell_slices : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let warm : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let unmatched = ref 0 in
   let tasks = ref 0 in
   let get tbl key mk =
@@ -161,7 +157,7 @@ let analyze events =
               let dt = Float.max 0.0 (e.ts -. t0) in
               let ds = get durations e.name (fun () -> ref []) in
               ds := dt :: !ds;
-              if e.name = "sweep/slice" then
+              if e.name = "sweep/cell" then
                 Option.iter
                   (fun i ->
                     Hashtbl.replace cell_time i
@@ -185,9 +181,7 @@ let analyze events =
                     | None -> ()
                 end
               end)
-      | _ ->
-          if e.name = "sweep/warm_start" then
-            Option.iter (fun i -> Hashtbl.replace warm i ()) e.arg)
+      | _ -> ())
     events;
   (* A B still open at the end of the journal never became a slice. *)
   Hashtbl.iter (fun _ st -> unmatched := !unmatched + List.length !st) stacks;
@@ -247,39 +241,6 @@ let analyze events =
            | 0 -> compare a.index b.index
            | c -> c)
   in
-  (* Critical path: chain(i) = time(i) + chain(i - 1) when cell i was
-     warm-started (the scheduler seeds cell i from cell i - 1, its left
-     neighbour in the row — see Sweep.scheduled_surface).  Cold cells
-     start fresh chains.  Computed in ascending index order so every
-     predecessor is settled before its successor. *)
-  let critical =
-    if cells = [] then None
-    else begin
-      let by_index =
-        List.sort (fun a b -> compare a.index b.index) cells
-      in
-      let chain : (int, float) Hashtbl.t = Hashtbl.create 64 in
-      let best = ref (0, neg_infinity) in
-      List.iter
-        (fun c ->
-          let prev =
-            if Hashtbl.mem warm c.index then
-              Option.value ~default:0.0
-                (Hashtbl.find_opt chain (c.index - 1))
-            else 0.0
-          in
-          let total = c.seconds +. prev in
-          Hashtbl.replace chain c.index total;
-          if total > snd !best then best := (c.index, total))
-        by_index;
-      let rec walk i acc =
-        if Hashtbl.mem warm i && Hashtbl.mem chain (i - 1) then
-          walk (i - 1) (i :: acc)
-        else i :: acc
-      in
-      Some { path = walk (fst !best) []; path_seconds = snd !best }
-    end
-  in
   {
     events = List.length events;
     dropped_unmatched = !unmatched;
@@ -288,7 +249,6 @@ let analyze events =
     domains;
     pool;
     cells;
-    critical;
   }
 
 let of_chrome_json v = Result.map analyze (events_of_json v)
@@ -356,15 +316,6 @@ let to_json ?(top = default_top) t =
                    ("seconds", num c.seconds);
                  ])
              (top_cells ~top t)) );
-      ( "critical_path",
-        match t.critical with
-        | None -> Json.Null
-        | Some cp ->
-            Json.Obj
-              [
-                ("cells", Json.List (List.map inum cp.path));
-                ("seconds", num cp.path_seconds);
-              ] );
     ]
 
 let render ?(top = default_top) t =
@@ -405,12 +356,6 @@ let render ?(top = default_top) t =
         (fun c -> pf "%-8d %8d %12.6f\n" c.index c.slices c.seconds)
         cells;
       pf "\n");
-  (match t.critical with
-  | None -> ()
-  | Some cp ->
-      pf "critical path: %.6f s through %d cell(s): %s\n" cp.path_seconds
-        (List.length cp.path)
-        (String.concat " -> " (List.map string_of_int cp.path)));
   Buffer.contents b
 
 (* A/B comparison: per-phase totals side by side, plus the headline
@@ -448,6 +393,4 @@ let render_compare ~base ~current =
       (if bv > 0.0 then Printf.sprintf "%.2fx" (cv /. bv) else "-")
   in
   headline "journal extent (s)" (fun r -> r.extent);
-  headline "critical path (s)" (fun r ->
-      match r.critical with Some cp -> cp.path_seconds | None -> 0.0);
   Buffer.contents b

@@ -25,13 +25,8 @@ type pool_stats = { tasks : int  (** [pool/task] begin events *) }
 
 type cell = {
   index : int;  (** flat sweep index [iy * nx + ix] *)
-  slices : int;  (** number of [sweep/slice] spans *)
+  slices : int;  (** number of [sweep/cell] spans with this index *)
   seconds : float;  (** summed slice duration *)
-}
-
-type critical_path = {
-  path : int list;  (** cell indices, dependency order *)
-  path_seconds : float;
 }
 
 type t = {
@@ -42,13 +37,10 @@ type t = {
   domains : domain_util list;  (** sorted by domain id *)
   pool : pool_stats;
   cells : cell list;  (** slowest first *)
-  critical : critical_path option;
-      (** longest dependent chain of cells, linking cell [i] to [i - 1]
-          through [sweep/warm_start] edges; [None] without sweep data *)
 }
 
 val schema : string
-(** ["lrd-trace-report/1"] — the [schema] field of {!to_json}. *)
+(** ["lrd-trace-report/2"] — the [schema] field of {!to_json}. *)
 
 val of_file : string -> (t, string) result
 (** Load and analyze a Chrome-trace journal; errors name the file. *)

@@ -6,7 +6,7 @@
 #          (defaults: fig13 2 lrd-trace-<figure>)
 #
 # Leaves <outdir>/<figure>-trace.json (load it in ui.perfetto.dev) and
-# <outdir>/<figure>-report.json (stable lrd-trace-report/1 JSON, diff it
+# <outdir>/<figure>-report.json (stable lrd-trace-report/2 JSON, diff it
 # against an older run's to chase a regression) next to the text report
 # on stdout.
 set -euo pipefail

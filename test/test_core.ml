@@ -793,75 +793,6 @@ let prop_chain_pair_bitwise =
 (* ------------------------------------------------------------------ *)
 (* Solver states *)
 
-let test_state_seed_from_neighbour () =
-  (* Two models differing only in theta, same service rate and buffer:
-     the occupancy grids coincide, so seeding must be accepted — and the
-     warm-started interval must stay a certified bracket, consistent
-     with an independent cold solve of the same cell. *)
-  let model theta = pareto_model ~theta ~alpha:1.4 ~cutoff:2.0 () in
-  let src = Solver.State.create (model 0.2) ~service_rate:1.25 ~buffer:2.0 in
-  Solver.State.run src;
-  let cold = Solver.State.create (model 0.22) ~service_rate:1.25 ~buffer:2.0 in
-  Solver.State.run cold;
-  let warm = Solver.State.create (model 0.22) ~service_rate:1.25 ~buffer:2.0 in
-  Alcotest.(check bool) "seeding accepted" true
-    (Solver.State.seed_from ~src warm);
-  Solver.State.run warm;
-  let w = Solver.State.result warm and c = Solver.State.result cold in
-  Alcotest.(check bool) "warm interval certified" true
-    (w.Solver.lower_bound <= w.Solver.upper_bound);
-  Alcotest.(check bool) "warm converged" true w.Solver.converged;
-  (* Both intervals bracket the same true loss. *)
-  Alcotest.(check bool) "intervals overlap" true
-    (w.Solver.lower_bound <= c.Solver.upper_bound +. 1e-12
-    && c.Solver.lower_bound <= w.Solver.upper_bound +. 1e-12);
-  (* The cold point estimate is the midpoint of an interval that also
-     contains the truth, so it can sit at most half the cold width
-     outside the warm interval. *)
-  let slack =
-    (0.5 *. (c.Solver.upper_bound -. c.Solver.lower_bound)) +. 1e-12
-  in
-  Alcotest.(check bool) "cold estimate inside warm interval" true
-    (c.Solver.loss >= w.Solver.lower_bound -. slack
-    && c.Solver.loss <= w.Solver.upper_bound +. slack);
-  (* A buffer mismatch means a different occupancy grid: seeding must
-     fall back to a cold start rather than blit incompatible pmfs. *)
-  let other = Solver.State.create (model 0.22) ~service_rate:1.25 ~buffer:1.0 in
-  Alcotest.(check bool) "buffer mismatch rejected" false
-    (Solver.State.seed_from ~src other);
-  Solver.State.run other;
-  Alcotest.(check bool) "rejected state runs cold" true
-    (Solver.State.result other
-    = Solver.solve (model 0.22) ~service_rate:1.25 ~buffer:1.0)
-
-let test_state_warm_budget_reports_cold_extremes () =
-  (* A warm start whose iteration budget runs out before a settled
-     check has no certified bounds of its own: it must report the cold
-     extremes, the losses of an empty and of a full buffer (a cold
-     chain's step-0 bounds on the same grid), not its seed's losses. *)
-  let model theta = pareto_model ~theta ~alpha:1.4 ~cutoff:2.0 () in
-  let src = Solver.State.create (model 0.2) ~service_rate:1.25 ~buffer:2.0 in
-  Solver.State.run src;
-  (* One check period. *)
-  let params = { Solver.default_params with max_iterations = 16 } in
-  let warm =
-    Solver.State.create ~params (model 0.3) ~service_rate:1.25 ~buffer:2.0
-  in
-  Alcotest.(check bool) "seeding accepted" true
-    (Solver.State.seed_from ~src warm);
-  Solver.State.run warm;
-  let w = Solver.State.result warm in
-  Alcotest.(check bool) "budget exhausted" false w.Solver.converged;
-  let s0 =
-    List.hd
-      (Solver.iterate_snapshots (model 0.3) ~service_rate:1.25 ~buffer:2.0
-         ~bins:w.Solver.bins ~at:[ 0 ])
-  in
-  check_close "lower is the empty-buffer loss" s0.Solver.lower_loss
-    w.Solver.lower_bound;
-  check_close "upper is the full-buffer loss" s0.Solver.upper_loss
-    w.Solver.upper_bound
-
 (* Each state quantizes through its own grid memo: a 128 -> 256 doubling
    reuses every coarse point even after another cell of the same cached
    column quantized another buffer. *)
@@ -1638,10 +1569,6 @@ let () =
         ] );
       ( "state",
         [
-          Alcotest.test_case "seed from neighbour" `Quick
-            test_state_seed_from_neighbour;
-          Alcotest.test_case "warm budget stop reports cold extremes" `Quick
-            test_state_warm_budget_reports_cold_extremes;
           Alcotest.test_case "grid memo per cell" `Quick
             test_state_grid_memo_per_cell;
         ] );

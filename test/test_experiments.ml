@@ -354,9 +354,7 @@ let test_sweep_surface_layout () =
 (* Scheduled sweeps *)
 
 (* A fig12-style cell: marginal scaling on the x axis, buffer on the y
-   axis.  Scaling is mean-preserving, so the buffer in work units is
-   constant along a row and the scheduler's neighbour warm-starts
-   apply. *)
+   axis. *)
 let fig12_cell ctx a ~buffer_seconds =
   let marginal =
     Lrd_dist.Marginal.scale ~clamp:true (Data.mtv_marginal ctx) ~factor:a
@@ -368,135 +366,71 @@ let fig12_cell ctx a ~buffer_seconds =
   Lrd_core.Solver.State.create_utilization ~params:(Data.solver_params ctx)
     model ~utilization:Data.mtv_utilization ~buffer_seconds
 
-(* A fig4 cell: cutoff on the x axis, buffer on the y axis, one model
-   and workload per cutoff column through a fresh cache per surface. *)
-let fig4_state ctx =
+(* A fig5 cell: cutoff on the x axis, buffer on the y axis, one model
+   and workload per cutoff column through a fresh cache per surface, as
+   [Fig04.surface] builds it. *)
+let fig5_state ctx =
   let cache = Lrd_core.Workload.Cache.create () in
   fun cutoff buffer_seconds ->
     let key = Sweep.cell_key cutoff in
     let model =
       Lrd_core.Workload.Cache.model cache ~key (fun () ->
-          Data.mtv_model ctx ~cutoff)
+          Data.bc_model ctx ~cutoff)
     in
     Lrd_core.Solver.State.create_utilization ~params:(Data.solver_params ctx)
-      ~cache:(cache, key) model ~utilization:Data.mtv_utilization
+      ~cache:(cache, key) model ~utilization:Data.bc_utilization
       ~buffer_seconds
 
 let quick_fig12_axes () =
   (Sweep.scalings ~quick:true (), Sweep.buffers ~quick:true ~max_seconds:5.0 ())
 
-(* Pools of 1, 2 and 3 domains, shut down after [f]. *)
-let with_pools f =
-  let pools = List.map (fun w -> Lrd_parallel.Pool.create ~workers:w ()) [ 0; 1; 2 ] in
-  Fun.protect
-    ~finally:(fun () -> List.iter Lrd_parallel.Pool.shutdown pools)
-    (fun () -> f pools)
+let result_bits (r : Lrd_core.Solver.result) =
+  let b = Int64.bits_of_float in
+  Lrd_core.Solver.
+    ( b r.loss,
+      b r.lower_bound,
+      b r.upper_bound,
+      r.iterations,
+      r.bins,
+      r.refinements,
+      r.converged )
 
-(* [compare] rather than [=]: bitwise-equal results may hold nan. *)
-let check_same_surface msg a b =
-  Alcotest.(check bool) msg true (compare a b = 0)
-
-let test_scheduled_row_certified_and_contains_cold () =
+(* Every cell of a scheduled surface is one cold solve: bitwise the
+   result of an independent state of the same cell (no workload cache
+   shared with other cells), run on its own, on any pool.  Its interval
+   is therefore Proposition II.1's certified one, so the deep-buffer
+   cells of quick fig5 lie inside their cold bounds. *)
+let test_scheduled_cells_equal_cold_solves () =
   let module S = Lrd_core.Solver in
   let ctx = Lazy.force ctx in
-  let scalings = Sweep.scalings ~quick:true () in
-  let buffer_seconds = 1.0 in
-  (* Independent cold solves of the same row, one state per cell. *)
-  let cold =
-    Array.map
-      (fun a ->
-        let st = fig12_cell ctx a ~buffer_seconds in
-        S.State.run st;
-        S.State.result st)
-      scalings
-  in
-  let warm =
-    (Sweep.scheduled_surface ~xs:scalings ~ys:[| buffer_seconds |]
-       ~state:(fun a b -> fig12_cell ctx a ~buffer_seconds:b)
-       ()).(0)
-  in
-  let params = Data.solver_params ctx in
-  Array.iteri
-    (fun i (c : S.result) ->
-      let w = warm.(i) in
-      Alcotest.(check bool) "certified: lower <= upper" true
-        (w.S.lower_bound <= w.S.upper_bound);
-      (* Under the uniform policy every cell must converge to the
-         solver's own gap target (or fall below the negligible-loss
-         floor). *)
-      Alcotest.(check bool) "converged" true w.S.converged;
-      Alcotest.(check bool) "gap within policy target" true
-        (w.S.upper_bound < params.S.negligible_loss
-        || w.S.upper_bound -. w.S.lower_bound
-           <= params.S.tolerance
-              *. ((w.S.upper_bound +. w.S.lower_bound) /. 2.0)
-              +. 1e-12);
-      (* Both intervals bracket the same true loss rate. *)
-      Alcotest.(check bool) "warm and cold intervals overlap" true
-        (w.S.lower_bound <= c.S.upper_bound +. 1e-12
-        && c.S.lower_bound <= w.S.upper_bound +. 1e-12);
-      (* The cold point estimate is the midpoint of an interval that
-         also contains the truth, so it sits at most half the cold
-         width outside the warm interval. *)
-      let slack = (0.5 *. (c.S.upper_bound -. c.S.lower_bound)) +. 1e-12 in
-      Alcotest.(check bool) "warm interval contains cold estimate" true
-        (c.S.loss >= w.S.lower_bound -. slack
-        && c.S.loss <= w.S.upper_bound +. slack))
-    cold
-
-let test_scheduled_matches_uniform_sweep_losses () =
-  (* The scheduler under the uniform policy must land inside the same
-     certified tolerance band as the classic cold sweep: compare the
-     whole quick fig12 surface cell by cell via interval overlap. *)
-  let module S = Lrd_core.Solver in
-  let ctx = Lazy.force ctx in
-  let scalings = Sweep.scalings ~quick:true () in
-  let buffers = Sweep.buffers ~quick:true ~max_seconds:5.0 () in
-  let scheduled =
-    Sweep.scheduled_surface ~xs:scalings ~ys:buffers
-      ~state:(fun a b -> fig12_cell ctx a ~buffer_seconds:b)
-      ()
-  in
-  Array.iteri
-    (fun iy row ->
-      Array.iteri
-        (fun ix (w : S.result) ->
-          let st = fig12_cell ctx scalings.(ix) ~buffer_seconds:buffers.(iy) in
-          S.State.run st;
-          let c = S.State.result st in
-          Alcotest.(check bool) "intervals overlap" true
-            (w.S.lower_bound <= c.S.upper_bound +. 1e-12
-            && c.S.lower_bound <= w.S.upper_bound +. 1e-12))
-        row)
-    scheduled
-
-(* Under the uniform policy a surface is its rows' warm-start chains:
-   each cell seeded from its finished left neighbour, then run to the
-   end.  The scheduler must reproduce that bit for bit on any pool. *)
-let test_scheduled_uniform_matches_reference () =
-  let module S = Lrd_core.Solver in
-  let ctx = Lazy.force ctx in
-  let reference ~xs ~ys ~state =
-    Array.map
-      (fun y ->
-        let left = ref None in
-        Array.map
-          (fun x ->
-            let st = state x y in
-            Option.iter (fun src -> ignore (S.State.seed_from ~src st)) !left;
-            S.State.run st;
-            left := Some st;
-            S.State.result st)
-          xs)
-      ys
-  in
-  let scalings, fig12_buffers = quick_fig12_axes () in
-  let fig12 = fun a b -> fig12_cell ctx a ~buffer_seconds:b in
   let cutoffs = Sweep.cutoffs ~quick:true () in
   let buffers = Sweep.buffers ~quick:true () in
-  let fig12_ref = reference ~xs:scalings ~ys:fig12_buffers ~state:fig12 in
-  let fig4_ref = reference ~xs:cutoffs ~ys:buffers ~state:(fig4_state ctx) in
-  with_pools (fun pools ->
+  let cold =
+    Array.map
+      (fun buffer_seconds ->
+        Array.map
+          (fun cutoff ->
+            let st =
+              S.State.create_utilization ~params:(Data.solver_params ctx)
+                (Data.bc_model ctx ~cutoff) ~utilization:Data.bc_utilization
+                ~buffer_seconds
+            in
+            S.State.run st;
+            S.State.result st)
+          cutoffs)
+      buffers
+  in
+  let inside jobs cells (lo, hi) iy ix =
+    let r = cells.(iy).(ix) in
+    Alcotest.(check bool)
+      (Printf.sprintf "fig5 [%d][%d] inside [%g, %g], %s" iy ix lo hi jobs)
+      true
+      (lo <= r.S.loss && r.S.loss <= hi)
+  in
+  let pools = List.map (fun w -> Lrd_parallel.Pool.create ~workers:w ()) [ 1; 2 ] in
+  Fun.protect
+    ~finally:(fun () -> List.iter Lrd_parallel.Pool.shutdown pools)
+    (fun () ->
       List.iter
         (fun pool ->
           let jobs =
@@ -505,38 +439,25 @@ let test_scheduled_uniform_matches_reference () =
             | Some p ->
                 Printf.sprintf "pool of %d" (Lrd_parallel.Pool.parallelism p)
           in
-          check_same_surface ("fig12, " ^ jobs) fig12_ref
-            (Sweep.scheduled_surface ?pool ~xs:scalings ~ys:fig12_buffers
-               ~state:fig12 ());
-          check_same_surface ("fig4, " ^ jobs) fig4_ref
-            (Sweep.scheduled_surface ?pool ~xs:cutoffs ~ys:buffers
-               ~state:(fig4_state ctx) ()))
+          let scheduled =
+            Sweep.scheduled_surface ?pool ~xs:cutoffs ~ys:buffers
+              ~state:(fig5_state ctx) ()
+          in
+          inside jobs scheduled (0.000914496, 0.00109584) 3 2;
+          inside jobs scheduled (0.00310434, 0.00371486) 3 3;
+          Alcotest.(check bool)
+            ("cells equal cold solves bitwise, " ^ jobs)
+            true
+            (Array.map (Array.map result_bits) scheduled
+            = Array.map (Array.map result_bits) cold))
         (None :: List.map Option.some pools))
 
-let test_scheduled_opens_rows_last_first () =
-  (* Without a pool, row tasks run in index order and task k runs the
-     k-th row from the end, so the deepest-buffer row opens first and
-     each row opens all its cells before the next row starts. *)
-  let ctx = Lazy.force ctx in
-  let xs = [| 0.5; 1.0 |] and ys = [| 0.05; 0.1; 0.2 |] in
-  let opened = ref [] in
-  ignore
-    (Sweep.scheduled_surface ~xs ~ys
-       ~state:(fun a b ->
-         opened := b :: !opened;
-         fig12_cell ctx a ~buffer_seconds:b)
-       ());
-  Alcotest.(check (list (float 0.0)))
-    "ys in opening order"
-    [ 0.2; 0.2; 0.1; 0.1; 0.05; 0.05 ]
-    (List.rev !opened)
-
-(* Every cell now runs inside one row task, so each solver state opens
+(* Every cell runs inside its own pool task, so each solver state opens
    and closes its [solver/solve] slice and its [solver/level] slices on
-   one domain's track, warm cells included, and every solve, scheduled
-   or not, is timed once.  A [both] half that the other participant
-   ran for a row still running is one balanced [pool/lent] slice on
-   its track, one per [pool/pairs_lent].  [Obs.Report] tolerates an
+   one domain's track, inside one [sweep/cell] slice whose arg is its
+   row-major index, and every solve is timed once.  A [both] half that
+   the other participant ran for a cell still running is one balanced
+   [pool/lent] slice on its track, one per [pool/pairs_lent].  [Obs.Report] tolerates an
    unmatched end, so only the per-track counts catch one. *)
 let test_scheduled_trace_levels_balance () =
   let module Obs = Lrd_obs.Obs in
@@ -594,9 +515,15 @@ let test_scheduled_trace_levels_balance () =
     List.sort_uniq compare
       (List.map (fun (e : Trace.event) -> e.Trace.domain) events)
   in
-  Alcotest.(check bool) "some cell warm-started" true
-    (List.exists (fun d -> count "sweep/warm_start" Trace.Instant d > 0)
-       domains);
+  Alcotest.(check (list int)) "one sweep/cell slice per cell index"
+    (List.init (Array.length scalings * Array.length buffers) Fun.id)
+    (List.sort compare
+       (List.filter_map
+          (fun (e : Trace.event) ->
+            if e.Trace.name = "sweep/cell" && e.Trace.phase = Trace.Begin
+            then e.Trace.arg
+            else None)
+          events));
   Alcotest.(check bool) "levels traced" true
     (List.exists (fun d -> count "solver/level" Trace.Begin d > 0) domains);
   Alcotest.(check bool) "solves traced" true
@@ -608,7 +535,7 @@ let test_scheduled_trace_levels_balance () =
           Alcotest.(check int)
             (Printf.sprintf "%s B = E on domain %d" name d)
             (count name Trace.Begin d) (count name Trace.End d))
-        [ "solver/solve"; "solver/level"; "pool/lent" ])
+        [ "sweep/cell"; "solver/solve"; "solver/level"; "pool/lent" ])
     domains;
   Alcotest.(check int) "every lent half traced" lent
     (List.fold_left (fun n d -> n + count "pool/lent" Trace.Begin d) 0 domains)
@@ -766,14 +693,8 @@ let () =
         ] );
       ( "scheduler",
         [
-          Alcotest.test_case "warm row certified, contains cold" `Slow
-            test_scheduled_row_certified_and_contains_cold;
-          Alcotest.test_case "matches uniform sweep" `Slow
-            test_scheduled_matches_uniform_sweep_losses;
-          Alcotest.test_case "uniform matches sequential reference" `Slow
-            test_scheduled_uniform_matches_reference;
-          Alcotest.test_case "opens rows last first" `Quick
-            test_scheduled_opens_rows_last_first;
+          Alcotest.test_case "cells equal cold solves" `Slow
+            test_scheduled_cells_equal_cold_solves;
           Alcotest.test_case "traced levels balance per domain" `Slow
             test_scheduled_trace_levels_balance;
           Alcotest.test_case "pool idle slices balance per domain" `Slow

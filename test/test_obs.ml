@@ -785,23 +785,20 @@ let report_of_events events =
   | Ok r -> r
   | Error e -> Alcotest.failf "report: %s" e
 
-(* Two domains: tid 0 runs a warm-start chain of three slices (1, 2 and
-   3 ms, cells 0 -> 1 -> 2), tid 1 runs one lone 10 ms slice (cell 7).
-   Four pool tasks, two per domain.  Every aggregate is checkable by
-   hand. *)
+(* Two domains: tid 0 runs three cells back to back (1, 2 and 3 ms,
+   cells 0, 1 and 2), tid 1 runs one 10 ms cell (cell 7).  Four pool
+   tasks, two per domain.  Every aggregate is checkable by hand. *)
 let synthetic_sweep =
   [
     ev ~ph:"M" ~ts:0.0 ~tid:0 "process_name";
-    ev ~ph:"B" ~ts:0.0 ~tid:0 ~arg:0 "sweep/slice";
-    ev ~ph:"E" ~ts:1000.0 ~tid:0 ~arg:0 "sweep/slice";
-    ev ~ph:"i" ~ts:1000.0 ~tid:0 ~arg:1 "sweep/warm_start";
-    ev ~ph:"B" ~ts:1000.0 ~tid:0 ~arg:1 "sweep/slice";
-    ev ~ph:"E" ~ts:3000.0 ~tid:0 ~arg:1 "sweep/slice";
-    ev ~ph:"i" ~ts:3000.0 ~tid:0 ~arg:2 "sweep/warm_start";
-    ev ~ph:"B" ~ts:3000.0 ~tid:0 ~arg:2 "sweep/slice";
-    ev ~ph:"E" ~ts:6000.0 ~tid:0 ~arg:2 "sweep/slice";
-    ev ~ph:"B" ~ts:0.0 ~tid:1 ~arg:7 "sweep/slice";
-    ev ~ph:"E" ~ts:10000.0 ~tid:1 ~arg:7 "sweep/slice";
+    ev ~ph:"B" ~ts:0.0 ~tid:0 ~arg:0 "sweep/cell";
+    ev ~ph:"E" ~ts:1000.0 ~tid:0 ~arg:0 "sweep/cell";
+    ev ~ph:"B" ~ts:1000.0 ~tid:0 ~arg:1 "sweep/cell";
+    ev ~ph:"E" ~ts:3000.0 ~tid:0 ~arg:1 "sweep/cell";
+    ev ~ph:"B" ~ts:3000.0 ~tid:0 ~arg:2 "sweep/cell";
+    ev ~ph:"E" ~ts:6000.0 ~tid:0 ~arg:2 "sweep/cell";
+    ev ~ph:"B" ~ts:0.0 ~tid:1 ~arg:7 "sweep/cell";
+    ev ~ph:"E" ~ts:10000.0 ~tid:1 ~arg:7 "sweep/cell";
     ev ~ph:"B" ~ts:0.0 ~tid:0 ~arg:0 "pool/task";
     ev ~ph:"E" ~ts:0.0 ~tid:0 ~arg:0 "pool/task";
     ev ~ph:"B" ~ts:0.0 ~tid:0 ~arg:1 "pool/task";
@@ -821,12 +818,12 @@ let has_sub ~sub s =
 
 let test_report_phase_aggregates () =
   let r = report_of_events synthetic_sweep in
-  Alcotest.(check int) "events (metadata dropped)" 18 r.Report.events;
+  Alcotest.(check int) "events (metadata dropped)" 16 r.Report.events;
   Alcotest.(check int) "no unmatched halves" 0 r.Report.dropped_unmatched;
   feq "extent" 0.010 r.Report.extent;
   let slice =
     List.find
-      (fun p -> p.Report.phase_name = "sweep/slice")
+      (fun p -> p.Report.phase_name = "sweep/cell")
       r.Report.phases
   in
   Alcotest.(check int) "slice count" 4 slice.Report.count;
@@ -848,62 +845,18 @@ let test_report_domains_and_pool () =
       feq "d1 busy" 0.010 d1.Report.busy;
       feq "d1 idle" 0.0 d1.Report.idle
   | ds -> Alcotest.failf "expected 2 domains, got %d" (List.length ds));
-  Alcotest.(check int) "tasks" 4 r.Report.pool.Report.tasks
-
-let test_report_critical_path () =
-  (* The lone 10 ms cell beats the 6 ms warm chain... *)
-  let r = report_of_events synthetic_sweep in
-  (match r.Report.critical with
-  | Some cp ->
-      Alcotest.(check (list int)) "lone cell wins" [ 7 ] cp.Report.path;
-      feq "path seconds" 0.010 cp.Report.path_seconds
-  | None -> Alcotest.fail "no critical path");
-  (* ...and without it the warm-start chain 0 -> 1 -> 2 is the path. *)
-  let chain_only =
-    List.filter
-      (fun e ->
-        not
-          (List.mem e
-             [
-               ev ~ph:"B" ~ts:0.0 ~tid:1 ~arg:7 "sweep/slice";
-               ev ~ph:"E" ~ts:10000.0 ~tid:1 ~arg:7 "sweep/slice";
-             ]))
-      synthetic_sweep
-  in
-  let r = report_of_events chain_only in
-  match r.Report.critical with
-  | Some cp ->
-      Alcotest.(check (list int)) "warm chain" [ 0; 1; 2 ] cp.Report.path;
-      feq "chain seconds" 0.006 cp.Report.path_seconds
-  | None -> Alcotest.fail "no critical path"
-
-let test_report_cold_cell_breaks_chain () =
-  (* No warm-start edge into cell 1: chains restart there, so the best
-     chain is just the slowest single cell. *)
-  let events =
-    [
-      ev ~ph:"B" ~ts:0.0 ~tid:0 ~arg:0 "sweep/slice";
-      ev ~ph:"E" ~ts:4000.0 ~tid:0 ~arg:0 "sweep/slice";
-      ev ~ph:"B" ~ts:4000.0 ~tid:0 ~arg:1 "sweep/slice";
-      ev ~ph:"E" ~ts:7000.0 ~tid:0 ~arg:1 "sweep/slice";
-    ]
-  in
-  let r = report_of_events events in
-  match r.Report.critical with
-  | Some cp ->
-      Alcotest.(check (list int)) "cold cells stand alone" [ 0 ]
-        cp.Report.path;
-      feq "path seconds" 0.004 cp.Report.path_seconds
-  | None -> Alcotest.fail "no critical path"
+  Alcotest.(check int) "tasks" 4 r.Report.pool.Report.tasks;
+  Alcotest.(check (list int)) "slowest sweep/cell slices first" [ 7; 2; 1; 0 ]
+    (List.map (fun c -> c.Report.index) r.Report.cells)
 
 let test_report_unmatched_and_determinism () =
   let events =
     [
       (* An E with no B (ring evicted the open) and a B never closed. *)
       ev ~ph:"E" ~ts:500.0 ~tid:0 "solver/solve";
-      ev ~ph:"B" ~ts:600.0 ~tid:0 "sweep/scheduled";
-      ev ~ph:"B" ~ts:700.0 ~tid:0 ~arg:3 "sweep/slice";
-      ev ~ph:"E" ~ts:900.0 ~tid:0 ~arg:3 "sweep/slice";
+      ev ~ph:"B" ~ts:600.0 ~tid:0 "solver/solve";
+      ev ~ph:"B" ~ts:700.0 ~tid:0 ~arg:3 "sweep/cell";
+      ev ~ph:"E" ~ts:900.0 ~tid:0 ~arg:3 "sweep/cell";
     ]
   in
   let r = report_of_events events in
@@ -1051,9 +1004,6 @@ let () =
             test_report_phase_aggregates;
           Alcotest.test_case "domains and pool" `Quick
             test_report_domains_and_pool;
-          Alcotest.test_case "critical path" `Quick test_report_critical_path;
-          Alcotest.test_case "cold cell breaks chain" `Quick
-            test_report_cold_cell_breaks_chain;
           Alcotest.test_case "unmatched halves and determinism" `Quick
             test_report_unmatched_and_determinism;
           Alcotest.test_case "rejects non-journal" `Quick
