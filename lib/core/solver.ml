@@ -59,6 +59,7 @@ let m_iterations = Obs.Counter.make "solver/iterations"
 let m_refinements = Obs.Counter.make "solver/refinements"
 let m_warm_restarts = Obs.Counter.make "solver/warm_restarts"
 let m_budget_exhausted = Obs.Counter.make "solver/budget_exhausted"
+let m_extrapolations = Obs.Counter.make "solver/extrapolations"
 let m_gap_trajectory = Obs.Trajectory.make "solver/bound_gap_rel"
 let m_last_gap = Obs.Gauge.make "solver/last_bound_gap_rel"
 let m_solve_span = Obs.Span.make "solver/solve_seconds"
@@ -105,6 +106,17 @@ module Workspace = struct
     q : vec;  (* occupancy pmf, length m + 1 *)
     conv : vec;  (* wrapped convolution output *)
     own : Lrd_numerics.Convolution.scratch option;
+    floor : bool;  (* the floor chain; the ceiling chain's test is mirrored *)
+    prev : vec;  (* q at the start of the check period *)
+    cand : vec;  (* an extrapolation's candidate, then its step *)
+    spare : vec;  (* the candidate before its step *)
+    attempt : attempt;
+  }
+
+  (* All floats, so stored flat: writing a field allocates nothing. *)
+  and attempt = {
+    mutable stretch : float;  (* > 0: extrapolate at the next period *)
+    mutable lambda : float;  (* last period's weight; nan: no attempt *)
   }
 
   type t = {
@@ -150,21 +162,32 @@ module Workspace = struct
   let make workload ~buffer ~m =
     let bins = Workload.discretize workload ~buffer ~bins:m in
     let n = Lrd_numerics.Fft.next_power_of_two (2 * m) in
-    let chain kernel ~start ~owns_scratch =
+    let chain kernel ~floor =
       let plan =
         Lrd_numerics.Convolution.make_real_plan ~size:n ~kernel
           ~max_signal:(m + 1)
       in
       let own =
-        if owns_scratch then Some (Lrd_numerics.Convolution.make_scratch plan)
-        else None
+        if floor then None
+        else Some (Lrd_numerics.Convolution.make_scratch plan)
       in
       let q = vec_make (m + 1) in
-      Bigarray.Array1.set q start 1.0;
-      { plan; tail = tail_cumulative kernel ~m; q; conv = vec_make n; own }
+      Bigarray.Array1.set q (if floor then 0 else m) 1.0;
+      {
+        plan;
+        tail = tail_cumulative kernel ~m;
+        q;
+        conv = vec_make n;
+        own;
+        floor;
+        prev = vec_make (m + 1);
+        cand = vec_make (m + 1);
+        spare = vec_make (m + 1);
+        attempt = { stretch = 0.0; lambda = Float.nan };
+      }
     in
-    let lower = chain bins.Workload.lower ~start:0 ~owns_scratch:false in
-    let upper = chain bins.Workload.upper ~start:m ~owns_scratch:true in
+    let lower = chain bins.Workload.lower ~floor:true in
+    let upper = chain bins.Workload.upper ~floor:false in
     let overflow = vec_make (m + 1) in
     let ov = Workload.overflow_table workload ~buffer ~bins:m in
     for j = 0 to m do
@@ -241,21 +264,127 @@ module Workspace = struct
         Bigarray.Array1.unsafe_set q j (Bigarray.Array1.unsafe_get q j /. total)
       done
 
-  (* One Lindley step of one chain: the convolution wrapped mod n,
-     then the boundary fold.  Zero heap allocation. *)
-  let step_chain t c =
+  (* One Lindley step of chain [c]'s kernel applied to the pmf [q] in
+     place: the convolution wrapped mod n, then the boundary fold.  Zero
+     heap allocation. *)
+  let step_pmf t c (q : vec) =
     let scratch =
       match c.own with
       | Some s -> s
       | None -> Lrd_numerics.Convolution.local_scratch c.plan
     in
-    Lrd_numerics.Convolution.execute_real_circular c.plan scratch ~signal:c.q
+    Lrd_numerics.Convolution.execute_real_circular c.plan scratch ~signal:q
       ~len:(t.m + 1) ~dst:c.conv;
-    fold t c.conv c.q c.tail
+    fold t c.conv q c.tail
+
+  let step_chain t c = step_pmf t c c.q
 
   let step t =
     step_chain t t.lower;
     step_chain t t.upper
+
+  (* The rounding allowance of the stochastic-order test on a CDF
+     difference at bin j: [noise_ulps] ulps of mass times sqrt (j + 1).
+     Plain steps break their own chain's monotonicity by up to 5 such
+     units, so a start the test accepts is monotone to the precision of
+     the chain it starts (THEORY.md). *)
+  let noise_ulps = 8.0
+
+  (* Certified extrapolation (THEORY.md, "Certified extrapolation").
+     The candidate c = q + s (q - prev) continues the last check
+     period's motion geometrically, s capped so that c >= 0.  Stepping q
+     (the period's first ordinary step) and c gives, per bin j, the CDF
+     differences A = CDF(Pq) - CDF(q) and B = CDF(Pc) - CDF(c) - A, and
+     the mixture y = (1 - lambda) q + lambda c passes the floor test
+     P y >=st y iff A_j + lambda B_j <= 0 at every bin (the ceiling
+     chain mirrors the sign).  The largest such lambda in [0, 1] is
+     taken in closed form and the chain continues from
+     P y = (1 - lambda) Pq + lambda Pc; lambda = 0 is the ordinary
+     step.  Allocates nothing: every buffer is the level's. *)
+  let extrapolate t c =
+    let m = t.m in
+    let q = c.q and prev = c.prev and cand = c.cand and spare = c.spare in
+    let s = ref c.attempt.stretch in
+    for j = 0 to m do
+      let v = Bigarray.Array1.unsafe_get q j in
+      let d = v -. Bigarray.Array1.unsafe_get prev j in
+      if d < 0.0 && v < !s *. -.d then s := v /. -.d
+    done;
+    let s = !s in
+    if not (s > 0.0) then begin
+      step_chain t c;
+      c.attempt.lambda <- 0.0
+    end
+    else begin
+      for j = 0 to m do
+        let v = Bigarray.Array1.unsafe_get q j in
+        Bigarray.Array1.unsafe_set cand j
+          (v +. (s *. (v -. Bigarray.Array1.unsafe_get prev j)))
+      done;
+      Bigarray.Array1.blit q prev;
+      Bigarray.Array1.blit cand spare;
+      step_chain t c;
+      step_pmf t c cand;
+      (* prev = q, spare = c, q = Pq, cand = Pc.  The last bin's CDF is
+         the total mass, 1 on every side. *)
+      let sign = if c.floor then 1.0 else -1.0 in
+      let tol = noise_ulps *. epsilon_float in
+      let a = ref 0.0 and ac = ref 0.0 in
+      let lo = ref 0.0 and hi = ref 1.0 in
+      for j = 0 to m - 1 do
+        a :=
+          !a
+          +. (Bigarray.Array1.unsafe_get q j -. Bigarray.Array1.unsafe_get prev j);
+        ac :=
+          !ac
+          +. Bigarray.Array1.unsafe_get cand j
+          -. Bigarray.Array1.unsafe_get spare j;
+        let av = (sign *. !a) -. (tol *. sqrt (float_of_int (j + 1)))
+        and bv = sign *. (!ac -. !a) in
+        if bv > 0.0 then begin
+          if -.av < !hi *. bv then hi := -.av /. bv
+        end
+        else if bv < 0.0 then begin
+          if -.av < !lo *. bv then lo := -.av /. bv
+        end
+        else if av > 0.0 then hi := -1.0
+      done;
+      let lambda = if !hi > 0.0 && !hi >= !lo then !hi else 0.0 in
+      if lambda > 0.0 then
+        for j = 0 to m do
+          Bigarray.Array1.unsafe_set q j
+            (((1.0 -. lambda) *. Bigarray.Array1.unsafe_get q j)
+            +. (lambda *. Bigarray.Array1.unsafe_get cand j))
+        done;
+      c.attempt.lambda <- lambda
+    end
+
+  (* One check period of chain [c]: the extrapolation [attempt.stretch]
+     requests, which takes the period's first ordinary step, then the
+     snapshot the next request extrapolates from, then the ordinary
+     steps that complete [steps]. *)
+  let advance t c ~steps =
+    let rest =
+      if c.attempt.stretch > 0.0 then begin
+        extrapolate t c;
+        c.attempt.stretch <- 0.0;
+        steps - 1
+      end
+      else begin
+        c.attempt.lambda <- Float.nan;
+        steps
+      end
+    in
+    Bigarray.Array1.blit c.q c.prev;
+    for _ = 1 to rest do
+      step_chain t c
+    done
+
+  let period t ~steps ~stretch =
+    t.lower.attempt.stretch <- stretch;
+    t.upper.attempt.stretch <- stretch;
+    advance t t.lower ~steps;
+    advance t t.upper ~steps
 
   let loss_of t ~norm (q : vec) =
     let acc = Lrd_numerics.Summation.create () in
@@ -283,6 +412,15 @@ module Workspace = struct
     in
     copy src.lower.q dst.lower.q;
     copy src.upper.q dst.upper.q
+
+  let set_pmfs t ~lower ~upper =
+    let set (q : vec) a =
+      if Array.length a <> t.m + 1 then
+        invalid_arg "Solver.Workspace.set_pmfs: a pmf must have m + 1 entries";
+      Array.iteri (Bigarray.Array1.set q) a
+    in
+    set t.lower.q lower;
+    set t.upper.q upper
 end
 
 type occupancy = {
@@ -368,22 +506,23 @@ module State = struct
     mutable refinements : int;
     mutable prev_lower : float;  (* bounds at the previous check (nan *)
     mutable prev_upper : float;  (* on a fresh level) *)
+    mutable older_lower : float;  (* and at the one before *)
+    mutable older_upper : float;
+    mutable run_lower : int;  (* readings since the level began or the *)
+    mutable run_upper : int;  (* chain last extrapolated *)
     mutable lower : float;  (* bounds at the latest check; nan before *)
     mutable upper : float;  (* the first one *)
     mutable finished : bool;
     mutable converged : bool;
-    mutable batch : int;  (* steps of the current check period *)
+    mutable batch : int;  (* ordinary steps of the current check period *)
+    mutable extra : int;  (* 1 when the period extrapolates, else 0 *)
     floor_run : unit -> unit;  (* [batch] steps of one chain; built once *)
     ceiling_run : unit -> unit;  (* so a check period allocates nothing *)
   }
 
   let run_chain t chain =
     match t.ws with
-    | Some ws ->
-        let c = chain ws in
-        for _ = 1 to t.batch do
-          Workspace.step_chain ws c
-        done
+    | Some ws -> Workspace.advance ws (chain ws) ~steps:t.batch
     | None -> ()
 
   (* A solve is one [solver/solve] slice and one sample of
@@ -467,11 +606,16 @@ module State = struct
         refinements = 0;
         prev_lower = Float.nan;
         prev_upper = Float.nan;
+        older_lower = Float.nan;
+        older_upper = Float.nan;
+        run_lower = 0;
+        run_upper = 0;
         lower = Float.nan;
         upper = Float.nan;
         finished = trivial <> None;
         converged = trivial <> None;
         batch = 0;
+        extra = 0;
         floor_run = (fun () -> run_chain t (fun ws -> ws.Workspace.lower));
         ceiling_run = (fun () -> run_chain t (fun ws -> ws.Workspace.upper));
       }
@@ -507,7 +651,11 @@ module State = struct
     end;
     t.ws <- Some ws;
     t.prev_lower <- Float.nan;
-    t.prev_upper <- Float.nan
+    t.prev_upper <- Float.nan;
+    t.older_lower <- Float.nan;
+    t.older_upper <- Float.nan;
+    t.run_lower <- 0;
+    t.run_upper <- 0
 
   let finish t ws ~converged ~lo ~hi =
     if Obs.Trace.enabled () then
@@ -524,8 +672,47 @@ module State = struct
     && Float.abs (previous -. current)
        <= t.params.stall_factor *. Float.max previous 1e-300
 
+  (* A chain's last three readings of its bound, [older], [previous]
+     and [current], taken [run] >= 3 checks into a stretch of ordinary
+     steps, show a geometric approach to a limit when the ratio r of
+     their two steps lies in (0, 1).  The stretch r / (1 - r) is then
+     what remains of the approach in units of the last step; it is 0
+     when the readings show no such approach. *)
+  let stretch ~run older previous current =
+    let r = (current -. previous) /. (previous -. older) in
+    if run >= 3 && r > 0.0 && r < 1.0 then r /. (1.0 -. r) else 0.0
+
+  (* The chain's limit as its geometric approach projects it; the
+     current bound when there is no such approach. *)
+  let projected ~run older previous current =
+    current +. ((current -. previous) *. stretch ~run older previous current)
+
+  (* Whether iterating on at this level may still meet the gap target:
+     not known until both chains have three readings since their last
+     jump, then whether their projected limits meet it. *)
+  let closing t ~lo ~hi =
+    t.run_lower < 3 || t.run_upper < 3
+    ||
+    let lo' = projected ~run:t.run_lower t.older_lower t.prev_lower lo
+    and hi' = projected ~run:t.run_upper t.older_upper t.prev_upper hi in
+    hi' -. lo' <= t.params.tolerance *. (hi' +. lo') /. 2.0
+
+  (* The outcome of the check period's extrapolation on chain [c], if it
+     attempted one. *)
+  let note_attempt ws (c : Workspace.chain) =
+    let lambda = c.Workspace.attempt.Workspace.lambda in
+    if not (Float.is_nan lambda) then begin
+      if lambda > 0.0 then Obs.Counter.incr m_extrapolations;
+      if Obs.Trace.enabled () then
+        Obs.Trace.instant ~arg:(Workspace.bins ws) "solver/extrapolate"
+    end
+
   let check t ws =
+    note_attempt ws ws.Workspace.lower;
+    note_attempt ws ws.Workspace.upper;
     let lo, hi = Workspace.losses ws ~norm:t.norm in
+    t.run_lower <- t.run_lower + 1;
+    t.run_upper <- t.run_upper + 1;
     let gap = hi -. lo in
     let mid = (hi +. lo) /. 2.0 in
     Log.debug (fun f ->
@@ -552,31 +739,51 @@ module State = struct
       let stalled =
         plateaued t t.prev_lower lo && plateaued t t.prev_upper hi
       in
-      t.prev_lower <- lo;
-      t.prev_upper <- hi;
-      if stalled then begin
-        let m = Workspace.bins ws in
-        if m * 2 <= t.params.max_bins then begin
-          Log.debug (fun f -> f "refining grid to m=%d" (m * 2));
-          let next = Workspace.make t.workload ~buffer:t.buffer ~m:(m * 2) in
-          Obs.Counter.incr m_refinements;
+      let m = Workspace.bins ws in
+      if stalled && m * 2 <= t.params.max_bins then begin
+        Log.debug (fun f -> f "refining grid to m=%d" (m * 2));
+        let next = Workspace.make t.workload ~buffer:t.buffer ~m:(m * 2) in
+        Obs.Counter.incr m_refinements;
+        if Obs.Trace.enabled () then
+          Obs.Trace.instant ~arg:(m * 2) "solver/refine";
+        if t.params.warm_restart then begin
+          Obs.Counter.incr m_warm_restarts;
           if Obs.Trace.enabled () then
-            Obs.Trace.instant ~arg:(m * 2) "solver/refine";
-          if t.params.warm_restart then begin
-            Obs.Counter.incr m_warm_restarts;
-            if Obs.Trace.enabled () then
-              Obs.Trace.instant ~arg:(m * 2) "solver/warm_restart";
-            Workspace.load ~src:ws next
+            Obs.Trace.instant ~arg:(m * 2) "solver/warm_restart";
+          Workspace.load ~src:ws next
+        end;
+        enter t next;
+        t.refinements <- t.refinements + 1
+      end
+      else if stalled && not (closing t ~lo ~hi) then
+        (* Both chains have plateaued at the finest allowed grid, and
+           their projected limits stay apart: further iteration cannot
+           close the gap.  Return the certified (if loose) bounds
+           rather than burning the whole iteration budget at the most
+           expensive level. *)
+        finish t ws ~converged:false ~lo ~hi
+      else begin
+        let s_lower = stretch ~run:t.run_lower t.older_lower t.prev_lower lo
+        and s_upper = stretch ~run:t.run_upper t.older_upper t.prev_upper hi in
+        t.older_lower <- t.prev_lower;
+        t.older_upper <- t.prev_upper;
+        t.prev_lower <- lo;
+        t.prev_upper <- hi;
+        (* An extrapolation costs one extra step, so it needs a full
+           period of budget after it; a jump starts the chain's readings
+           afresh. *)
+        if t.params.max_iterations - t.iterations > check_every then begin
+          if s_lower > 0.0 then begin
+            ws.Workspace.lower.Workspace.attempt.Workspace.stretch <- s_lower;
+            t.run_lower <- 0;
+            t.extra <- 1
           end;
-          enter t next;
-          t.refinements <- t.refinements + 1
+          if s_upper > 0.0 then begin
+            ws.Workspace.upper.Workspace.attempt.Workspace.stretch <- s_upper;
+            t.run_upper <- 0;
+            t.extra <- 1
+          end
         end
-        else
-          (* Both chains have plateaued at the finest allowed grid:
-             further iteration cannot close the gap.  Return the
-             certified (if loose) bounds rather than burning the
-             whole iteration budget at the most expensive level. *)
-          finish t ws ~converged:false ~lo ~hi
       end
     end
 
@@ -592,7 +799,8 @@ module State = struct
            depend on where they ran. *)
         t.batch <- min check_every (t.params.max_iterations - t.iterations);
         Lrd_parallel.Pool.both t.floor_run t.ceiling_run;
-        t.iterations <- t.iterations + t.batch;
+        t.iterations <- t.iterations + t.batch + t.extra;
+        t.extra <- 0;
         check t (Option.get t.ws)
       done
     end

@@ -22,7 +22,10 @@
     the upper bound falls below [negligible_loss] (default 1e-10), and
     when convergence stalls double the number of bins and continue from
     the current occupancy vectors (footnote 3's warm restart — old grid
-    points are a subset of the new, so the bound property is kept). *)
+    points are a subset of the new, so the bound property is kept).
+    While a chain approaches its limit geometrically, it jumps ahead
+    along its motion as far as a one-step stochastic-order check
+    certifies (see {!State} and THEORY.md). *)
 
 type params = {
   initial_bins : int;  (** Starting grid resolution [m] (default 128). *)
@@ -43,7 +46,10 @@ type params = {
           chains have plateaued at the current resolution, so only a
           finer grid can close the remaining gap.  While either chain is
           still mixing (e.g. the ceiling chain draining a deep buffer),
-          iteration continues at the cheap coarse resolution. *)
+          iteration continues at the cheap coarse resolution.  At
+          [max_bins] a stall ends the solve unconverged only when the
+          chains' geometrically projected limits also miss the gap
+          target. *)
   warm_restart : bool;
       (** Keep the current occupancy vectors across grid refinements
           (footnote 3; default true).  [false] restarts the chains from
@@ -95,6 +101,26 @@ module Workspace : sig
       one out) followed by the boundary fold.  Performs no heap
       allocation. *)
 
+  val period : t -> steps:int -> stretch:float -> unit
+  (** One check period of both chains as {!State.run} steps it: with
+      [stretch > 0], each chain first attempts a certified
+      extrapolation along its motion since the previous period
+      ([q + stretch (q - q_prev)], the stretch capped so that the
+      candidate stays nonnegative; see THEORY.md), which takes the
+      period's first step and one extra; then each records the start of
+      the period and steps on to [steps].  Performs no heap
+      allocation. *)
+
+  val load : src:t -> t -> unit
+  (** Footnote 3's doubling: [src]'s chains as the state of a workspace
+      with twice the bins, state [j] copied to state [2 j].
+      @raise Invalid_argument unless the bins double. *)
+
+  val set_pmfs : t -> lower:float array -> upper:float array -> unit
+  (** Replaces the floor and ceiling chains' pmfs (each of length
+      [m + 1]).
+      @raise Invalid_argument on another length. *)
+
   val lower_pmf : t -> float array
   (** Copy of the floor-chain occupancy pmf (length [m + 1]). *)
 
@@ -102,7 +128,8 @@ module Workspace : sig
   (** Copy of the ceiling-chain occupancy pmf. *)
 end
 (** The solver's engine, exposed for benchmarks and for tests that pin
-    the zero-allocation steady-state invariant with [Gc.minor_words]. *)
+    the zero-allocation steady-state invariant with [Gc.minor_words] and
+    the stochastic-order premises of the certified extrapolation. *)
 
 type occupancy = {
   step : float;  (** Grid spacing [d]; state [j] is occupancy [j * step]. *)
@@ -141,6 +168,22 @@ module State : sig
       have plateaued, until a check finishes the solve.  {!solve} is
       {!create} + {!run}, so a state reproduces it by construction.
 
+      Certified extrapolation.  When a chain's last three bound readings
+      on one level approach a limit geometrically (the ratio [r] of
+      their steps lies in (0, 1)), the chain's next check period starts
+      with a jump along its last period's motion, stretched by
+      [r / (1 - r)]: it steps its pmf and the candidate once, and
+      continues from the mixture of the two steps with the largest
+      candidate weight whose start passes the one-step stochastic-order
+      check (the floor chain must not move down, the ceiling chain not
+      up), so every bound stays certified.  A weight of 0 is the
+      ordinary step.  The attempt costs one extra step, counted in
+      [iterations] and against [max_iterations]; a jump starts that
+      chain's readings afresh.  Counter [solver/extrapolations] counts
+      attempts with a positive weight; with tracing on, each attempt
+      is one [solver/extrapolate] instant whose arg is the level's
+      bins.  Always on: there is no parameter.
+
       A state is single-threaded: create and run it on one domain,
       whose trace track then holds its balanced [solver/solve] slice
       and, inside it, one [solver/level] slice per resolution level.
@@ -148,9 +191,10 @@ module State : sig
       chain steps on the running domain and the ceiling chain on
       another: a crew member outside a pool task, a participant that
       has run out of tasks inside one.  With no such domain free (or
-      on a one-core machine) the chains step in turn.  Either way every
-      chain does the same float operations in the same order, so no
-      computed bit depends on where the chains ran. *)
+      on a one-core machine) the chains step in turn.  Each chain's
+      extrapolation runs in its own half.  Either way every chain does
+      the same float operations in the same order, so no computed bit
+      depends on where the chains ran. *)
 
   val create :
     ?params:params ->

@@ -191,6 +191,9 @@ let test_expected_overflow_monte_carlo () =
     (!acc /. float_of_int n)
     (Workload.expected_overflow w ~buffer ~occupancy)
 
+(* The loss is an increasing functional of occupancy, a premise of the
+   certified extrapolation (THEORY.md): the expected overflow rises with
+   the occupancy, and so does the solver's table at every bin. *)
 let test_expected_overflow_monotone_in_occupancy () =
   let m = pareto_model ~theta:0.4 ~alpha:1.5 ~cutoff:6.0 () in
   let w = Workload.create m ~service_rate:1.25 in
@@ -200,7 +203,19 @@ let test_expected_overflow_monotone_in_occupancy () =
       let v = Workload.expected_overflow w ~buffer:2.0 ~occupancy:x in
       if v < !prev -. 1e-12 then Alcotest.failf "not increasing at %g" x;
       prev := v)
-    [ 0.0; 0.4; 0.8; 1.2; 1.6; 2.0 ]
+    [ 0.0; 0.4; 0.8; 1.2; 1.6; 2.0 ];
+  List.iter
+    (fun (name, model) ->
+      let w = Workload.create model ~service_rate:1.25 in
+      List.iter
+        (fun bins ->
+          let table = Workload.overflow_table w ~buffer:2.0 ~bins in
+          for j = 1 to bins do
+            if table.(j) < table.(j - 1) then
+              Alcotest.failf "%s table decreases at bin %d of %d" name j bins
+          done)
+        [ 128; 4096 ])
+    [ ("pareto", m); ("exponential", exp_model 0.5) ]
 
 let test_zero_buffer_loss_formula () =
   let m = exp_model 1.0 in
@@ -585,8 +600,10 @@ let test_solver_golden_matrix () =
           Solver.solve
             (pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:5.0 ())
             ~service_rate:1.25 ~buffer:8.0),
-        0.012259692007597899,
-        0.014477594113131442 );
+        (* Certified extrapolation moved these from [0.012259692007597899,
+           0.014477594113131442]; the new interval lies inside the old. *)
+        0.012286306394015642,
+        0.01442593886697984 );
       ( "pareto-shallow",
         (fun () ->
           Solver.solve
@@ -605,8 +622,9 @@ let test_solver_golden_matrix () =
 
 let test_workspace_step_does_not_allocate () =
   (* The acceptance invariant of the zero-allocation rewrite: once a
-     workspace is warm, [Workspace.step] must not touch the minor heap.
-     Only meaningful in native code — bytecode boxes every float. *)
+     workspace is warm, [Workspace.step] must not touch the minor heap,
+     nor must a check period that extrapolates.  Only meaningful in
+     native code — bytecode boxes every float. *)
   let m = pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:5.0 () in
   let workload = Workload.create m ~service_rate:1.25 in
   List.iter
@@ -615,17 +633,25 @@ let test_workspace_step_does_not_allocate () =
       for _ = 1 to 16 do
         Solver.Workspace.step ws
       done;
+      Solver.Workspace.period ws ~steps:16 ~stretch:0.0;
       let w0 = Gc.minor_words () in
       for _ = 1 to 64 do
         Solver.Workspace.step ws
       done;
-      let allocated = Gc.minor_words () -. w0 in
+      let stepped = Gc.minor_words () -. w0 in
+      let w0 = Gc.minor_words () in
+      Solver.Workspace.period ws ~steps:16 ~stretch:3.0;
+      let extrapolated = Gc.minor_words () -. w0 in
       match Sys.backend_type with
       | Sys.Native ->
-          if allocated > 0.0 then
+          if stepped > 0.0 then
             Alcotest.failf
               "steady-state step allocated %.0f minor words at m = %d"
-              allocated bins
+              stepped bins;
+          if extrapolated > 0.0 then
+            Alcotest.failf
+              "an extrapolating period allocated %.0f minor words at m = %d"
+              extrapolated bins
       | Sys.Bytecode | Sys.Other _ -> ())
     (* Both parities of log2 m, a large grid, and grids off the
        doubling ladder: m = 80 and m = 100 both step on 256 points, 80
@@ -692,6 +718,178 @@ let prop_wrapped_step_matches_exact =
       close (exact_step lower bins.Workload.lower) (Solver.Workspace.lower_pmf ws)
       && close (exact_step upper bins.Workload.upper)
            (Solver.Workspace.upper_pmf ws))
+
+(* ------------------------------------------------------------------ *)
+(* The certified extrapolation's premises and its bound (THEORY.md,
+   "Certified extrapolation"). *)
+
+(* Prefix sums: [cdf a].(j) = a.(0) + ... + a.(j). *)
+let cdf a =
+  let c = Array.copy a in
+  for j = 1 to Array.length c - 1 do
+    c.(j) <- c.(j - 1) +. c.(j)
+  done;
+  c
+
+(* The stochastic-order test's rounding allowance on a CDF difference at
+   bin j, the solver's: 8 ulps times the square root of the prefix
+   length. *)
+let noise j = 8.0 *. epsilon_float *. sqrt (float_of_int (j + 1))
+
+(* [a <=st b] within [slack] allowances: CDF(a) >= CDF(b) at every bin
+   below the last. *)
+let stochastically_below ?(slack = 1.0) a b =
+  let ca = cdf a and cb = cdf b in
+  let ok = ref true in
+  for j = 0 to Array.length a - 2 do
+    if ca.(j) < cb.(j) -. (slack *. noise j) then ok := false
+  done;
+  !ok
+
+(* A random pmf on m + 1 bins, and one that dominates it: each bin's
+   mass moves, in a random share, to a random bin at or above it. *)
+let ordered_pmfs_gen m =
+  QCheck.Gen.(
+    array_repeat (m + 1) (float_range 0.0 1.0) >>= fun weights ->
+    array_repeat (m + 1) (pair (float_range 0.0 1.0) (int_range 0 m))
+    >|= fun moves ->
+    let total = Array.fold_left ( +. ) 0.0 weights in
+    let low = Array.map (fun w -> w /. total) weights in
+    let high = Array.copy low in
+    Array.iteri
+      (fun j (share, k) ->
+        let dst = max j k in
+        let moved = share *. low.(j) in
+        high.(j) <- high.(j) -. moved;
+        high.(dst) <- high.(dst) +. moved)
+      moves;
+    (low, high))
+
+(* The Lindley step on each chain is monotone in the stochastic order:
+   pi1 <=st pi2 gives P pi1 <=st P pi2, within the two steps' rounding,
+   on grids that wrap and grids that do not. *)
+let prop_step_keeps_stochastic_order =
+  QCheck.Test.make ~count:24 ~name:"workspace steps keep the stochastic order"
+    (QCheck.make
+       ~print:(fun (points, m, u, _) ->
+         Printf.sprintf "m=%d u=%g atoms=[%s]" m u
+           (String.concat "; "
+              (List.map (fun (x, p) -> Printf.sprintf "%g,%g" x p) points)))
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 2 5)
+              (pair (float_range 0.0 10.0) (float_range 0.05 1.0)))
+           grid_gen (float_range 0.3 0.95)
+         >>= fun (points, m, u) ->
+         ordered_pmfs_gen m >|= fun pmfs -> (points, m, u, pmfs)))
+    (fun (points, m, utilization, (low, high)) ->
+      let marginal = Lrd_dist.Marginal.of_points points in
+      let model = pareto_model ~marginal ~theta:0.2 ~alpha:1.4 ~cutoff:5.0 () in
+      let service_rate = Model.service_rate_for_utilization model ~utilization in
+      let workload = Workload.create model ~service_rate in
+      let buffer = 0.5 *. service_rate in
+      let stepped pmf =
+        let ws = Solver.Workspace.make workload ~buffer ~m in
+        Solver.Workspace.set_pmfs ws ~lower:pmf ~upper:pmf;
+        Solver.Workspace.step ws;
+        (Solver.Workspace.lower_pmf ws, Solver.Workspace.upper_pmf ws)
+      in
+      let low_floor, low_ceiling = stepped low
+      and high_floor, high_ceiling = stepped high in
+      stochastically_below low high
+      && stochastically_below ~slack:2.0 low_floor high_floor
+      && stochastically_below ~slack:2.0 low_ceiling high_ceiling)
+
+(* With [initial_bins = max_bins = m] the solve extrapolates on one
+   grid, and its bounds must stay on their side of the plain chains'
+   limits on that grid: [iterate_snapshots] stepped until a doubling of
+   the steps moves neither loss by more than 1e-12 of itself, or by more
+   than 1e-16, the level at which the loss of a chain at its
+   limit still wanders with the steps' rounding (a draining floor chain
+   reads 1e-19 to 9e-19 there). *)
+let test_extrapolation_certified_on_fixed_grid () =
+  let module Obs = Lrd_obs.Obs in
+  let extrapolations = Obs.Counter.make "solver/extrapolations" in
+  let wander = 1e-16 in
+  let limits model ~service_rate ~buffer ~bins =
+    let at n =
+      match
+        Solver.iterate_snapshots model ~service_rate ~buffer ~bins ~at:[ n ]
+      with
+      | [ s ] -> (s.Solver.lower_loss, s.Solver.upper_loss)
+      | _ -> assert false
+    in
+    let settled a b = Float.abs (a -. b) <= (1e-12 *. Float.abs b) +. wander in
+    let rec go n =
+      let lo, hi = at n and lo', hi' = at (2 * n) in
+      if settled lo lo' && settled hi hi' then (lo', hi')
+      else if n >= 1 lsl 17 then Alcotest.failf "chains unsettled at %d" n
+      else go (2 * n)
+    in
+    go 256
+  in
+  List.iter
+    (fun (name, model, service_rate, buffer, bins) ->
+      let params =
+        { Solver.default_params with initial_bins = bins; max_bins = bins }
+      in
+      Obs.set_enabled true;
+      Obs.reset ();
+      let r =
+        Fun.protect
+          ~finally:(fun () -> Obs.set_enabled false)
+          (fun () -> Solver.solve ~params model ~service_rate ~buffer)
+      in
+      let attempts = Obs.Counter.value extrapolations in
+      Obs.reset ();
+      let floor, ceiling = limits model ~service_rate ~buffer ~bins in
+      if attempts = 0 then Alcotest.failf "%s: no extrapolation" name;
+      if r.Solver.lower_bound > floor +. wander then
+        Alcotest.failf "%s: lower bound %.17g above the floor's limit %.17g"
+          name r.Solver.lower_bound floor;
+      if r.Solver.upper_bound < ceiling -. wander then
+        Alcotest.failf "%s: upper bound %.17g below the ceiling's limit %.17g"
+          name r.Solver.upper_bound ceiling)
+    [
+      ( "pareto",
+        pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:5.0 (),
+        1.25,
+        8.0,
+        128 );
+      ("exponential", exp_model 1.0, 1.05, 10.0, 64);
+      ("draining", exp_model 0.05, 1.6, 3.0, 128);
+    ]
+
+(* Footnote 3's doubling passes the same certificate: the pmfs that
+   [Workspace.load] re-indexes onto the finer grid are a floor start
+   (one fine step moves the floor chain up in the stochastic order) and
+   a ceiling start (the ceiling chain down), so the fine chains keep
+   approaching their limits monotonically from the loaded state. *)
+let test_doubling_passes_certificate () =
+  List.iter
+    (fun (name, model) ->
+      let workload = Workload.create model ~service_rate:1.25 in
+      List.iter
+        (fun (bins, steps) ->
+          let coarse = Solver.Workspace.make workload ~buffer:2.0 ~m:bins in
+          for _ = 1 to steps do
+            Solver.Workspace.step coarse
+          done;
+          let fine = Solver.Workspace.make workload ~buffer:2.0 ~m:(2 * bins) in
+          Solver.Workspace.load ~src:coarse fine;
+          let floor = Solver.Workspace.lower_pmf fine
+          and ceiling = Solver.Workspace.upper_pmf fine in
+          Solver.Workspace.step fine;
+          if not (stochastically_below floor (Solver.Workspace.lower_pmf fine))
+          then Alcotest.failf "%s: floor start fails at m = %d" name bins;
+          if
+            not (stochastically_below (Solver.Workspace.upper_pmf fine) ceiling)
+          then Alcotest.failf "%s: ceiling start fails at m = %d" name bins)
+        [ (64, 1); (100, 7); (128, 48); (256, 400) ])
+    [
+      ("pareto", pareto_model ~theta:0.2 ~alpha:1.4 ~cutoff:5.0 ());
+      ("exponential", exp_model 1.0);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Chain pair: a one-shot solve outside a pool task steps its floor
@@ -1566,6 +1764,11 @@ let () =
             test_chain_pair_bitwise;
           QCheck_alcotest.to_alcotest prop_chain_pair_bitwise;
           QCheck_alcotest.to_alcotest prop_wrapped_step_matches_exact;
+          QCheck_alcotest.to_alcotest prop_step_keeps_stochastic_order;
+          Alcotest.test_case "extrapolation certified on a fixed grid" `Quick
+            test_extrapolation_certified_on_fixed_grid;
+          Alcotest.test_case "doubling passes the certificate" `Quick
+            test_doubling_passes_certificate;
         ] );
       ( "state",
         [
